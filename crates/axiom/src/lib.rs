@@ -21,7 +21,7 @@
 //! [`wmm_litmus::OutcomeSet`], the two oracles are compared by **set
 //! equality** over all reachable `(registers, memory)` states — a much
 //! stronger differential than agreeing on one assertion. The `axiom_diff`
-//! binary in `wmm-bench` runs that comparison over the hand suite plus
+//! campaign in `wmm-bench` runs that comparison over the hand suite plus
 //! thousands of generated programs under all four models.
 //!
 //! ```

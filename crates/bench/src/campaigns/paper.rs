@@ -1,0 +1,800 @@
+//! The paper's figures and tables (§4), its §5 extension and the
+//! conclusion's extensions, each printed next to the published values.
+
+use wmm_harness::RunManifest;
+use wmm_jvm::jit::JitConfig;
+use wmm_jvm::optsites::{JvmPath, OptAwareStrategy, OptPass};
+use wmm_kernel::macros::default_arm_strategy;
+use wmm_litmus::suite::run_full_suite;
+use wmm_sim::arch::Arch;
+use wmm_workloads::dacapo::{profile, DacapoBench, OptAnnotatedBench};
+use wmm_workloads::kernel::{kernel_profile, KernelBench};
+use wmmbench::costfn::Calibration;
+use wmmbench::image::compute_envelope;
+use wmmbench::report::{ascii_sweep, write_json, Table};
+use wmmbench::runner::BenchSpec;
+use wmmbench::sensitivity::{pow2_targets, sweep, SweepResult, SweepTarget};
+use wmmbench::strategy::FencingStrategy;
+use wmmbench::turnkey::{evaluate_with, Usability};
+
+use super::Ctx;
+use crate::experiments::*;
+
+/// `(k, relative error %)` of a sweep's fit, NaN when it did not converge.
+fn k_err(s: &SweepResult) -> (f64, f64) {
+    s.fit
+        .as_ref()
+        .map(|f| (f.k, f.relative_error() * 100.0))
+        .unwrap_or((f64::NAN, f64::NAN))
+}
+
+/// The per-point CSV of a set of sweeps: `prefix` columns, then cost and
+/// relative performance with its bounds.
+fn sweep_rows(csv: &mut Table, prefix: &[String], s: &SweepResult) {
+    for p in &s.points {
+        let mut row = prefix.to_vec();
+        row.extend([
+            format!("{:.2}", p.actual_ns),
+            format!("{:.5}", p.rel_perf),
+            format!("{:.5}", p.rel_min),
+            format!("{:.5}", p.rel_max),
+        ]);
+        csv.row(row);
+    }
+}
+
+/// Push a sweep's fit under `label` and its points under
+/// `label/t=<target>`. Points are labelled by the requested target:
+/// neighbouring small targets can calibrate to the same actual ns, and the
+/// gate rejects duplicate labels.
+fn push_sweep(m: &mut RunManifest, label: &str, s: &SweepResult) {
+    if let Some(fit) = &s.fit {
+        m.push_fit(label, fit);
+    }
+    for p in &s.points {
+        m.push_cell(format!("{label}/t={:.0}", p.target_ns), p.rel_perf);
+    }
+}
+
+fn mean_percent(rows: &[StrategyDelta]) -> f64 {
+    rows.iter().map(|r| r.cmp.percent_change()).sum::<f64>() / rows.len() as f64
+}
+
+/// Fig. 1: an example of fitting the sensitivity model to a cost-function
+/// sweep. The paper's example fits k = 0.00277 ± 2.5% over cost sizes up
+/// to 2^14; we sweep h2 on ARM, whose sensitivity sits in the same band.
+pub fn fig1_fit(ctx: &Ctx) -> Result<RunManifest, String> {
+    let result = fig1_example_fit(ctx.cfg);
+    println!("Fig. 1 — example sensitivity fit (h2, ARM, all barriers)");
+    println!("paper example: k = 0.00277 ±2.5%");
+    match &result.fit {
+        Some(f) => println!("measured:      {} (R² = {:.4})", f.display(), f.r_squared),
+        None => println!("measured:      fit did not converge"),
+    }
+    println!();
+    println!("{}", ascii_sweep(&result, 40));
+
+    let mut csv = Table::new(&["cost_ns", "rel_perf", "rel_min", "rel_max"]);
+    sweep_rows(&mut csv, &[], &result);
+    ctx.write_csv(&csv, "fig1_fit.csv")?;
+    let mut manifest = RunManifest::new(ctx.name, "arm");
+    push_sweep(&mut manifest, "h2", &result);
+    Ok(manifest)
+}
+
+/// Fig. 4: time taken to execute the cost functions vs loop count, for the
+/// three variants: arm (with stack spill), arm-nostack (OpenJDK's scratch
+/// register), power. Shows the sub-linear small-N region and the linear
+/// large-N slopes (~1 cycle/iteration: 0.42 ns on ARM, 0.27 ns on POWER).
+pub fn fig4_costfn(ctx: &Ctx) -> Result<RunManifest, String> {
+    let cals = fig4_costfn_calibration();
+    println!("Fig. 4 — cost function execution time (ns) vs loop count N");
+    let mut t = Table::new(&["n", "arm_ns", "arm_nostack_ns", "power_ns"]);
+    let mut manifest = RunManifest::new(ctx.name, "arm+power");
+    for (i, &(n, _)) in cals[0].1.points.iter().enumerate() {
+        let mut row = vec![n.to_string()];
+        for (label, cal) in &cals {
+            let ns = cal.points[i].1;
+            row.push(format!("{ns:.3}"));
+            manifest.push_cell(format!("{label}/n={n}"), ns);
+        }
+        t.row(row);
+    }
+    println!("{}", t.markdown());
+
+    // Large-N slope check against the paper's cycle rates.
+    for (label, cal) in &cals {
+        let n = cal.points.len();
+        let (n0, t0) = cal.points[n - 2];
+        let (n1, t1) = cal.points[n - 1];
+        let slope = (t1 - t0) / (n1 - n0) as f64;
+        println!("{label:<14} large-N slope: {slope:.3} ns/iter");
+    }
+    ctx.write_csv(&t, "fig4_costfn.csv")?;
+    Ok(manifest)
+}
+
+/// Fig. 5: OpenJDK — impact of increasing cost-function size when injected
+/// into all memory barriers, for the eight concurrent-DaCapo/spark
+/// benchmarks on both architectures, with fitted sensitivities.
+pub fn fig5_openjdk_sweep(ctx: &Ctx) -> Result<RunManifest, String> {
+    println!("Fig. 5 — OpenJDK all-barrier sensitivity sweeps");
+    let mut table = Table::new(&[
+        "benchmark",
+        "arch",
+        "k",
+        "k_err_pct",
+        "k_paper",
+        "stability",
+    ]);
+    let mut csv = Table::new(&[
+        "benchmark",
+        "arch",
+        "cost_ns",
+        "rel_perf",
+        "rel_min",
+        "rel_max",
+    ]);
+    let mut manifest = RunManifest::new(ctx.name, "arm+power");
+    for arch in [Arch::ArmV8, Arch::Power7] {
+        for s in fig5_openjdk_sweeps_with(arch, ctx.cfg, &ctx.exec) {
+            let paper = FIG5_PAPER_K
+                .iter()
+                .find(|(n, _, _)| *n == s.benchmark)
+                .map(|(_, a, p)| if arch == Arch::ArmV8 { *a } else { *p })
+                .unwrap_or(f64::NAN);
+            let (k, err) = k_err(&s);
+            table.row(vec![
+                s.benchmark.clone(),
+                arch.label().to_string(),
+                format!("{k:.5}"),
+                format!("{err:.0}"),
+                format!("{paper:.5}"),
+                format!("{:.3}", s.mean_error_width()),
+            ]);
+            sweep_rows(
+                &mut csv,
+                &[s.benchmark.clone(), arch.label().to_string()],
+                &s,
+            );
+            push_sweep(
+                &mut manifest,
+                &format!("{}/{}", s.benchmark, arch.label()),
+                &s,
+            );
+        }
+    }
+    println!("{}", table.markdown());
+    println!("Paper shape: spark is most sensitive on both architectures; xalan is");
+    println!("second on ARM but unstable on POWER (largest stability value).");
+    ctx.write_csv(&csv, "fig5_openjdk.csv")?;
+    Ok(manifest)
+}
+
+const FIG6_PAPER_K: [(Arch, [(&str, f64); 4]); 2] = [
+    (
+        Arch::ArmV8,
+        [
+            ("LoadLoad", 0.00580),
+            ("LoadStore", 0.00592),
+            ("StoreLoad", 0.00507),
+            ("StoreStore", 0.00885),
+        ],
+    ),
+    (
+        Arch::Power7,
+        [
+            ("LoadLoad", 0.00102),
+            ("LoadStore", 0.00743),
+            ("StoreLoad", 0.00093),
+            ("StoreStore", 0.01333),
+        ],
+    ),
+];
+
+/// Fig. 6: performance impact on the spark benchmark of the cost function
+/// injected into each *elemental* memory barrier in turn, on both
+/// architectures. StoreStore dominates on both; the ARM implementation's
+/// defensiveness shows as high LoadLoad/LoadStore sensitivity, while POWER
+/// relies on StoreStore/StoreLoad.
+pub fn fig6_spark_barriers(ctx: &Ctx) -> Result<RunManifest, String> {
+    println!("Fig. 6 — spark sensitivity per elemental barrier");
+    let mut table = Table::new(&["arch", "barrier", "k", "k_paper"]);
+    let mut csv = Table::new(&["arch", "barrier", "cost_ns", "rel_perf"]);
+    let mut manifest = RunManifest::new(ctx.name, "arm+power");
+    for (arch, paper) in FIG6_PAPER_K {
+        for (e, s) in fig6_spark_elementals(arch, ctx.cfg) {
+            let p = paper
+                .iter()
+                .find(|(n, _)| *n == e.name())
+                .map(|(_, k)| *k)
+                .unwrap_or(f64::NAN);
+            let k = s.fit.as_ref().map(|f| f.k).unwrap_or(f64::NAN);
+            table.row(vec![
+                arch.label().to_string(),
+                e.name().to_string(),
+                format!("{k:.5}"),
+                format!("{p:.5}"),
+            ]);
+            for pt in &s.points {
+                csv.row(vec![
+                    arch.label().to_string(),
+                    e.name().to_string(),
+                    format!("{:.2}", pt.actual_ns),
+                    format!("{:.5}", pt.rel_perf),
+                ]);
+            }
+            push_sweep(&mut manifest, &format!("{}/{}", arch.label(), e.name()), &s);
+        }
+    }
+    println!("{}", table.markdown());
+    ctx.write_csv(&csv, "fig6_spark_elementals.csv")?;
+    Ok(manifest)
+}
+
+/// Fig. 8's published benchmark order, most sensitive first (h2 is last).
+const FIG8_PAPER_ORDER: [&str; 9] = [
+    "netperf_tcp",
+    "lmbench",
+    "netperf_udp",
+    "ebizzy",
+    "xalan",
+    "osm_stack",
+    "osm_tiles",
+    "kernel_compile",
+    "spark",
+];
+
+/// Figs. 7 and 8, both views of one Linux ranking matrix (a 1024-iteration
+/// cost function injected into each memory-model macro in turn).
+///
+/// * Fig. 7 sums relative performance per macro: lower sum = bigger
+///   impact. The paper finds `smp_mb`, `read_once` and
+///   `read_barrier_depends` have the most impact.
+/// * Fig. 8 sums it per benchmark: the microbenchmarks (netperf, lmbench,
+///   ebizzy) are most sensitive; the JVM benchmarks (h2, spark) are almost
+///   completely insensitive to kernel macros — they "rely heavily on the
+///   JVM to coordinate their concurrency and thus have very few
+///   interactions with the kernel."
+///
+/// The manifest pins every macro×benchmark cell, so both views are gated.
+pub fn fig7_macro_ranking(ctx: &Ctx) -> Result<RunManifest, String> {
+    let m = linux_ranking_with(ctx.cfg, &ctx.exec);
+    let mut manifest = RunManifest::new(ctx.name, "arm");
+    for (pi, mac) in m.paths.iter().enumerate() {
+        for (bi, bench) in m.benchmarks.iter().enumerate() {
+            manifest.push_cell(format!("{}/{bench}", mac.name()), m.rel_perf[pi][bi]);
+        }
+    }
+
+    println!(
+        "Fig. 7 — Linux macro impact ranking ({} data points)",
+        m.data_points()
+    );
+    let mut t = Table::new(&["macro", "sum_rel_perf"]);
+    for (mac, sum) in m.by_path_impact() {
+        println!("  {:<24} {sum:6.2}", mac.name());
+        t.row(vec![mac.name().to_string(), format!("{sum:.3}")]);
+    }
+    println!();
+    println!("paper: smp_mb, read_once and read_barrier_depends have the most impact;");
+    println!("the mandatory mb/rmb/wmb barriers the least.");
+    ctx.write_csv(&t, "fig7_macro_ranking.csv")?;
+
+    println!();
+    println!("Fig. 8 — Linux benchmark sensitivity ranking");
+    let mut t = Table::new(&["benchmark", "sum_rel_perf", "paper_rank"]);
+    for (b, sum) in m.by_benchmark_sensitivity() {
+        let rank = FIG8_PAPER_ORDER
+            .iter()
+            .position(|n| *n == b)
+            .map(|i| (i + 1).to_string())
+            .unwrap_or_else(|| "10/11 (h2 last)".to_string());
+        println!("  {b:<16} {sum:6.2}   (paper rank {rank})");
+        t.row(vec![b, format!("{sum:.3}"), rank]);
+    }
+    println!();
+    println!("paper order: netperf_tcp, lmbench, netperf_udp, ebizzy, xalan,");
+    println!("osm_stack (avg), osm_stack (max), osm_tiles, kernel_compile, spark, h2");
+    ctx.write_csv(&t, "fig8_bench_ranking.csv")?;
+    Ok(manifest)
+}
+
+/// Fig. 9: sensitivity analysis of the six most interesting kernel
+/// benchmarks with respect to the `read_barrier_depends` code path.
+pub fn fig9_rbd_sensitivity(ctx: &Ctx) -> Result<RunManifest, String> {
+    println!("Fig. 9 — read_barrier_depends sensitivity");
+    let sweeps = fig9_rbd_sweeps_with(ctx.cfg, &ctx.exec);
+    let mut t = Table::new(&["benchmark", "k", "k_err_pct", "k_paper"]);
+    let mut csv = Table::new(&["benchmark", "cost_ns", "rel_perf", "rel_min", "rel_max"]);
+    let mut manifest = RunManifest::new(ctx.name, "arm");
+    for s in &sweeps {
+        let paper = FIG9_PAPER_K
+            .iter()
+            .find(|(n, _)| *n == s.benchmark)
+            .map(|(_, k)| *k)
+            .unwrap_or(f64::NAN);
+        let (k, err) = k_err(s);
+        t.row(vec![
+            s.benchmark.clone(),
+            format!("{k:.5}"),
+            format!("{err:.0}"),
+            format!("{paper:.5}"),
+        ]);
+        sweep_rows(&mut csv, std::slice::from_ref(&s.benchmark), s);
+        push_sweep(&mut manifest, &s.benchmark, s);
+    }
+    println!("{}", t.markdown());
+    for s in &sweeps {
+        println!("{}", ascii_sweep(s, 40));
+    }
+    println!("paper shape: netperf_udp most sensitive, lmbench next, the real-world");
+    println!("applications (osm_stack, xalan) very low; netperf_tcp sensitive but unstable.");
+    ctx.write_csv(&csv, "fig9_rbd.csv")?;
+    Ok(manifest)
+}
+
+/// Fig. 10: relative performance of the six `read_barrier_depends` fencing
+/// strategies across the six kernel benchmarks, against the nop-padded
+/// base case. `isb` is "unreasonable due to its effect on the processor
+/// pipeline"; `dmb ishld`/`dmb ish` are the best-case ordering scenarios.
+pub fn fig10_rbd_strategies(ctx: &Ctx) -> Result<RunManifest, String> {
+    println!("Fig. 10 — rbd fencing strategies, relative performance (%)");
+    let results = crate::experiments::fig10_rbd_strategies(ctx.cfg);
+    let mut headers = vec!["strategy"];
+    headers.extend(results[0].1.iter().map(|d| d.bench.as_str()));
+    let mut t = Table::new(&headers);
+    let mut manifest = RunManifest::new(ctx.name, "arm");
+    for (s, deltas) in &results {
+        let mut row = vec![s.label().to_string()];
+        for d in deltas {
+            row.push(format!("{:+.1}", d.cmp.percent_change()));
+            manifest.push_cell(format!("{}/{}", s.label(), d.bench), d.cmp.ratio);
+        }
+        t.row(row);
+    }
+    println!("{}", t.markdown());
+    println!("paper shape: ctrl+isb drops several percent everywhere (pipeline flush);");
+    println!("osm_stack shows a small but significant drop of up to 1%; netperf trends");
+    println!("are identical for TCP and UDP with UDP more subdued and stable; dmb ishld");
+    println!("and dmb ish have almost identical peaks but dmb ish does more work in many cases.");
+    ctx.write_csv(&t, "fig10_rbd_strategies.csv")?;
+    Ok(manifest)
+}
+
+/// §4.2.1 in-text results: nop-injection overhead, the StoreStore
+/// single-barrier modifications with their Eq. 2 cost estimates, the
+/// sync/lwsync microbenchmarks, JDK9 load-acquire/store-release vs JDK8
+/// barriers, and the DMB-elimination locking patch.
+pub fn table_jvm_strategies(ctx: &Ctx) -> Result<RunManifest, String> {
+    let cfg = ctx.cfg;
+    let mut out = Table::new(&["experiment", "measured", "paper"]);
+    let mut manifest = RunManifest::new(ctx.name, "arm+power");
+    println!("§4.2.1 — OpenJDK fencing-strategy experiments\n");
+
+    println!("-- fence microbenchmarks --");
+    for (l, ns) in fence_microbenchmarks() {
+        println!("  {l:<16} {ns:5.1} ns");
+        manifest.push_cell(format!("micro/{l}"), ns);
+        out.row(vec![
+            format!("micro {l}"),
+            format!("{ns:.1} ns"),
+            match l.as_str() {
+                "power sync" => "18.9 ns".into(),
+                "power lwsync" => "6.1 ns".into(),
+                _ => "indistinguishable".into(),
+            },
+        ]);
+    }
+    println!("  (paper: sync 18.9 ns, lwsync 6.1 ns; dmb variants indistinguishable)\n");
+
+    println!("-- nop injection into every elemental barrier --");
+    for arch in [Arch::ArmV8, Arch::Power7] {
+        let rows = jvm_nop_overhead(arch, cfg);
+        let mean = mean_percent(&rows);
+        let worst = rows
+            .iter()
+            .min_by(|a, b| a.cmp.ratio.total_cmp(&b.cmp.ratio))
+            .ok_or("no nop-overhead rows")?;
+        println!(
+            "  {}: mean {mean:+.1}%, worst {} {:+.1}%",
+            arch.label(),
+            worst.bench,
+            worst.cmp.percent_change()
+        );
+        for r in &rows {
+            manifest.push_cell(format!("nop/{}/{}", arch.label(), r.bench), r.cmp.ratio);
+        }
+        out.row(vec![
+            format!("nop overhead {}", arch.label()),
+            format!("mean {mean:+.1}%"),
+            if arch == Arch::ArmV8 {
+                "mean -1.9%, peak -4.5% (h2)".into()
+            } else {
+                "mean -0.7%".into()
+            },
+        ]);
+    }
+    println!("  (paper: ARM mean -1.9% peak 4.5% h2; POWER mean -0.7%)\n");
+
+    println!("-- StoreStore modification on spark --");
+    for arch in [Arch::ArmV8, Arch::Power7] {
+        let (cmp, k, a) = storestore_experiment(arch, cfg);
+        let (mod_name, paper) = match arch {
+            Arch::ArmV8 => ("dmb ishst -> dmb ish", "-0.7%, a = 1.8 ns"),
+            Arch::Power7 => ("lwsync -> sync", "-12.5%, a = 11.7 ns"),
+        };
+        let a = a.unwrap_or(f64::NAN);
+        println!(
+            "  {} ({mod_name}): {:+.1}%  k={k:.5}  a={a:.1} ns   (paper {paper})",
+            arch.label(),
+            cmp.percent_change(),
+        );
+        let stem = format!("storestore/{}", arch.label());
+        manifest.push_cell(format!("{stem}/rel_perf"), cmp.ratio);
+        manifest.push_cell(format!("{stem}/k"), k);
+        if a.is_finite() {
+            manifest.push_cell(format!("{stem}/a_ns"), a);
+        }
+        out.row(vec![
+            format!("StoreStore {}", arch.label()),
+            format!("{:+.1}%, a = {a:.1} ns", cmp.percent_change()),
+            paper.into(),
+        ]);
+    }
+    println!();
+
+    println!("-- JDK9 ld.acq/st.rel vs JDK8 barriers (ARM) --");
+    for d in lasr_vs_barriers(cfg) {
+        let sig = if d.cmp.significant() {
+            ""
+        } else {
+            " (not significant)"
+        };
+        println!("  {:<11} {:+.1}%{sig}", d.bench, d.cmp.percent_change());
+        manifest.push_cell(format!("lasr/{}", d.bench), d.cmp.ratio);
+    }
+    println!("  (paper: xalan +2.9, sunflow +3.0, h2 -0.3, spark -0.5, tomcat -1.7, rest n.s.;");
+    println!("   net balance favours load-acquire/store-release)\n");
+
+    println!("-- DMB-elimination locking patch on spark (ARM) --");
+    for (mode, cmp) in locking_patch_experiment(cfg) {
+        println!("  with {mode:<9} {:+.1}%", cmp.percent_change());
+        manifest.push_cell(format!("locking/{mode}"), cmp.ratio);
+        out.row(vec![
+            format!("locking patch ({mode})"),
+            format!("{:+.1}%", cmp.percent_change()),
+            if mode == "la/sr" {
+                "+2.9%".into()
+            } else {
+                "-1%".into()
+            },
+        ]);
+    }
+    println!("  (paper: +2.9% with la/sr, -1% with barriers)\n");
+    ctx.write_csv(&out, "table_jvm_strategies.csv")?;
+    Ok(manifest)
+}
+
+/// Print and tabulate per-benchmark deltas; returns the CSV and manifest.
+fn delta_table(ctx: &Ctx, rows: &[StrategyDelta]) -> (Table, RunManifest) {
+    let mut t = Table::new(&["benchmark", "rel_perf_pct"]);
+    let mut manifest = RunManifest::new(ctx.name, "arm");
+    for d in rows {
+        println!("  {:<16} {:+.1}%", d.bench, d.cmp.percent_change());
+        t.row(vec![
+            d.bench.clone(),
+            format!("{:+.2}", d.cmp.percent_change()),
+        ]);
+        manifest.push_cell(d.bench.clone(), d.cmp.ratio);
+    }
+    (t, manifest)
+}
+
+/// §4.3: the nop-padded base-case kernel vs the truly unmodified kernel.
+/// The paper observes a mean 1.9% drop with the largest (6.6%) in netperf;
+/// all further kernel measurements are made against the padded kernel.
+pub fn table_kernel_nop(ctx: &Ctx) -> Result<RunManifest, String> {
+    println!("§4.3 — kernel nop-padding overhead vs unmodified kernel");
+    let rows = kernel_nop_overhead(ctx.cfg);
+    let (t, manifest) = delta_table(ctx, &rows);
+    println!(
+        "  mean {:+.1}%   (paper: mean -1.9%, worst netperf -6.6%)",
+        mean_percent(&rows)
+    );
+    ctx.write_csv(&t, "table_kernel_nop.csv")?;
+    Ok(manifest)
+}
+
+/// §4.3.1: equivalent per-invocation cost `a` (Eq. 2) of each rbd strategy,
+/// from the lmbench microbenchmark suite vs the mean of the other
+/// benchmarks. The headline divergences: `ctrl` looks cheap in vitro but
+/// costs more in vivo (branch-predictor pressure), while `dmb ishld` looks
+/// expensive in vitro but is nearly free in vivo (quiet load queues) — "the
+/// dmb ishld results support it having complex behaviour, and not simply
+/// mapping to dmb ish." `ctrl+isb` is the same everywhere.
+pub fn table_rbd_costs(ctx: &Ctx) -> Result<RunManifest, String> {
+    println!("§4.3.1 — rbd strategy cost estimates (Eq. 2), ns per invocation");
+    let paper = [
+        ("ctrl", 4.6, 10.1),
+        ("ctrl+isb", 24.5, 24.5),
+        ("dmb ishld", 10.7, 1.8),
+        ("dmb ish", 11.0, 10.7),
+        ("la/sr", 21.7, 15.9),
+    ];
+    let mut t = Table::new(&[
+        "strategy",
+        "a_lmbench",
+        "a_others",
+        "paper_lmbench",
+        "paper_others",
+    ]);
+    let mut manifest = RunManifest::new(ctx.name, "arm");
+    for (s, a_lm, a_others) in rbd_cost_estimates(ctx.cfg) {
+        let (p_lm, p_ot) = paper
+            .iter()
+            .find(|(n, _, _)| *n == s.label())
+            .map(|(_, a, b)| (*a, *b))
+            .unwrap_or((f64::NAN, f64::NAN));
+        t.row(vec![
+            s.label().to_string(),
+            format!("{a_lm:.1}"),
+            format!("{a_others:.1}"),
+            format!("{p_lm:.1}"),
+            format!("{p_ot:.1}"),
+        ]);
+        manifest.push_cell(format!("{}/a_lmbench", s.label()), a_lm);
+        manifest.push_cell(format!("{}/a_others", s.label()), a_others);
+    }
+    println!("{}", t.markdown());
+    println!("key shapes: ctrl micro << macro; dmb ishld micro >> macro; ctrl+isb equal.");
+    ctx.write_csv(&t, "table_rbd_costs.csv")?;
+    Ok(manifest)
+}
+
+/// §5 extension: the SC-preserving fencing strategy on the kernel suite —
+/// every memory-model macro lowered to a full `dmb ish`, including the
+/// `READ_ONCE`/`WRITE_ONCE` annotations. The paper relates its results to
+/// Marino et al.'s SC-preserving compiler: a 34% maximum slowdown on x86,
+/// with a 3.8% mean the paper judges "unlikely to be replicated" on weaker
+/// architectures.
+pub fn table_sc_strategy(ctx: &Ctx) -> Result<RunManifest, String> {
+    println!("§5 — SC-preserving fencing strategy on the ARMv8 kernel");
+    let rows = sc_strategy_experiment(ctx.cfg);
+    let (t, manifest) = delta_table(ctx, &rows);
+    let worst = rows
+        .iter()
+        .map(|r| r.cmp.percent_change())
+        .fold(f64::INFINITY, f64::min);
+    println!("  mean {:+.1}%, worst {worst:+.1}%", mean_percent(&rows));
+    println!();
+    println!("Marino et al. (x86/TSO): max slowdown 34%, mean 3.8%. The paper: ARM may");
+    println!("fit within the 34% bound, but the 3.8% mean 'is unlikely to be replicated'.");
+    ctx.write_csv(&t, "table_sc_strategy.csv")?;
+    Ok(manifest)
+}
+
+/// Validation artefact: the full litmus suite under every memory model,
+/// expected vs observed allow/forbid. This is the semantic ground truth
+/// behind the fence kinds the timing model prices; any mismatch fails.
+pub fn litmus_matrix(ctx: &Ctx) -> Result<RunManifest, String> {
+    println!("Litmus validation matrix (operational model, exhaustive DFS)");
+    let rows = run_full_suite();
+    let mut t = Table::new(&["test", "model", "expected", "observed", "ok"]);
+    let mut manifest = RunManifest::new(ctx.name, "oracle");
+    let mut errors = vec![];
+    let fmt = |b: bool| if b { "allowed" } else { "forbidden" };
+    for (name, model, expected, observed) in &rows {
+        if expected != observed {
+            errors.push(format!(
+                "{name} under {}: expected {}, observed {}",
+                model.label(),
+                fmt(*expected),
+                fmt(*observed)
+            ));
+        }
+        t.row(vec![
+            name.clone(),
+            model.label().to_string(),
+            fmt(*expected).to_string(),
+            fmt(*observed).to_string(),
+            if expected == observed { "✓" } else { "✗" }.to_string(),
+        ]);
+        manifest.push_cell(
+            format!("{name}/{}/observed", model.label()),
+            f64::from(*observed),
+        );
+    }
+    println!("{}", t.markdown());
+    println!("{} checks, {} failures", rows.len(), errors.len());
+    ctx.write_csv(&t, "litmus_matrix.csv")?;
+    super::check(ctx.name, &errors)?;
+    Ok(manifest)
+}
+
+/// Conclusion extension: cost-function IR nodes at JIT optimisation sites.
+///
+/// "An obvious extension … is to explore the annotation of code paths
+/// related to compiler optimisations. … This could be accomplished by
+/// adding a dedicated cost function IR node which is added to code paths
+/// where a given optimisation occurs or would occur."
+///
+/// Sweeps a cost function through each optimisation pass's (virtual) sites
+/// on the spark workload: the fitted sensitivity measures how much runtime
+/// the code touched by that optimisation class controls — i.e. the upper
+/// bound on what implementing or improving the pass could buy.
+pub fn ext_jit_optsites(ctx: &Ctx) -> Result<RunManifest, String> {
+    let arch = Arch::ArmV8;
+    let m = machine(arch);
+    let inner = jvm_base_strategy(arch);
+    let strategy = OptAwareStrategy::new(&inner);
+    let bench = OptAnnotatedBench(DacapoBench::new(
+        profile("spark").ok_or("no spark profile")?,
+        JitConfig::jdk8(arch),
+        ctx.cfg.scale,
+    ));
+    let cal = Calibration::measure(&m, false, 12);
+    let paths = bench.image(1).paths();
+    let env = compute_envelope(&paths, &[&strategy as &dyn FencingStrategy<JvmPath>], 3);
+
+    println!("Extension — sensitivity of spark (ARM) to JIT optimisation sites");
+    let mut t = Table::new(&["opt pass", "k", "k_err_pct", "sites/image"]);
+    let mut manifest = RunManifest::new(ctx.name, "arm");
+    let counts = bench.image(1).site_counts();
+    for pass in OptPass::ALL {
+        let result = sweep(
+            &m,
+            &bench,
+            &strategy,
+            SweepTarget::Path(JvmPath::Opt(pass)),
+            &cal,
+            &pow2_targets(0, 8),
+            env.clone(),
+            ctx.cfg.run,
+        );
+        let (k, err) = k_err(&result);
+        let n = counts.get(&JvmPath::Opt(pass)).copied().unwrap_or(0);
+        println!("  {:<26} k={k:.5} ±{err:.0}%  ({n} sites)", pass.name());
+        t.row(vec![
+            pass.name().to_string(),
+            format!("{k:.5}"),
+            format!("{err:.0}"),
+            n.to_string(),
+        ]);
+        if let Some(fit) = &result.fit {
+            manifest.push_fit(pass.name(), fit);
+        }
+        manifest.push_cell(format!("{}/sites", pass.name()), n as f64);
+    }
+    println!();
+    println!("Interpretation: the fitted k bounds the whole-program effect of speeding");
+    println!("up or slowing down the code each pass touches — the same reasoning the");
+    println!("paper applies to barrier code paths, now applied to optimisation sites.");
+    ctx.write_csv(&t, "ext_jit_optsites.csv")?;
+    Ok(manifest)
+}
+
+/// Conclusion extension: the turnkey evaluation system. One command takes
+/// a (machine, benchmark, strategy) triple and runs the complete
+/// methodology: calibrate, discover code paths, sweep each, fit, classify
+/// usability, and rank — "potentially yielding a turnkey evaluation
+/// system". Also writes the JSON report to
+/// `results/turnkey_netperf_udp.json`.
+pub fn turnkey_netperf_udp(ctx: &Ctx) -> Result<RunManifest, String> {
+    let m = machine(Arch::ArmV8);
+    let strategy = default_arm_strategy();
+    let bench = KernelBench::new(
+        kernel_profile("netperf_udp").ok_or("no netperf_udp profile")?,
+        ctx.cfg.scale,
+    );
+    println!("Turnkey evaluation: netperf_udp on the default ARMv8 kernel strategy\n");
+    let report = evaluate_with(
+        &m,
+        &bench,
+        &strategy,
+        true,
+        9,
+        Usability::default(),
+        ctx.cfg.run,
+        &ctx.exec,
+    );
+    println!(
+        "{:<24} {:>10} {:>12} {:>12} {:>8}",
+        "code path", "sites", "k", "instability", "usable"
+    );
+    let mut manifest = RunManifest::new(ctx.name, "arm");
+    for p in &report.paths {
+        let k = p.fit.as_ref().map(|f| f.k).unwrap_or(f64::NAN);
+        println!(
+            "{:<24} {:>10} {:>12.5} {:>12.3} {:>8}",
+            p.path,
+            p.invocations,
+            k,
+            p.instability,
+            if p.usable { "yes" } else { "no" }
+        );
+        if let Some(fit) = &p.fit {
+            manifest.push_fit(&p.path, fit);
+        }
+        manifest.push_cell(format!("{}/instability", p.path), p.instability);
+    }
+    if let Some(hot) = report.hottest_usable() {
+        println!(
+            "\nrecommendation: optimisation effort should start at `{}` — the most\nsensitive code path this benchmark can reliably evaluate.",
+            hot.path
+        );
+    }
+    let path = crate::results_dir().join("turnkey_netperf_udp.json");
+    write_json(&path, &report).map_err(|e| format!("{}: {e}", path.display()))?;
+    println!("wrote {}", path.display());
+    Ok(manifest)
+}
+
+/// The data-structure reclamation campaign: hazard-protect sensitivity
+/// sweeps plus the NR/EBR/HP-dmb/HP-asym scheme ranking on the
+/// Treiber-stack and Harris-Michael-list workloads.
+///
+/// Fails unless, on some protect-dense workload, the per-protect scheme
+/// (`hp-dmb`) loses to at least one amortising scheme (`ebr` or
+/// `hp-asym`) — the Eq. 1 prediction the platform exists to demonstrate
+/// (frequent cheap sites beat rare expensive ones only until the per-site
+/// fence dominates).
+pub fn fig_dstruct(ctx: &Ctx) -> Result<RunManifest, String> {
+    println!("fig_dstruct — lock-free reclamation schemes under the methodology");
+    let (manifest, sweeps, ranking) = fig_dstruct_manifest_with(ctx.cfg, &ctx.exec);
+
+    let mut t = Table::new(&["benchmark", "k(hp_protect)", "k_err_pct"]);
+    let mut csv = Table::new(&["benchmark", "cost_ns", "rel_perf", "rel_min", "rel_max"]);
+    for s in &sweeps {
+        let (k, err) = k_err(s);
+        t.row(vec![
+            s.benchmark.clone(),
+            format!("{k:.5}"),
+            format!("{err:.0}"),
+        ]);
+        sweep_rows(&mut csv, std::slice::from_ref(&s.benchmark), s);
+    }
+    println!("{}", t.markdown());
+    for s in &sweeps {
+        println!("{}", ascii_sweep(s, 40));
+    }
+
+    let mut rank = Table::new(&["scheme", "benchmark", "rel vs nr", "min", "max"]);
+    for (scheme, deltas) in &ranking {
+        for d in deltas {
+            rank.row(vec![
+                scheme.clone(),
+                d.bench.clone(),
+                format!("{:.4}", d.cmp.ratio),
+                format!("{:.4}", d.cmp.min),
+                format!("{:.4}", d.cmp.max),
+            ]);
+        }
+    }
+    println!("{}", rank.markdown());
+    println!("ratio < 1 = slower than the unsafe no-reclamation baseline;");
+    println!("expected order on traversal-heavy workloads: nr > hp-asym, ebr > hp-dmb.");
+    ctx.write_csv(&csv, "fig_dstruct.csv")?;
+
+    let ratio = |scheme: &str, bench: &str| {
+        ranking
+            .iter()
+            .find(|(s, _)| s == scheme)
+            .and_then(|(_, ds)| ds.iter().find(|d| d.bench == bench))
+            .map(|d| d.cmp.ratio)
+            .unwrap_or(f64::NAN)
+    };
+    let amortising_wins = ranking.first().is_some_and(|(_, ds)| {
+        ds.iter().any(|d| {
+            let dmb = ratio("hp-dmb", &d.bench);
+            ratio("hp-asym", &d.bench) > dmb || ratio("ebr", &d.bench) > dmb
+        })
+    });
+    if !amortising_wins {
+        return Err("hp-dmb beats both amortising schemes on every benchmark \
+                    — the reclamation trade-off collapsed"
+            .into());
+    }
+    println!("fig_dstruct: OK (an amortising scheme beats hp-dmb)");
+    Ok(manifest)
+}

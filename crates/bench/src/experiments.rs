@@ -1,6 +1,6 @@
 //! The experiment drivers. Every figure and in-text table of the paper's
-//! evaluation (§4) has a function here; binaries print them, integration
-//! tests assert their shapes.
+//! evaluation (§4) has a function here; the campaign registry prints them,
+//! integration tests assert their shapes.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -63,50 +63,6 @@ impl ExpConfig {
     }
 }
 
-/// Configuration from the command line: `--quick` for the reduced protocol,
-/// `--scale <f>` to override the image scale.
-pub fn cli_config() -> ExpConfig {
-    let args: Vec<String> = std::env::args().collect();
-    let mut cfg = if args.iter().any(|a| a == "--quick") {
-        ExpConfig::quick()
-    } else {
-        ExpConfig::full()
-    };
-    if let Some(i) = args.iter().position(|a| a == "--scale") {
-        if let Some(v) = args.get(i + 1).and_then(|s| s.parse::<f64>().ok()) {
-            cfg.scale = v;
-        }
-    }
-    cfg
-}
-
-/// Worker-thread request from the command line (`--threads N`), if any.
-/// `None` defers to `WMM_THREADS` / available parallelism (see
-/// `wmm_harness::resolve_threads`).
-pub fn cli_threads() -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-}
-
-/// Whether a bare flag (e.g. `--cache`) was passed on the command line.
-pub fn cli_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
-/// Chrome-trace output path from the command line (`--trace <path>`), if
-/// any. When present, figure binaries enable trace collection on their
-/// executor and write the scheduler timeline there on exit.
-pub fn cli_trace() -> Option<std::path::PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1))
-        .map(Into::into)
-}
-
 /// The `results/` directory (created if needed).
 pub fn results_dir() -> std::path::PathBuf {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
@@ -117,31 +73,6 @@ pub fn results_dir() -> std::path::PathBuf {
 /// The `results/runs/` directory where campaign manifests are written.
 pub fn runs_dir() -> std::path::PathBuf {
     results_dir().join("runs")
-}
-
-/// The harness executor configured from the command line: `--threads N`
-/// overrides the worker count (else `WMM_THREADS`, else available
-/// parallelism), `--progress` enables ETA lines on stderr, and `--cache`
-/// persists simulation results under `results/cache/` so a rerun skips
-/// already-simulated cells. Without `--cache` an in-memory cache still
-/// deduplicates within the process.
-pub fn cli_executor() -> wmm_harness::ParallelExecutor {
-    let exec = wmm_harness::ParallelExecutor::new(cli_threads())
-        .with_progress(cli_flag("--progress"))
-        .with_trace(cli_trace().is_some());
-    let cache = if cli_flag("--cache") {
-        let path = results_dir().join("cache").join("sim.cache");
-        match wmm_harness::SimCache::with_disk(&path) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("warning: disk cache unavailable ({e}); using in-memory cache");
-                wmm_harness::SimCache::in_memory()
-            }
-        }
-    } else {
-        wmm_harness::SimCache::in_memory()
-    };
-    exec.with_cache(cache)
 }
 
 /// The machine for an architecture.
@@ -242,6 +173,18 @@ pub fn fig4_costfn_calibration() -> Vec<(&'static str, Calibration)> {
 // ---------------------------------------------------------------------------
 // Figures 5 and 6: OpenJDK sweeps
 // ---------------------------------------------------------------------------
+
+/// Fig. 5's published sensitivities: `(benchmark, k on ARMv8, k on POWER7)`.
+pub const FIG5_PAPER_K: [(&str, f64, f64); 8] = [
+    ("h2", 0.00339, 0.00251),
+    ("lusearch", 0.00213, 0.00118),
+    ("spark", 0.00870, 0.01227),
+    ("sunflow", 0.00187, 0.00164),
+    ("tomcat", 0.00250, 0.00397),
+    ("tradebeans", 0.00262, 0.00385),
+    ("tradesoap", 0.00238, 0.00314),
+    ("xalan", 0.00606, 0.00152),
+];
 
 /// Fig. 5: cost-function sweep injected into *all* memory barriers, for the
 /// eight benchmarks on one architecture.
@@ -402,7 +345,7 @@ pub fn fence_microbenchmarks() -> Vec<(String, f64)> {
 
 /// The Dekker-style SB idiom over volatile fields: the store→load ordering
 /// volatiles guarantee (shared by the `fence_lint` and `fence_synth`
-/// static-analysis binaries).
+/// static-analysis campaigns).
 pub fn volatile_sb_idiom() -> Vec<Vec<JavaOp>> {
     let (x, y) = (Loc::SharedRw(1), Loc::SharedRw(2));
     vec![
@@ -412,7 +355,7 @@ pub fn volatile_sb_idiom() -> Vec<Vec<JavaOp>> {
 }
 
 /// The message-passing idiom: plain data store published by a volatile
-/// flag (shared by the `fence_lint` and `fence_synth` binaries).
+/// flag (shared by the `fence_lint` and `fence_synth` campaigns).
 pub fn volatile_mp_idiom() -> Vec<Vec<JavaOp>> {
     let (data, flag) = (Loc::SharedRw(3), Loc::SharedRw(4));
     vec![
@@ -581,6 +524,16 @@ pub fn kernel_nop_overhead(cfg: ExpConfig) -> Vec<StrategyDelta> {
         })
         .collect()
 }
+
+/// Fig. 9's published `read_barrier_depends` sensitivities.
+pub const FIG9_PAPER_K: [(&str, f64); 6] = [
+    ("ebizzy", 0.00106),
+    ("xalan", 0.00038),
+    ("netperf_udp", 0.00943),
+    ("osm_stack", 0.00019),
+    ("lmbench", 0.00525),
+    ("netperf_tcp", 0.00355),
+];
 
 /// Fig. 9: `read_barrier_depends` sensitivity sweeps on the six most
 /// interesting kernel benchmarks.
@@ -1163,7 +1116,7 @@ pub type SchemeRanking = Vec<(String, Vec<StrategyDelta>)>;
 
 /// The whole fig_dstruct campaign — protect-path sweeps plus the scheme
 /// ranking — folded into one schema-gated manifest. Shared by the
-/// `fig_dstruct` binary and the determinism tests so both see byte-for-byte
+/// `fig_dstruct` campaign and the determinism tests so both see byte-for-byte
 /// the same canonical content.
 pub fn fig_dstruct_manifest_with(
     cfg: ExpConfig,

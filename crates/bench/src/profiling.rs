@@ -1,5 +1,5 @@
 //! Per-site stall profiling of whole campaigns — the driver layer behind
-//! the `wmm_profile` and `wmm_tracediff` binaries.
+//! the `wmm_profile-*` and `wmm_tracediff*` campaigns.
 //!
 //! Where [`crate::experiments`] answers "what does this strategy cost
 //! per *fence kind*", this module answers "which *site* paid it": every
@@ -267,16 +267,6 @@ pub fn kind_checks(cp: &CampaignProfile) -> Vec<KindCheck> {
     }
     checks
 }
-
-/// The campaign ids [`profile_campaign`] accepts.
-pub const PROFILE_CAMPAIGNS: [&str; 6] = [
-    "fig5-arm",
-    "fig9-kernel",
-    "jdk8-arm",
-    "jdk9-arm",
-    "dstruct-hp-dmb",
-    "dstruct-hp-asym",
-];
 
 /// Profile a campaign by id:
 ///

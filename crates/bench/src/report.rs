@@ -1,4 +1,4 @@
-//! The run-report layer behind the `wmm_report` binary: run a profiled
+//! The run-report layer behind the `wmm_report` campaigns: run a profiled
 //! campaign with the full `wmm-obs` observability stack attached and join
 //! what the individual seams report — executor metrics, per-site stall
 //! profiles, cache statistics, solver metrics, span timeline — into one
@@ -9,11 +9,11 @@
 //! * the **markdown** rendering ([`markdown`]) is for humans: campaign
 //!   summary, the structural metrics table, the hottest sites, cache
 //!   traffic, and the per-kind cross-check verdict;
-//! * the **manifest** ([`manifest`]) is for the `bench_gate` regression
-//!   gate: every structural metric becomes a cell (`metrics/<name>`), so
-//!   CI pins not just the science but the *accounting* — a refactor that
-//!   silently stops counting cache hits or solver nodes drifts a cell and
-//!   fails the gate. Observational metrics (worker timings, latency
+//! * the **manifest** ([`manifest`]) is for the regression gate
+//!   (`wmm gate`): every structural metric becomes a cell
+//!   (`metrics/<name>`), so CI pins not just the science but the
+//!   *accounting* — a refactor that silently stops counting cache hits or
+//!   solver nodes drifts a cell and fails the gate. Observational metrics (worker timings, latency
 //!   histograms, lock waits) ride along in the manifest's `metrics` block
 //!   for inspection but are excluded from the gated cells and from the
 //!   deterministic projection's structural entries only by class, never by
@@ -27,7 +27,7 @@
 use wmm_analyze::{
     synthesize_wps_metered, CostModel, CycleCache, SynthConfig, WpsConfig, WpsMetrics,
 };
-use wmm_harness::{CacheStats, ParallelExecutor, RunManifest, SimCache, TraceEvent};
+use wmm_harness::{CacheStats, ParallelExecutor, RunManifest};
 use wmm_obs::{MetricValue, MetricsRegistry, MetricsSnapshot, SpanLog, SpanRecord};
 use wmmbench::report::Table;
 
@@ -35,36 +35,8 @@ use crate::profiling::{kind_checks, profile_campaign, site_records, KindCheck};
 use crate::wps::{make_bundles, WPS_MODEL};
 use crate::ExpConfig;
 
-/// How [`collect_report`] runs the campaign.
-#[derive(Debug, Clone)]
-pub struct ReportOptions {
-    /// Profile campaign id (see [`crate::profiling::PROFILE_CAMPAIGNS`]).
-    pub campaign: String,
-    /// Experiment scale.
-    pub cfg: ExpConfig,
-    /// Worker threads (`None` = auto).
-    pub threads: Option<usize>,
-    /// Minimum generated litmus tests for the WPS solver stage; `0`
-    /// skips the stage (and its `wps.*` metrics).
-    pub wps_min_tests: usize,
-    /// Collect the executor's batch/job Chrome-trace timeline alongside
-    /// the span log (costs one mutex push per job; off by default).
-    pub trace: bool,
-}
-
-impl ReportOptions {
-    /// The CI-shaped default: quick fig. 5 ARM campaign plus a small WPS
-    /// solver stage, no batch/job timeline.
-    pub fn quick() -> Self {
-        ReportOptions {
-            campaign: "fig5-arm".to_string(),
-            cfg: ExpConfig::quick(),
-            threads: None,
-            wps_min_tests: 16,
-            trace: false,
-        }
-    }
-}
+/// Minimum generated litmus tests the WPS solver stage bundles.
+pub const WPS_REPORT_TESTS: usize = 16;
 
 /// Everything one observed campaign run produced, ready for rendering.
 #[derive(Debug, Clone)]
@@ -87,40 +59,37 @@ pub struct RunReport {
     pub snapshot: MetricsSnapshot,
     /// Completed spans, in completion order.
     pub spans: Vec<SpanRecord>,
-    /// Executor batch/job timeline (empty unless tracing was enabled).
-    pub trace: Vec<TraceEvent>,
-    /// Bundles solved by the WPS stage (`None` = stage skipped).
-    pub wps_bundles: Option<usize>,
+    /// Bundles solved by the WPS stage.
+    pub wps_bundles: usize,
 }
 
-/// Run `opts.campaign` with a metrics registry, span log and simulation
-/// cache attached, optionally follow with a metered WPS solver stage over
-/// generated bundles, and collect everything the seams reported. Returns
-/// `None` for an unknown campaign id.
-pub fn collect_report(opts: &ReportOptions) -> Option<RunReport> {
-    let registry = MetricsRegistry::new();
+/// Run `campaign` on `exec` (which must report to `registry`) under a
+/// span log, follow with a metered WPS solver stage over generated
+/// bundles, and collect everything the seams reported. Returns `None` for
+/// an unknown campaign id.
+pub fn collect_report(
+    campaign: &str,
+    cfg: ExpConfig,
+    exec: &ParallelExecutor,
+    registry: &MetricsRegistry,
+) -> Option<RunReport> {
     let spans = SpanLog::new();
-    let exec = ParallelExecutor::new(opts.threads)
-        .with_cache(SimCache::in_memory())
-        .with_trace(opts.trace)
-        .with_metrics(&registry);
-
-    let whole = spans.span(format!("report/{}", opts.campaign), "report");
+    let whole = spans.span(format!("report/{campaign}"), "report");
     let cp = {
-        let _g = spans.span(opts.campaign.clone(), "campaign");
-        profile_campaign(&opts.campaign, opts.cfg, &exec)?
+        let _g = spans.span(campaign.to_string(), "campaign");
+        profile_campaign(campaign, cfg, exec)?
     };
 
-    let wps_bundles = (opts.wps_min_tests > 0).then(|| {
+    let wps_bundles = {
         let _g = spans.span("wps-solve", "phase");
-        let metrics = WpsMetrics::register(&registry);
+        let metrics = WpsMetrics::register(registry);
         let cache = CycleCache::in_memory();
         let costs = CostModel::priced(crate::streams::NOMINAL_K);
         let wps = WpsConfig {
-            threads: opts.threads,
+            threads: Some(exec.threads()),
             ..WpsConfig::default()
         };
-        let bundles = make_bundles(opts.wps_min_tests);
+        let bundles = make_bundles(WPS_REPORT_TESTS);
         for b in &bundles {
             synthesize_wps_metered(
                 &b.graph,
@@ -133,7 +102,7 @@ pub fn collect_report(opts: &ReportOptions) -> Option<RunReport> {
             .expect("bundle synthesis");
         }
         bundles.len()
-    });
+    };
     drop(whole);
 
     let mut ranked = site_records(&cp.merged());
@@ -163,7 +132,6 @@ pub fn collect_report(opts: &ReportOptions) -> Option<RunReport> {
         cache: exec.cache_stats().unwrap_or_default(),
         snapshot: registry.snapshot(),
         spans: spans.records(),
-        trace: exec.trace_events(),
         wps_bundles,
     })
 }
@@ -201,9 +169,10 @@ pub fn markdown(report: &RunReport) -> String {
     }
     out.push_str("## Campaign\n\n");
     out.push_str(&summary.markdown());
-    if let Some(bundles) = report.wps_bundles {
-        out.push_str(&format!("\nWPS solver stage: {bundles} bundles solved.\n"));
-    }
+    out.push_str(&format!(
+        "\nWPS solver stage: {} bundles solved.\n",
+        report.wps_bundles
+    ));
 
     out.push_str("\n## Structural metrics\n\n");
     out.push_str("Deterministic accounting — byte-identical at any worker count.\n\n");
@@ -251,11 +220,7 @@ pub fn markdown(report: &RunReport) -> String {
         report.checks.len(),
         if checks_pass(report) { "PASS" } else { "FAIL" }
     ));
-    out.push_str(&format!(
-        "\n{} spans recorded; {} executor trace events.\n",
-        report.spans.len(),
-        report.trace.len()
-    ));
+    out.push_str(&format!("\n{} spans recorded.\n", report.spans.len()));
     out
 }
 
@@ -276,9 +241,7 @@ pub fn manifest(report: &RunReport) -> RunManifest {
     }
     m.push_cell("checks/cells", report.checks.len() as f64);
     m.push_cell("checks/pass", if checks_pass(report) { 1.0 } else { 0.0 });
-    if let Some(bundles) = report.wps_bundles {
-        m.push_cell("wps/bundles", bundles as f64);
-    }
+    m.push_cell("wps/bundles", report.wps_bundles as f64);
     for e in &report.snapshot.structural().entries {
         match &e.value {
             MetricValue::Counter(v) => m.push_cell(format!("metrics/{}", e.name), *v as f64),
@@ -296,17 +259,19 @@ pub fn manifest(report: &RunReport) -> RunManifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wmm_harness::SimCache;
 
-    fn quick_opts(threads: usize) -> ReportOptions {
-        ReportOptions {
-            threads: Some(threads),
-            ..ReportOptions::quick()
-        }
+    fn quick_report(threads: usize) -> RunReport {
+        let registry = MetricsRegistry::new();
+        let exec = ParallelExecutor::new(Some(threads))
+            .with_cache(SimCache::in_memory())
+            .with_metrics(&registry);
+        collect_report("fig5-arm", ExpConfig::quick(), &exec, &registry).expect("known campaign")
     }
 
     #[test]
     fn report_joins_metrics_profiles_and_cache_stats() {
-        let r = collect_report(&quick_opts(2)).expect("known campaign");
+        let r = quick_report(2);
         assert!(!r.benches.is_empty());
         assert!(!r.ranked_sites.is_empty());
         assert!(checks_pass(&r), "per-kind cross-check must pass");
@@ -318,7 +283,7 @@ mod tests {
             r.cache.entries as f64
         );
         // The WPS stage populated the solver metrics.
-        assert!(r.wps_bundles.unwrap() > 0);
+        assert!(r.wps_bundles > 0);
         assert!(r.snapshot.counter("wps.cycles_enumerated").unwrap() > 0);
         // Spans nested report > campaign > phase, all recorded.
         assert!(r.spans.iter().any(|s| s.cat == "report"));
@@ -348,8 +313,8 @@ mod tests {
 
     #[test]
     fn manifest_deterministic_projection_is_identical_across_worker_counts() {
-        let one = manifest(&collect_report(&quick_opts(1)).unwrap());
-        let four = manifest(&collect_report(&quick_opts(4)).unwrap());
+        let one = manifest(&quick_report(1));
+        let four = manifest(&quick_report(4));
         assert_eq!(
             one.deterministic_json().to_string_pretty(),
             four.deterministic_json().to_string_pretty(),

@@ -1,4 +1,4 @@
-//! Shared stream-ingestion path for the static-audit binaries.
+//! Shared stream-ingestion path for the static-audit campaigns.
 //!
 //! `fence_lint` and `fence_synth` both consume platform idioms as bare
 //! instruction streams plus inter-thread dependencies, run them through the

@@ -1,7 +1,7 @@
 //! A small, dependency-free JSON value type with deterministic output.
 //!
 //! The workspace serialises experiment records (turnkey reports, harness run
-//! manifests) and parses them back (the `bench_gate` regression gate). The
+//! manifests) and parses them back (the `wmm gate` regression gate). The
 //! build environment has no registry access, so instead of `serde` this
 //! module provides the minimal machinery: a [`Json`] value preserving object
 //! key order, a [`ToJson`] trait, compact and pretty printers, and a strict

@@ -18,8 +18,8 @@
 //! 3. **Run artifacts and gating** ([`artifact`], [`gate`]): each campaign
 //!    writes a schema-versioned JSON manifest (per-cell measurements,
 //!    fitted sensitivities, timings, cache hit rate) under `results/runs/`,
-//!    and the `bench_gate` binary diffs a manifest against a committed
-//!    baseline, failing on out-of-tolerance drift.
+//!    and [`compare`] diffs a manifest against a committed baseline
+//!    (`wmm gate`), failing on out-of-tolerance drift.
 //! 4. **Telemetry** ([`artifact::SimTotals`], [`trace`]): every freshly
 //!    simulated job's full `ExecStats` flows back through the executor
 //!    seam and is folded — in job order, so the totals are bit-identical

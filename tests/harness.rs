@@ -145,6 +145,28 @@ fn telemetry_counters_identical_across_thread_counts() {
 }
 
 #[test]
+fn metrics_registry_never_changes_results() {
+    // Attaching a registry only observes: the same sweep with and without
+    // one writes byte-identical manifest text and identical telemetry.
+    let bare = ParallelExecutor::new(Some(2)).with_cache(SimCache::in_memory());
+    let registry = MetricsRegistry::new();
+    let metered = ParallelExecutor::new(Some(2))
+        .with_cache(SimCache::in_memory())
+        .with_metrics(&registry);
+    let text = |exec: &ParallelExecutor| {
+        let mut manifest = campaign_manifest(&campaign_sweep(exec));
+        manifest.telemetry = Some(exec.telemetry());
+        manifest.deterministic_json().to_string_pretty()
+    };
+    assert_eq!(text(&bare), text(&metered));
+    assert_eq!(
+        registry.snapshot().counter("harness.exec.jobs"),
+        Some(bare.telemetry().jobs),
+        "the registry must have observed the metered run"
+    );
+}
+
+#[test]
 fn nan_fit_fails_the_gate() {
     // A fit gone non-finite must be a hard gate failure: every NaN
     // comparison is false, so `drift > tol` would otherwise silently pass.
