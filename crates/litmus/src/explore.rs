@@ -4,37 +4,78 @@
 //! operation is eligible when every earlier same-thread operation that the
 //! model orders before it has executed) and, on non-multi-copy-atomic
 //! models, every store-propagation schedule. Depth-first search with
-//! memoisation keeps the search finite and fast — litmus tests have a
-//! handful of operations, so state counts stay in the low thousands.
+//! memoisation keeps the search finite. Hand-suite shapes visit tens to
+//! hundreds of states under the multi-copy-atomic models, but POWER's
+//! per-thread propagation multiplies them: the 3- and 4-thread POWER shapes
+//! reach 10^4 states, and larger generated shapes 10^5–10^6. Each state is
+//! therefore one flat word slice, hashed with a cheap word hasher, and the
+//! per-op ordering rules are resolved to bitmasks before the search starts.
 
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::ops::{FClass, LOp, LitmusTest, ModelKind, Outcome};
+use crate::ops::{DepKind, FClass, LOp, LitmusTest, ModelKind, Outcome};
 
-/// A committed store in coherence order.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct StoreRec {
-    var: usize,
-    val: u32,
-    owner: usize,
-    /// Bitmask of threads this store has propagated to.
-    mask: u32,
-    /// Stores (by id) that must be visible to a thread before this one may
-    /// propagate to it — `lwsync`/`sync` cumulativity on POWER.
-    prereqs: Vec<usize>,
+/// Search state, packed into one flat slice of words:
+///
+/// | words | content |
+/// |---|---|
+/// | one per thread | bitmask of executed ops |
+/// | one per register | register files, thread after thread |
+/// | one per op | the store id the op read or wrote (its group-A contribution), or [`NONE`] |
+/// | four per committed store, in coherence (commit) order | var, val, propagation mask (bit per thread), prerequisites (bit per store id) |
+///
+/// A store's prerequisites are the stores that must be visible to a thread
+/// before it may propagate there (`lwsync`/`sync` cumulativity on POWER).
+/// Its owner thread is not stored: the op whose touched word holds its id
+/// determines it.
+type State = Box<[u32]>;
+
+/// Touched-word sentinel: the op has not executed, is a fence, or read the
+/// initial value.
+const NONE: u32 = u32::MAX;
+
+/// Words per committed-store record.
+const REC: usize = 4;
+
+/// Seen-set hasher for packed states: an `FxHash`-style rotate-xor-multiply
+/// over 8-byte words. States are short runs of small integers, where
+/// `SipHash`'s `DoS` resistance buys nothing and costs most of a lookup.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
 }
 
-/// Search state.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct State {
-    /// Bitmask of executed ops per thread.
-    executed: Vec<u32>,
-    /// Register files, one per thread.
-    regs: Vec<Vec<u32>>,
-    /// Committed stores in coherence (commit) order.
-    stores: Vec<StoreRec>,
-    /// For each thread/op: the store id it read or wrote (for group-A sets).
-    touched: Vec<Vec<Option<usize>>>,
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.mix(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            self.mix(u64::from_le_bytes(w));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves the high bits best mixed; the table indexes
+        // by the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+type Words = BuildHasherDefault<WordHasher>;
+
+/// The low `n` bits set (`n ≤ 32`).
+fn low_bits(n: usize) -> u32 {
+    u32::MAX.checked_shr(32 - n as u32).unwrap_or(0)
 }
 
 /// The set of reachable final states of a litmus test: register files plus
@@ -108,6 +149,15 @@ impl OutcomeSet {
     }
 }
 
+/// [`ExploreCache`] key: a test's threads, store dependencies and memory
+/// conjuncts, and the model.
+type CacheKey = (
+    Vec<Vec<LOp>>,
+    Vec<(usize, usize, usize, DepKind)>,
+    Vec<(usize, u32)>,
+    ModelKind,
+);
+
 /// Memoising front-end for [`explore`]: callers that query the same test
 /// under the same model repeatedly (suite sweeps, differential audits, the
 /// `allows`-per-question pattern in `crates/bench`) share one exploration
@@ -119,7 +169,7 @@ impl OutcomeSet {
 /// set can be kept across further cache use or shipped to another thread.
 #[derive(Default)]
 pub struct ExploreCache {
-    map: std::collections::HashMap<(String, ModelKind), std::sync::Arc<OutcomeSet>>,
+    map: std::collections::HashMap<CacheKey, std::sync::Arc<OutcomeSet>>,
     hits: usize,
     misses: usize,
 }
@@ -133,9 +183,11 @@ impl ExploreCache {
 
     /// Structural identity of a test: everything that determines the
     /// outcome set (name excluded on purpose).
-    fn key(test: &LitmusTest, model: ModelKind) -> (String, ModelKind) {
+    fn key(test: &LitmusTest, model: ModelKind) -> CacheKey {
         (
-            format!("{:?}|{:?}|{:?}", test.threads, test.store_deps, test.memory),
+            test.threads.clone(),
+            test.store_deps.clone(),
+            test.memory.clone(),
             model,
         )
     }
@@ -181,164 +233,225 @@ impl ExploreCache {
 
 struct Explorer<'t> {
     test: &'t LitmusTest,
-    model: ModelKind,
+    mca: bool,
     all_mask: u32,
     num_vars: usize,
-    seen: HashSet<State>,
-    finals: HashSet<(Vec<Vec<u32>>, Vec<u32>)>,
+    /// Word offset of each thread's register file; the last entry is the
+    /// end of the register files.
+    reg_base: Vec<usize>,
+    /// Flat index of each thread's first op; the last entry is the op count.
+    op_base: Vec<usize>,
+    /// Word offset of the touched ids (indexed by flat op index).
+    touched: usize,
+    /// Word offset of the first committed-store record.
+    stores: usize,
+    /// Executed mask of each finished thread.
+    done: Vec<u32>,
+    /// Per flat op: the earlier ops of its thread the model orders before
+    /// it ([`LitmusTest::ordered`]).
+    must_precede: Vec<u32>,
+    /// Per flat op: the earlier ops whose touched stores form its group-A
+    /// set — for a `Full` fence, every earlier op (the stores it waits
+    /// for); for a store on a non-multi-copy-atomic model, the ops before
+    /// its last cumulative barrier, or before itself if it is a release
+    /// (its prerequisites); empty otherwise.
+    group: Vec<u32>,
+    seen: HashSet<State, Words>,
+    /// Final register files followed by final memory.
+    finals: HashSet<Box<[u32]>, Words>,
+    /// Spare successor buffers, so a revisited state allocates nothing.
+    spare: Vec<Vec<u32>>,
 }
 
-impl Explorer<'_> {
-    /// Latest visible store id for `var` as seen by `thread`, if any.
-    fn latest_visible(st: &State, thread: usize, var: usize) -> Option<usize> {
-        st.stores
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, s)| s.var == var && s.mask & (1 << thread) != 0)
-            .map(|(i, _)| i)
+impl<'t> Explorer<'t> {
+    fn new(test: &'t LitmusTest, model: ModelKind) -> Self {
+        let nthreads = test.threads.len();
+        let mca = model.multi_copy_atomic();
+        let (mut reg_base, mut op_base) = (vec![nthreads], vec![0]);
+        let (mut done, mut must_precede, mut group) = (vec![], vec![], vec![]);
+        for (t, ops) in test.threads.iter().enumerate() {
+            let nregs = ops
+                .iter()
+                .filter_map(|o| match o {
+                    LOp::Load { reg, .. } => Some(*reg + 1),
+                    _ => None,
+                })
+                .max()
+                .unwrap_or(0);
+            reg_base.push(reg_base[t] + nregs);
+            op_base.push(op_base[t] + ops.len());
+            done.push(low_bits(ops.len()));
+            for (j, op) in ops.iter().enumerate() {
+                must_precede.push(
+                    (0..j)
+                        .filter(|&i| test.ordered(model, t, i, j))
+                        .fold(0, |m, i| m | 1 << i),
+                );
+                // Cumulative barriers: a store after an lwsync/sync may
+                // propagate to a thread only after everything its thread
+                // knew before the barrier has. A release store (lowered as
+                // `lwsync; st` on POWER) is cumulative over everything
+                // program-before itself.
+                let upto = match *op {
+                    LOp::Fence(FClass::Full) => j,
+                    LOp::Store { .. } if mca => 0,
+                    LOp::Store { release: true, .. } => j,
+                    LOp::Store { .. } => (0..j)
+                        .rev()
+                        .find(|&i| matches!(ops[i], LOp::Fence(FClass::Full | FClass::LwSync)))
+                        .unwrap_or(0),
+                    _ => 0,
+                };
+                group.push(low_bits(upto));
+            }
+        }
+        let touched = reg_base[nthreads];
+        Explorer {
+            test,
+            mca,
+            all_mask: low_bits(nthreads),
+            num_vars: test.num_vars(),
+            stores: touched + op_base[nthreads],
+            reg_base,
+            op_base,
+            touched,
+            done,
+            must_precede,
+            group,
+            seen: HashSet::default(),
+            finals: HashSet::default(),
+            spare: vec![],
+        }
     }
 
-    /// Is op `(t, j)` eligible to execute?
-    fn eligible(&self, st: &State, t: usize, j: usize) -> bool {
-        if st.executed[t] & (1 << j) != 0 {
-            return false;
+    /// Word offset of store `sid`'s record.
+    fn rec(&self, sid: usize) -> usize {
+        self.stores + REC * sid
+    }
+
+    /// Latest visible store id for `var` as seen by `thread`, if any.
+    fn latest_visible(&self, st: &[u32], thread: usize, var: usize) -> Option<usize> {
+        (0..(st.len() - self.stores) / REC).rev().find(|&sid| {
+            let r = self.rec(sid);
+            st[r] as usize == var && st[r + 2] & (1 << thread) != 0
+        })
+    }
+
+    /// Group-A store set (a store-id bitmask) of thread `t` over the ops
+    /// in `ops`: every store those of them that executed read or wrote.
+    fn group_a(&self, st: &[u32], t: usize, ops: u32) -> u32 {
+        let mut ids = 0;
+        let mut left = st[t] & ops;
+        while left != 0 {
+            let i = left.trailing_zeros() as usize;
+            left &= left - 1;
+            let sid = st[self.touched + self.op_base[t] + i];
+            if sid != NONE {
+                ids |= 1 << sid;
+            }
         }
-        for i in 0..j {
-            if st.executed[t] & (1 << i) == 0 && self.test.ordered(self.model, t, i, j) {
+        ids
+    }
+
+    /// Does every store in `ids` have all of `threads` in its propagation
+    /// mask?
+    fn visible(&self, st: &[u32], mut ids: u32, threads: u32) -> bool {
+        while ids != 0 {
+            let sid = ids.trailing_zeros() as usize;
+            ids &= ids - 1;
+            if st[self.rec(sid) + 2] & threads != threads {
                 return false;
             }
         }
         true
     }
 
-    /// Group-A store set for an op at index `j` of thread `t`: everything the
-    /// thread has read or written at earlier (executed) ops. Used by `Full`
-    /// fences (wait for global propagation) and, restricted to ops before
-    /// the latest cumulative fence, as store prerequisites.
-    fn group_a(st: &State, t: usize, upto: usize) -> Vec<usize> {
-        (0..upto)
-            .filter(|&i| st.executed[t] & (1 << i) != 0)
-            .filter_map(|i| st.touched[t][i])
-            .collect()
+    /// A copy of `st` to mutate into a successor.
+    fn successor(&mut self, st: &[u32]) -> Vec<u32> {
+        let mut next = self.spare.pop().unwrap_or_default();
+        next.clear();
+        next.extend_from_slice(st);
+        next
     }
 
-    // One arm per op shape; splitting the match would scatter the model
-    // semantics across helpers.
-    #[allow(clippy::too_many_lines)]
-    fn step(&mut self, st: &State) {
-        if !self.seen.insert(st.clone()) {
-            return;
+    /// Explore `next` unless it was seen before.
+    fn visit(&mut self, next: Vec<u32>) {
+        if !self.seen.contains(next.as_slice()) {
+            self.seen.insert(next.as_slice().into());
+            self.step(&next);
         }
-        let done = (0..self.test.threads.len())
-            .all(|t| st.executed[t].count_ones() as usize == self.test.threads[t].len());
-        if done {
-            // Final memory: the last store per variable in coherence order.
-            let mut mem = vec![0u32; self.num_vars];
-            for s in &st.stores {
-                mem[s.var] = s.val;
+        self.spare.push(next);
+    }
+
+    fn step(&mut self, st: &[u32]) {
+        let nthreads = self.done.len();
+        if st[..nthreads] == self.done[..] {
+            // Final registers, then memory: the last store per variable in
+            // coherence order.
+            let mut fin = st[nthreads..self.touched].to_vec();
+            let mem = fin.len();
+            fin.resize(mem + self.num_vars, 0);
+            for r in (self.stores..st.len()).step_by(REC) {
+                fin[mem + st[r] as usize] = st[r + 1];
             }
-            self.finals.insert((st.regs.clone(), mem));
+            self.finals.insert(fin.into());
             return;
         }
 
         // 1. Execute any eligible op of any thread.
-        for t in 0..self.test.threads.len() {
-            for j in 0..self.test.threads[t].len() {
-                if !self.eligible(st, t, j) {
+        let test = self.test;
+        for (t, ops) in test.threads.iter().enumerate() {
+            for (j, &op) in ops.iter().enumerate() {
+                let k = self.op_base[t] + j;
+                if st[t] & (1 << j) != 0 || self.must_precede[k] & !st[t] != 0 {
                     continue;
                 }
-                match self.test.threads[t][j] {
+                let mut next = match op {
                     LOp::Fence(FClass::Full) => {
                         // On POWER a sync waits until its group-A stores have
                         // propagated everywhere (cumulativity). Elsewhere the
                         // condition is vacuous.
-                        let ready = Self::group_a(st, t, j)
-                            .into_iter()
-                            .all(|sid| st.stores[sid].mask == self.all_mask);
-                        if !ready {
+                        let ids = self.group_a(st, t, self.group[k]);
+                        if !self.visible(st, ids, self.all_mask) {
                             continue;
                         }
-                        let mut next = st.clone();
-                        next.executed[t] |= 1 << j;
-                        self.step(&next);
+                        self.successor(st)
                     }
-                    LOp::Fence(_) => {
-                        // Weak markers are ordering annotations only.
-                        let mut next = st.clone();
-                        next.executed[t] |= 1 << j;
-                        self.step(&next);
-                    }
+                    // Weak markers are ordering annotations only.
+                    LOp::Fence(_) => self.successor(st),
                     LOp::Load { var, reg, .. } => {
-                        let mut next = st.clone();
-                        next.executed[t] |= 1 << j;
-                        let sid = Self::latest_visible(st, t, var);
-                        next.regs[t][reg] = sid.map_or(0, |i| st.stores[i].val);
-                        next.touched[t][j] = sid;
-                        self.step(&next);
+                        let sid = self.latest_visible(st, t, var);
+                        let mut next = self.successor(st);
+                        next[self.reg_base[t] + reg] = sid.map_or(0, |s| st[self.rec(s) + 1]);
+                        next[self.touched + k] = sid.map_or(NONE, |s| s as u32);
+                        next
                     }
-                    LOp::Store { var, val, release } => {
-                        let mut next = st.clone();
-                        next.executed[t] |= 1 << j;
-                        // Cumulative barriers: a store after an lwsync/sync
-                        // may propagate to a thread only after everything its
-                        // thread knew before the barrier has. A release store
-                        // (lowered as `lwsync; st` on POWER) is cumulative
-                        // over everything program-before itself.
-                        let prereqs = if self.model.multi_copy_atomic() {
-                            vec![]
-                        } else if release {
-                            Self::group_a(st, t, j)
-                        } else {
-                            let barrier = (0..j).rev().find(|&i| {
-                                matches!(
-                                    self.test.threads[t][i],
-                                    LOp::Fence(FClass::Full | FClass::LwSync)
-                                )
-                            });
-                            match barrier {
-                                Some(b) => Self::group_a(st, t, b),
-                                None => vec![],
-                            }
-                        };
-                        let mask = if self.model.multi_copy_atomic() {
-                            self.all_mask
-                        } else {
-                            1 << t
-                        };
-                        let sid = next.stores.len();
-                        next.stores.push(StoreRec {
-                            var,
-                            val,
-                            owner: t,
-                            mask,
-                            prereqs,
-                        });
-                        next.touched[t][j] = Some(sid);
-                        self.step(&next);
+                    LOp::Store { var, val, .. } => {
+                        let prereqs = self.group_a(st, t, self.group[k]);
+                        let mask = if self.mca { self.all_mask } else { 1 << t };
+                        let sid = (st.len() - self.stores) / REC;
+                        let mut next = self.successor(st);
+                        next.extend_from_slice(&[var as u32, val, mask, prereqs]);
+                        next[self.touched + k] = sid as u32;
+                        next
                     }
-                }
+                };
+                next[t] |= 1 << j;
+                self.visit(next);
             }
         }
 
         // 2. Propagate a store to one more thread (non-MCA models only).
-        if !self.model.multi_copy_atomic() {
-            for sid in 0..st.stores.len() {
-                let s = &st.stores[sid];
-                if s.mask == self.all_mask {
-                    continue;
-                }
-                for u in 0..self.test.threads.len() {
-                    if s.mask & (1 << u) != 0 {
+        if !self.mca {
+            for r in (self.stores..st.len()).step_by(REC) {
+                let (mask, prereqs) = (st[r + 2], st[r + 3]);
+                for u in 0..nthreads {
+                    if mask & (1 << u) != 0 || !self.visible(st, prereqs, 1 << u) {
                         continue;
                     }
-                    let ok = s.prereqs.iter().all(|&p| st.stores[p].mask & (1 << u) != 0);
-                    if !ok {
-                        continue;
-                    }
-                    let mut next = st.clone();
-                    next.stores[sid].mask |= 1 << u;
-                    self.step(&next);
+                    let mut next = self.successor(st);
+                    next[r + 2] |= 1 << u;
+                    self.visit(next);
                 }
             }
         }
@@ -349,8 +462,10 @@ impl Explorer<'_> {
 ///
 /// # Panics
 ///
-/// Panics if the test has more than 32 threads or more than 32 ops on any
-/// thread — both are bitmask-width limits of the state encoding.
+/// Panics if the test has more than 32 threads, more than 32 ops on any
+/// thread, or more than 32 stores in all — all three are bitmask-width
+/// limits of the state encoding (propagation masks, executed-op masks and
+/// store-id prerequisite sets).
 #[must_use]
 pub fn explore(test: &LitmusTest, model: ModelKind) -> OutcomeSet {
     let nthreads = test.threads.len();
@@ -361,43 +476,36 @@ pub fn explore(test: &LitmusTest, model: ModelKind) -> OutcomeSet {
             "per-thread op count limited by bitmask width"
         );
     }
-    let regs: Vec<Vec<u32>> = test
+    let stores = test
         .threads
         .iter()
-        .map(|ops| {
-            let n = ops
-                .iter()
-                .filter_map(|o| match o {
-                    LOp::Load { reg, .. } => Some(*reg + 1),
-                    _ => None,
-                })
-                .max()
-                .unwrap_or(0);
-            vec![0; n]
+        .flatten()
+        .filter(|o| o.is_store())
+        .count();
+    assert!(
+        stores <= 32,
+        "store count limited by bitmask width: {stores} stores in `{}`, at most 32",
+        test.name
+    );
+    let mut ex = Explorer::new(test, model);
+    let mut init = vec![0; ex.stores];
+    init[ex.touched..].fill(NONE);
+    ex.seen.insert(init.as_slice().into());
+    ex.step(&init);
+    let finals = ex
+        .finals
+        .iter()
+        .map(|fin| {
+            let regs = ex
+                .reg_base
+                .windows(2)
+                .map(|w| fin[w[0] - nthreads..w[1] - nthreads].to_vec());
+            (regs.collect(), fin[ex.touched - nthreads..].to_vec())
         })
         .collect();
-    let init = State {
-        executed: vec![0; nthreads],
-        regs,
-        stores: vec![],
-        touched: test
-            .threads
-            .iter()
-            .map(|ops| vec![None; ops.len()])
-            .collect(),
-    };
-    let mut ex = Explorer {
-        test,
-        model,
-        all_mask: (1u32 << nthreads) - 1,
-        num_vars: test.num_vars(),
-        seen: HashSet::new(),
-        finals: HashSet::new(),
-    };
-    ex.step(&init);
     OutcomeSet {
         states_visited: ex.seen.len(),
-        finals: ex.finals,
+        finals,
     }
 }
 
@@ -621,5 +729,49 @@ mod tests {
                 "{model:?} must preserve per-location coherence"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "store count limited by bitmask width")]
+    fn more_than_32_stores_panics() {
+        let t = LitmusTest {
+            name: "33 stores".into(),
+            threads: vec![
+                (0..17).map(|i| st(0, i + 1)).collect(),
+                (0..16).map(|i| st(1, i + 1)).collect(),
+            ],
+            interesting: vec![],
+            store_deps: vec![],
+            memory: vec![],
+        };
+        let _ = explore(&t, ModelKind::Sc);
+    }
+
+    /// LB with one store-side dependency on thread 0.
+    fn lb_dep(name: &str, dep: DepKind) -> LitmusTest {
+        LitmusTest {
+            name: name.into(),
+            threads: vec![vec![ld(0, 0), st(1, 1)], vec![ld(1, 0), st(0, 1)]],
+            interesting: vec![(0, 0, 1), (1, 0, 1)],
+            store_deps: vec![(0, 1, 0, dep)],
+            memory: vec![],
+        }
+    }
+
+    #[test]
+    fn cache_shares_tests_differing_only_in_name() {
+        let mut cache = ExploreCache::new();
+        let a = cache.outcomes(&lb_dep("LB-a", DepKind::Data), ModelKind::Power);
+        let b = cache.outcomes(&lb_dep("LB-b", DepKind::Data), ModelKind::Power);
+        assert!(std::sync::Arc::ptr_eq(&a, &b));
+        assert_eq!((cache.len(), cache.hits(), cache.misses()), (1, 1, 1));
+    }
+
+    #[test]
+    fn cache_separates_tests_differing_in_one_dependency() {
+        let mut cache = ExploreCache::new();
+        cache.outcomes(&lb_dep("LB", DepKind::Data), ModelKind::Power);
+        cache.outcomes(&lb_dep("LB", DepKind::Ctrl), ModelKind::Power);
+        assert_eq!((cache.len(), cache.hits(), cache.misses()), (2, 0, 2));
     }
 }

@@ -109,7 +109,7 @@ impl DepKind {
 }
 
 /// One litmus operation.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LOp {
     /// Store `val` to `var`.
     Store {
