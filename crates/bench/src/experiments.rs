@@ -26,7 +26,8 @@ use wmmbench::image::{compute_envelope, Injection, SiteRewriter};
 use wmmbench::model::{estimate_cost, SensitivityFit};
 use wmmbench::ranking::{ranking_matrix_with, RankingMatrix};
 use wmmbench::runner::{
-    measure, measure_relative, measure_relative_with, measurement_jobs, BenchSpec, RunConfig,
+    measure, measure_relative, measure_relative_with, sample_images, BenchSpec, RunConfig,
+    SampleCode,
 };
 use wmmbench::sensitivity::{pow2_targets, sweep, sweep_with, SweepResult, SweepTarget};
 use wmmbench::strategy::{FencingStrategy, FnStrategy};
@@ -839,8 +840,10 @@ fn batch_with_stats<P: Clone + Eq + Hash>(
     cfg: RunConfig,
     exec: &dyn Executor,
 ) -> (Vec<f64>, SimTotals) {
-    let (jobs, _) = measurement_jobs(m, bench, rw, cfg);
-    let outcomes = exec.run_batch_stats(jobs);
+    let images = sample_images(bench, cfg);
+    let code = SampleCode::new(&images);
+    let sites = code.site_table(rw);
+    let outcomes = exec.run_cells(code.cells(m, &sites));
     let samples = &outcomes[cfg.warmups..];
     let times: Vec<f64> = samples.iter().map(|o| o.wall_ns).collect();
     let mut totals = SimTotals::default();

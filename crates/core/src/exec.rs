@@ -10,29 +10,46 @@
 //! that fans cells out across worker threads and skips already-simulated
 //! cells via a content-addressed result cache.
 //!
-//! The contract that makes this safe to parallelise: `run_batch` must return
-//! wall-times **in job order**, and each job's result must depend only on
-//! that job's inputs. The simulator guarantees the latter (`Machine::run` is
-//! deterministic in `(program, ctx, seed)`), so any executor that preserves
-//! order produces bit-identical experiment output regardless of worker
-//! count.
+//! The contract that makes this safe to parallelise: an executor must
+//! return results **in cell order**, and each cell's result must depend
+//! only on that cell's inputs. The simulator guarantees the latter
+//! (`Machine::run` is deterministic in `(program, ctx, seed)`), so any
+//! executor that preserves order produces bit-identical experiment output
+//! regardless of worker count.
+//!
+//! # Cells, and linking on a miss
+//!
+//! The unit of work is a [`SimCell`]. The measurement paths submit cells
+//! whose program is not linked yet — an [`ImageCode`] (an image whose
+//! literal code is digested once and shared by every configuration) plus
+//! one rewriter's [`SiteTable`] ([`CellProgram::Image`]). The cell's
+//! [`SimCell::digest`] equals the digest of the program it would link to,
+//! so a caching executor keys and looks it up without linking; only a
+//! miss is linked, by the worker that then simulates it, and the program
+//! is dropped after the run. A sweep's warm rerun links nothing, and a
+//! cold one holds a linked program per worker rather than per cell. An
+//! already-linked [`SimJob`] is the trivial cell ([`CellProgram::Linked`]),
+//! keyed from its stream: one executor path serves both.
 //!
 //! # Telemetry through the seam
 //!
 //! The simulator counts every fence execution and stall cycle
 //! ([`ExecStats`]), and discarding that ground truth at the seam would make
 //! the methodology's Eq. 2 cost estimates impossible to audit. So the
-//! primitive batch operation is [`Executor::run_batch_stats`], which returns
-//! one [`JobOutcome`] per job: always the wall time, plus the full
-//! [`ExecStats`] whenever the job was actually simulated. A caching executor
-//! answers repeat jobs from a wall-time-only store, so a cache hit carries
-//! `stats: None` — callers that aggregate telemetry count only the observed
-//! (freshly simulated) jobs. [`Executor::run_batch`] is the scalar
-//! projection every measurement path uses.
+//! primitive batch operation, [`Executor::run_cells`], returns one
+//! [`JobOutcome`] per cell: always the wall time, plus the full
+//! [`ExecStats`] whenever the cell was actually simulated. A caching
+//! executor answers repeat cells from a wall-time-only store, so a cache
+//! hit carries `stats: None` — callers that aggregate telemetry count only
+//! the observed (freshly simulated) cells. [`Executor::run_batch_stats`]
+//! and [`Executor::run_batch`] are the same operation over linked jobs.
 
 use wmm_sim::machine::{MachineScratch, Program, WorkloadCtx};
 use wmm_sim::stats::ExecStats;
 use wmm_sim::Machine;
+
+use crate::digest::{program_digest, Digest};
+use crate::image::{ImageCode, SiteTable};
 
 /// One independent simulation cell: everything `Machine::run` needs.
 ///
@@ -71,13 +88,111 @@ impl SimJob<'_> {
     /// — the executor hot path. Results are bit-identical to
     /// [`SimJob::run_stats`]; only the per-run allocations disappear.
     pub fn run_stats_with(&self, scratch: &mut MachineScratch) -> ExecStats {
-        if self.sited {
-            self.machine
-                .run_sited_with(&self.program, &self.ctx, self.seed, scratch)
-        } else {
-            self.machine
-                .run_with(&self.program, &self.ctx, self.seed, scratch)
+        simulate(
+            self.machine,
+            &self.program,
+            &self.ctx,
+            self.seed,
+            self.sited,
+            scratch,
+        )
+    }
+}
+
+fn simulate(
+    machine: &Machine,
+    program: &Program,
+    ctx: &WorkloadCtx,
+    seed: u64,
+    sited: bool,
+    scratch: &mut MachineScratch,
+) -> ExecStats {
+    if sited {
+        machine.run_sited_with(program, ctx, seed, scratch)
+    } else {
+        machine.run_with(program, ctx, seed, scratch)
+    }
+}
+
+/// Where a [`SimCell`]'s program comes from.
+pub enum CellProgram<'a> {
+    /// An already-linked program; its digest is hashed from the stream.
+    Linked(Program),
+    /// An image to link under a rewriter's site table — only when the
+    /// cell is actually simulated. Its digest is composed from the image's
+    /// code digests and the table's site digests.
+    Image(&'a ImageCode<'a>, &'a SiteTable),
+}
+
+/// The unit every [`Executor`] drains: a [`SimJob`] whose program may not
+/// be linked yet.
+///
+/// A caching executor keys a cell by [`SimCell::digest`], which never
+/// links, and calls [`SimCell::run_stats_with`], which links an
+/// [`CellProgram::Image`] cell on the spot and drops the program after
+/// the run. A cache hit therefore costs no linking at all, and a miss
+/// holds its program only while it simulates. An already-linked job is
+/// the trivial cell ([`SimCell::from`]).
+pub struct SimCell<'a> {
+    /// The machine to simulate on.
+    pub machine: &'a Machine,
+    /// The program, linked or to be linked.
+    pub program: CellProgram<'a>,
+    /// Workload execution context.
+    pub ctx: WorkloadCtx,
+    /// Sample seed.
+    pub seed: u64,
+    /// Collect per-site stall attribution; see [`SimJob::sited`].
+    pub sited: bool,
+}
+
+impl<'a> From<SimJob<'a>> for SimCell<'a> {
+    fn from(job: SimJob<'a>) -> Self {
+        SimCell {
+            machine: job.machine,
+            program: CellProgram::Linked(job.program),
+            ctx: job.ctx,
+            seed: job.seed,
+            sited: job.sited,
         }
+    }
+}
+
+impl SimCell<'_> {
+    /// The digest of the cell's linked program: equal to
+    /// [`program_digest`] of it, whether or not it is linked.
+    pub fn digest(&self) -> Digest {
+        match &self.program {
+            CellProgram::Linked(p) => program_digest(p),
+            CellProgram::Image(code, sites) => code.digest(sites),
+        }
+    }
+
+    /// Whether running this cell links a program first.
+    pub fn links(&self) -> bool {
+        matches!(self.program, CellProgram::Image(..))
+    }
+
+    /// Run the cell to completion, linking first if it is not linked yet.
+    /// Results are bit-identical to [`SimJob::run_stats`] on the linked
+    /// job.
+    pub fn run_stats_with(&self, scratch: &mut MachineScratch) -> ExecStats {
+        let linked;
+        let program = match &self.program {
+            CellProgram::Linked(p) => p,
+            CellProgram::Image(code, sites) => {
+                linked = code.link(sites);
+                &linked
+            }
+        };
+        simulate(
+            self.machine,
+            program,
+            &self.ctx,
+            self.seed,
+            self.sited,
+            scratch,
+        )
     }
 }
 
@@ -111,34 +226,42 @@ impl JobOutcome {
     }
 }
 
-/// Strategy for draining a batch of independent simulation jobs.
+/// Strategy for draining a batch of independent simulation cells.
 pub trait Executor: Sync {
-    /// Run every job and return one [`JobOutcome`] per job **in job
+    /// Run every cell and return one [`JobOutcome`] per cell **in cell
     /// order**. Wall times must be bit-identical to what direct
-    /// `SimJob::run` calls would produce.
-    fn run_batch_stats(&self, jobs: Vec<SimJob<'_>>) -> Vec<JobOutcome>;
+    /// `SimJob::run` calls on the linked cells would produce.
+    fn run_cells(&self, cells: Vec<SimCell<'_>>) -> Vec<JobOutcome>;
+
+    /// [`Executor::run_cells`] over already-linked jobs.
+    fn run_batch_stats(&self, jobs: Vec<SimJob<'_>>) -> Vec<JobOutcome> {
+        self.run_cells(jobs.into_iter().map(SimCell::from).collect())
+    }
 
     /// Run every job and return the wall times (ns) **in job order** — the
     /// scalar projection of [`Executor::run_batch_stats`].
     fn run_batch(&self, jobs: Vec<SimJob<'_>>) -> Vec<f64> {
-        self.run_batch_stats(jobs)
-            .into_iter()
-            .map(|o| o.wall_ns)
-            .collect()
+        wall_times(self.run_batch_stats(jobs))
     }
 }
 
-/// The default executor: runs jobs sequentially on the calling thread.
+/// The wall times of a batch's outcomes, in order.
+pub fn wall_times(outcomes: Vec<JobOutcome>) -> Vec<f64> {
+    outcomes.into_iter().map(|o| o.wall_ns).collect()
+}
+
+/// The default executor: runs cells sequentially on the calling thread.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SerialExecutor;
 
 impl Executor for SerialExecutor {
-    fn run_batch_stats(&self, jobs: Vec<SimJob<'_>>) -> Vec<JobOutcome> {
+    fn run_cells(&self, cells: Vec<SimCell<'_>>) -> Vec<JobOutcome> {
         // One scratch arena serves the whole batch: per-run state is reset
         // in place instead of reallocated per job.
         let mut scratch = MachineScratch::new();
-        jobs.iter()
-            .map(|j| JobOutcome::observed(j.run_stats_with(&mut scratch)))
+        cells
+            .iter()
+            .map(|c| JobOutcome::observed(c.run_stats_with(&mut scratch)))
             .collect()
     }
 }

@@ -10,14 +10,23 @@
 //! fencing strategy, optionally appending an injected cost function, and
 //! padding with `nop`s to a per-site envelope that is identical across all
 //! variants under comparison.
+//!
+//! Linking goes through two shareable halves: an [`ImageCode`] indexes an
+//! image's sites into a path list once, and a [`SiteTable`] holds one
+//! rewriter's lowering of every path. Together they link a program, or —
+//! without linking — give its [`Digest`], composed from the image's code
+//! digests and the table's site digests. Many configurations of one image
+//! are then many small tables, not many linked programs.
 
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::sync::OnceLock;
 
 use wmm_sim::isa::{pad_to, seq_size, AccessOrd, Instr};
 use wmm_sim::machine::{Program, WorkloadCtx};
 
 use crate::costfn::CostFunction;
+use crate::digest::{instrs_digest, program_head, Digest};
 use crate::strategy::FencingStrategy;
 
 /// One element of platform code: literal instructions, or a fencing-strategy
@@ -202,57 +211,25 @@ impl<'a, P: Clone + Eq + Hash> SiteRewriter<'a, P> {
     /// produces exactly `envelope[path]` instruction words, so two programs
     /// linked from the same image with different strategies or injections
     /// have identical code layout.
-    ///
-    /// Sites of the same path lower identically, so the lowering is computed
-    /// once per distinct path and memcpy'd at every further occurrence —
-    /// images have thousands of sites over a handful of paths. The cache is
-    /// a linear-probed vec: with so few distinct paths, an `Eq` scan over
-    /// tiny `Copy`-style path enums is cheaper than hashing each site.
     pub fn link(&self, image: &Image<P>) -> Program {
-        let mut lowered: Vec<(P, Vec<Instr>)> = Vec::new();
-        let threads = image
-            .threads
-            .iter()
-            .map(|segs| {
-                // Sizing pre-pass: segment counts are tiny next to the
-                // instruction stream, so resolving every site first (warming
-                // the cache as a side effect) buys a single exact allocation
-                // for the linked thread.
-                let mut len = 0;
-                for seg in segs {
-                    len += match seg {
-                        Segment::Code(instrs) | Segment::Labeled(_, instrs) => instrs.len(),
-                        Segment::Site(p) => {
-                            let idx = match lowered.iter().position(|(q, _)| q == p) {
-                                Some(i) => i,
-                                None => {
-                                    lowered.push((p.clone(), self.lower_site(p)));
-                                    lowered.len() - 1
-                                }
-                            };
-                            lowered[idx].1.len()
-                        }
-                    };
-                }
-                let mut out = Vec::with_capacity(len);
-                for seg in segs {
-                    match seg {
-                        Segment::Code(instrs) | Segment::Labeled(_, instrs) => {
-                            out.extend_from_slice(instrs)
-                        }
-                        Segment::Site(p) => {
-                            let idx = lowered
-                                .iter()
-                                .position(|(q, _)| q == p)
-                                .expect("warmed by sizing pass");
-                            out.extend_from_slice(&lowered[idx].1);
-                        }
-                    }
-                }
-                out
-            })
-            .collect();
-        Program::new(threads)
+        let mut paths = Vec::new();
+        let code = ImageCode::new(image, &mut paths);
+        code.link(&self.site_table(&paths))
+    }
+
+    /// Lower every path of `paths` once, with its digest: the table
+    /// [`ImageCode::link`] and [`ImageCode::digest`] index sites into.
+    pub fn site_table(&self, paths: &[P]) -> SiteTable {
+        SiteTable {
+            sites: paths
+                .iter()
+                .map(|p| {
+                    let seq = self.lower_site(p);
+                    let digest = instrs_digest(&seq);
+                    (seq, digest)
+                })
+                .collect(),
+        }
     }
 
     /// Like [`SiteRewriter::link`], but also produce a [`SiteMap`] that
@@ -350,6 +327,122 @@ impl<'a, P: Clone + Eq + Hash> SiteRewriter<'a, P> {
                 threads: map_threads,
             },
         )
+    }
+}
+
+/// One rewriter's lowering of every path of a path list (as built by
+/// [`ImageCode::new`]): the envelope-padded sequence and its [`Digest`],
+/// per path index. Built by [`SiteRewriter::site_table`].
+#[derive(Debug, Clone)]
+pub struct SiteTable {
+    sites: Vec<(Vec<Instr>, Digest)>,
+}
+
+/// One element of an [`ImageCode`] thread.
+#[derive(Debug, Clone, Copy)]
+enum Piece<'i> {
+    /// Literal code ([`Segment::Code`] or [`Segment::Labeled`]).
+    Code(&'i [Instr]),
+    /// A site, by index into the shared path list.
+    Site(usize),
+}
+
+/// An image's threads ready to be linked under any number of rewriters.
+///
+/// Sites become indices into a path list shared by every image of a batch,
+/// so one [`SiteTable`] per rewriter serves all of them. The digests of
+/// the literal code are computed once per image, on first use, and shared
+/// by every configuration: a cell's [`ImageCode::digest`] composes them
+/// with the table's site digests and equals
+/// [`program_digest`](crate::digest::program_digest) of the linked program
+/// without linking it.
+#[derive(Debug)]
+pub struct ImageCode<'i> {
+    threads: Vec<Vec<Piece<'i>>>,
+    /// One digest per code piece, in stream order.
+    code_digests: OnceLock<Vec<Digest>>,
+}
+
+impl<'i> ImageCode<'i> {
+    /// Index `image`'s sites into `paths`, appending paths not yet listed.
+    pub fn new<P: Clone + PartialEq>(image: &'i Image<P>, paths: &mut Vec<P>) -> Self {
+        let threads = image
+            .threads
+            .iter()
+            .map(|segs| {
+                segs.iter()
+                    .map(|seg| match seg {
+                        Segment::Code(is) | Segment::Labeled(_, is) => Piece::Code(is),
+                        // Images have thousands of sites over a handful of
+                        // paths: an `Eq` scan beats hashing each site.
+                        Segment::Site(p) => Piece::Site(match paths.iter().position(|q| q == p) {
+                            Some(i) => i,
+                            None => {
+                                paths.push(p.clone());
+                                paths.len() - 1
+                            }
+                        }),
+                    })
+                    .collect()
+            })
+            .collect();
+        ImageCode {
+            threads,
+            code_digests: OnceLock::new(),
+        }
+    }
+
+    /// Link under `sites`: the program [`SiteRewriter::link`] returns.
+    pub fn link(&self, sites: &SiteTable) -> Program {
+        let seq = |piece: &Piece<'i>| -> &[Instr] {
+            match *piece {
+                Piece::Code(is) => is,
+                Piece::Site(i) => &sites.sites[i].0,
+            }
+        };
+        let threads = self
+            .threads
+            .iter()
+            .map(|pieces| {
+                // Size first: one exact allocation per linked thread.
+                let len = pieces.iter().map(|p| seq(p).len()).sum();
+                let mut out = Vec::with_capacity(len);
+                for p in pieces {
+                    out.extend_from_slice(seq(p));
+                }
+                out
+            })
+            .collect();
+        Program::new(threads)
+    }
+
+    /// The digest of the program [`ImageCode::link`] would return under
+    /// `sites`, composed from per-piece digests without linking.
+    pub fn digest(&self, sites: &SiteTable) -> Digest {
+        let codes = self.code_digests.get_or_init(|| {
+            let code = self.threads.iter().flatten().filter_map(|p| match p {
+                Piece::Code(is) => Some(instrs_digest(is)),
+                Piece::Site(_) => None,
+            });
+            code.collect()
+        });
+        let mut codes = codes.iter();
+        let mut d = program_head(self.threads.len());
+        for pieces in &self.threads {
+            let (mut len, mut thread) = (0, Digest::EMPTY);
+            for p in pieces {
+                let (n, pd) = match *p {
+                    Piece::Code(is) => {
+                        (is.len(), *codes.next().expect("one digest per code piece"))
+                    }
+                    Piece::Site(i) => (sites.sites[i].0.len(), sites.sites[i].1),
+                };
+                len += n;
+                thread = thread.then(pd);
+            }
+            d = d.then_word(len as u64).then(thread);
+        }
+        d
     }
 }
 

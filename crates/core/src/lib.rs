@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod costfn;
+pub mod digest;
 pub mod exec;
 pub mod image;
 pub mod json;
@@ -46,8 +47,8 @@ pub mod strategy;
 pub mod turnkey;
 
 pub use costfn::{Calibration, CostFunction};
-pub use exec::{Executor, JobOutcome, SerialExecutor, SimJob};
-pub use image::{flatten_streams, Image, Segment, SiteMap, SiteRewriter};
+pub use exec::{CellProgram, Executor, JobOutcome, SerialExecutor, SimCell, SimJob};
+pub use image::{flatten_streams, Image, ImageCode, Segment, SiteMap, SiteRewriter, SiteTable};
 pub use json::{Json, ToJson};
 pub use model::{estimate_cost, predicted_performance, SensitivityFit};
 pub use runner::{

@@ -14,9 +14,9 @@ use wmm_sim::Machine;
 use wmm_stats::Comparison;
 
 use crate::costfn::CostFunction;
-use crate::exec::{Executor, SerialExecutor};
+use crate::exec::{wall_times, Executor, SerialExecutor};
 use crate::image::{Injection, SiteRewriter};
-use crate::runner::{measurement_from_times, measurement_jobs, BenchSpec, RunConfig};
+use crate::runner::{measurement_from_times, sample_images, BenchSpec, RunConfig, SampleCode};
 use crate::strategy::FencingStrategy;
 
 /// The full measurement matrix of a ranking experiment.
@@ -114,21 +114,32 @@ pub fn ranking_matrix_with<P: Clone + Eq + Hash>(
 ) -> RankingMatrix<P> {
     let runs = cfg.warmups + cfg.samples;
     // Base case per benchmark (nop-padded), then every (path, bench) cell.
-    let base_rw = SiteRewriter::new(strategy, Injection::None, envelope.clone());
-    let mut jobs = Vec::with_capacity(runs * benches.len() * (paths.len() + 1));
-    for b in benches {
-        let (j, _) = measurement_jobs(machine, *b, &base_rw, cfg);
-        jobs.extend(j);
-    }
-    for p in paths {
-        let rw = SiteRewriter::new(strategy, Injection::At(p.clone(), cost), envelope.clone());
-        for b in benches {
-            let (j, _) = measurement_jobs(machine, *b, &rw, cfg);
-            jobs.extend(j);
+    // Each benchmark's images are generated and indexed once for all its
+    // rewriters.
+    let images: Vec<_> = benches.iter().map(|b| sample_images(*b, cfg)).collect();
+    let code: Vec<_> = images.iter().map(|i| SampleCode::new(i)).collect();
+    let mut rewriters = vec![SiteRewriter::new(
+        strategy,
+        Injection::None,
+        envelope.clone(),
+    )];
+    rewriters.extend(
+        paths
+            .iter()
+            .map(|p| SiteRewriter::new(strategy, Injection::At(p.clone(), cost), envelope.clone())),
+    );
+    let tables: Vec<Vec<_>> = rewriters
+        .iter()
+        .map(|rw| code.iter().map(|c| c.site_table(rw)).collect())
+        .collect();
+    let mut cells = Vec::with_capacity(runs * benches.len() * (paths.len() + 1));
+    for row in &tables {
+        for (c, sites) in code.iter().zip(row) {
+            cells.extend(c.cells(machine, sites));
         }
     }
 
-    let times = exec.run_batch(jobs);
+    let times = wall_times(exec.run_cells(cells));
     let slice = |idx: usize| &times[runs * idx..runs * (idx + 1)];
     let bases: Vec<_> = (0..benches.len())
         .map(|i| measurement_from_times(slice(i), 1.0, cfg))

@@ -11,8 +11,8 @@ use std::hash::Hash;
 use wmm_sim::Machine;
 use wmm_stats::{confidence_interval, Comparison, ConfidenceInterval, Summary};
 
-use crate::exec::{Executor, SerialExecutor, SimJob};
-use crate::image::{Image, SiteMap, SiteRewriter};
+use crate::exec::{wall_times, CellProgram, Executor, SerialExecutor, SimCell, SimJob};
+use crate::image::{Image, ImageCode, SiteMap, SiteRewriter, SiteTable};
 
 /// A benchmark: a black box producing a program image per sample seed.
 ///
@@ -124,21 +124,60 @@ pub fn jobs_from_images<'m, P: Clone + Eq + Hash>(
     (jobs, work_units)
 }
 
-/// The linked simulation jobs for one `(bench, rewriter, cfg)` measurement,
-/// plus its work-unit count — the batchable form of [`measure`].
-///
-/// Returns `cfg.warmups + cfg.samples` jobs; the first `cfg.warmups`
-/// results are warm-up runs to discard.
-pub fn measurement_jobs<'m, P: Clone + Eq + Hash>(
-    machine: &'m Machine,
-    bench: &dyn BenchSpec<P>,
-    rewriter: &SiteRewriter<'_, P>,
-    cfg: RunConfig,
-) -> (Vec<SimJob<'m>>, f64) {
-    jobs_from_images(machine, &sample_images(bench, cfg), rewriter)
+/// Per-sample images (from [`sample_images`]) ready to become simulation
+/// cells under any number of rewriters: each image's code is indexed once,
+/// and its digests computed once, for every configuration linked from it.
+pub struct SampleCode<'i, P> {
+    samples: &'i [(u64, Image<P>)],
+    paths: Vec<P>,
+    code: Vec<ImageCode<'i>>,
 }
 
-/// Like [`measurement_jobs`], but the jobs collect per-site stall
+impl<'i, P: Clone + Eq + Hash> SampleCode<'i, P> {
+    /// Index every sample's sites into one shared path list.
+    pub fn new(samples: &'i [(u64, Image<P>)]) -> Self {
+        let mut paths = Vec::new();
+        let code = samples
+            .iter()
+            .map(|(_, image)| ImageCode::new(image, &mut paths))
+            .collect();
+        SampleCode {
+            samples,
+            paths,
+            code,
+        }
+    }
+
+    /// `rewriter`'s lowering of every path of the samples.
+    pub fn site_table(&self, rewriter: &SiteRewriter<'_, P>) -> SiteTable {
+        rewriter.site_table(&self.paths)
+    }
+
+    /// One unlinked cell per sample under `sites`, in sample order.
+    pub fn cells<'a>(&'a self, machine: &'a Machine, sites: &'a SiteTable) -> Vec<SimCell<'a>> {
+        self.samples
+            .iter()
+            .zip(&self.code)
+            .map(|((seed, image), code)| SimCell {
+                machine,
+                program: CellProgram::Image(code, sites),
+                ctx: image.ctx.clone(),
+                seed: *seed,
+                sited: false,
+            })
+            .collect()
+    }
+
+    /// Work units per run (the last sample's, as [`jobs_from_images`]
+    /// reports).
+    pub fn work_units(&self) -> f64 {
+        self.samples
+            .last()
+            .map_or(1.0, |(_, image)| image.work_units)
+    }
+}
+
+/// Like [`jobs_from_images`], but the jobs collect per-site stall
 /// attribution and each job is paired (by index) with the [`SiteMap`] of
 /// the image it was linked from — images can vary with the sample seed, so
 /// profile folds join records by site *name*, not raw index.
@@ -194,9 +233,11 @@ pub fn measure_with<P: Clone + Eq + Hash>(
     cfg: RunConfig,
     exec: &dyn Executor,
 ) -> Measurement {
-    let (jobs, work_units) = measurement_jobs(machine, bench, rewriter, cfg);
-    let times = exec.run_batch(jobs);
-    measurement_from_times(&times, work_units, cfg)
+    let images = sample_images(bench, cfg);
+    let code = SampleCode::new(&images);
+    let sites = code.site_table(rewriter);
+    let times = wall_times(exec.run_cells(code.cells(machine, &sites)));
+    measurement_from_times(&times, code.work_units(), cfg)
 }
 
 /// Measure a test configuration against a base configuration and return the
@@ -222,13 +263,15 @@ pub fn measure_relative_with<P: Clone + Eq + Hash>(
     cfg: RunConfig,
     exec: &dyn Executor,
 ) -> Comparison {
-    let (mut jobs, base_wu) = measurement_jobs(machine, bench, base, cfg);
-    let split = jobs.len();
-    let (test_jobs, test_wu) = measurement_jobs(machine, bench, test, cfg);
-    jobs.extend(test_jobs);
-    let times = exec.run_batch(jobs);
-    let b = measurement_from_times(&times[..split], base_wu, cfg);
-    let t = measurement_from_times(&times[split..], test_wu, cfg);
+    let images = sample_images(bench, cfg);
+    let code = SampleCode::new(&images);
+    let (base_sites, test_sites) = (code.site_table(base), code.site_table(test));
+    let mut cells = code.cells(machine, &base_sites);
+    let split = cells.len();
+    cells.extend(code.cells(machine, &test_sites));
+    let times = wall_times(exec.run_cells(cells));
+    let b = measurement_from_times(&times[..split], code.work_units(), cfg);
+    let t = measurement_from_times(&times[split..], code.work_units(), cfg);
     Comparison::of_times(&t.times_ns, &b.times_ns)
 }
 

@@ -8,12 +8,10 @@ use wmm_sim::Machine;
 use wmm_stats::Comparison;
 
 use crate::costfn::Calibration;
-use crate::exec::{Executor, SerialExecutor};
+use crate::exec::{wall_times, Executor, SerialExecutor};
 use crate::image::{Injection, SiteRewriter};
 use crate::model::{fit_sensitivity, SensitivityFit};
-use crate::runner::{
-    jobs_from_images, measurement_from_times, sample_images, BenchSpec, RunConfig,
-};
+use crate::runner::{measurement_from_times, sample_images, BenchSpec, RunConfig, SampleCode};
 use crate::strategy::FencingStrategy;
 
 /// One point of a sweep.
@@ -90,10 +88,10 @@ pub enum SweepTarget<P> {
 /// loop count and supplies the measured time used for fitting. The base
 /// case is the same strategy with `nop` padding in place of the loop.
 #[allow(clippy::too_many_arguments)]
-pub fn sweep<P: Clone + Eq + Hash + Send + Sync>(
+pub fn sweep<P: Clone + Eq + Hash>(
     machine: &Machine,
-    bench: &(dyn BenchSpec<P> + Sync),
-    strategy: &(dyn FencingStrategy<P> + Sync),
+    bench: &dyn BenchSpec<P>,
+    strategy: &dyn FencingStrategy<P>,
     target: SweepTarget<P>,
     calibration: &Calibration,
     targets_ns: &[f64],
@@ -114,19 +112,20 @@ pub fn sweep<P: Clone + Eq + Hash + Send + Sync>(
 }
 
 /// [`sweep`] through an explicit [`Executor`]: the base case and every
-/// cost-size point are linked up front and submitted as a single batch of
-/// independent simulations, so a parallel executor can run the whole sweep
+/// cost-size point are submitted as a single batch of independent
+/// simulation cells, so a parallel executor can run the whole sweep
 /// concurrently.
 ///
 /// The per-sample images are generated once and shared by every
-/// configuration (they depend only on the benchmark and seed), and the
-/// configurations are linked on parallel threads — linking is pure, so the
-/// job list is identical to serial construction.
+/// configuration (they depend only on the benchmark and seed). No program
+/// is linked here: each configuration only lowers its sites, and the
+/// executor links a cell on the worker that simulates it — or not at all
+/// when its result is cached.
 #[allow(clippy::too_many_arguments)]
-pub fn sweep_with<P: Clone + Eq + Hash + Send + Sync>(
+pub fn sweep_with<P: Clone + Eq + Hash>(
     machine: &Machine,
-    bench: &(dyn BenchSpec<P> + Sync),
-    strategy: &(dyn FencingStrategy<P> + Sync),
+    bench: &dyn BenchSpec<P>,
+    strategy: &dyn FencingStrategy<P>,
     target: SweepTarget<P>,
     calibration: &Calibration,
     targets_ns: &[f64],
@@ -136,6 +135,7 @@ pub fn sweep_with<P: Clone + Eq + Hash + Send + Sync>(
 ) -> SweepResult {
     let runs = cfg.warmups + cfg.samples;
     let images = sample_images(bench, cfg);
+    let code = SampleCode::new(&images);
 
     let mut injections = vec![Injection::None];
     let mut cfs = Vec::with_capacity(targets_ns.len());
@@ -148,28 +148,17 @@ pub fn sweep_with<P: Clone + Eq + Hash + Send + Sync>(
         });
         cfs.push((t_ns, cf, actual_ns));
     }
+    let tables: Vec<_> = injections
+        .into_iter()
+        .map(|injection| code.site_table(&SiteRewriter::new(strategy, injection, envelope.clone())))
+        .collect();
+    let cells = tables
+        .iter()
+        .flat_map(|sites| code.cells(machine, sites))
+        .collect();
 
-    let mut linked = Vec::with_capacity(injections.len());
-    std::thread::scope(|s| {
-        let images = &images;
-        let handles: Vec<_> = injections
-            .into_iter()
-            .map(|injection| {
-                let env = envelope.clone();
-                s.spawn(move || {
-                    let rw = SiteRewriter::new(strategy, injection, env);
-                    jobs_from_images(machine, images, &rw)
-                })
-            })
-            .collect();
-        // Joining in spawn order keeps the job list deterministic.
-        linked.extend(handles.into_iter().map(|h| h.join().expect("link worker")));
-    });
-
-    let base_wu = linked[0].1;
-    let jobs = linked.into_iter().flat_map(|(jobs, _)| jobs).collect();
-
-    let times = exec.run_batch(jobs);
+    let base_wu = code.work_units();
+    let times = wall_times(exec.run_cells(cells));
     let base = measurement_from_times(&times[..runs], base_wu, cfg);
 
     let mut points = Vec::with_capacity(targets_ns.len());

@@ -222,6 +222,9 @@ pub struct Timing {
     pub max_batch_ms: f64,
     /// Jobs in the largest batch submitted (queue-depth proxy).
     pub max_batch_jobs: u64,
+    /// Programs the executor linked before simulating them (cells
+    /// submitted unlinked and not answered from the cache).
+    pub links: u64,
 }
 
 impl ToJson for Timing {
@@ -232,6 +235,7 @@ impl ToJson for Timing {
             ("wall_ms", Json::Num(self.wall_ms)),
             ("max_batch_ms", Json::Num(self.max_batch_ms)),
             ("max_batch_jobs", self.max_batch_jobs.to_json()),
+            ("links", self.links.to_json()),
         ])
     }
 }
@@ -583,6 +587,7 @@ fn telemetry_from_json(t: &Json) -> Result<Telemetry, String> {
             wall_ms: f(w, "wall_ms"),
             max_batch_ms: f(w, "max_batch_ms"),
             max_batch_jobs: u(w, "max_batch_jobs"),
+            links: u(w, "links"),
         },
     };
     Ok(Telemetry {
@@ -708,6 +713,7 @@ mod tests {
                 wall_ms: 3.25,
                 max_batch_ms: 2.125,
                 max_batch_jobs: 24,
+                links: 12,
             },
         });
         let path = m.write(&dir).unwrap();

@@ -2,26 +2,49 @@
 //!
 //! `Machine::run` is deterministic in `(arch, program, ctx, seed)`, so a
 //! simulation result can be reused whenever those inputs recur — across
-//! batches, campaigns and (with the on-disk store) processes. The cache key
-//! is a 128-bit hash over a canonical encoding of exactly those inputs —
-//! FNV-1a over strings, a word-wise multiply-xor fold over numeric fields
-//! (keys are almost entirely instruction words, and hashing them a byte at
-//! a time showed up in campaign dispatch time): two independent 64-bit
-//! lanes keep accidental collisions far below any realistic campaign size.
+//! batches, campaigns and (with the on-disk store) processes.
 //!
-//! The on-disk store is an append-only text file of `key result` pairs;
-//! results are stored as `f64::to_bits` hex so a reloaded value is
-//! bit-identical to the freshly simulated one — caching never changes
-//! experiment output.
+//! # Keys
+//!
+//! A key is the two-lane polynomial [`Digest`] (mod `2^61 − 1`, see
+//! [`wmmbench::digest`]) of one canonical word stream: the linked program
+//! (a tag, the thread count, then per thread its length and instructions),
+//! followed by the architecture label, the workload context and the seed.
+//! The encoding is prefix-free, so distinct inputs are distinct streams,
+//! and two distinct streams of at most `n` words collide in one lane only
+//! if the lane's base is a root of their nonzero difference polynomial —
+//! at most `n` of the `2^61 − 1` residues. For `n ≤ 2^20` words that is
+//! below `2^-41` per lane, about `2^-82` for the pair, so even a cache of
+//! millions of entries stays far from an accidental collision.
+//!
+//! The digest composes: `D(A ‖ B) = D(A) · x^|B| + D(B)`. [`job_key`]
+//! hashes a linked program's stream; [`cell_key`] computes the same value
+//! for a cell that was never linked, from the image's per-segment digests
+//! (computed once per image) and the rewriter's per-path site digests
+//! (computed once per rewriter). A sweep's warm rerun therefore neither
+//! links nor hashes a stream.
+//!
+//! # The disk store
+//!
+//! The on-disk store is an append-only text file: a [`DISK_HEADER`] line
+//! naming the key scheme, then `key result` records, results stored as
+//! `f64::to_bits` hex so a reloaded value is bit-identical to the freshly
+//! simulated one — caching never changes experiment output. Each record is
+//! one `write` call, so processes sharing the file never interleave within
+//! a line; files of another key scheme, or with a corrupt record before
+//! the last, are refused rather than silently missed.
 
 use std::collections::HashMap;
-use std::io::Write as _;
+use std::fs::File;
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use wmm_sim::isa::{AccessOrd, Instr, Loc, Mispredict};
-use wmmbench::exec::SimJob;
+use wmm_sim::machine::WorkloadCtx;
+use wmm_sim::Machine;
+use wmmbench::digest::{encode_bytes, encode_u64, program_digest, Digest};
+use wmmbench::exec::{SimCell, SimJob};
 
 /// One 64-bit FNV-1a lane.
 struct Fnv(u64);
@@ -51,11 +74,10 @@ impl Fnv {
     }
 }
 
-/// Two independent lanes (distinct offset bases) hashed in lockstep.
-///
-/// Public so other content-addressed stores (e.g. the analysis-task cache
-/// in [`crate::jobs`]) key into the same 128-bit space with the same
-/// collision odds as the simulation cache.
+/// Two independent lanes (distinct offset bases) hashed in lockstep: the
+/// 128-bit content hash of the analysis caches ([`crate::jobs`]) and of
+/// checksums over results. Simulation keys use the composable
+/// [`Digest`] instead (see the module docs).
 pub struct Fnv128(Fnv, Fnv);
 
 impl Default for Fnv128 {
@@ -96,111 +118,53 @@ impl Fnv128 {
     }
 }
 
-fn hash_loc(h: &mut Fnv128, loc: &Loc) {
-    match loc {
-        Loc::Private(l) => {
-            h.u64(0);
-            h.u64(*l);
-        }
-        Loc::SharedRo(l) => {
-            h.u64(1);
-            h.u64(*l);
-        }
-        Loc::SharedRw(l) => {
-            h.u64(2);
-            h.u64(*l);
-        }
-    }
-}
-
-fn hash_ord(h: &mut Fnv128, ord: &AccessOrd) {
-    h.u64(match ord {
-        AccessOrd::Plain => 0,
-        AccessOrd::Acquire => 1,
-        AccessOrd::Release => 2,
-    });
-}
-
-fn hash_instr(h: &mut Fnv128, instr: &Instr) {
-    match instr {
-        Instr::Nop => h.u64(0),
-        Instr::MovImm => h.u64(1),
-        Instr::Alu => h.u64(2),
-        Instr::CmpImm => h.u64(3),
-        Instr::CondBranch(m) => {
-            h.u64(4);
-            match m {
-                Mispredict::Never => h.u64(0),
-                Mispredict::Rate(r) => {
-                    h.u64(1);
-                    h.f64(*r);
-                }
-                Mispredict::Workload => h.u64(2),
-            }
-        }
-        Instr::StackPush => h.u64(5),
-        Instr::StackPop => h.u64(6),
-        Instr::Load { loc, ord } => {
-            h.u64(7);
-            hash_loc(h, loc);
-            hash_ord(h, ord);
-        }
-        Instr::Store { loc, ord } => {
-            h.u64(8);
-            hash_loc(h, loc);
-            hash_ord(h, ord);
-        }
-        Instr::Cas { loc, success_prob } => {
-            h.u64(9);
-            hash_loc(h, loc);
-            h.f64(*success_prob);
-        }
-        Instr::Fence(k) => {
-            h.u64(10);
-            h.u64(*k as u64);
-        }
-        Instr::CostLoop { iters, stack_spill } => {
-            h.u64(11);
-            h.u64(*iters);
-            h.u64(*stack_spill as u64);
-        }
-        Instr::Compute { cycles } => {
-            h.u64(12);
-            h.u64(*cycles as u64);
-        }
-    }
-}
-
-/// The content address of one simulation cell: a stable 128-bit hash of
-/// everything `Machine::run` depends on — architecture label, workload
-/// context, seed and the full instruction stream.
+/// The content address of one simulation cell: the [`Digest`] of the
+/// canonical word stream of everything `Machine::run` depends on — the
+/// linked program, then architecture label, workload context and seed —
+/// as one `u128` (two 61-bit lanes).
 pub fn job_key(job: &SimJob<'_>) -> u128 {
-    let mut h = Fnv128::new();
-    h.bytes(job.machine.spec().arch.label().as_bytes());
-    let ctx = &job.ctx;
-    h.bytes(ctx.name.as_bytes());
-    h.f64(ctx.bp_pressure);
-    h.f64(ctx.load_pressure);
-    h.f64(ctx.l1_miss_rate);
-    h.f64(ctx.dram_frac);
-    h.f64(ctx.noise_amp);
-    h.u64(job.seed);
-    h.u64(job.program.threads.len() as u64);
-    for thread in &job.program.threads {
-        h.u64(thread.len() as u64);
-        for instr in thread {
-            hash_instr(&mut h, instr);
-        }
+    key_of(
+        job.machine,
+        &job.ctx,
+        job.seed,
+        program_digest(&job.program),
+    )
+}
+
+/// [`job_key`] of the cell's linked job, computed without linking it: an
+/// image cell composes its digest from the image's code digests and its
+/// rewriter's site digests.
+pub fn cell_key(cell: &SimCell<'_>) -> u128 {
+    key_of(cell.machine, &cell.ctx, cell.seed, cell.digest())
+}
+
+fn key_of(machine: &Machine, ctx: &WorkloadCtx, seed: u64, program: Digest) -> u128 {
+    let mut w = Vec::with_capacity(32);
+    encode_bytes(machine.spec().arch.label().as_bytes(), &mut w);
+    encode_bytes(ctx.name.as_bytes(), &mut w);
+    for f in [
+        ctx.bp_pressure,
+        ctx.load_pressure,
+        ctx.l1_miss_rate,
+        ctx.dram_frac,
+        ctx.noise_amp,
+    ] {
+        encode_u64(f.to_bits(), &mut w);
     }
-    h.finish()
+    encode_u64(seed, &mut w);
+    program.then(Digest::of_words(&w)).to_u128()
 }
 
 /// The on-disk lane of a cache: the backing file plus its own append lock,
 /// so disk I/O never holds up readers of the in-memory map.
 struct DiskLane {
     path: PathBuf,
-    append: Mutex<()>,
+    file: Mutex<File>,
 }
+
+/// The first line of every disk-store file: the key scheme its records
+/// are keyed by. A file without it was keyed differently and is refused.
+pub const DISK_HEADER: &str = "wmm-sim-cache keys=poly61x2-v1";
 
 /// Operational counters of a content-addressed cache, shared between the
 /// simulation cache and the generic task cache ([`crate::TaskCache`]).
@@ -245,8 +209,12 @@ pub struct SimCache {
 impl SimCache {
     /// A purely in-memory cache.
     pub fn in_memory() -> Self {
+        SimCache::with_map(HashMap::new())
+    }
+
+    fn with_map(mem: HashMap<u128, f64>) -> Self {
         SimCache {
-            mem: Mutex::new(HashMap::new()),
+            mem: Mutex::new(mem),
             disk: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -258,32 +226,43 @@ impl SimCache {
     }
 
     /// A cache backed by `path`: existing entries are loaded eagerly and
-    /// new results are appended as they are produced. Unreadable lines are
-    /// skipped (a torn final line from a killed run is harmless).
+    /// new results are appended as they are produced.
+    ///
+    /// A new or empty file starts with the [`DISK_HEADER`] line. An
+    /// existing file is refused with an [`std::io::ErrorKind::InvalidData`]
+    /// error when its first line is not that header (a file keyed by
+    /// another scheme would silently miss on every lookup) or when any
+    /// record but the last is malformed. A last record that is torn or
+    /// malformed — a killed run's partial append — is dropped and cut from
+    /// the file, so later appends start on a fresh line.
     pub fn with_disk(path: impl Into<PathBuf>) -> std::io::Result<Self> {
         let path = path.into();
-        let mut mem = HashMap::new();
-        if path.exists() {
-            for line in std::fs::read_to_string(&path)?.lines() {
-                if let Some((key, val)) = parse_line(line) {
-                    mem.insert(key, val);
-                }
-            }
-        } else if let Some(dir) = path.parent() {
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
             std::fs::create_dir_all(dir)?;
         }
+        let mut file = std::fs::OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(&path)?;
+        let mut text = String::new();
+        file.read_to_string(&mut text)?;
+        let mem = if text.is_empty() {
+            file.write_all(format!("{DISK_HEADER}\n").as_bytes())?;
+            HashMap::new()
+        } else {
+            let (mem, valid) = load_records(&path, &text)?;
+            if valid < text.len() {
+                file.set_len(valid as u64)?;
+            }
+            mem
+        };
         Ok(SimCache {
-            mem: Mutex::new(mem),
             disk: Some(DiskLane {
                 path,
-                append: Mutex::new(()),
+                file: Mutex::new(file),
             }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            puts: AtomicU64::new(0),
-            disk_appends: AtomicU64::new(0),
-            disk_append_bytes: AtomicU64::new(0),
-            lock_wait_ns: AtomicU64::new(0),
+            ..SimCache::with_map(mem)
         })
     }
 
@@ -313,21 +292,17 @@ impl SimCache {
         if first_insert {
             self.puts.fetch_add(1, Ordering::Relaxed);
             if let Some(lane) = &self.disk {
+                // One `write_all` per record: two processes appending to
+                // the same file can then never interleave within a line.
+                let line = format!("{key:032x} {:016x}\n", value.to_bits());
                 let wait = std::time::Instant::now();
-                let _append = lane.append.lock().expect("disk lane poisoned");
+                let mut file = lane.file.lock().expect("disk lane poisoned");
                 self.lock_wait_ns
                     .fetch_add(wait.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                if let Ok(mut f) = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&lane.path)
-                {
-                    let line = format!("{key:032x} {:016x}", value.to_bits());
-                    if writeln!(f, "{line}").is_ok() {
-                        self.disk_appends.fetch_add(1, Ordering::Relaxed);
-                        self.disk_append_bytes
-                            .fetch_add(line.len() as u64 + 1, Ordering::Relaxed);
-                    }
+                if file.write_all(line.as_bytes()).is_ok() {
+                    self.disk_appends.fetch_add(1, Ordering::Relaxed);
+                    self.disk_append_bytes
+                        .fetch_add(line.len() as u64, Ordering::Relaxed);
                 }
             }
         }
@@ -377,6 +352,40 @@ impl SimCache {
     }
 }
 
+/// The records of a disk-store file's `text`, and the length of its valid
+/// prefix: everything but a torn or malformed last record.
+fn load_records(path: &Path, text: &str) -> std::io::Result<(HashMap<u128, f64>, usize)> {
+    let refuse = |why: String| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("{}: {why}; delete the file", path.display()),
+        )
+    };
+    let mut lines = text.split_inclusive('\n').peekable();
+    let header = lines.next().unwrap_or_default();
+    if header.strip_suffix('\n') != Some(DISK_HEADER) {
+        let found: String = header.trim_end().chars().take(48).collect();
+        return Err(refuse(format!(
+            "not a cache file of key scheme {DISK_HEADER:?} (first line {found:?})"
+        )));
+    }
+    let mut mem = HashMap::new();
+    let mut valid = header.len();
+    let mut number = 1;
+    while let Some(line) = lines.next() {
+        number += 1;
+        match line.strip_suffix('\n').and_then(parse_line) {
+            Some((key, value)) => {
+                mem.insert(key, value);
+                valid += line.len();
+            }
+            None if lines.peek().is_none() => break,
+            None => return Err(refuse(format!("malformed record on line {number}"))),
+        }
+    }
+    Ok((mem, valid))
+}
+
 /// Parse one disk-store line. The writer always emits exactly 32 hex chars
 /// of key and 16 of value, so anything narrower is a torn line from a
 /// killed run — it must be rejected, not parsed: a truncated value like
@@ -397,8 +406,8 @@ fn parse_line(line: &str) -> Option<(u128, f64)> {
 mod tests {
     use super::*;
     use wmm_sim::arch::armv8_xgene1;
-    use wmm_sim::machine::{Program, WorkloadCtx};
-    use wmm_sim::Machine;
+    use wmm_sim::isa::{AccessOrd, Instr, Loc};
+    use wmm_sim::machine::Program;
 
     fn job(machine: &Machine, cycles: u32, seed: u64) -> SimJob<'_> {
         SimJob {
@@ -497,9 +506,9 @@ mod tests {
         // Each line is 32 hex key + space + 16 hex value + newline = 50.
         assert_eq!(stats.disk_append_bytes, 100);
         assert_eq!(
-            stats.disk_append_bytes,
+            DISK_HEADER.len() as u64 + 1 + stats.disk_append_bytes,
             std::fs::metadata(&path).unwrap().len(),
-            "byte accounting matches the file"
+            "byte accounting matches the file after its header line"
         );
         let _ = std::fs::remove_file(&path);
     }
@@ -544,11 +553,17 @@ mod tests {
         let path = dir.join("torn.cache");
         let good = format!("{:032x} {:016x}\n", 7_u128, 2.5f64.to_bits());
         let torn = &full[..40]; // full key, space, truncated value
-        std::fs::write(&path, format!("{good}{torn}")).unwrap();
+        std::fs::write(&path, format!("{DISK_HEADER}\n{good}{torn}")).unwrap();
         let cache = SimCache::with_disk(&path).unwrap();
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.get(7), Some(2.5));
         assert_eq!(cache.get(0xdead_beef), None);
+        // The torn tail is cut, so the next append starts a fresh line and
+        // the file reloads cleanly.
+        cache.put(8, 3.5);
+        drop(cache);
+        let reloaded = SimCache::with_disk(&path).unwrap();
+        assert_eq!((reloaded.get(7), reloaded.get(8)), (Some(2.5), Some(3.5)));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -581,12 +596,109 @@ mod tests {
         // Reload from disk: append-only file must hold every key exactly
         // once (first-writer-wins under the map lock) and parse cleanly.
         let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 256, "one disk line per unique key");
+        assert_eq!(text.lines().next(), Some(DISK_HEADER));
+        assert_eq!(
+            text.lines().count(),
+            1 + 256,
+            "one disk line per unique key"
+        );
         let reloaded = SimCache::with_disk(&path).unwrap();
         assert_eq!(reloaded.len(), 256);
         for i in 0..256u128 {
             assert_eq!(reloaded.get(i), Some(i as f64 * 0.125 + 1.0));
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn two_handles_append_whole_lines_to_one_file() {
+        // Two caches on one file stand in for two processes sharing
+        // `results/cache/sim.cache`: their appends must never interleave
+        // within a line.
+        let dir = std::env::temp_dir().join("wmm-harness-cache-two-handles-test");
+        let path = dir.join("shared.cache");
+        let _ = std::fs::remove_file(&path);
+        let a = SimCache::with_disk(&path).unwrap();
+        let b = SimCache::with_disk(&path).unwrap();
+        std::thread::scope(|scope| {
+            for (h, cache) in [&a, &b].into_iter().enumerate() {
+                for t in 0..4u128 {
+                    scope.spawn(move || {
+                        for i in 0..200u128 {
+                            let key = ((h as u128) << 64) | ((i * 4 + t) % 400);
+                            cache.put(key, key as f64);
+                        }
+                    });
+                }
+            }
+        });
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut lines = text.lines();
+        assert_eq!(lines.next(), Some(DISK_HEADER));
+        let keys: std::collections::HashSet<u128> = lines
+            .map(|l| parse_line(l).expect("every appended line parses").0)
+            .collect();
+        assert_eq!(keys.len(), 800);
+        assert_eq!(text.lines().count(), 1 + 800, "one line per unique key");
+        assert_eq!(SimCache::with_disk(&path).unwrap().len(), 800);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn files_of_another_key_scheme_are_refused() {
+        // A file written before the header existed: bare records keyed by
+        // the previous hash. Loading it would miss on every lookup.
+        let dir = std::env::temp_dir().join("wmm-harness-cache-old-format-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("old.cache");
+        let record = format!("{:032x} {:016x}\n", 7_u128, 2.5f64.to_bits());
+        for text in [
+            record.clone(),
+            format!("wmm-sim-cache keys=fnv128\n{record}"),
+            DISK_HEADER.to_string(),
+        ] {
+            std::fs::write(&path, &text).unwrap();
+            let err = SimCache::with_disk(&path).err().expect("refused");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("key scheme"), "{err}");
+            assert_eq!(
+                std::fs::read_to_string(&path).unwrap(),
+                text,
+                "left untouched"
+            );
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_corrupt_middle_record_is_refused() {
+        let dir = std::env::temp_dir().join("wmm-harness-cache-bitflip-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("flipped.cache");
+        let line = |k: u128| format!("{k:032x} {:016x}\n", (k as f64).to_bits());
+        let good = format!("{DISK_HEADER}\n{}{}{}", line(1), line(2), line(3));
+        let middle = DISK_HEADER.len() + 1 + 50 + 10;
+        for bit in [0x01u8, 0x10, 0x40] {
+            let mut bytes = good.clone().into_bytes();
+            bytes[middle] ^= bit;
+            std::fs::write(&path, &bytes).unwrap();
+            match SimCache::with_disk(&path) {
+                Err(err) => {
+                    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+                    assert!(err.to_string().contains("line 3"), "{err}");
+                }
+                // A flip can land on another valid hex digit: a different
+                // but well-formed key, which only ever misses.
+                Ok(cache) => assert_eq!(cache.len(), 3),
+            }
+        }
+        // The same corruption in the last record drops just that record.
+        let mut bytes = good.into_bytes();
+        let last = bytes.len() - 20;
+        bytes[last] = b'#';
+        std::fs::write(&path, &bytes).unwrap();
+        let cache = SimCache::with_disk(&path).unwrap();
+        assert_eq!((cache.len(), cache.get(3)), (2, None));
         let _ = std::fs::remove_file(&path);
     }
 }

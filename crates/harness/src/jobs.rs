@@ -7,9 +7,9 @@
 //! per-component critical-cycle enumeration, whose results are cycle
 //! *sets*, not scalars). This module provides that seam:
 //!
-//! - [`TaskCache<V>`]: a `u128 -> V` store keyed by the same two-lane FNV
-//!   hash as the simulation cache ([`crate::cache::Fnv128`]), with an
-//!   optional append-only disk lane sitting alongside the sim results.
+//! - [`TaskCache<V>`]: a `u128 -> V` store keyed by a two-lane FNV hash
+//!   ([`crate::cache::Fnv128`]), with an optional append-only disk lane
+//!   sitting alongside the sim results.
 //! - [`run_cached_tasks`]: batch execution through the same scoped-thread
 //!   scheduler as simulation jobs. Keys are computed on the pool, cache
 //!   hits resolve up front, misses fan out via [`crate::run_keyed`], and

@@ -50,7 +50,7 @@ pub mod trace;
 pub use artifact::{
     CellRecord, FitRecord, RunManifest, SimTotals, SiteRecord, Telemetry, Timing, SCHEMA_VERSION,
 };
-pub use cache::{job_key, CacheStats, Fnv128, SimCache};
+pub use cache::{cell_key, job_key, CacheStats, Fnv128, SimCache, DISK_HEADER};
 pub use gate::{compare, GateConfig, GateReport, Mismatch};
 pub use jobs::{run_cached_tasks, TaskCache, TaskCodec};
 pub use scheduler::{resolve_threads, run_keyed, run_keyed_indexed, ParallelExecutor};

@@ -21,10 +21,10 @@ use std::time::Instant;
 use wmm_obs::{Class, Counter, Gauge, Histogram, MetricsRegistry};
 use wmm_sim::stats::ExecStats;
 use wmm_sim::MachineScratch;
-use wmmbench::exec::{Executor, JobOutcome, SimJob};
+use wmmbench::exec::{Executor, JobOutcome, SimCell};
 
 use crate::artifact::{SimTotals, Telemetry, Timing};
-use crate::cache::{job_key, CacheStats, SimCache};
+use crate::cache::{cell_key, CacheStats, SimCache};
 use crate::trace::TraceEvent;
 
 /// Resolve the worker-thread count: an explicit request wins, then the
@@ -114,6 +114,7 @@ struct BatchCounters {
     wall_ns: AtomicU64,
     max_batch_ns: AtomicU64,
     max_batch_jobs: AtomicU64,
+    links: AtomicU64,
 }
 
 /// Registered metric handles for an instrumented executor.
@@ -291,6 +292,7 @@ impl ParallelExecutor {
                 wall_ms: self.counters.wall_ns.load(Ordering::Relaxed) as f64 / 1e6,
                 max_batch_ms: self.counters.max_batch_ns.load(Ordering::Relaxed) as f64 / 1e6,
                 max_batch_jobs: self.counters.max_batch_jobs.load(Ordering::Relaxed),
+                links: self.counters.links.load(Ordering::Relaxed),
             },
         }
     }
@@ -322,25 +324,26 @@ impl ParallelExecutor {
 }
 
 impl Executor for ParallelExecutor {
-    fn run_batch_stats(&self, jobs: Vec<SimJob<'_>>) -> Vec<JobOutcome> {
+    fn run_cells(&self, cells: Vec<SimCell<'_>>) -> Vec<JobOutcome> {
         let start = Instant::now();
         let batch_ts_us = self.epoch.elapsed().as_secs_f64() * 1e6;
         let batch_id = self.counters.batches.fetch_add(1, Ordering::Relaxed);
-        let n = jobs.len();
+        let n = cells.len();
         let mut outcomes: Vec<Option<JobOutcome>> = (0..n).map(|_| None).collect();
 
-        // Resolve cache hits up front; content keys hash entire programs,
-        // so they are computed on the worker pool (in submission order) and
-        // the hits then resolve on the calling thread.
+        // Resolve cache hits up front. Keys never link: an image cell's
+        // key is composed from digests, a linked cell's hashed from its
+        // stream. They are computed on the worker pool (in submission
+        // order) and the hits then resolve on the calling thread.
         let mut misses: Vec<usize> = Vec::with_capacity(n);
         let keys: Option<Vec<u128>> = self.cache.as_ref().map(|cache| {
-            let keys = run_keyed(&jobs, self.threads, job_key);
-            for (i, (job, &key)) in jobs.iter().zip(&keys).enumerate() {
-                // Sited jobs must surface their per-site stall map, which
+            let keys = run_keyed(&cells, self.threads, cell_key);
+            for (i, (cell, &key)) in cells.iter().zip(&keys).enumerate() {
+                // Sited cells must surface their per-site stall map, which
                 // the wall-time-only cache cannot answer — always simulate
                 // them (their wall times are identical, so the result is
                 // still stored for non-sited consumers).
-                if job.sited {
+                if cell.sited {
                     misses.push(i);
                     continue;
                 }
@@ -355,15 +358,20 @@ impl Executor for ParallelExecutor {
             misses = (0..n).collect();
         }
 
-        // Fan the misses out across workers, observing progress and
-        // (optionally) recording one trace slice per simulated job.
+        // Fan the misses out across workers — each links its cell, if
+        // unlinked, right before simulating it — observing progress and
+        // (optionally) recording one trace slice per simulated cell.
         let done = AtomicUsize::new(0);
         let sim_ns = AtomicU64::new(0);
         let total = misses.len();
         let stats: Vec<ExecStats> = run_keyed_indexed(&misses, self.threads, |worker, &slot| {
             let ts_us = self.epoch.elapsed().as_secs_f64() * 1e6;
             let t0 = Instant::now();
-            let stats = SIM_SCRATCH.with(|s| jobs[slot].run_stats_with(&mut s.borrow_mut()));
+            let cell = &cells[slot];
+            if cell.links() {
+                self.counters.links.fetch_add(1, Ordering::Relaxed);
+            }
+            let stats = SIM_SCRATCH.with(|s| cell.run_stats_with(&mut s.borrow_mut()));
             let dur = t0.elapsed();
             sim_ns.fetch_add(dur.as_nanos() as u64, Ordering::Relaxed);
             if let Some(m) = &self.metrics {
@@ -464,7 +472,7 @@ mod tests {
     use wmm_sim::isa::{FenceKind, Instr};
     use wmm_sim::machine::{Program, WorkloadCtx};
     use wmm_sim::Machine;
-    use wmmbench::exec::SerialExecutor;
+    use wmmbench::exec::{SerialExecutor, SimJob};
 
     fn jobs(machine: &Machine, n: usize) -> Vec<SimJob<'_>> {
         (0..n)

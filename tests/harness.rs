@@ -6,9 +6,12 @@
 use proptest::prelude::*;
 
 use wmm::wmm_bench::profiling::{batch_with_profile, site_records};
-use wmm::wmm_harness::{compare, job_key, GateConfig, ParallelExecutor, RunManifest, SimCache};
+use wmm::wmm_bench::{fig5_openjdk_sweeps_with, ExpConfig};
+use wmm::wmm_harness::{
+    compare, job_key, GateConfig, ParallelExecutor, RunManifest, SimCache, DISK_HEADER,
+};
 use wmm::wmm_obs::MetricsRegistry;
-use wmm::wmm_sim::arch::armv8_xgene1;
+use wmm::wmm_sim::arch::{armv8_xgene1, Arch};
 use wmm::wmm_sim::isa::{AccessOrd, FenceKind, Instr, Loc};
 use wmm::wmm_sim::machine::{Program, WorkloadCtx};
 use wmm::wmm_sim::Machine;
@@ -209,6 +212,50 @@ fn warm_cache_changes_nothing() {
     assert_eq!(stats.disk_append_bytes, 0);
 }
 
+/// Every deterministic field of a set of sweeps, floats by bit pattern.
+fn sweep_bits(sweeps: &[SweepResult]) -> Vec<String> {
+    let bits = |f: f64| format!("{:016x}", f.to_bits());
+    let mut out = vec![];
+    for s in sweeps {
+        out.extend([s.benchmark.clone(), s.arch.clone(), s.code_path.clone()]);
+        for p in &s.points {
+            for f in [p.target_ns, p.actual_ns, p.rel_perf, p.rel_min, p.rel_max] {
+                out.push(bits(f));
+            }
+            out.push(p.iters.to_string());
+        }
+        match &s.fit {
+            Some(fit) => out.extend([fit.k, fit.k_std_err, fit.r_squared].map(bits)),
+            None => out.push("nofit".to_string()),
+        }
+    }
+    out
+}
+
+#[test]
+fn warm_fig5_sweep_answers_every_cell_without_linking() {
+    let exec = ParallelExecutor::new(Some(2)).with_cache(SimCache::in_memory());
+    let cold = fig5_openjdk_sweeps_with(Arch::ArmV8, ExpConfig::quick(), &exec);
+    let before = exec.telemetry();
+    assert!(before.jobs > 0);
+    assert_eq!(
+        before.timing.links, before.cache_misses,
+        "a cold pass links exactly the cells it simulates"
+    );
+    let warm = fig5_openjdk_sweeps_with(Arch::ArmV8, ExpConfig::quick(), &exec);
+    let after = exec.telemetry();
+    assert_eq!(sweep_bits(&cold), sweep_bits(&warm));
+    assert_eq!(after.jobs - before.jobs, before.jobs);
+    assert_eq!(
+        after.cache_hits - before.cache_hits,
+        after.jobs - before.jobs
+    );
+    assert_eq!(
+        after.timing.links, before.timing.links,
+        "the warm pass links nothing"
+    );
+}
+
 #[test]
 fn disk_cache_survives_processes_and_stays_exact() {
     let dir = std::env::temp_dir().join("wmm-harness-it");
@@ -229,7 +276,8 @@ fn disk_cache_survives_processes_and_stays_exact() {
     let t = exec.telemetry();
     assert_eq!(t.cache_misses, 0, "reloaded cache must answer every job");
     // An all-hits run appends nothing: the disk lane grew only during the
-    // first process, by exactly one 50-byte line per inserted key.
+    // first process, by exactly one 50-byte line per inserted key after
+    // the key-scheme header line.
     let stats = exec.cache_stats().expect("executor has a cache");
     assert_eq!(stats.puts, 0, "reloaded run has nothing to insert");
     assert_eq!(stats.disk_appends, 0);
@@ -238,8 +286,8 @@ fn disk_cache_survives_processes_and_stays_exact() {
     let on_disk = std::fs::metadata(&path).expect("cache file exists").len();
     assert_eq!(
         on_disk,
-        50 * stats.entries,
-        "disk lane holds one 50-byte line per entry"
+        DISK_HEADER.len() as u64 + 1 + 50 * stats.entries,
+        "disk lane holds the header and one 50-byte line per entry"
     );
     let _ = std::fs::remove_file(&path);
 }
