@@ -13,7 +13,7 @@ use wmmbench::costfn::Calibration;
 use wmmbench::image::compute_envelope;
 use wmmbench::report::{ascii_sweep, write_json, Table};
 use wmmbench::runner::BenchSpec;
-use wmmbench::sensitivity::{pow2_targets, sweep, SweepResult, SweepTarget};
+use wmmbench::sensitivity::{pow2_targets, sweep_with, SweepResult, SweepTarget};
 use wmmbench::strategy::FencingStrategy;
 use wmmbench::turnkey::{evaluate_with, Usability};
 
@@ -64,7 +64,7 @@ fn mean_percent(rows: &[StrategyDelta]) -> f64 {
 /// sweep. The paper's example fits k = 0.00277 ± 2.5% over cost sizes up
 /// to 2^14; we sweep h2 on ARM, whose sensitivity sits in the same band.
 pub fn fig1_fit(ctx: &Ctx) -> Result<RunManifest, String> {
-    let result = fig1_example_fit(ctx.cfg);
+    let result = fig1_example_fit(ctx.cfg, &ctx.exec);
     println!("Fig. 1 — example sensitivity fit (h2, ARM, all barriers)");
     println!("paper example: k = 0.00277 ±2.5%");
     match &result.fit {
@@ -203,7 +203,7 @@ pub fn fig6_spark_barriers(ctx: &Ctx) -> Result<RunManifest, String> {
     let mut csv = Table::new(&["arch", "barrier", "cost_ns", "rel_perf"]);
     let mut manifest = RunManifest::new(ctx.name, "arm+power");
     for (arch, paper) in FIG6_PAPER_K {
-        for (e, s) in fig6_spark_elementals(arch, ctx.cfg) {
+        for (e, s) in fig6_spark_elementals(arch, ctx.cfg, &ctx.exec) {
             let p = paper
                 .iter()
                 .find(|(n, _)| *n == e.name())
@@ -340,7 +340,7 @@ pub fn fig9_rbd_sensitivity(ctx: &Ctx) -> Result<RunManifest, String> {
 /// pipeline"; `dmb ishld`/`dmb ish` are the best-case ordering scenarios.
 pub fn fig10_rbd_strategies(ctx: &Ctx) -> Result<RunManifest, String> {
     println!("Fig. 10 — rbd fencing strategies, relative performance (%)");
-    let results = crate::experiments::fig10_rbd_strategies(ctx.cfg);
+    let results = crate::experiments::fig10_rbd_strategies(ctx.cfg, &ctx.exec);
     let mut headers = vec!["strategy"];
     headers.extend(results[0].1.iter().map(|d| d.bench.as_str()));
     let mut t = Table::new(&headers);
@@ -390,7 +390,7 @@ pub fn table_jvm_strategies(ctx: &Ctx) -> Result<RunManifest, String> {
 
     println!("-- nop injection into every elemental barrier --");
     for arch in [Arch::ArmV8, Arch::Power7] {
-        let rows = jvm_nop_overhead(arch, cfg);
+        let rows = jvm_nop_overhead(arch, cfg, &ctx.exec);
         let mean = mean_percent(&rows);
         let worst = rows
             .iter()
@@ -419,7 +419,7 @@ pub fn table_jvm_strategies(ctx: &Ctx) -> Result<RunManifest, String> {
 
     println!("-- StoreStore modification on spark --");
     for arch in [Arch::ArmV8, Arch::Power7] {
-        let (cmp, k, a) = storestore_experiment(arch, cfg);
+        let (cmp, k, a) = storestore_experiment(arch, cfg, &ctx.exec);
         let (mod_name, paper) = match arch {
             Arch::ArmV8 => ("dmb ishst -> dmb ish", "-0.7%, a = 1.8 ns"),
             Arch::Power7 => ("lwsync -> sync", "-12.5%, a = 11.7 ns"),
@@ -445,7 +445,7 @@ pub fn table_jvm_strategies(ctx: &Ctx) -> Result<RunManifest, String> {
     println!();
 
     println!("-- JDK9 ld.acq/st.rel vs JDK8 barriers (ARM) --");
-    for d in lasr_vs_barriers(cfg) {
+    for d in lasr_vs_barriers(cfg, &ctx.exec) {
         let sig = if d.cmp.significant() {
             ""
         } else {
@@ -458,7 +458,7 @@ pub fn table_jvm_strategies(ctx: &Ctx) -> Result<RunManifest, String> {
     println!("   net balance favours load-acquire/store-release)\n");
 
     println!("-- DMB-elimination locking patch on spark (ARM) --");
-    for (mode, cmp) in locking_patch_experiment(cfg) {
+    for (mode, cmp) in locking_patch_experiment(cfg, &ctx.exec) {
         println!("  with {mode:<9} {:+.1}%", cmp.percent_change());
         manifest.push_cell(format!("locking/{mode}"), cmp.ratio);
         out.row(vec![
@@ -496,7 +496,7 @@ fn delta_table(ctx: &Ctx, rows: &[StrategyDelta]) -> (Table, RunManifest) {
 /// all further kernel measurements are made against the padded kernel.
 pub fn table_kernel_nop(ctx: &Ctx) -> Result<RunManifest, String> {
     println!("§4.3 — kernel nop-padding overhead vs unmodified kernel");
-    let rows = kernel_nop_overhead(ctx.cfg);
+    let rows = kernel_nop_overhead(ctx.cfg, &ctx.exec);
     let (t, manifest) = delta_table(ctx, &rows);
     println!(
         "  mean {:+.1}%   (paper: mean -1.9%, worst netperf -6.6%)",
@@ -530,7 +530,7 @@ pub fn table_rbd_costs(ctx: &Ctx) -> Result<RunManifest, String> {
         "paper_others",
     ]);
     let mut manifest = RunManifest::new(ctx.name, "arm");
-    for (s, a_lm, a_others) in rbd_cost_estimates(ctx.cfg) {
+    for (s, a_lm, a_others) in rbd_cost_estimates(ctx.cfg, &ctx.exec) {
         let (p_lm, p_ot) = paper
             .iter()
             .find(|(n, _, _)| *n == s.label())
@@ -560,7 +560,7 @@ pub fn table_rbd_costs(ctx: &Ctx) -> Result<RunManifest, String> {
 /// architectures.
 pub fn table_sc_strategy(ctx: &Ctx) -> Result<RunManifest, String> {
     println!("§5 — SC-preserving fencing strategy on the ARMv8 kernel");
-    let rows = sc_strategy_experiment(ctx.cfg);
+    let rows = sc_strategy_experiment(ctx.cfg, &ctx.exec);
     let (t, manifest) = delta_table(ctx, &rows);
     let worst = rows
         .iter()
@@ -642,7 +642,7 @@ pub fn ext_jit_optsites(ctx: &Ctx) -> Result<RunManifest, String> {
     let mut manifest = RunManifest::new(ctx.name, "arm");
     let counts = bench.image(1).site_counts();
     for pass in OptPass::ALL {
-        let result = sweep(
+        let result = sweep_with(
             &m,
             &bench,
             &strategy,
@@ -651,6 +651,7 @@ pub fn ext_jit_optsites(ctx: &Ctx) -> Result<RunManifest, String> {
             &pow2_targets(0, 8),
             env.clone(),
             ctx.cfg.run,
+            &ctx.exec,
         );
         let (k, err) = k_err(&result);
         let n = counts.get(&JvmPath::Opt(pass)).copied().unwrap_or(0);

@@ -21,15 +21,14 @@ use wmm_stats::Comparison;
 use wmm_workloads::dacapo::{dacapo_suite, profile, DacapoBench};
 use wmm_workloads::kernel::{kernel_profile, kernel_suite, lmbench_subs, KernelBench};
 use wmmbench::costfn::{Calibration, CostFunction};
-use wmmbench::exec::{Executor, SerialExecutor, SimJob};
+use wmmbench::exec::{Executor, SimJob};
 use wmmbench::image::{compute_envelope, Injection, SiteRewriter};
 use wmmbench::model::{estimate_cost, SensitivityFit};
 use wmmbench::ranking::{ranking_matrix_with, RankingMatrix};
 use wmmbench::runner::{
-    measure, measure_relative, measure_relative_with, sample_images, BenchSpec, RunConfig,
-    SampleCode,
+    measure_relative_with, measure_with, sample_images, BenchSpec, RunConfig, SampleCode,
 };
-use wmmbench::sensitivity::{pow2_targets, sweep, sweep_with, SweepResult, SweepTarget};
+use wmmbench::sensitivity::{pow2_targets, sweep_with, SweepResult, SweepTarget};
 use wmmbench::strategy::{FencingStrategy, FnStrategy};
 
 /// Global experiment configuration: workload scale and sampling protocol.
@@ -138,7 +137,7 @@ pub fn kernel_envelope() -> HashMap<KMacro, u64> {
 
 /// Fig. 1: an example sensitivity fit over cost sizes up to 2^14, on a
 /// stable mid-sensitivity benchmark (the paper's example has k ≈ 0.00277).
-pub fn fig1_example_fit(cfg: ExpConfig) -> SweepResult {
+pub fn fig1_example_fit(cfg: ExpConfig, exec: &dyn Executor) -> SweepResult {
     let m = machine(Arch::ArmV8);
     let strategy = jvm_base_strategy(Arch::ArmV8);
     let cal = Calibration::measure(&m, false, 14);
@@ -147,7 +146,7 @@ pub fn fig1_example_fit(cfg: ExpConfig) -> SweepResult {
         JitConfig::jdk8(Arch::ArmV8),
         cfg.scale,
     );
-    sweep(
+    sweep_with(
         &m,
         &bench,
         &strategy,
@@ -156,6 +155,7 @@ pub fn fig1_example_fit(cfg: ExpConfig) -> SweepResult {
         &pow2_targets(0, 14),
         jvm_envelope(Arch::ArmV8),
         cfg.run,
+        exec,
     )
 }
 
@@ -188,13 +188,8 @@ pub const FIG5_PAPER_K: [(&str, f64, f64); 8] = [
 ];
 
 /// Fig. 5: cost-function sweep injected into *all* memory barriers, for the
-/// eight benchmarks on one architecture.
-pub fn fig5_openjdk_sweeps(arch: Arch, cfg: ExpConfig) -> Vec<SweepResult> {
-    fig5_openjdk_sweeps_with(arch, cfg, &SerialExecutor)
-}
-
-/// [`fig5_openjdk_sweeps`] through an explicit executor (the wmm-harness
-/// seam): each benchmark's sweep is one batch of independent simulations.
+/// eight benchmarks on one architecture. Each benchmark's sweep is one
+/// batch of independent simulations through `exec`.
 pub fn fig5_openjdk_sweeps_with(
     arch: Arch,
     cfg: ExpConfig,
@@ -224,7 +219,11 @@ pub fn fig5_openjdk_sweeps_with(
 
 /// Fig. 6: spark's sensitivity to each elemental barrier (injection hits
 /// every combined site containing the elemental).
-pub fn fig6_spark_elementals(arch: Arch, cfg: ExpConfig) -> Vec<(Elemental, SweepResult)> {
+pub fn fig6_spark_elementals(
+    arch: Arch,
+    cfg: ExpConfig,
+    exec: &dyn Executor,
+) -> Vec<(Elemental, SweepResult)> {
     let m = machine(arch);
     let strategy = jvm_base_strategy(arch);
     let cal = Calibration::measure(&m, jvm_costfn_spill(arch), 12);
@@ -237,7 +236,7 @@ pub fn fig6_spark_elementals(arch: Arch, cfg: ExpConfig) -> Vec<(Elemental, Swee
     Elemental::ALL
         .iter()
         .map(|e| {
-            let result = sweep(
+            let result = sweep_with(
                 &m,
                 &bench,
                 &strategy,
@@ -246,6 +245,7 @@ pub fn fig6_spark_elementals(arch: Arch, cfg: ExpConfig) -> Vec<(Elemental, Swee
                 &pow2_targets(0, 8),
                 env.clone(),
                 cfg.run,
+                exec,
             );
             (*e, result)
         })
@@ -268,7 +268,7 @@ pub struct StrategyDelta {
 /// §4.2.1: nop instructions injected into every elemental barrier vs the
 /// truly unmodified JVM (mean drop: 1.9% ARM / 0.7% POWER; peak 4.5% on
 /// h2-ARM).
-pub fn jvm_nop_overhead(arch: Arch, cfg: ExpConfig) -> Vec<StrategyDelta> {
+pub fn jvm_nop_overhead(arch: Arch, cfg: ExpConfig, exec: &dyn Executor) -> Vec<StrategyDelta> {
     let m = machine(arch);
     let strategy = jvm_base_strategy(arch);
     // Unmodified: envelope with no padding room. Padded: the standard one.
@@ -281,7 +281,7 @@ pub fn jvm_nop_overhead(arch: Arch, cfg: ExpConfig) -> Vec<StrategyDelta> {
         .iter()
         .map(|bench| StrategyDelta {
             bench: bench.name().to_string(),
-            cmp: measure_relative(&m, bench, &base_rw, &pad_rw, cfg.run),
+            cmp: measure_relative_with(&m, bench, &base_rw, &pad_rw, cfg.run, exec),
         })
         .collect()
 }
@@ -290,7 +290,11 @@ pub fn jvm_nop_overhead(arch: Arch, cfg: ExpConfig) -> Vec<StrategyDelta> {
 /// on ARM (−0.7%), `lwsync` → `sync` on POWER (−12.5%). Returns the
 /// comparison plus the Eq. 2 cost estimate computed from the Fig. 6
 /// sensitivity.
-pub fn storestore_experiment(arch: Arch, cfg: ExpConfig) -> (Comparison, f64, Option<f64>) {
+pub fn storestore_experiment(
+    arch: Arch,
+    cfg: ExpConfig,
+    exec: &dyn Executor,
+) -> (Comparison, f64, Option<f64>) {
     let m = machine(arch);
     let base = jvm_base_strategy(arch);
     let modified = match arch {
@@ -305,11 +309,11 @@ pub fn storestore_experiment(arch: Arch, cfg: ExpConfig) -> (Comparison, f64, Op
     );
     let base_rw = SiteRewriter::new(&base, Injection::None, env.clone());
     let mod_rw = SiteRewriter::new(&modified, Injection::None, env.clone());
-    let cmp = measure_relative(&m, &bench, &base_rw, &mod_rw, cfg.run);
+    let cmp = measure_relative_with(&m, &bench, &base_rw, &mod_rw, cfg.run, exec);
 
     // Sensitivity of spark to StoreStore, for the Eq. 2 estimate.
     let cal = Calibration::measure(&m, jvm_costfn_spill(arch), 12);
-    let sweep_res = sweep(
+    let sweep_res = sweep_with(
         &m,
         &bench,
         &base,
@@ -318,6 +322,7 @@ pub fn storestore_experiment(arch: Arch, cfg: ExpConfig) -> (Comparison, f64, Op
         &pow2_targets(0, 8),
         env,
         cfg.run,
+        exec,
     );
     let k = sweep_res.fit.as_ref().map(|f| f.k);
     let a = k.map(|k| wmmbench::model::estimate_cost(k, cmp.ratio));
@@ -415,7 +420,7 @@ pub fn seam_fence_costs(exec: &dyn Executor, arch: Arch) -> Vec<(FenceKind, f64)
 /// §4.2.1: JDK9 load-acquire/store-release vs JDK8 barriers on ARM, per
 /// benchmark (paper: xalan +2.9%, sunflow +3.0%, h2 −0.3%, spark −0.5%,
 /// tomcat −1.7%; lusearch/tradebeans/tradesoap not significant).
-pub fn lasr_vs_barriers(cfg: ExpConfig) -> Vec<StrategyDelta> {
+pub fn lasr_vs_barriers(cfg: ExpConfig, exec: &dyn Executor) -> Vec<StrategyDelta> {
     let m = machine(Arch::ArmV8);
     let strategy = jvm_base_strategy(Arch::ArmV8);
     let env = jvm_envelope(Arch::ArmV8);
@@ -426,8 +431,8 @@ pub fn lasr_vs_barriers(cfg: ExpConfig) -> Vec<StrategyDelta> {
         .iter()
         .zip(&lasr_suite)
         .map(|(b8, b9)| {
-            let base = measure(&m, b8, &rw, cfg.run);
-            let test = measure(&m, b9, &rw, cfg.run);
+            let base = measure_with(&m, b8, &rw, cfg.run, exec);
+            let test = measure_with(&m, b9, &rw, cfg.run, exec);
             StrategyDelta {
                 bench: b8.name().to_string(),
                 cmp: Comparison::of_times(&test.times_ns, &base.times_ns),
@@ -438,7 +443,7 @@ pub fn lasr_vs_barriers(cfg: ExpConfig) -> Vec<StrategyDelta> {
 
 /// §4.2.1: the pending DMB-elimination locking patch on spark, under both
 /// volatile modes (paper: +2.9% with la/sr, −1% with barriers).
-pub fn locking_patch_experiment(cfg: ExpConfig) -> Vec<(String, Comparison)> {
+pub fn locking_patch_experiment(cfg: ExpConfig, exec: &dyn Executor) -> Vec<(String, Comparison)> {
     let m = machine(Arch::ArmV8);
     let strategy = jvm_base_strategy(Arch::ArmV8);
     let env = jvm_envelope(Arch::ArmV8);
@@ -460,8 +465,8 @@ pub fn locking_patch_experiment(cfg: ExpConfig) -> Vec<(String, Comparison)> {
                 cfg.scale,
             )
         };
-        let base = measure(&m, &mk(false), &rw, cfg.run);
-        let test = measure(&m, &mk(true), &rw, cfg.run);
+        let base = measure_with(&m, &mk(false), &rw, cfg.run, exec);
+        let test = measure_with(&m, &mk(true), &rw, cfg.run, exec);
         out.push((
             label.to_string(),
             Comparison::of_times(&test.times_ns, &base.times_ns),
@@ -475,14 +480,8 @@ pub fn locking_patch_experiment(cfg: ExpConfig) -> Vec<(String, Comparison)> {
 // ---------------------------------------------------------------------------
 
 /// Figs. 7 and 8: the (macro × benchmark) ranking matrix with a fixed
-/// 1024-iteration cost function.
-pub fn linux_ranking(cfg: ExpConfig) -> RankingMatrix<KMacro> {
-    linux_ranking_with(cfg, &SerialExecutor)
-}
-
-/// [`linux_ranking`] through an explicit executor (the wmm-harness seam):
-/// the entire (macro × benchmark) matrix is one batch of independent
-/// simulations.
+/// 1024-iteration cost function. The entire matrix is one batch of
+/// independent simulations through `exec`.
 pub fn linux_ranking_with(cfg: ExpConfig, exec: &dyn Executor) -> RankingMatrix<KMacro> {
     let m = machine(Arch::ArmV8);
     let strategy = default_arm_strategy();
@@ -507,7 +506,7 @@ pub fn linux_ranking_with(cfg: ExpConfig, exec: &dyn Executor) -> RankingMatrix<
 
 /// §4.3: nop padding vs the unmodified kernel (paper: mean −1.9%, worst
 /// −6.6% on netperf).
-pub fn kernel_nop_overhead(cfg: ExpConfig) -> Vec<StrategyDelta> {
+pub fn kernel_nop_overhead(cfg: ExpConfig, exec: &dyn Executor) -> Vec<StrategyDelta> {
     let m = machine(Arch::ArmV8);
     let strategy = default_arm_strategy();
     let tight = compute_envelope(
@@ -521,7 +520,7 @@ pub fn kernel_nop_overhead(cfg: ExpConfig) -> Vec<StrategyDelta> {
         .iter()
         .map(|bench| StrategyDelta {
             bench: bench.name().to_string(),
-            cmp: measure_relative(&m, bench, &base_rw, &pad_rw, cfg.run),
+            cmp: measure_relative_with(&m, bench, &base_rw, &pad_rw, cfg.run, exec),
         })
         .collect()
 }
@@ -537,13 +536,8 @@ pub const FIG9_PAPER_K: [(&str, f64); 6] = [
 ];
 
 /// Fig. 9: `read_barrier_depends` sensitivity sweeps on the six most
-/// interesting kernel benchmarks.
-pub fn fig9_rbd_sweeps(cfg: ExpConfig) -> Vec<SweepResult> {
-    fig9_rbd_sweeps_with(cfg, &SerialExecutor)
-}
-
-/// [`fig9_rbd_sweeps`] through an explicit executor (the wmm-harness
-/// seam): each benchmark's sweep is one batch of independent simulations.
+/// interesting kernel benchmarks. Each benchmark's sweep is one batch of
+/// independent simulations through `exec`.
 pub fn fig9_rbd_sweeps_with(cfg: ExpConfig, exec: &dyn Executor) -> Vec<SweepResult> {
     let m = machine(Arch::ArmV8);
     let strategy = default_arm_strategy();
@@ -577,7 +571,10 @@ pub fn fig9_rbd_sweeps_with(cfg: ExpConfig, exec: &dyn Executor) -> Vec<SweepRes
 
 /// Fig. 10: relative performance of the six rbd fencing strategies on the
 /// six benchmarks, against the nop-padded base case.
-pub fn fig10_rbd_strategies(cfg: ExpConfig) -> Vec<(RbdStrategy, Vec<StrategyDelta>)> {
+pub fn fig10_rbd_strategies(
+    cfg: ExpConfig,
+    exec: &dyn Executor,
+) -> Vec<(RbdStrategy, Vec<StrategyDelta>)> {
     let m = machine(Arch::ArmV8);
     let env = kernel_envelope();
     let base = rbd_strategy(RbdStrategy::BaseCase);
@@ -595,7 +592,7 @@ pub fn fig10_rbd_strategies(cfg: ExpConfig) -> Vec<(RbdStrategy, Vec<StrategyDel
     .collect();
     let bases: Vec<_> = benches
         .iter()
-        .map(|b| measure(&m, b, &base_rw, cfg.run))
+        .map(|b| measure_with(&m, b, &base_rw, cfg.run, exec))
         .collect();
 
     RbdStrategy::ALL
@@ -607,7 +604,7 @@ pub fn fig10_rbd_strategies(cfg: ExpConfig) -> Vec<(RbdStrategy, Vec<StrategyDel
                 .iter()
                 .zip(&bases)
                 .map(|(b, base_m)| {
-                    let test = measure(&m, b, &rw, cfg.run);
+                    let test = measure_with(&m, b, &rw, cfg.run, exec);
                     StrategyDelta {
                         bench: b.name().to_string(),
                         cmp: Comparison::of_times(&test.times_ns, &base_m.times_ns),
@@ -625,7 +622,7 @@ pub fn fig10_rbd_strategies(cfg: ExpConfig) -> Vec<(RbdStrategy, Vec<StrategyDel
 /// would emit at shared accesses. The paper conjectures ARM could stay
 /// within Marino's 34% maximum slowdown but not replicate their 3.8% x86
 /// mean. Returns per-benchmark relative performance vs the default kernel.
-pub fn sc_strategy_experiment(cfg: ExpConfig) -> Vec<StrategyDelta> {
+pub fn sc_strategy_experiment(cfg: ExpConfig, exec: &dyn Executor) -> Vec<StrategyDelta> {
     let m = machine(Arch::ArmV8);
     let base = default_arm_strategy();
     let mut sc = default_arm_strategy().named("SC-preserving");
@@ -648,7 +645,7 @@ pub fn sc_strategy_experiment(cfg: ExpConfig) -> Vec<StrategyDelta> {
         .iter()
         .map(|bench| StrategyDelta {
             bench: bench.name().to_string(),
-            cmp: measure_relative(&m, bench, &base_rw, &sc_rw, cfg.run),
+            cmp: measure_relative_with(&m, bench, &base_rw, &sc_rw, cfg.run, exec),
         })
         .collect()
 }
@@ -660,7 +657,7 @@ pub fn sc_strategy_experiment(cfg: ExpConfig) -> Vec<StrategyDelta> {
 /// Paper values: ctrl 4.6/10.1, ctrl+isb 24.5/24.5, dmb ishld 10.7/1.8,
 /// dmb ish 11.0/10.7, la/sr 21.7/15.9 ns — with the ctrl and ishld
 /// micro/macro divergences being the headline observations.
-pub fn rbd_cost_estimates(cfg: ExpConfig) -> Vec<(RbdStrategy, f64, f64)> {
+pub fn rbd_cost_estimates(cfg: ExpConfig, exec: &dyn Executor) -> Vec<(RbdStrategy, f64, f64)> {
     let m = machine(Arch::ArmV8);
     let env = kernel_envelope();
     let cal = Calibration::measure(&m, true, 12);
@@ -678,7 +675,7 @@ pub fn rbd_cost_estimates(cfg: ExpConfig) -> Vec<(RbdStrategy, f64, f64)> {
     }
     let lm_subs = lmbench_subs(cfg.scale);
     let k_for = |bench: &KernelBench| -> Option<f64> {
-        let r = sweep(
+        let r = sweep_with(
             &m,
             bench,
             &base,
@@ -687,6 +684,7 @@ pub fn rbd_cost_estimates(cfg: ExpConfig) -> Vec<(RbdStrategy, f64, f64)> {
             &pow2_targets(0, 9),
             env.clone(),
             cfg.run,
+            exec,
         );
         r.fit.map(|f| f.k)
     };
@@ -714,7 +712,7 @@ pub fn rbd_cost_estimates(cfg: ExpConfig) -> Vec<(RbdStrategy, f64, f64)> {
         // lmbench estimate: mean of per-sub estimates.
         let mut lm_as = vec![];
         for (sub, k) in lm_subs.iter().zip(&lm_ks) {
-            let cmp = measure_relative(&m, sub, &base_rw, &rw, cfg.run);
+            let cmp = measure_relative_with(&m, sub, &base_rw, &rw, cfg.run, exec);
             if *k > 1e-6 {
                 lm_as.push(wmmbench::model::estimate_cost(*k, cmp.ratio));
             }
@@ -734,7 +732,7 @@ pub fn rbd_cost_estimates(cfg: ExpConfig) -> Vec<(RbdStrategy, f64, f64)> {
             if k < 1e-5 {
                 continue; // too insensitive to invert Eq. 2 meaningfully
             }
-            let cmp = measure_relative(&m, b, &base_rw, &rw, cfg.run);
+            let cmp = measure_relative_with(&m, b, &base_rw, &rw, cfg.run, exec);
             other_as.push(wmmbench::model::estimate_cost(k, cmp.ratio));
         }
         let a_others = if other_as.is_empty() {

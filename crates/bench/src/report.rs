@@ -53,7 +53,8 @@ pub struct RunReport {
     pub checks: Vec<KindCheck>,
     /// Merged site records ranked by total cycles, hottest first.
     pub ranked_sites: Vec<wmm_harness::SiteRecord>,
-    /// Simulation-cache statistics at end of run.
+    /// Simulation-cache statistics at end of run; `hits` and `misses` are
+    /// the executor's counts of cells answered and cells simulated.
     pub cache: CacheStats,
     /// Full metrics snapshot (structural and observational) at end of run.
     pub snapshot: MetricsSnapshot,
@@ -112,6 +113,9 @@ pub fn collect_report(
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| a.name.cmp(&b.name))
     });
+    // The cache section reports the executor's counts: sited cells skip
+    // the lookup but are still simulated, so they count as misses.
+    let counts = exec.telemetry();
     Some(RunReport {
         campaign: cp.campaign.to_string(),
         arch: cp.arch.to_string(),
@@ -129,7 +133,11 @@ pub fn collect_report(
             .collect(),
         checks: kind_checks(&cp),
         ranked_sites: ranked,
-        cache: exec.cache_stats().unwrap_or_default(),
+        cache: CacheStats {
+            hits: counts.cache_hits,
+            misses: counts.cache_misses,
+            ..exec.cache_stats().unwrap_or_default()
+        },
         snapshot: registry.snapshot(),
         spans: spans.records(),
         wps_bundles,

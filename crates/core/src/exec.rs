@@ -1,14 +1,17 @@
 //! The execution seam: how batches of independent simulations are run.
 //!
-//! Every experiment in the methodology — a [`crate::runner::measure`] call,
-//! a [`crate::sensitivity::sweep`], a ranking matrix, a turnkey evaluation —
-//! bottoms out in a set of *independent, deterministic* simulations: each is
-//! one `(machine, program, ctx, seed)` cell, and cells never depend on each
-//! other's results. [`Executor`] abstracts over how such a batch is driven:
-//! the in-crate [`SerialExecutor`] runs cells in order on the calling
-//! thread; the `wmm-harness` crate provides a parallel, caching executor
-//! that fans cells out across worker threads and skips already-simulated
-//! cells via a content-addressed result cache.
+//! Every experiment in the methodology — a [`crate::runner::measure_with`]
+//! call, a [`crate::sensitivity::sweep_with`], a ranking matrix, a turnkey
+//! evaluation — bottoms out in a set of *independent, deterministic*
+//! simulations: each is one `(machine, program, ctx, seed)` cell, and cells
+//! never depend on each other's results. [`Executor`] abstracts over how
+//! such a batch is driven, and every entry point takes one as `&dyn
+//! Executor`: there is no serial twin that runs without it. The
+//! `wmm-harness` crate provides the parallel, caching executor that fans
+//! cells out across worker threads and skips already-simulated cells via a
+//! content-addressed result cache. The in-crate [`SerialExecutor`] runs
+//! cells in order on the calling thread; it is the reference
+//! implementation the determinism tests compare that executor against.
 //!
 //! The contract that makes this safe to parallelise: an executor must
 //! return results **in cell order**, and each cell's result must depend
@@ -250,7 +253,7 @@ pub fn wall_times(outcomes: Vec<JobOutcome>) -> Vec<f64> {
     outcomes.into_iter().map(|o| o.wall_ns).collect()
 }
 
-/// The default executor: runs cells sequentially on the calling thread.
+/// The reference executor: runs cells sequentially on the calling thread.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SerialExecutor;
 

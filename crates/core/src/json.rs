@@ -146,11 +146,12 @@ impl Json {
     }
 
     /// Parse a JSON document. Strict: rejects trailing garbage, trailing
-    /// commas and unescaped control characters.
+    /// commas, unescaped control characters and nesting deeper than
+    /// [`MAX_DEPTH`]. Linear in the input length.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing characters at byte {pos}"));
@@ -206,8 +207,19 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth would let a hostile or
+/// corrupt file overflow the stack; manifests nest at most 5 deep.
+pub const MAX_DEPTH: usize = 128;
+
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if depth >= MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
@@ -223,7 +235,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -248,7 +260,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -319,11 +331,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 ))
             }
             Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run of plain bytes up to the next `"`, `\` or
+                // control byte in one slice. Those delimiters are ASCII, so
+                // the run starts and ends on char boundaries of the input.
+                let start = *pos;
+                while let Some(&b) = bytes.get(*pos) {
+                    if b == b'"' || b == b'\\' || b < 0x20 {
+                        break;
+                    }
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
+                out.push_str(run);
             }
         }
     }
@@ -465,6 +484,37 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{}x").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn strings_mixing_multibyte_utf8_and_escapes_round_trip() {
+        let s = "Grüße, κόσμε — 世界 🦀\t\"q\"\\ \u{1}end\n∑";
+        let v = Json::Arr(vec![
+            Json::Str(s.to_string()),
+            Json::obj(vec![(s, Json::Null)]),
+        ]);
+        for text in [v.to_string(), v.to_string_pretty()] {
+            assert_eq!(Json::parse(&text).unwrap(), v, "{text}");
+        }
+        assert_eq!(
+            Json::parse(r#""a\u00e9b\/c""#).unwrap(),
+            Json::Str("aéb/c".to_string())
+        );
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(1_000_000);
+        let err = Json::parse(&deep).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let over = format!(
+            "{}{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&over).unwrap_err().contains("nesting"));
     }
 
     #[test]

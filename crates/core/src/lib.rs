@@ -51,10 +51,7 @@ pub use exec::{CellProgram, Executor, JobOutcome, SerialExecutor, SimCell, SimJo
 pub use image::{flatten_streams, Image, ImageCode, Segment, SiteMap, SiteRewriter, SiteTable};
 pub use json::{Json, ToJson};
 pub use model::{estimate_cost, predicted_performance, SensitivityFit};
-pub use runner::{
-    measure, measure_relative, measure_relative_with, measure_with, BenchSpec, Measurement,
-    RunConfig,
-};
-pub use sensitivity::{sweep, sweep_with, SweepPoint, SweepResult};
+pub use runner::{measure_relative_with, measure_with, BenchSpec, Measurement, RunConfig};
+pub use sensitivity::{sweep_with, SweepPoint, SweepResult};
 pub use strategy::FencingStrategy;
-pub use turnkey::{evaluate, evaluate_with, TurnkeyReport};
+pub use turnkey::{evaluate_with, TurnkeyReport};

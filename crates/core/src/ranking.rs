@@ -14,7 +14,7 @@ use wmm_sim::Machine;
 use wmm_stats::Comparison;
 
 use crate::costfn::CostFunction;
-use crate::exec::{wall_times, Executor, SerialExecutor};
+use crate::exec::{wall_times, Executor};
 use crate::image::{Injection, SiteRewriter};
 use crate::runner::{measurement_from_times, sample_images, BenchSpec, RunConfig, SampleCode};
 use crate::strategy::FencingStrategy;
@@ -76,31 +76,10 @@ impl<P: Clone> RankingMatrix<P> {
 
 /// Build the ranking matrix: inject a fixed cost function into each code
 /// path in turn and measure every benchmark's relative performance.
-pub fn ranking_matrix<P: Clone + Eq + Hash>(
-    machine: &Machine,
-    benches: &[&dyn BenchSpec<P>],
-    strategy: &dyn FencingStrategy<P>,
-    paths: &[P],
-    cost: CostFunction,
-    envelope: HashMap<P, u64>,
-    cfg: RunConfig,
-) -> RankingMatrix<P> {
-    ranking_matrix_with(
-        machine,
-        benches,
-        strategy,
-        paths,
-        cost,
-        envelope,
-        cfg,
-        &SerialExecutor,
-    )
-}
-
-/// [`ranking_matrix`] through an explicit [`Executor`]: the per-benchmark
-/// base cases and every `(path × benchmark)` cell are submitted as one batch
-/// of independent simulations, so a parallel executor can drain the whole
-/// matrix concurrently.
+///
+/// The per-benchmark base cases and every `(path × benchmark)` cell are
+/// submitted to `exec` as one batch of independent simulations, so a
+/// parallel executor can drain the whole matrix concurrently.
 #[allow(clippy::too_many_arguments)]
 pub fn ranking_matrix_with<P: Clone + Eq + Hash>(
     machine: &Machine,
@@ -165,6 +144,7 @@ pub fn ranking_matrix_with<P: Clone + Eq + Hash>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::SerialExecutor;
     use crate::image::{compute_envelope, Image, Segment};
     use crate::strategy::FnStrategy;
     use wmm_sim::arch::armv8_xgene1;
@@ -224,7 +204,7 @@ mod tests {
         let skewed = Skewed;
         let nosites = NoSites;
         let benches: Vec<&dyn BenchSpec<P>> = vec![&skewed, &nosites];
-        let m = ranking_matrix(
+        let m = ranking_matrix_with(
             &machine,
             &benches,
             &strategy,
@@ -232,6 +212,7 @@ mod tests {
             cf,
             env,
             RunConfig::quick(),
+            &SerialExecutor,
         );
         assert_eq!(m.data_points(), 4);
 

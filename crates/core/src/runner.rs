@@ -11,7 +11,7 @@ use std::hash::Hash;
 use wmm_sim::Machine;
 use wmm_stats::{confidence_interval, Comparison, ConfidenceInterval, Summary};
 
-use crate::exec::{wall_times, CellProgram, Executor, SerialExecutor, SimCell, SimJob};
+use crate::exec::{wall_times, CellProgram, Executor, SimCell, SimJob};
 use crate::image::{Image, ImageCode, SiteMap, SiteRewriter, SiteTable};
 
 /// A benchmark: a black box producing a program image per sample seed.
@@ -215,17 +215,8 @@ pub fn measurement_from_times(times: &[f64], work_units: f64, cfg: RunConfig) ->
     }
 }
 
-/// Run `bench` under `rewriter` on `machine` and collect samples.
-pub fn measure<P: Clone + Eq + Hash>(
-    machine: &Machine,
-    bench: &dyn BenchSpec<P>,
-    rewriter: &SiteRewriter<'_, P>,
-    cfg: RunConfig,
-) -> Measurement {
-    measure_with(machine, bench, rewriter, cfg, &SerialExecutor)
-}
-
-/// [`measure`] through an explicit [`Executor`] — the harness seam.
+/// Run `bench` under `rewriter` on `machine` and collect samples, as one
+/// batch through `exec`.
 pub fn measure_with<P: Clone + Eq + Hash>(
     machine: &Machine,
     bench: &dyn BenchSpec<P>,
@@ -242,19 +233,9 @@ pub fn measure_with<P: Clone + Eq + Hash>(
 
 /// Measure a test configuration against a base configuration and return the
 /// relative performance (base time / test time; < 1 means the test case is
-/// slower), with the paper's compounded min/max error rule.
-pub fn measure_relative<P: Clone + Eq + Hash>(
-    machine: &Machine,
-    bench: &dyn BenchSpec<P>,
-    base: &SiteRewriter<'_, P>,
-    test: &SiteRewriter<'_, P>,
-    cfg: RunConfig,
-) -> Comparison {
-    measure_relative_with(machine, bench, base, test, cfg, &SerialExecutor)
-}
-
-/// [`measure_relative`] through an explicit [`Executor`]: base and test
-/// samples are submitted as one batch so they can run concurrently.
+/// slower), with the paper's compounded min/max error rule. Base and test
+/// samples are submitted to `exec` as one batch so they can run
+/// concurrently.
 pub fn measure_relative_with<P: Clone + Eq + Hash>(
     machine: &Machine,
     bench: &dyn BenchSpec<P>,
@@ -279,6 +260,7 @@ pub fn measure_relative_with<P: Clone + Eq + Hash>(
 mod tests {
     use super::*;
     use crate::costfn::CostFunction;
+    use crate::exec::SerialExecutor;
     use crate::image::{compute_envelope, Injection, Segment};
     use crate::strategy::FnStrategy;
     use wmm_sim::arch::armv8_xgene1;
@@ -324,7 +306,7 @@ mod tests {
             sites: 50,
             compute: 100,
         };
-        let m = measure(&machine, &bench, &rw, RunConfig::quick());
+        let m = measure_with(&machine, &bench, &rw, RunConfig::quick(), &SerialExecutor);
         assert_eq!(m.times_ns.len(), 3);
         assert!(m.summary().mean > 0.0);
         assert_eq!(m.work_units, 50.0);
@@ -346,7 +328,14 @@ mod tests {
             sites: 100,
             compute: 100,
         };
-        let c = measure_relative(&machine, &bench, &base, &test, RunConfig::quick());
+        let c = measure_relative_with(
+            &machine,
+            &bench,
+            &base,
+            &test,
+            RunConfig::quick(),
+            &SerialExecutor,
+        );
         assert!(
             c.ratio < 0.5,
             "a 1024-iteration loop per site must hurt: p = {}",
@@ -366,7 +355,14 @@ mod tests {
             sites: 50,
             compute: 100,
         };
-        let c = measure_relative(&machine, &bench, &a, &b, RunConfig::quick());
+        let c = measure_relative_with(
+            &machine,
+            &bench,
+            &a,
+            &b,
+            RunConfig::quick(),
+            &SerialExecutor,
+        );
         assert!((c.ratio - 1.0).abs() < 1e-9, "p = {}", c.ratio);
     }
 }

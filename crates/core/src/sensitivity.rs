@@ -8,7 +8,7 @@ use wmm_sim::Machine;
 use wmm_stats::Comparison;
 
 use crate::costfn::Calibration;
-use crate::exec::{wall_times, Executor, SerialExecutor};
+use crate::exec::{wall_times, Executor};
 use crate::image::{Injection, SiteRewriter};
 use crate::model::{fit_sensitivity, SensitivityFit};
 use crate::runner::{measurement_from_times, sample_images, BenchSpec, RunConfig, SampleCode};
@@ -87,34 +87,10 @@ pub enum SweepTarget<P> {
 /// two, e.g. `2^0 ..= 2^8` ns); the calibration converts each target into a
 /// loop count and supplies the measured time used for fitting. The base
 /// case is the same strategy with `nop` padding in place of the loop.
-#[allow(clippy::too_many_arguments)]
-pub fn sweep<P: Clone + Eq + Hash>(
-    machine: &Machine,
-    bench: &dyn BenchSpec<P>,
-    strategy: &dyn FencingStrategy<P>,
-    target: SweepTarget<P>,
-    calibration: &Calibration,
-    targets_ns: &[f64],
-    envelope: std::collections::HashMap<P, u64>,
-    cfg: RunConfig,
-) -> SweepResult {
-    sweep_with(
-        machine,
-        bench,
-        strategy,
-        target,
-        calibration,
-        targets_ns,
-        envelope,
-        cfg,
-        &SerialExecutor,
-    )
-}
-
-/// [`sweep`] through an explicit [`Executor`]: the base case and every
-/// cost-size point are submitted as a single batch of independent
-/// simulation cells, so a parallel executor can run the whole sweep
-/// concurrently.
+///
+/// The base case and every cost-size point are submitted to `exec` as a
+/// single batch of independent simulation cells, so a parallel executor
+/// can run the whole sweep concurrently.
 ///
 /// The per-sample images are generated once and shared by every
 /// configuration (they depend only on the benchmark and seed). No program
@@ -203,6 +179,7 @@ pub fn pow2_targets(lo: u32, hi: u32) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::SerialExecutor;
     use crate::image::{compute_envelope, Image, Segment};
     use crate::strategy::FnStrategy;
     use wmm_sim::arch::armv8_xgene1;
@@ -253,7 +230,7 @@ mod tests {
             sites: 60,
             compute_per_site: 1000,
         };
-        let result = sweep(
+        let result = sweep_with(
             &machine,
             &bench,
             &strategy,
@@ -262,6 +239,7 @@ mod tests {
             &pow2_targets(0, 10),
             env,
             RunConfig::quick(),
+            &SerialExecutor,
         );
         let fit = result.fit.expect("fit converges");
         // Site period ~= 1000 cycles / 2.4 GHz ~= 417 ns + fence ~= 3 ns.
@@ -317,7 +295,7 @@ mod tests {
         let strategy = FnStrategy::new("dmb", |_: &P2| vec![Instr::Fence(FenceKind::DmbIsh)]);
         let cal = Calibration::measure(&machine, false, 10);
         let env = compute_envelope(&[P2::Hot, P2::Cold], &[&strategy], 3);
-        let result = sweep(
+        let result = sweep_with(
             &machine,
             &OnlyHot,
             &strategy,
@@ -326,6 +304,7 @@ mod tests {
             &pow2_targets(0, 8),
             env,
             RunConfig::quick(),
+            &SerialExecutor,
         );
         for p in &result.points {
             assert!(

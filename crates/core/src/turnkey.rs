@@ -3,8 +3,8 @@
 //! encapsulated in the VM, potentially yielding a turnkey evaluation
 //! system."
 //!
-//! [`evaluate`] takes a machine, a benchmark and a fencing strategy and runs
-//! the whole methodology unattended: calibrate the cost function, discover
+//! [`evaluate_with`] takes a machine, a benchmark and a fencing strategy
+//! and runs the whole methodology unattended: calibrate the cost function, discover
 //! the code paths actually present in the benchmark's image, sweep each
 //! path, fit sensitivities, classify each (benchmark, path) pair as usable
 //! or not, and rank the paths — producing everything a systems programmer
@@ -16,7 +16,7 @@ use std::hash::Hash;
 use wmm_sim::Machine;
 
 use crate::costfn::Calibration;
-use crate::exec::{Executor, SerialExecutor};
+use crate::exec::Executor;
 use crate::image::compute_envelope;
 use crate::json::{Json, ToJson};
 use crate::model::SensitivityFit;
@@ -115,34 +115,8 @@ impl TurnkeyReport {
 ///
 /// `spill` selects the cost-function variant (whether a scratch register is
 /// available on this platform); `targets_exp` bounds the sweep axis at
-/// `2^targets_exp` ns.
-pub fn evaluate<P>(
-    machine: &Machine,
-    bench: &(dyn BenchSpec<P> + Sync),
-    strategy: &(dyn FencingStrategy<P> + Sync),
-    spill: bool,
-    targets_exp: u32,
-    usability: Usability,
-    cfg: RunConfig,
-) -> TurnkeyReport
-where
-    P: Clone + Eq + Hash + std::fmt::Debug + Send + Sync,
-{
-    evaluate_with(
-        machine,
-        bench,
-        strategy,
-        spill,
-        targets_exp,
-        usability,
-        cfg,
-        &SerialExecutor,
-    )
-}
-
-/// [`evaluate`] through an explicit [`Executor`]: each per-path sweep is
-/// batched through the executor, so a parallel executor overlaps the
-/// simulations within every sweep.
+/// `2^targets_exp` ns. Each per-path sweep is one batch through `exec`, so
+/// a parallel executor overlaps the simulations within every sweep.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_with<P>(
     machine: &Machine,
@@ -224,6 +198,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::SerialExecutor;
     use crate::image::{Image, Segment};
     use crate::strategy::FnStrategy;
     use wmm_sim::arch::armv8_xgene1;
@@ -262,7 +237,7 @@ mod tests {
     fn turnkey_ranks_hot_path_first_and_flags_usability() {
         let machine = Machine::new(armv8_xgene1());
         let strategy = FnStrategy::new("dmb", |_: &P| vec![Instr::Fence(FenceKind::DmbIsh)]);
-        let report = evaluate(
+        let report = evaluate_with(
             &machine,
             &TwoPath,
             &strategy,
@@ -270,6 +245,7 @@ mod tests {
             9,
             Usability::default(),
             RunConfig::quick(),
+            &SerialExecutor,
         );
         assert_eq!(report.benchmark, "twopath");
         assert_eq!(report.paths.len(), 2, "absent path not discovered");
@@ -287,7 +263,7 @@ mod tests {
     fn turnkey_report_serialises() {
         let machine = Machine::new(armv8_xgene1());
         let strategy = FnStrategy::new("dmb", |_: &P| vec![Instr::Fence(FenceKind::DmbIsh)]);
-        let report = evaluate(
+        let report = evaluate_with(
             &machine,
             &TwoPath,
             &strategy,
@@ -295,6 +271,7 @@ mod tests {
             6,
             Usability::default(),
             RunConfig::quick(),
+            &SerialExecutor,
         );
         let json = report.to_json().to_string();
         assert!(json.contains("\"benchmark\":\"twopath\""));

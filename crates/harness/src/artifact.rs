@@ -251,7 +251,8 @@ pub struct Telemetry {
     pub jobs: u64,
     /// Jobs answered from the result cache.
     pub cache_hits: u64,
-    /// Jobs actually simulated.
+    /// Jobs actually simulated, sited ones included:
+    /// `cache_hits + cache_misses == jobs`.
     pub cache_misses: u64,
     /// Aggregated simulator ground truth over the simulated jobs.
     pub sim: SimTotals,
@@ -822,5 +823,41 @@ mod tests {
         // projection, so the threads-1-vs-N comparisons cover them.
         assert!(m.deterministic_json().to_string().contains("VolatileStore"));
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Every prefix and every single-byte flip of committed baselines —
+    /// one with a telemetry block, one with a metrics block — parses to
+    /// `Ok` or `Err` and never panics, through `Json::parse`,
+    /// `RunManifest::from_json` and the gate's comparison.
+    #[test]
+    fn truncated_or_bit_flipped_baselines_never_panic() {
+        for text in [
+            include_str!("../../../results/baselines/wmm_tracediff.json"),
+            include_str!("../../../results/baselines/wmm_report-dstruct-hp-dmb.json"),
+        ] {
+            let baseline = RunManifest::from_json(&Json::parse(text).unwrap()).unwrap();
+            let probe = |bytes: &[u8]| {
+                if let Ok(json) = Json::parse(&String::from_utf8_lossy(bytes)) {
+                    if let Ok(current) = RunManifest::from_json(&json) {
+                        crate::compare(&baseline, &current, crate::GateConfig::default());
+                    }
+                }
+            };
+            let bytes = text.as_bytes();
+            for cut in 0..bytes.len() {
+                probe(&bytes[..cut]);
+            }
+            let mut flipped = bytes.to_vec();
+            // Low bit: a neighbouring digit or letter; 0x20: a structural
+            // character turned control byte (or `{` into `[`); high bit:
+            // invalid UTF-8.
+            for i in 0..bytes.len() {
+                for mask in [0x01, 0x20, 0x80] {
+                    flipped[i] ^= mask;
+                    probe(&flipped);
+                    flipped[i] ^= mask;
+                }
+            }
+        }
     }
 }

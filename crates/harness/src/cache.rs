@@ -46,6 +46,8 @@ use wmm_sim::Machine;
 use wmmbench::digest::{encode_bytes, encode_u64, program_digest, Digest};
 use wmmbench::exec::{SimCell, SimJob};
 
+use crate::jobs::TaskCache;
+
 /// One 64-bit FNV-1a lane.
 struct Fnv(u64);
 
@@ -155,25 +157,47 @@ fn key_of(machine: &Machine, ctx: &WorkloadCtx, seed: u64, program: Digest) -> u
     program.then(Digest::of_words(&w)).to_u128()
 }
 
-/// The on-disk lane of a cache: the backing file plus its own append lock,
-/// so disk I/O never holds up readers of the in-memory map.
+/// The on-disk lane of a [`SimCache`]: the backing file behind its own
+/// append lock, so disk I/O never holds up readers of the in-memory store,
+/// and the lane's append accounting.
 struct DiskLane {
     path: PathBuf,
     file: Mutex<File>,
+    appends: AtomicU64,
+    append_bytes: AtomicU64,
+    lock_wait_ns: AtomicU64,
+}
+
+impl DiskLane {
+    /// Append one record as a single `write_all`: two processes appending
+    /// to the same file can then never interleave within a line.
+    fn append(&self, key: u128, value: f64) {
+        let line = format!("{key:032x} {:016x}\n", value.to_bits());
+        let wait = std::time::Instant::now();
+        let mut file = self.file.lock().expect("disk lane poisoned");
+        self.lock_wait_ns
+            .fetch_add(wait.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        if file.write_all(line.as_bytes()).is_ok() {
+            self.appends.fetch_add(1, Ordering::Relaxed);
+            self.append_bytes
+                .fetch_add(line.len() as u64, Ordering::Relaxed);
+        }
+    }
 }
 
 /// The first line of every disk-store file: the key scheme its records
 /// are keyed by. A file without it was keyed differently and is refused.
 pub const DISK_HEADER: &str = "wmm-sim-cache keys=poly61x2-v1";
 
-/// Operational counters of a content-addressed cache, shared between the
-/// simulation cache and the generic task cache ([`crate::TaskCache`]).
+/// Operational counters of a content-addressed cache: the one stats type
+/// of the [`TaskCache`] store and of the [`SimCache`] built on it.
 ///
 /// Everything except `lock_wait_ns` is deterministic given the cache state
-/// and the batch sequence (entries, hit/miss/put counts, and the
-/// disk-append accounting the lane always implied but never reported);
-/// `lock_wait_ns` is a wall-clock measurement of time spent waiting for
-/// the disk lane's append lock and is observational.
+/// and the batch sequence (entries, hit/miss/put counts, and the disk
+/// lane's append accounting); `lock_wait_ns` is a wall-clock measurement
+/// of time spent waiting for the disk lane's append lock and is
+/// observational. `hits` and `misses` count lookups; an executor that
+/// skips the lookup for a cell (a sited one) counts that cell itself.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Entries currently held in the in-memory map.
@@ -193,35 +217,20 @@ pub struct CacheStats {
     pub lock_wait_ns: u64,
 }
 
-/// A content-addressed simulation-result cache: an in-memory map with an
-/// optional append-only on-disk store shared across processes.
+/// A content-addressed simulation-result cache: the [`TaskCache`] store
+/// over wall times, with an optional append-only on-disk lane shared
+/// across processes.
 pub struct SimCache {
-    mem: Mutex<HashMap<u128, f64>>,
+    store: TaskCache<f64>,
     disk: Option<DiskLane>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    puts: AtomicU64,
-    disk_appends: AtomicU64,
-    disk_append_bytes: AtomicU64,
-    lock_wait_ns: AtomicU64,
 }
 
 impl SimCache {
     /// A purely in-memory cache.
     pub fn in_memory() -> Self {
-        SimCache::with_map(HashMap::new())
-    }
-
-    fn with_map(mem: HashMap<u128, f64>) -> Self {
         SimCache {
-            mem: Mutex::new(mem),
+            store: TaskCache::in_memory(),
             disk: None,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            puts: AtomicU64::new(0),
-            disk_appends: AtomicU64::new(0),
-            disk_append_bytes: AtomicU64::new(0),
-            lock_wait_ns: AtomicU64::new(0),
         }
     }
 
@@ -234,7 +243,9 @@ impl SimCache {
     /// another scheme would silently miss on every lookup) or when any
     /// record but the last is malformed. A last record that is torn or
     /// malformed — a killed run's partial append — is dropped and cut from
-    /// the file, so later appends start on a fresh line.
+    /// the file, so later appends start on a fresh line. Duplicate records
+    /// of a key (two processes that simulated the same cell) load as one
+    /// entry.
     pub fn with_disk(path: impl Into<PathBuf>) -> std::io::Result<Self> {
         let path = path.into();
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
@@ -258,91 +269,72 @@ impl SimCache {
             mem
         };
         Ok(SimCache {
+            store: TaskCache::with_entries(mem),
             disk: Some(DiskLane {
                 path,
                 file: Mutex::new(file),
+                appends: AtomicU64::new(0),
+                append_bytes: AtomicU64::new(0),
+                lock_wait_ns: AtomicU64::new(0),
             }),
-            ..SimCache::with_map(mem)
         })
     }
 
     /// Look up a result.
     pub fn get(&self, key: u128) -> Option<f64> {
-        let found = self.mem.lock().expect("cache poisoned").get(&key).copied();
-        match found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
+        self.store.get(key)
     }
 
     /// Store a result (and append it to the disk store, if any).
     ///
-    /// The in-memory insert decides, under the map lock, whether this call
-    /// is the first writer of `key`; the disk append then happens *outside*
-    /// that lock, on the disk lane's own lock, so file I/O never blocks
-    /// concurrent `get`/`put` traffic on other keys.
+    /// The in-memory insert decides, under the store's lock, whether this
+    /// call is the first writer of `key`; the disk append then happens
+    /// *outside* that lock, on the disk lane's own lock, so file I/O never
+    /// blocks concurrent `get`/`put` traffic on other keys.
     pub fn put(&self, key: u128, value: f64) {
-        let first_insert = self
-            .mem
-            .lock()
-            .expect("cache poisoned")
-            .insert(key, value)
-            .is_none();
-        if first_insert {
-            self.puts.fetch_add(1, Ordering::Relaxed);
+        if self.store.put(key, &value) {
             if let Some(lane) = &self.disk {
-                // One `write_all` per record: two processes appending to
-                // the same file can then never interleave within a line.
-                let line = format!("{key:032x} {:016x}\n", value.to_bits());
-                let wait = std::time::Instant::now();
-                let mut file = lane.file.lock().expect("disk lane poisoned");
-                self.lock_wait_ns
-                    .fetch_add(wait.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                if file.write_all(line.as_bytes()).is_ok() {
-                    self.disk_appends.fetch_add(1, Ordering::Relaxed);
-                    self.disk_append_bytes
-                        .fetch_add(line.len() as u64, Ordering::Relaxed);
-                }
+                lane.append(key, value);
             }
         }
     }
 
     /// Entries currently held.
     pub fn len(&self) -> usize {
-        self.mem.lock().expect("cache poisoned").len()
+        self.store.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.store.is_empty()
     }
 
     /// Lookup count that found an entry.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.store.hits()
     }
 
     /// Lookup count that missed.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.store.misses()
     }
 
     /// First-writer insert count.
     pub fn puts(&self) -> u64 {
-        self.puts.load(Ordering::Relaxed)
+        self.store.puts()
     }
 
     /// The full counter snapshot, for metrics export.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            entries: self.len() as u64,
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            puts: self.puts.load(Ordering::Relaxed),
-            disk_appends: self.disk_appends.load(Ordering::Relaxed),
-            disk_append_bytes: self.disk_append_bytes.load(Ordering::Relaxed),
-            lock_wait_ns: self.lock_wait_ns.load(Ordering::Relaxed),
+        let store = self.store.stats();
+        match &self.disk {
+            None => store,
+            Some(lane) => CacheStats {
+                disk_appends: lane.appends.load(Ordering::Relaxed),
+                disk_append_bytes: lane.append_bytes.load(Ordering::Relaxed),
+                lock_wait_ns: lane.lock_wait_ns.load(Ordering::Relaxed),
+                ..store
+            },
         }
     }
 
@@ -641,6 +633,33 @@ mod tests {
         assert_eq!(keys.len(), 800);
         assert_eq!(text.lines().count(), 1 + 800, "one line per unique key");
         assert_eq!(SimCache::with_disk(&path).unwrap().len(), 800);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn duplicate_records_load_as_one_entry_and_appends_continue() {
+        // Two processes that simulate the same cell each append its record:
+        // the file then holds the key twice, with the same value.
+        let dir = std::env::temp_dir().join("wmm-harness-cache-duplicates-test");
+        let path = dir.join("dup.cache");
+        let _ = std::fs::remove_file(&path);
+        let a = SimCache::with_disk(&path).unwrap();
+        let b = SimCache::with_disk(&path).unwrap();
+        a.put(7, 2.5);
+        b.put(7, 2.5);
+        a.put(8, 3.5);
+        drop((a, b));
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().count(), 1 + 3, "key 7 recorded twice");
+        let cache = SimCache::with_disk(&path).unwrap();
+        assert_eq!(cache.len(), 2, "one entry per key");
+        assert_eq!((cache.get(7), cache.get(8)), (Some(2.5), Some(3.5)));
+        cache.put(9, 4.5);
+        assert_eq!(cache.stats().disk_appends, 1);
+        drop(cache);
+        let reloaded = SimCache::with_disk(&path).unwrap();
+        assert_eq!(reloaded.len(), 3);
+        assert_eq!(reloaded.get(9), Some(4.5));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -11,10 +11,12 @@
 //!    output is bit-identical regardless of worker count. Worker count
 //!    comes from `--threads`, the `WMM_THREADS` environment variable, or
 //!    the machine's available parallelism.
-//! 2. **Result caching** ([`cache`]): simulations are deterministic in
-//!    `(arch, program, ctx, seed)`, so results are content-addressed by a
-//!    stable hash of exactly those inputs, with an in-memory map and an
-//!    optional append-only on-disk store.
+//! 2. **Result caching** ([`cache`], [`jobs`]): simulations are
+//!    deterministic in `(arch, program, ctx, seed)`, so results are
+//!    content-addressed by a stable hash of exactly those inputs. One
+//!    in-memory store, [`TaskCache`], serves both the simulation cache
+//!    ([`SimCache`], which adds an optional append-only on-disk lane) and
+//!    the analysis caches.
 //! 3. **Run artifacts and gating** ([`artifact`], [`gate`]): each campaign
 //!    writes a schema-versioned JSON manifest (per-cell measurements,
 //!    fitted sensitivities, timings, cache hit rate) under `results/runs/`,
@@ -30,9 +32,19 @@
 //!    additionally be exported as a `chrome://tracing` timeline.
 //! 5. **Metrics** ([`ParallelExecutor::with_metrics`]): a `wmm-obs`
 //!    [`MetricsRegistry`](wmm_obs::MetricsRegistry) can be attached to an
-//!    executor, which then maintains `harness.exec.*` (batch/job/cache
-//!    counters, queue depth, a job-latency histogram), per-worker
-//!    `harness.worker.*` counters and `harness.cache.sim.*` gauges.
+//!    executor, which then maintains:
+//!    - `harness.exec.batches`, `.jobs`, `.cache_hits` and `.cache_misses`:
+//!      the executor's own counts, kept once per batch and shared with
+//!      [`Telemetry`] and the run summary. A hit is a cell answered from
+//!      the cache; a miss is a cell simulated, sited cells included, so
+//!      `cache_hits + cache_misses == jobs`;
+//!    - `harness.exec.queue_depth` and the `harness.exec.job_latency_ns`
+//!      histogram;
+//!    - per-worker `harness.worker.<i>.jobs` and `.busy_ns` counters;
+//!    - `harness.cache.sim.*` gauges mirroring the cache's [`CacheStats`]:
+//!      `entries`, `puts`, `disk_append_bytes` and `lock_wait_ns`, plus
+//!      `hits` and `misses`, which count lookups (sited cells make none).
+//!
 //!    Structural metrics are byte-identical across worker counts and land
 //!    in the manifest's optional `metrics` block (schema v4); span logs
 //!    merge into the Chrome trace via [`trace::span_trace_events`].
@@ -52,7 +64,7 @@ pub use artifact::{
 };
 pub use cache::{cell_key, job_key, CacheStats, Fnv128, SimCache, DISK_HEADER};
 pub use gate::{compare, GateConfig, GateReport, Mismatch};
-pub use jobs::{run_cached_tasks, TaskCache, TaskCodec};
+pub use jobs::{run_cached_tasks, TaskCache};
 pub use scheduler::{resolve_threads, run_keyed, run_keyed_indexed, ParallelExecutor};
 pub use trace::{
     instruction_trace_events, merge_chronological, span_trace_events, write_chrome_trace,

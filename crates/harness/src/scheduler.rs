@@ -7,9 +7,11 @@
 //! own inputs and keys restore submission order, the output of a batch is
 //! bit-identical whether it ran on one worker or sixteen.
 //!
-//! Beyond results, the executor aggregates the simulator's own telemetry:
-//! every freshly simulated job's [`ExecStats`] is folded — in job order, so
-//! float sums are bit-identical across worker counts — into a campaign-wide
+//! Beyond results, the executor keeps the one count of batches, jobs,
+//! cache hits and misses (per batch, on the calling thread), and it
+//! aggregates the simulator's own telemetry: every freshly simulated
+//! job's [`ExecStats`] is folded — in job order, so float sums are
+//! bit-identical across worker counts — into a campaign-wide
 //! [`SimTotals`], and per-batch/per-job wall timings can be recorded as
 //! [`TraceEvent`]s for Chrome-trace export.
 
@@ -106,10 +108,19 @@ thread_local! {
 }
 
 /// Aggregate counters across every batch an executor has run.
+///
+/// The four counts — batches, jobs, hits (cells answered from the cache)
+/// and misses (cells simulated, sited ones included) — are kept once, per
+/// batch, on the calling thread. They are shared [`Counter`]s so that
+/// [`ParallelExecutor::with_metrics`] can hand the registry the very
+/// handles the executor counts with: telemetry, the `harness.exec.*`
+/// metrics and the run summary then read one set of numbers.
 #[derive(Debug, Default)]
 struct BatchCounters {
-    batches: AtomicU64,
-    jobs: AtomicU64,
+    batches: Arc<Counter>,
+    jobs: Arc<Counter>,
+    cache_hits: Arc<Counter>,
+    cache_misses: Arc<Counter>,
     sim_ns: AtomicU64,
     wall_ns: AtomicU64,
     max_batch_ns: AtomicU64,
@@ -117,19 +128,33 @@ struct BatchCounters {
     links: AtomicU64,
 }
 
-/// Registered metric handles for an instrumented executor.
+impl BatchCounters {
+    /// Count through `registry`'s `harness.exec.*` counters from now on,
+    /// carrying over whatever was counted before.
+    fn share(&mut self, registry: &MetricsRegistry) {
+        for (name, slot) in [
+            ("harness.exec.batches", &mut self.batches),
+            ("harness.exec.jobs", &mut self.jobs),
+            ("harness.exec.cache_hits", &mut self.cache_hits),
+            ("harness.exec.cache_misses", &mut self.cache_misses),
+        ] {
+            let shared = registry.counter(name, Class::Structural);
+            shared.add(slot.get());
+            *slot = shared;
+        }
+    }
+}
+
+/// Registered metric handles for an instrumented executor, beyond the
+/// counts [`BatchCounters`] shares with the registry.
 ///
-/// Structural metrics (batch/job/hit/miss counts, queue depth) are updated
-/// only on the calling thread from count-derived values, so their values —
-/// and therefore the registry's structural snapshot — are byte-identical
+/// Structural metrics (queue depth, the cache gauges) are updated only on
+/// the calling thread from count-derived values, so their values — and
+/// therefore the registry's structural snapshot — are byte-identical
 /// across worker counts. Observational metrics (the job-latency histogram
 /// and the per-worker counters) are updated from worker threads and carry
 /// wall-clock readings.
 struct ExecMetrics {
-    batches: Arc<Counter>,
-    jobs: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
     queue_depth: Arc<Gauge>,
     job_latency_ns: Arc<Histogram>,
     worker_jobs: Vec<Arc<Counter>>,
@@ -145,10 +170,6 @@ struct ExecMetrics {
 impl ExecMetrics {
     fn register(registry: &MetricsRegistry, threads: usize) -> Self {
         ExecMetrics {
-            batches: registry.counter("harness.exec.batches", Class::Structural),
-            jobs: registry.counter("harness.exec.jobs", Class::Structural),
-            cache_hits: registry.counter("harness.exec.cache_hits", Class::Structural),
-            cache_misses: registry.counter("harness.exec.cache_misses", Class::Structural),
             queue_depth: registry.gauge("harness.exec.queue_depth", Class::Structural),
             job_latency_ns: registry.histogram(
                 "harness.exec.job_latency_ns",
@@ -246,11 +267,16 @@ impl ParallelExecutor {
         self
     }
 
-    /// Attach a metrics registry: the executor registers its
-    /// `harness.exec.*`, `harness.worker.*` and `harness.cache.sim.*`
-    /// metrics and updates them per batch. Without this call the hot path
-    /// pays nothing (an `Option` check per batch, not per job).
+    /// Attach a metrics registry: the executor counts batches, jobs, hits
+    /// and misses through the registry's `harness.exec.*` counters, and
+    /// registers and updates its `harness.worker.*` and
+    /// `harness.cache.sim.*` metrics per batch. Without this call the
+    /// executor touches no registry, and the hot path pays nothing extra
+    /// (an `Option` check per batch, not per job). The executor's
+    /// telemetry reads the shared counters, so give each executor a
+    /// registry of its own.
     pub fn with_metrics(mut self, registry: &MetricsRegistry) -> Self {
+        self.counters.share(registry);
         self.metrics = Some(ExecMetrics::register(registry, self.threads));
         self
     }
@@ -258,11 +284,6 @@ impl ParallelExecutor {
     /// The resolved worker count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The attached cache, if any.
-    pub fn cache(&self) -> Option<&SimCache> {
-        self.cache.as_ref()
     }
 
     /// Counter snapshot of the attached cache, if any.
@@ -273,17 +294,11 @@ impl ParallelExecutor {
     /// Telemetry snapshot for the campaign so far: executor counters, the
     /// aggregated simulator totals, and observational timings.
     pub fn telemetry(&self) -> Telemetry {
-        let jobs = self.counters.jobs.load(Ordering::Relaxed);
-        let (hits, misses) = match self.cache.as_ref() {
-            Some(c) => (c.hits(), c.misses()),
-            // Without a cache every job is simulated.
-            None => (0, jobs),
-        };
         Telemetry {
-            batches: self.counters.batches.load(Ordering::Relaxed),
-            jobs,
-            cache_hits: hits,
-            cache_misses: misses,
+            batches: self.counters.batches.get(),
+            jobs: self.counters.jobs.get(),
+            cache_hits: self.counters.cache_hits.get(),
+            cache_misses: self.counters.cache_misses.get(),
             sim: self.sim_totals.lock().expect("totals poisoned").clone(),
             sites: None,
             timing: Timing {
@@ -327,7 +342,7 @@ impl Executor for ParallelExecutor {
     fn run_cells(&self, cells: Vec<SimCell<'_>>) -> Vec<JobOutcome> {
         let start = Instant::now();
         let batch_ts_us = self.epoch.elapsed().as_secs_f64() * 1e6;
-        let batch_id = self.counters.batches.fetch_add(1, Ordering::Relaxed);
+        let batch_id = self.counters.batches.get();
         let n = cells.len();
         let mut outcomes: Vec<Option<JobOutcome>> = (0..n).map(|_| None).collect();
 
@@ -424,13 +439,13 @@ impl Executor for ParallelExecutor {
             outcomes[slot] = Some(JobOutcome::observed(s));
         }
 
+        // The batch's counts, once, on the calling thread: identical
+        // whatever the worker count.
+        self.counters.batches.inc();
+        self.counters.jobs.add(n as u64);
+        self.counters.cache_hits.add((n - total) as u64);
+        self.counters.cache_misses.add(total as u64);
         if let Some(m) = &self.metrics {
-            // Structural side, on the calling thread with count-derived
-            // values: identical whatever the worker count.
-            m.batches.inc();
-            m.jobs.add(n as u64);
-            m.cache_hits.add((n - misses.len()) as u64);
-            m.cache_misses.add(misses.len() as u64);
             m.queue_depth.set(n as f64);
             if let Some(cache) = &self.cache {
                 m.sync_cache(cache.stats());
@@ -438,7 +453,6 @@ impl Executor for ParallelExecutor {
         }
 
         let batch_ns = start.elapsed().as_nanos() as u64;
-        self.counters.jobs.fetch_add(n as u64, Ordering::Relaxed);
         self.counters
             .sim_ns
             .fetch_add(sim_ns.load(Ordering::Relaxed), Ordering::Relaxed);
@@ -664,6 +678,33 @@ mod tests {
             .sum();
         assert_eq!(worker_jobs, 20);
         assert_eq!(exec.cache_stats().expect("cache attached").puts, 20);
+    }
+
+    #[test]
+    fn every_cell_is_counted_once_as_a_hit_or_a_miss() {
+        // A warm cached executor runs a batch that mixes sited cells (which
+        // skip the lookup and always simulate) with unsited ones (which hit).
+        let machine = Machine::new(armv8_xgene1());
+        let reg = MetricsRegistry::new();
+        let exec = ParallelExecutor::new(Some(2))
+            .with_cache(SimCache::in_memory())
+            .with_metrics(&reg);
+        exec.run_batch(jobs(&machine, 8));
+        let mut mixed = jobs(&machine, 8);
+        mixed.extend(sited_jobs(&machine, 5));
+        exec.run_batch_stats(mixed);
+        let t = exec.telemetry();
+        assert_eq!((t.jobs, t.cache_hits, t.cache_misses), (21, 8, 13));
+        assert_eq!(t.cache_hits + t.cache_misses, t.jobs);
+        assert_eq!(t.cache_misses, t.sim.jobs_observed);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("harness.exec.batches"), Some(t.batches));
+        assert_eq!(snap.counter("harness.exec.jobs"), Some(t.jobs));
+        assert_eq!(snap.counter("harness.exec.cache_hits"), Some(t.cache_hits));
+        assert_eq!(
+            snap.counter("harness.exec.cache_misses"),
+            Some(t.cache_misses)
+        );
     }
 
     #[test]

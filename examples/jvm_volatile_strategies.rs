@@ -12,8 +12,9 @@ use wmm::wmm_sim::arch::{armv8_xgene1, Arch};
 use wmm::wmm_sim::Machine;
 use wmm::wmm_stats::Comparison;
 use wmm::wmm_workloads::dacapo::{dacapo_suite, profile, DacapoBench};
+use wmm::wmmbench::exec::SerialExecutor;
 use wmm::wmmbench::image::{compute_envelope, Injection, SiteRewriter};
-use wmm::wmmbench::runner::{measure, RunConfig};
+use wmm::wmmbench::runner::{measure_with, RunConfig};
 use wmm::wmmbench::strategy::FencingStrategy;
 
 fn main() {
@@ -31,8 +32,8 @@ fn main() {
     let jdk8 = dacapo_suite(JitConfig::jdk8(Arch::ArmV8), 0.5);
     let jdk9 = dacapo_suite(JitConfig::jdk9(Arch::ArmV8), 0.5);
     for (b8, b9) in jdk8.iter().zip(&jdk9) {
-        let base = measure(&machine, b8, &rw, cfg);
-        let test = measure(&machine, b9, &rw, cfg);
+        let base = measure_with(&machine, b8, &rw, cfg, &SerialExecutor);
+        let test = measure_with(&machine, b9, &rw, cfg, &SerialExecutor);
         let cmp = Comparison::of_times(&test.times_ns, &base.times_ns);
         let marker = if cmp.significant() { "*" } else { " " };
         println!(
@@ -61,8 +62,8 @@ fn main() {
                 0.5,
             )
         };
-        let base = measure(&machine, &mk(false), &rw, cfg);
-        let test = measure(&machine, &mk(true), &rw, cfg);
+        let base = measure_with(&machine, &mk(false), &rw, cfg, &SerialExecutor);
+        let test = measure_with(&machine, &mk(true), &rw, cfg, &SerialExecutor);
         let cmp = Comparison::of_times(&test.times_ns, &base.times_ns);
         println!("  {label} {:+5.1}%", cmp.percent_change());
     }

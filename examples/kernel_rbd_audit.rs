@@ -11,8 +11,9 @@ use wmm::wmm_sim::Machine;
 use wmm::wmm_stats::Comparison;
 use wmm::wmm_workloads::kernel::{kernel_profile, KernelBench};
 use wmm::wmmbench::costfn::CostFunction;
+use wmm::wmmbench::exec::SerialExecutor;
 use wmm::wmmbench::image::{compute_envelope, Injection, SiteRewriter};
-use wmm::wmmbench::runner::{measure, RunConfig};
+use wmm::wmmbench::runner::{measure_with, RunConfig};
 use wmm::wmmbench::strategy::FencingStrategy;
 
 fn main() {
@@ -44,7 +45,7 @@ fn main() {
     let base_rw = SiteRewriter::new(&base, Injection::None, env.clone());
     let bases: Vec<_> = benches
         .iter()
-        .map(|b| measure(&machine, b, &base_rw, cfg))
+        .map(|b| measure_with(&machine, b, &base_rw, cfg, &SerialExecutor))
         .collect();
 
     println!("read_barrier_depends strategies vs nop-padded base case (%):\n");
@@ -58,7 +59,7 @@ fn main() {
         let rw = SiteRewriter::new(&strat, Injection::None, env.clone());
         print!("{:<12}", s.label());
         for (b, base_m) in benches.iter().zip(&bases) {
-            let t = measure(&machine, b, &rw, cfg);
+            let t = measure_with(&machine, b, &rw, cfg, &SerialExecutor);
             let cmp = Comparison::of_times(&t.times_ns, &base_m.times_ns);
             print!("{:>+13.1}%", cmp.percent_change());
         }

@@ -15,10 +15,11 @@ use wmm::wmm_sim::arch::{power7, Arch};
 use wmm::wmm_sim::Machine;
 use wmm::wmm_workloads::dacapo::{profile, DacapoBench};
 use wmm::wmmbench::costfn::Calibration;
+use wmm::wmmbench::exec::SerialExecutor;
 use wmm::wmmbench::image::{Injection, SiteRewriter};
 use wmm::wmmbench::model::estimate_cost;
-use wmm::wmmbench::runner::{measure_relative, RunConfig};
-use wmm::wmmbench::sensitivity::{pow2_targets, sweep, SweepTarget};
+use wmm::wmmbench::runner::{measure_relative_with, RunConfig};
+use wmm::wmmbench::sensitivity::{pow2_targets, sweep_with, SweepTarget};
 
 fn main() {
     // The machine: a POWER7-like multicore (12 cores @ 3.7 GHz).
@@ -46,7 +47,7 @@ fn main() {
     // 2–3. Sweep and fit.
     let env = wmm_bench_envelope(&strategy);
     let cfg = RunConfig::default();
-    let result = sweep(
+    let result = sweep_with(
         &machine,
         &bench,
         &strategy,
@@ -55,6 +56,7 @@ fn main() {
         &pow2_targets(0, 8),
         env.clone(),
         cfg,
+        &SerialExecutor,
     );
     let fit = result.fit.expect("fit converges");
     println!("spark sensitivity to all barriers: {}", fit.display());
@@ -64,7 +66,7 @@ fn main() {
     let modified = power_storestore_as_sync();
     let base_rw = SiteRewriter::new(&strategy, Injection::None, env.clone());
     let test_rw = SiteRewriter::new(&modified, Injection::None, env);
-    let cmp = measure_relative(&machine, &bench, &base_rw, &test_rw, cfg);
+    let cmp = measure_relative_with(&machine, &bench, &base_rw, &test_rw, cfg, &SerialExecutor);
     println!(
         "StoreStore lwsync -> sync: relative performance {:.4} ({:+.1}%)",
         cmp.ratio,

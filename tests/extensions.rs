@@ -9,8 +9,9 @@ use wmm::wmm_kernel::macros::default_arm_strategy;
 use wmm::wmm_sim::arch::Arch;
 use wmm::wmm_workloads::dacapo::{profile, DacapoBench, OptAnnotatedBench};
 use wmm::wmm_workloads::kernel::{kernel_profile, KernelBench};
+use wmm::wmmbench::exec::SerialExecutor;
 use wmm::wmmbench::runner::{BenchSpec, RunConfig};
-use wmm::wmmbench::turnkey::{evaluate, Usability};
+use wmm::wmmbench::turnkey::{evaluate_with, Usability};
 
 fn cfg() -> ExpConfig {
     ExpConfig {
@@ -27,7 +28,7 @@ fn cfg() -> ExpConfig {
 fn sc_strategy_sits_between_marinos_bounds() {
     // §5: ARM might fit within Marino's 34% maximum slowdown, but their
     // 3.8% x86 mean "is unlikely to be replicated".
-    let rows = sc_strategy_experiment(cfg());
+    let rows = sc_strategy_experiment(cfg(), &SerialExecutor);
     let drops: Vec<f64> = rows.iter().map(|r| -r.cmp.percent_change()).collect();
     let mean = drops.iter().sum::<f64>() / drops.len() as f64;
     let worst = drops.iter().cloned().fold(0.0, f64::max);
@@ -60,7 +61,7 @@ fn optsite_sensitivities_track_what_each_pass_touches() {
         3,
     );
     let k_of = |pass: OptPass| {
-        wmm::wmmbench::sensitivity::sweep(
+        wmm::wmmbench::sensitivity::sweep_with(
             &m,
             &bench,
             &strategy,
@@ -69,6 +70,7 @@ fn optsite_sensitivities_track_what_each_pass_touches() {
             &wmm::wmmbench::sensitivity::pow2_targets(0, 8),
             env.clone(),
             RunConfig::quick(),
+            &SerialExecutor,
         )
         .fit
         .map(|f| f.k)
@@ -88,7 +90,7 @@ fn turnkey_identifies_rbd_and_smp_mb_as_netperfs_hot_paths() {
     let m = machine(Arch::ArmV8);
     let strategy = default_arm_strategy();
     let bench = KernelBench::new(kernel_profile("netperf_udp").unwrap(), 0.25);
-    let report = evaluate(
+    let report = evaluate_with(
         &m,
         &bench,
         &strategy,
@@ -96,6 +98,7 @@ fn turnkey_identifies_rbd_and_smp_mb_as_netperfs_hot_paths() {
         8,
         Usability::default(),
         RunConfig::quick(),
+        &SerialExecutor,
     );
     assert_eq!(report.benchmark, "netperf_udp");
     assert!(report.paths.len() >= 5, "paths: {}", report.paths.len());

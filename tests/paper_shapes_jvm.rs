@@ -3,11 +3,12 @@
 //! in this reproduction, under the reduced test protocol.
 
 use wmm::wmm_bench::{
-    fence_microbenchmarks, fig5_openjdk_sweeps, fig6_spark_elementals, jvm_nop_overhead,
+    fence_microbenchmarks, fig5_openjdk_sweeps_with, fig6_spark_elementals, jvm_nop_overhead,
     locking_patch_experiment, storestore_experiment, ExpConfig,
 };
 use wmm::wmm_jvm::barrier::Elemental;
 use wmm::wmm_sim::arch::Arch;
+use wmm::wmmbench::exec::SerialExecutor;
 
 fn cfg() -> ExpConfig {
     ExpConfig {
@@ -23,7 +24,7 @@ fn cfg() -> ExpConfig {
 #[test]
 fn fig5_spark_is_most_sensitive_on_both_architectures() {
     for arch in [Arch::ArmV8, Arch::Power7] {
-        let sweeps = fig5_openjdk_sweeps(arch, cfg());
+        let sweeps = fig5_openjdk_sweeps_with(arch, cfg(), &SerialExecutor);
         let k_of = |name: &str| {
             sweeps
                 .iter()
@@ -55,7 +56,7 @@ fn fig5_spark_is_most_sensitive_on_both_architectures() {
 
 #[test]
 fn fig5_xalan_is_second_on_arm_but_degraded_on_power() {
-    let arm = fig5_openjdk_sweeps(Arch::ArmV8, cfg());
+    let arm = fig5_openjdk_sweeps_with(Arch::ArmV8, cfg(), &SerialExecutor);
     let k = |sweeps: &[wmm::wmmbench::sensitivity::SweepResult], n: &str| {
         sweeps
             .iter()
@@ -76,7 +77,7 @@ fn fig5_xalan_is_second_on_arm_but_degraded_on_power() {
         }
     }
     // POWER: xalan's sensitivity collapses and it is the least stable.
-    let pow = fig5_openjdk_sweeps(Arch::Power7, cfg());
+    let pow = fig5_openjdk_sweeps_with(Arch::Power7, cfg(), &SerialExecutor);
     let xalan_pow = pow.iter().find(|s| s.benchmark == "xalan").unwrap();
     assert!(
         k(&pow, "xalan") < xalan_arm * 0.6,
@@ -102,7 +103,7 @@ fn fig5_xalan_is_second_on_arm_but_degraded_on_power() {
 #[test]
 fn fig6_storestore_dominates_spark_on_both_architectures() {
     for arch in [Arch::ArmV8, Arch::Power7] {
-        let results = fig6_spark_elementals(arch, cfg());
+        let results = fig6_spark_elementals(arch, cfg(), &SerialExecutor);
         let k_of = |e: Elemental| {
             results
                 .iter()
@@ -132,7 +133,7 @@ fn fig6_power_breakdown_shows_leaner_fencing() {
     // ... the Power developers rely more heavily on StoreStore and
     // StoreLoad": on POWER, LoadLoad and StoreLoad sensitivities are far
     // below LoadStore and StoreStore.
-    let results = fig6_spark_elementals(Arch::Power7, cfg());
+    let results = fig6_spark_elementals(Arch::Power7, cfg(), &SerialExecutor);
     let k_of = |e: Elemental| {
         results
             .iter()
@@ -151,8 +152,8 @@ fn storestore_modification_is_an_order_of_magnitude_worse_on_power() {
     // on ARM but ~12.5% on POWER — "this order of magnitude difference
     // could separate an acceptable implementation change and an
     // unacceptable one."
-    let (arm_cmp, _, arm_a) = storestore_experiment(Arch::ArmV8, cfg());
-    let (pow_cmp, _, pow_a) = storestore_experiment(Arch::Power7, cfg());
+    let (arm_cmp, _, arm_a) = storestore_experiment(Arch::ArmV8, cfg(), &SerialExecutor);
+    let (pow_cmp, _, pow_a) = storestore_experiment(Arch::Power7, cfg(), &SerialExecutor);
     let arm_drop = -arm_cmp.percent_change();
     let pow_drop = -pow_cmp.percent_change();
     assert!(arm_drop > 0.0 && arm_drop < 4.0, "ARM drop {arm_drop}%");
@@ -196,8 +197,8 @@ fn arm_dmb_variants_indistinguishable_in_vitro() {
 
 #[test]
 fn nop_injection_costs_more_on_arm_than_power() {
-    let arm = jvm_nop_overhead(Arch::ArmV8, cfg());
-    let pow = jvm_nop_overhead(Arch::Power7, cfg());
+    let arm = jvm_nop_overhead(Arch::ArmV8, cfg(), &SerialExecutor);
+    let pow = jvm_nop_overhead(Arch::Power7, cfg(), &SerialExecutor);
     let mean = |rows: &[wmm::wmm_bench::StrategyDelta]| {
         rows.iter().map(|r| r.cmp.percent_change()).sum::<f64>() / rows.len() as f64
     };
@@ -211,7 +212,7 @@ fn nop_injection_costs_more_on_arm_than_power() {
 
 #[test]
 fn locking_patch_signs_match_the_paper() {
-    let rows = locking_patch_experiment(cfg());
+    let rows = locking_patch_experiment(cfg(), &SerialExecutor);
     let get = |l: &str| {
         rows.iter()
             .find(|(n, _)| n == l)

@@ -3,11 +3,12 @@
 //! comparison.
 
 use wmm::wmm_bench::{
-    fig10_rbd_strategies, fig9_rbd_sweeps, kernel_nop_overhead, linux_ranking, rbd_cost_estimates,
-    ExpConfig,
+    fig10_rbd_strategies, fig9_rbd_sweeps_with, kernel_nop_overhead, linux_ranking_with,
+    rbd_cost_estimates, ExpConfig,
 };
 use wmm::wmm_kernel::macros::KMacro;
 use wmm::wmm_kernel::rbd::RbdStrategy;
+use wmm::wmmbench::exec::SerialExecutor;
 
 fn cfg() -> ExpConfig {
     ExpConfig {
@@ -22,7 +23,7 @@ fn cfg() -> ExpConfig {
 
 #[test]
 fn fig7_top_macros_match_the_paper() {
-    let m = linux_ranking(cfg());
+    let m = linux_ranking_with(cfg(), &SerialExecutor);
     let order = m.by_path_impact();
     let top3: Vec<KMacro> = order.iter().take(3).map(|(m, _)| *m).collect();
     // "It is clear that smp_mb, read_once and read_barrier_depends have the
@@ -45,7 +46,7 @@ fn fig7_top_macros_match_the_paper() {
 
 #[test]
 fn fig8_benchmark_ranking_shape() {
-    let m = linux_ranking(cfg());
+    let m = linux_ranking_with(cfg(), &SerialExecutor);
     let order = m.by_benchmark_sensitivity();
     let names: Vec<&str> = order.iter().map(|(n, _)| n.as_str()).collect();
     // Microbenchmarks dominate the top of the ranking…
@@ -67,7 +68,7 @@ fn fig8_benchmark_ranking_shape() {
 
 #[test]
 fn fig9_rbd_sensitivity_ordering() {
-    let sweeps = fig9_rbd_sweeps(cfg());
+    let sweeps = fig9_rbd_sweeps_with(cfg(), &SerialExecutor);
     let k = |n: &str| {
         sweeps
             .iter()
@@ -93,7 +94,7 @@ fn fig9_rbd_sensitivity_ordering() {
 
 #[test]
 fn fig10_isb_is_unreasonable_and_dmb_ishld_is_best_case() {
-    let results = fig10_rbd_strategies(cfg());
+    let results = fig10_rbd_strategies(cfg(), &SerialExecutor);
     let mean_drop = |s: RbdStrategy| {
         let (_, deltas) = results.iter().find(|(st, _)| *st == s).unwrap();
         -deltas.iter().map(|d| d.cmp.percent_change()).sum::<f64>() / deltas.len() as f64
@@ -127,7 +128,7 @@ fn fig10_isb_is_unreasonable_and_dmb_ishld_is_best_case() {
 fn fig10_osm_stack_drop_is_small_but_real() {
     // "The osm stack results show a small, but statistically significant
     // drop of up to 1%."
-    let results = fig10_rbd_strategies(cfg());
+    let results = fig10_rbd_strategies(cfg(), &SerialExecutor);
     for (s, deltas) in &results {
         if *s == RbdStrategy::BaseCase {
             continue;
@@ -144,7 +145,7 @@ fn fig10_osm_stack_drop_is_small_but_real() {
 
 #[test]
 fn rbd_cost_divergences_match_the_paper() {
-    let rows = rbd_cost_estimates(cfg());
+    let rows = rbd_cost_estimates(cfg(), &SerialExecutor);
     let get = |s: RbdStrategy| {
         let (_, a, b) = rows.iter().find(|(st, _, _)| *st == s).unwrap();
         (*a, *b)
@@ -176,7 +177,7 @@ fn rbd_cost_divergences_match_the_paper() {
 
 #[test]
 fn nop_padding_hurts_netperf_most() {
-    let rows = kernel_nop_overhead(cfg());
+    let rows = kernel_nop_overhead(cfg(), &SerialExecutor);
     let worst = rows
         .iter()
         .min_by(|a, b| a.cmp.ratio.partial_cmp(&b.cmp.ratio).unwrap())

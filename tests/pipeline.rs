@@ -6,10 +6,11 @@ use wmm::wmm_sim::arch::Arch;
 use wmm::wmm_sim::isa::{FenceKind, Instr};
 use wmm::wmm_sim::machine::WorkloadCtx;
 use wmm::wmmbench::costfn::Calibration;
+use wmm::wmmbench::exec::SerialExecutor;
 use wmm::wmmbench::image::{compute_envelope, Image, Injection, Segment, SiteRewriter};
 use wmm::wmmbench::model::estimate_cost;
-use wmm::wmmbench::runner::{measure, measure_relative, BenchSpec, RunConfig};
-use wmm::wmmbench::sensitivity::{pow2_targets, sweep, SweepTarget};
+use wmm::wmmbench::runner::{measure_relative_with, measure_with, BenchSpec, RunConfig};
+use wmm::wmmbench::sensitivity::{pow2_targets, sweep_with, SweepTarget};
 use wmm::wmmbench::strategy::{FencingStrategy, FnStrategy};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,7 +60,7 @@ fn sweep_recovers_designed_sensitivity_within_tolerance() {
         sites: 80,
         compute: 1200,
     };
-    let result = sweep(
+    let result = sweep_with(
         &m,
         &bench,
         &s,
@@ -68,6 +69,7 @@ fn sweep_recovers_designed_sensitivity_within_tolerance() {
         &pow2_targets(0, 10),
         env,
         RunConfig::quick(),
+        &SerialExecutor,
     );
     let fit = result.fit.expect("fit converges");
     // Period ~= 1200 cycles / 2.4 GHz = 500 ns (plus fence ~4 ns).
@@ -95,7 +97,7 @@ fn eq2_estimates_real_strategy_change_cost() {
         sites: 80,
         compute: 1200,
     };
-    let result = sweep(
+    let result = sweep_with(
         &m,
         &bench,
         &s,
@@ -104,12 +106,20 @@ fn eq2_estimates_real_strategy_change_cost() {
         &pow2_targets(0, 10),
         env.clone(),
         RunConfig::quick(),
+        &SerialExecutor,
     );
     let k = result.fit.expect("fit").k;
 
     let base_rw = SiteRewriter::new(&s, Injection::None, env.clone());
     let test_rw = SiteRewriter::new(&with_isb, Injection::None, env);
-    let cmp = measure_relative(&m, &bench, &base_rw, &test_rw, RunConfig::quick());
+    let cmp = measure_relative_with(
+        &m,
+        &bench,
+        &base_rw,
+        &test_rw,
+        RunConfig::quick(),
+        &SerialExecutor,
+    );
     assert!(cmp.ratio < 1.0, "adding isb must slow things down");
     let a = estimate_cost(k, cmp.ratio);
     // The isb costs ~48 cycles = 20 ns; estimate should be in that region.
@@ -130,8 +140,8 @@ fn measurements_are_deterministic_per_seed() {
         compute: 500,
     };
     let cfg = RunConfig::quick();
-    let a = measure(&m, &bench, &rw, cfg);
-    let b = measure(&m, &bench, &rw, cfg);
+    let a = measure_with(&m, &bench, &rw, cfg, &SerialExecutor);
+    let b = measure_with(&m, &bench, &rw, cfg, &SerialExecutor);
     assert_eq!(a.times_ns, b.times_ns);
 }
 
@@ -150,7 +160,7 @@ fn warmups_are_discarded() {
         warmups: 3,
         base_seed: 42,
     };
-    let meas = measure(&m, &bench, &rw, cfg);
+    let meas = measure_with(&m, &bench, &rw, cfg, &SerialExecutor);
     assert_eq!(meas.times_ns.len(), 5);
 }
 
