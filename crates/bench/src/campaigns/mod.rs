@@ -5,8 +5,8 @@
 //! the CSVs and returns the run manifest. It returns `Err` when one of the
 //! campaign's own checks fails (an oracle disagreement, a cross-check out
 //! of tolerance, a shape the paper predicts that did not emerge). Everything
-//! around it — the executor, the cache, telemetry, the Chrome trace, the
-//! manifest file and the `[wmm-harness]` summary — happens once, in
+//! around it — the executor, the cache, the counts block, the Chrome trace,
+//! the manifest file and the `[wmm-harness]` summary — happens once, in
 //! [`run`]. [`gate`] then compares `results/runs/<name>.json` with the
 //! committed `results/baselines/<name>.json`.
 
@@ -15,7 +15,7 @@ use std::sync::Mutex;
 
 use wmm_harness::{
     compare, merge_chronological, write_chrome_trace, GateConfig, ParallelExecutor, RunManifest,
-    SimCache, Telemetry, TraceEvent,
+    SimCache, TraceEvent,
 };
 use wmm_obs::MetricsRegistry;
 use wmmbench::report::Table;
@@ -69,7 +69,7 @@ impl Campaign {
 }
 
 const PROFILE_FLAGS: &[&str] = &["--flame"];
-const REPORT_FLAGS: &[&str] = &["--md", "--prom", "--metrics-json"];
+const REPORT_FLAGS: &[&str] = &["--md", "--prom"];
 
 /// Every campaign, in the order `--all` runs them.
 pub const REGISTRY: &[Campaign] = &[
@@ -148,8 +148,6 @@ pub struct Outputs {
     pub md: Option<PathBuf>,
     /// `--prom`: the run report's Prometheus text exposition.
     pub prom: Option<PathBuf>,
-    /// `--metrics-json`: the run report's metrics snapshot as JSON.
-    pub metrics_json: Option<PathBuf>,
     /// `--base`: base manifest of a per-site diff.
     pub base: Option<PathBuf>,
     /// `--test`: test manifest of a per-site diff.
@@ -283,7 +281,8 @@ pub fn check(name: &str, errors: &[String]) -> Result<(), String> {
     Err(msg.join("\n"))
 }
 
-/// Run one campaign and write its manifest, telemetry, trace and summary.
+/// Run one campaign and write its manifest (with the registry snapshot as
+/// its counts block), trace and summary.
 pub fn run(campaign: &Campaign, s: &Settings) -> Result<(), String> {
     // A failed run must not leave an earlier manifest for the gate to pass.
     let stale = runs_dir().join(format!("{}.json", campaign.name));
@@ -301,12 +300,7 @@ pub fn run(campaign: &Campaign, s: &Settings) -> Result<(), String> {
             manifest.campaign, campaign.name
         ));
     }
-    // A run function may leave per-site records; the executor fills the rest.
-    let sites = manifest.telemetry.take().and_then(|t| t.sites);
-    manifest.telemetry = Some(Telemetry {
-        sites,
-        ..ctx.exec.telemetry()
-    });
+    manifest.metrics = Some(ctx.registry.snapshot());
     let path = manifest
         .write(runs_dir())
         .map_err(|e| format!("write manifest: {e}"))?;

@@ -3,10 +3,9 @@
 
 use std::path::Path;
 
-use wmm_harness::{instruction_trace_events, span_trace_events, RunManifest, Telemetry};
+use wmm_harness::{instruction_trace_events, span_trace_events, RunManifest};
 use wmm_obs::{Profile, ProfileDiff};
 use wmmbench::image::SiteMap;
-use wmmbench::json::ToJson;
 use wmmbench::report::Table;
 
 use super::Ctx;
@@ -155,7 +154,7 @@ pub fn fence_attribution(ctx: &Ctx) -> Result<RunManifest, String> {
 ///
 /// `--flame <path>` writes the collapsed stacks for `flamegraph.pl`;
 /// `--trace <path>` adds an instruction-granular timeline of one exemplar
-/// run. The manifest's telemetry carries the per-site records.
+/// run. The manifest's `sites` carries the per-site records.
 pub fn wmm_profile(ctx: &Ctx) -> Result<RunManifest, String> {
     let id = ctx.name.trim_start_matches("wmm_profile-");
     let cp = profile_campaign(id, ctx.cfg, &ctx.exec)
@@ -277,10 +276,7 @@ pub fn wmm_profile(ctx: &Ctx) -> Result<RunManifest, String> {
         manifest.push_cell(format!("{stem}/site_fence_ns"), ns(c.site_cycles));
         manifest.push_cell(format!("{stem}/kind_fence_ns"), ns(c.kind_cycles));
     }
-    manifest.telemetry = Some(Telemetry {
-        sites: Some(cp.site_records()),
-        ..Telemetry::default()
-    });
+    manifest.sites = Some(cp.site_records());
     Ok(manifest)
 }
 
@@ -365,15 +361,12 @@ fn push_diff(manifest: &mut RunManifest, diff: &ProfileDiff) {
 
 /// Load the per-site profile out of a `wmm_profile-*` manifest.
 fn manifest_profile(path: &Path) -> Result<Profile, String> {
-    let sites = RunManifest::load(path)?
-        .telemetry
-        .and_then(|t| t.sites)
-        .ok_or_else(|| {
-            format!(
-                "{} carries no per-site telemetry (run a wmm_profile-* campaign)",
-                path.display()
-            )
-        })?;
+    let sites = RunManifest::load(path)?.sites.ok_or_else(|| {
+        format!(
+            "{} carries no per-site records (run a wmm_profile-* campaign)",
+            path.display()
+        )
+    })?;
     Ok(profile_from_records(&sites))
 }
 
@@ -388,7 +381,7 @@ fn manifest_profile(path: &Path) -> Result<Profile, String> {
 /// image disappearing and the acquire/release surcharge appearing on the
 /// access rows, with only scheduling noise left on the pooled `:code` rows.
 ///
-/// With `--base <m.json> --test <m.json>` it diffs the per-site telemetry
+/// With `--base <m.json> --test <m.json>` it diffs the per-site records
 /// of two `wmm_profile-*` manifests instead, in cycles, and the manifest
 /// records that diff.
 ///
@@ -448,10 +441,11 @@ pub fn wmm_tracediff_dstruct(ctx: &Ctx) -> Result<RunManifest, String> {
 /// The campaign runs with the full observability stack attached (the
 /// metrics registry on the executor and simulation cache, a span log
 /// around the run's phases, a metered WPS solver stage). The markdown
-/// report goes to stdout or `--md <path>`; `--prom <path>` and
-/// `--metrics-json <path>` export the metrics snapshot; `--trace <path>`
-/// merges the span timeline into the Chrome trace. The manifest pins every
-/// structural metric. A failed per-kind cross-check fails the campaign.
+/// report goes to stdout or `--md <path>`; `--prom <path>` exports the
+/// metrics snapshot in the Prometheus text format; `--trace <path>` merges
+/// the span timeline into the Chrome trace. The manifest pins every
+/// structural metric as a cell and carries the full snapshot as its counts
+/// block. A failed per-kind cross-check fails the campaign.
 pub fn wmm_report(ctx: &Ctx) -> Result<RunManifest, String> {
     let id = ctx.name.strip_prefix("wmm_report-").unwrap_or("fig5-arm");
     let report = collect_report(id, ctx.cfg, &ctx.exec, &ctx.registry)
@@ -464,9 +458,6 @@ pub fn wmm_report(ctx: &Ctx) -> Result<RunManifest, String> {
     }
     if let Some(path) = &ctx.out.prom {
         ctx.write_file(path, &report.snapshot.to_prometheus())?;
-    }
-    if let Some(path) = &ctx.out.metrics_json {
-        ctx.write_file(path, &(report.snapshot.to_json().to_string_pretty() + "\n"))?;
     }
     ctx.add_trace(&span_trace_events(&report.spans));
     if !checks_pass(&report) {

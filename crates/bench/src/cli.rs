@@ -71,7 +71,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             "--flame" => s.out.flame = Some(PathBuf::from(value()?)),
             "--md" => s.out.md = Some(PathBuf::from(value()?)),
             "--prom" => s.out.prom = Some(PathBuf::from(value()?)),
-            "--metrics-json" => s.out.metrics_json = Some(PathBuf::from(value()?)),
             "--base" => s.out.base = Some(PathBuf::from(value()?)),
             "--test" => s.out.test = Some(PathBuf::from(value()?)),
             flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
@@ -218,6 +217,8 @@ mod tests {
     #[test]
     fn rejects_unknown_flag() {
         assert!(err("run fig5_openjdk_sweep --quik").contains("unknown flag `--quik`"));
+        // Every manifest carries the metrics snapshot; there is no separate export.
+        assert!(err("run wmm_report --metrics-json m.json").contains("unknown flag"));
     }
 
     #[test]

@@ -234,8 +234,8 @@ pub fn markdown(report: &RunReport) -> String {
 
 /// Build the gateable manifest: campaign shape, cross-check verdict, and
 /// every structural metric as a `metrics/<name>` cell (histograms
-/// contribute `/count` and `/sum`). The full snapshot — observational
-/// entries included — rides in the manifest's `metrics` block.
+/// contribute `/count` and `/sum`). The driver adds the full snapshot —
+/// observational entries included — as the manifest's `metrics` block.
 pub fn manifest(report: &RunReport) -> RunManifest {
     let name = if report.campaign == "fig5-arm" {
         "wmm_report".to_string()
@@ -260,7 +260,6 @@ pub fn manifest(report: &RunReport) -> RunManifest {
             }
         }
     }
-    m.metrics = Some(report.snapshot.clone());
     m
 }
 
@@ -290,6 +289,11 @@ mod tests {
             r.snapshot.gauge("harness.cache.sim.entries").unwrap(),
             r.cache.entries as f64
         );
+        // The simulator totals cover exactly the simulated cells.
+        assert_eq!(
+            r.snapshot.gauge("sim.jobs_observed").unwrap(),
+            r.cache.misses as f64
+        );
         // The WPS stage populated the solver metrics.
         assert!(r.wps_bundles > 0);
         assert!(r.snapshot.counter("wps.cycles_enumerated").unwrap() > 0);
@@ -316,7 +320,7 @@ mod tests {
             .cells
             .iter()
             .any(|c| c.label == "metrics/wps.solver.nodes"));
-        assert!(m.metrics.is_some());
+        assert!(m.cells.iter().any(|c| c.label == "metrics/sim.loads"));
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //!
 //! Every campaign writes a schema-versioned JSON manifest under
 //! `results/runs/`: the per-cell measurements and fitted sensitivities that
-//! define the experiment's outcome, plus a telemetry section describing how
-//! it ran and what the simulator observed while doing so.
+//! define the experiment's outcome, one counts block (`metrics`, the
+//! campaign's metrics-registry snapshot) describing how it ran and what the
+//! simulator observed while doing so, and, for campaigns that ran sited,
+//! per-site stall records (`sites`).
 //!
 //! The sections have different determinism contracts:
 //!
@@ -11,17 +13,18 @@
 //!   experiment inputs — [`RunManifest::canonical_json`] — byte-identical
 //!   across worker counts, cache states and machines. The regression gate
 //!   compares this content only.
-//! * `telemetry.sim` and the telemetry job counters are deterministic
-//!   *given the cache state*: the aggregated [`SimTotals`] cover exactly
-//!   the freshly simulated jobs, merged in job order, so two runs with the
-//!   same cache contents produce identical totals regardless of worker
-//!   count ([`RunManifest::deterministic_json`] includes them).
-//! * `telemetry.timing` is observational (wall clocks, worker count) and
-//!   excluded from every determinism comparison.
+//! * The structural entries of `metrics` (executor counts, the `sim.*`
+//!   [`SimTotals`] fold, cache gauges) and `sites` are deterministic
+//!   *given the cache state*: the simulator totals cover exactly the freshly
+//!   simulated jobs, merged in job order, so two runs with the same cache
+//!   contents produce identical values regardless of worker count
+//!   ([`RunManifest::deterministic_json`] includes them).
+//! * The observational entries of `metrics` (wall clocks, worker count,
+//!   per-worker tracks) are excluded from every determinism comparison.
 
 use std::path::{Path, PathBuf};
 
-use wmm_obs::MetricsSnapshot;
+use wmm_obs::{Class, MetricsRegistry, MetricsSnapshot};
 use wmm_sim::isa::FenceKind;
 use wmm_sim::stats::{Counters, ExecStats};
 use wmmbench::json::{Json, ToJson};
@@ -41,7 +44,12 @@ use wmmbench::model::SensitivityFit;
 /// attached. The file carries every metric; the deterministic projection
 /// carries only the structural subset; the canonical (gated) content is
 /// unchanged.
-pub const SCHEMA_VERSION: u64 = 4;
+///
+/// v5: `metrics` is the one counts block, written for every campaign; the
+/// `telemetry` block is gone. Its counters and simulator totals are
+/// structural `harness.exec.*` and `sim.*` entries, its timings
+/// observational ones, and `sites` moved to the top level.
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// One scalar measurement cell (e.g. a sweep point's relative performance,
 /// a ranking-matrix entry), identified by a stable label.
@@ -112,6 +120,45 @@ impl SimTotals {
             .sum()
     }
 
+    /// Publish the totals into `registry` as structural `sim.*` gauges: one
+    /// per counter, plus `sim.fence.<kind>.count` and `.stall_cycles` for
+    /// every fence kind that ran. Call it on one thread after an in-order
+    /// fold, so the gauges only ever hold deterministic values.
+    pub fn publish(&self, registry: &MetricsRegistry) {
+        let set = |name: &str, v: f64| registry.gauge(name, Class::Structural).set(v);
+        let c = &self.counters;
+        for (name, v) in [
+            ("sim.jobs_observed", self.jobs_observed),
+            ("sim.loads", c.loads),
+            ("sim.stores", c.stores),
+            ("sim.atomics", c.atomics),
+            ("sim.cas_retries", c.cas_retries),
+            ("sim.acquires", c.acquires),
+            ("sim.releases", c.releases),
+            ("sim.mispredicts", c.mispredicts),
+            ("sim.l1_hits", c.l1_hits),
+            ("sim.llc_hits", c.llc_hits),
+            ("sim.dram_accesses", c.dram_accesses),
+            ("sim.coherence_transfers", c.coherence_transfers),
+            ("sim.cost_loop_invocations", c.cost_loop_invocations),
+            ("sim.cost_loop_iters", c.cost_loop_iters),
+            ("sim.sb_stalls", self.sb_stalls),
+        ] {
+            set(name, v as f64);
+        }
+        set("sim.sb_stall_cycles", self.sb_stall_cycles);
+        for kind in FenceKind::ALL {
+            let count = c.fence_counts.get(&kind).copied().unwrap_or(0);
+            let cycles = c.fence_cycles.get(&kind).copied().unwrap_or(0.0);
+            if count == 0 && cycles == 0.0 {
+                continue;
+            }
+            let slug = kind.mnemonic().trim_end_matches("()").replace(' ', "_");
+            set(&format!("sim.fence.{slug}.count"), count as f64);
+            set(&format!("sim.fence.{slug}.stall_cycles"), cycles);
+        }
+    }
+
     /// Observed mean stall cycles per executed fence of `kind`, if any.
     pub fn mean_fence_cycles(&self, kind: FenceKind) -> Option<f64> {
         let n = *self.counters.fence_counts.get(&kind).unwrap_or(&0);
@@ -120,46 +167,6 @@ impl SimTotals {
         } else {
             Some(self.counters.fence_cycles.get(&kind).unwrap_or(&0.0) / n as f64)
         }
-    }
-}
-
-impl ToJson for SimTotals {
-    fn to_json(&self) -> Json {
-        let c = &self.counters;
-        let fences: Vec<Json> = FenceKind::ALL
-            .iter()
-            .filter_map(|&kind| {
-                let count = *c.fence_counts.get(&kind).unwrap_or(&0);
-                let cycles = *c.fence_cycles.get(&kind).unwrap_or(&0.0);
-                if count == 0 && cycles == 0.0 {
-                    return None;
-                }
-                Some(Json::obj(vec![
-                    ("kind", kind.mnemonic().to_json()),
-                    ("count", count.to_json()),
-                    ("stall_cycles", Json::Num(cycles)),
-                ]))
-            })
-            .collect();
-        Json::obj(vec![
-            ("jobs_observed", self.jobs_observed.to_json()),
-            ("loads", c.loads.to_json()),
-            ("stores", c.stores.to_json()),
-            ("atomics", c.atomics.to_json()),
-            ("cas_retries", c.cas_retries.to_json()),
-            ("acquires", c.acquires.to_json()),
-            ("releases", c.releases.to_json()),
-            ("mispredicts", c.mispredicts.to_json()),
-            ("l1_hits", c.l1_hits.to_json()),
-            ("llc_hits", c.llc_hits.to_json()),
-            ("dram_accesses", c.dram_accesses.to_json()),
-            ("coherence_transfers", c.coherence_transfers.to_json()),
-            ("cost_loop_invocations", c.cost_loop_invocations.to_json()),
-            ("cost_loop_iters", c.cost_loop_iters.to_json()),
-            ("sb_stalls", self.sb_stalls.to_json()),
-            ("sb_stall_cycles", Json::Num(self.sb_stall_cycles)),
-            ("fences", Json::Arr(fences)),
-        ])
     }
 }
 
@@ -208,8 +215,7 @@ impl ToJson for SiteRecord {
     }
 }
 
-/// Observational run timings — the only telemetry that legitimately varies
-/// between runs of the same campaign.
+/// Observational run timings: they vary between runs of the same campaign.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct Timing {
     /// Worker threads used.
@@ -227,22 +233,26 @@ pub struct Timing {
     pub links: u64,
 }
 
-impl ToJson for Timing {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("threads", self.threads.to_json()),
-            ("sim_ms", Json::Num(self.sim_ms)),
-            ("wall_ms", Json::Num(self.wall_ms)),
-            ("max_batch_ms", Json::Num(self.max_batch_ms)),
-            ("max_batch_jobs", self.max_batch_jobs.to_json()),
-            ("links", self.links.to_json()),
-        ])
+impl Timing {
+    /// Publish the timings into `registry` as observational
+    /// `harness.exec.*` gauges.
+    pub fn publish(&self, registry: &MetricsRegistry) {
+        for (name, v) in [
+            ("harness.exec.threads", self.threads as f64),
+            ("harness.exec.sim_ms", self.sim_ms),
+            ("harness.exec.wall_ms", self.wall_ms),
+            ("harness.exec.max_batch_ms", self.max_batch_ms),
+            ("harness.exec.max_batch_jobs", self.max_batch_jobs as f64),
+            ("harness.exec.links", self.links as f64),
+        ] {
+            registry.gauge(name, Class::Observational).set(v);
+        }
     }
 }
 
-/// How a campaign ran: executor counters, aggregated simulator statistics
-/// and run timings. Never gated — the regression gate inspects canonical
-/// content only.
+/// An executor's in-process snapshot of how a campaign ran: its counts,
+/// the aggregated simulator statistics and run timings. A manifest carries
+/// the same numbers as entries of its `metrics` block.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Telemetry {
     /// Batches submitted.
@@ -256,11 +266,7 @@ pub struct Telemetry {
     pub cache_misses: u64,
     /// Aggregated simulator ground truth over the simulated jobs.
     pub sim: SimTotals,
-    /// Per-site stall profiles, for campaigns that ran sited. Sorted by
-    /// site name; deterministic (sited jobs always simulate, so the fold
-    /// covers the same samples regardless of cache state).
-    pub sites: Option<Vec<SiteRecord>>,
-    /// Observational timings (excluded from determinism comparisons).
+    /// Observational timings.
     pub timing: Timing,
 }
 
@@ -272,36 +278,6 @@ impl Telemetry {
         } else {
             self.cache_hits as f64 / self.jobs as f64
         }
-    }
-
-    /// The deterministic portion: everything except `timing`. Identical
-    /// across worker counts for a given cache state.
-    pub fn deterministic_json(&self) -> Json {
-        let mut pairs = vec![
-            ("batches".to_string(), self.batches.to_json()),
-            ("jobs".to_string(), self.jobs.to_json()),
-            ("cache_hits".to_string(), self.cache_hits.to_json()),
-            ("cache_misses".to_string(), self.cache_misses.to_json()),
-            ("sim".to_string(), self.sim.to_json()),
-        ];
-        if let Some(sites) = &self.sites {
-            pairs.push((
-                "sites".to_string(),
-                Json::Arr(sites.iter().map(ToJson::to_json).collect()),
-            ));
-        }
-        Json::Obj(pairs)
-    }
-}
-
-impl ToJson for Telemetry {
-    fn to_json(&self) -> Json {
-        let mut json = self.deterministic_json();
-        if let Json::Obj(pairs) = &mut json {
-            pairs.push(("cache_hit_rate".to_string(), Json::Num(self.hit_rate())));
-            pairs.push(("timing".to_string(), self.timing.to_json()));
-        }
-        json
     }
 }
 
@@ -316,11 +292,14 @@ pub struct RunManifest {
     pub cells: Vec<CellRecord>,
     /// Fitted sensitivities.
     pub fits: Vec<FitRecord>,
-    /// Execution telemetry (not part of the canonical content).
-    pub telemetry: Option<Telemetry>,
-    /// Metrics snapshot, for campaigns run with a registry attached (not
-    /// part of the canonical content; the deterministic projection keeps
-    /// only the structural entries).
+    /// Per-site stall profiles, for campaigns that ran sited. Sorted by
+    /// site name; deterministic (sited jobs always simulate, so the fold
+    /// covers the same samples regardless of cache state). Not part of the
+    /// canonical content.
+    pub sites: Option<Vec<SiteRecord>>,
+    /// The counts block: the campaign's metrics snapshot (not part of the
+    /// canonical content; the deterministic projection keeps only the
+    /// structural entries).
     pub metrics: Option<MetricsSnapshot>,
 }
 
@@ -393,39 +372,42 @@ impl RunManifest {
         ])
     }
 
-    /// The deterministic content: canonical result plus the deterministic
-    /// telemetry (everything except `telemetry.timing`). For a given cache
-    /// state this is byte-identical across worker counts — the contract the
+    /// The deterministic content: canonical result plus the structural
+    /// metrics and the per-site records. For a given cache state this is
+    /// byte-identical across worker counts — the contract the
     /// threads-1-vs-N tests assert.
     pub fn deterministic_json(&self) -> Json {
-        let mut json = self.canonical_json();
-        if let Json::Obj(pairs) = &mut json {
-            if let Some(t) = &self.telemetry {
-                pairs.push(("telemetry".to_string(), t.deterministic_json()));
-            }
-            if let Some(m) = &self.metrics {
-                pairs.push(("metrics".to_string(), m.structural().to_json()));
-            }
-        }
-        json
+        self.with_counts(
+            self.metrics
+                .as_ref()
+                .map(MetricsSnapshot::structural)
+                .as_ref(),
+        )
     }
 
     /// Serialise to the written manifest file's text (canonical content
-    /// plus the full telemetry section, timing included, plus the full
-    /// metrics snapshot if one was attached).
+    /// plus the full metrics snapshot and the per-site records).
     pub fn to_file_text(&self) -> String {
-        let mut json = self.canonical_json();
-        if let Json::Obj(pairs) = &mut json {
-            if let Some(t) = &self.telemetry {
-                pairs.push(("telemetry".to_string(), t.to_json()));
-            }
-            if let Some(m) = &self.metrics {
-                pairs.push(("metrics".to_string(), m.to_json()));
-            }
-        }
-        let mut text = json.to_string_pretty();
+        let mut text = self.with_counts(self.metrics.as_ref()).to_string_pretty();
         text.push('\n');
         text
+    }
+
+    /// The canonical content followed by `metrics` and `sites`, when set.
+    fn with_counts(&self, metrics: Option<&MetricsSnapshot>) -> Json {
+        let mut json = self.canonical_json();
+        if let Json::Obj(pairs) = &mut json {
+            if let Some(m) = metrics {
+                pairs.push(("metrics".to_string(), m.to_json()));
+            }
+            if let Some(sites) = &self.sites {
+                pairs.push((
+                    "sites".to_string(),
+                    Json::Arr(sites.iter().map(ToJson::to_json).collect()),
+                ));
+            }
+        }
+        json
     }
 
     /// Write the manifest to `dir/<campaign>.json`, creating `dir` as
@@ -490,9 +472,15 @@ impl RunManifest {
                 r_squared: num(f, "r_squared")?,
             });
         }
-        let telemetry = match json.get("telemetry") {
+        let sites = match json.get("sites") {
             None => None,
-            Some(t) => Some(telemetry_from_json(t)?),
+            Some(s) => Some(
+                s.as_arr()
+                    .ok_or("sites is not an array")?
+                    .iter()
+                    .map(site_from_json)
+                    .collect::<Result<_, _>>()?,
+            ),
         };
         let metrics = match json.get("metrics") {
             None => None,
@@ -503,7 +491,7 @@ impl RunManifest {
             arch: field("arch")?.to_string(),
             cells,
             fits,
-            telemetry,
+            sites,
             metrics,
         })
     }
@@ -517,88 +505,25 @@ impl RunManifest {
     }
 }
 
-fn telemetry_from_json(t: &Json) -> Result<Telemetry, String> {
-    let u = |j: &Json, k: &str| j.get(k).and_then(Json::as_f64).unwrap_or(0.0) as u64;
-    let f = |j: &Json, k: &str| j.get(k).and_then(Json::as_f64).unwrap_or(0.0);
-    let mut sim = SimTotals::default();
-    if let Some(s) = t.get("sim") {
-        sim.jobs_observed = u(s, "jobs_observed");
-        let c = &mut sim.counters;
-        c.loads = u(s, "loads");
-        c.stores = u(s, "stores");
-        c.atomics = u(s, "atomics");
-        c.cas_retries = u(s, "cas_retries");
-        c.acquires = u(s, "acquires");
-        c.releases = u(s, "releases");
-        c.mispredicts = u(s, "mispredicts");
-        c.l1_hits = u(s, "l1_hits");
-        c.llc_hits = u(s, "llc_hits");
-        c.dram_accesses = u(s, "dram_accesses");
-        c.coherence_transfers = u(s, "coherence_transfers");
-        c.cost_loop_invocations = u(s, "cost_loop_invocations");
-        c.cost_loop_iters = u(s, "cost_loop_iters");
-        sim.sb_stalls = u(s, "sb_stalls");
-        sim.sb_stall_cycles = f(s, "sb_stall_cycles");
-        if let Some(fences) = s.get("fences").and_then(Json::as_arr) {
-            for entry in fences {
-                let kind = entry
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .and_then(FenceKind::from_mnemonic)
-                    .ok_or("unknown fence kind in telemetry")?;
-                c.fence_counts.insert(kind, u(entry, "count"));
-                c.fence_cycles.insert(kind, f(entry, "stall_cycles"));
-            }
-        }
-    }
-    let sites = match t.get("sites").and_then(Json::as_arr) {
+fn site_from_json(entry: &Json) -> Result<SiteRecord, String> {
+    let u = |k: &str| entry.get(k).and_then(Json::as_f64).unwrap_or(0.0) as u64;
+    let f = |k: &str| entry.get(k).and_then(Json::as_f64).unwrap_or(0.0);
+    let fence = match entry.get("fence").and_then(Json::as_str) {
         None => None,
-        Some(entries) => {
-            let mut sites = Vec::with_capacity(entries.len());
-            for entry in entries {
-                let name = entry
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or("site record missing name")?
-                    .to_string();
-                let fence = match entry.get("fence").and_then(Json::as_str) {
-                    None => None,
-                    Some(m) => Some(
-                        FenceKind::from_mnemonic(m).ok_or("unknown fence kind in site record")?,
-                    ),
-                };
-                sites.push(SiteRecord {
-                    name,
-                    fence,
-                    fences: u(entry, "fences"),
-                    fence_cycles: f(entry, "fence_cycles"),
-                    sb_stall_cycles: f(entry, "sb_stall_cycles"),
-                    mem_cycles: f(entry, "mem_cycles"),
-                    total_cycles: f(entry, "total_cycles"),
-                });
-            }
-            Some(sites)
-        }
+        Some(m) => Some(FenceKind::from_mnemonic(m).ok_or("unknown fence kind in site record")?),
     };
-    let timing = match t.get("timing") {
-        None => Timing::default(),
-        Some(w) => Timing {
-            threads: u(w, "threads") as usize,
-            sim_ms: f(w, "sim_ms"),
-            wall_ms: f(w, "wall_ms"),
-            max_batch_ms: f(w, "max_batch_ms"),
-            max_batch_jobs: u(w, "max_batch_jobs"),
-            links: u(w, "links"),
-        },
-    };
-    Ok(Telemetry {
-        batches: u(t, "batches"),
-        jobs: u(t, "jobs"),
-        cache_hits: u(t, "cache_hits"),
-        cache_misses: u(t, "cache_misses"),
-        sim,
-        sites,
-        timing,
+    Ok(SiteRecord {
+        name: entry
+            .get("name")
+            .and_then(Json::as_str)
+            .ok_or("site record missing name")?
+            .to_string(),
+        fence,
+        fences: u("fences"),
+        fence_cycles: f("fence_cycles"),
+        sb_stall_cycles: f("sb_stall_cycles"),
+        mem_cycles: f("mem_cycles"),
+        total_cycles: f("total_cycles"),
     })
 }
 
@@ -644,53 +569,44 @@ mod tests {
         totals
     }
 
+    /// A counts block as the executor publishes it: the simulator totals
+    /// plus the given timings.
+    fn counts(totals: &SimTotals, timing: &Timing) -> MetricsSnapshot {
+        let reg = MetricsRegistry::new();
+        reg.counter("harness.exec.jobs", Class::Structural)
+            .add(totals.jobs_observed);
+        totals.publish(&reg);
+        timing.publish(&reg);
+        reg.snapshot()
+    }
+
     #[test]
     fn canonical_excludes_telemetry_and_deterministic_excludes_timing() {
+        let timing = |threads: usize, wall_ms: f64| Timing {
+            threads,
+            wall_ms,
+            ..Timing::default()
+        };
         let mut a = sample();
         let mut b = sample();
-        a.telemetry = Some(Telemetry {
-            jobs: 10,
-            cache_misses: 10,
-            sim: sample_totals(),
-            timing: Timing {
-                threads: 1,
-                wall_ms: 123.0,
-                ..Timing::default()
-            },
-            ..Telemetry::default()
-        });
-        b.telemetry = Some(Telemetry {
-            jobs: 10,
-            cache_misses: 10,
-            sim: sample_totals(),
-            timing: Timing {
-                threads: 8,
-                wall_ms: 1.0,
-                ..Timing::default()
-            },
-            ..Telemetry::default()
-        });
+        a.metrics = Some(counts(&sample_totals(), &timing(1, 123.0)));
+        b.metrics = Some(counts(&sample_totals(), &timing(8, 1.0)));
         assert_eq!(
             a.canonical_json().to_string(),
             b.canonical_json().to_string()
         );
-        // Same counters, different timing: deterministic text agrees, full
+        // Same counts, different timing: deterministic text agrees, full
         // file text does not.
         assert_eq!(
             a.deterministic_json().to_string(),
             b.deterministic_json().to_string()
         );
         assert_ne!(a.to_file_text(), b.to_file_text());
-        // Different counters: the deterministic text must expose it.
+        // Different counts: the deterministic text must expose it.
         let mut c = sample();
         let mut sim = sample_totals();
         sim.counters.loads += 1;
-        c.telemetry = Some(Telemetry {
-            jobs: 10,
-            cache_misses: 10,
-            sim,
-            ..Telemetry::default()
-        });
+        c.metrics = Some(counts(&sim, &timing(1, 123.0)));
         assert_ne!(
             a.deterministic_json().to_string(),
             c.deterministic_json().to_string()
@@ -701,22 +617,24 @@ mod tests {
     fn file_roundtrip_is_lossless() {
         let dir = std::env::temp_dir().join("wmm-harness-artifact-test");
         let mut m = sample();
-        m.telemetry = Some(Telemetry {
-            batches: 2,
-            jobs: 40,
-            cache_hits: 8,
-            cache_misses: 32,
-            sim: sample_totals(),
-            sites: None,
-            timing: Timing {
-                threads: 4,
-                sim_ms: 10.5,
-                wall_ms: 3.25,
-                max_batch_ms: 2.125,
-                max_batch_jobs: 24,
-                links: 12,
-            },
-        });
+        let timing = Timing {
+            threads: 4,
+            sim_ms: 10.5,
+            wall_ms: 3.25,
+            max_batch_ms: 2.125,
+            max_batch_jobs: 24,
+            links: 12,
+        };
+        let snap = counts(&sample_totals(), &timing);
+        assert_eq!(snap.gauge("sim.loads"), Some(120.0));
+        assert_eq!(snap.gauge("sim.fence.dmb_ish.count"), Some(2.0));
+        assert_eq!(snap.gauge("sim.fence.dmb_ishst.stall_cycles"), Some(5.25));
+        assert!(
+            snap.get("sim.fence.isb.count").is_none(),
+            "kinds that ran only"
+        );
+        assert_eq!(snap.gauge("harness.exec.max_batch_ms"), Some(2.125));
+        m.metrics = Some(snap);
         let path = m.write(&dir).unwrap();
         let back = RunManifest::load(&path).unwrap();
         assert_eq!(back, m);
@@ -743,10 +661,10 @@ mod tests {
         )
         .unwrap();
         assert!(RunManifest::from_json(&json).unwrap_err().contains("99"));
-        // v1 (pre-telemetry), v2 (pre-sites) and v3 (pre-metrics)
-        // manifests are also rejected: the baselines were refreshed when
-        // the schema was bumped.
-        for version in [1, 2, 3] {
+        // v1 (pre-telemetry), v2 (pre-sites), v3 (pre-metrics) and v4
+        // (separate telemetry block) manifests are also rejected: the
+        // baselines were refreshed when the schema was bumped.
+        for version in [1, 2, 3, 4] {
             let json = Json::parse(&format!(
                 r#"{{"schema_version":{version},"campaign":"x","arch":"arm","cells":[],"fits":[]}}"#
             ))
@@ -757,8 +675,6 @@ mod tests {
 
     #[test]
     fn metrics_block_roundtrips_and_deterministic_keeps_structural_only() {
-        use wmm_obs::{Class, MetricsRegistry};
-
         let dir = std::env::temp_dir().join("wmm-harness-artifact-metrics-test");
         let reg = MetricsRegistry::new();
         reg.counter("harness.exec.jobs", Class::Structural).add(40);
@@ -809,13 +725,7 @@ mod tests {
             },
         ];
         assert_eq!(sites[0].compute_cycles(), 300.0 - 226.8 - 4.5 - 30.25);
-        m.telemetry = Some(Telemetry {
-            jobs: 4,
-            cache_misses: 4,
-            sim: sample_totals(),
-            sites: Some(sites),
-            ..Telemetry::default()
-        });
+        m.sites = Some(sites);
         let path = m.write(&dir).unwrap();
         let back = RunManifest::load(&path).unwrap();
         assert_eq!(back, m);
@@ -825,17 +735,25 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// Every prefix and every single-byte flip of committed baselines —
-    /// one with a telemetry block, one with a metrics block — parses to
-    /// `Ok` or `Err` and never panics, through `Json::parse`,
-    /// `RunManifest::from_json` and the gate's comparison.
+    /// Every prefix and every single-byte flip of committed baselines — one
+    /// with a metrics block, one with per-site records — parses to `Ok` or
+    /// `Err` and never panics, through `Json::parse`,
+    /// `RunManifest::from_json` and the gate's comparison. The probe is
+    /// quadratic in the text's length, so the sited baseline is cut to its
+    /// cells and first site records.
     #[test]
     fn truncated_or_bit_flipped_baselines_never_panic() {
+        let load = |text: &str| RunManifest::from_json(&Json::parse(text).unwrap()).unwrap();
+        let mut sited = load(include_str!(
+            "../../../results/baselines/wmm_profile-dstruct-hp-dmb.json"
+        ));
+        sited.sites.as_mut().expect("sited baseline").truncate(3);
+        sited.metrics = None;
         for text in [
-            include_str!("../../../results/baselines/wmm_tracediff.json"),
-            include_str!("../../../results/baselines/wmm_report-dstruct-hp-dmb.json"),
+            include_str!("../../../results/baselines/fig4_costfn.json").to_string(),
+            sited.to_file_text(),
         ] {
-            let baseline = RunManifest::from_json(&Json::parse(text).unwrap()).unwrap();
+            let baseline = load(&text);
             let probe = |bytes: &[u8]| {
                 if let Ok(json) = Json::parse(&String::from_utf8_lossy(bytes)) {
                     if let Ok(current) = RunManifest::from_json(&json) {

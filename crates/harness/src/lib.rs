@@ -19,17 +19,17 @@
 //!    the analysis caches.
 //! 3. **Run artifacts and gating** ([`artifact`], [`gate`]): each campaign
 //!    writes a schema-versioned JSON manifest (per-cell measurements,
-//!    fitted sensitivities, timings, cache hit rate) under `results/runs/`,
-//!    and [`compare`] diffs a manifest against a committed baseline
+//!    fitted sensitivities, one counts block) under `results/runs/`, and
+//!    [`compare`] diffs a manifest against a committed baseline
 //!    (`wmm gate`), failing on out-of-tolerance drift.
-//! 4. **Telemetry** ([`artifact::SimTotals`], [`trace`]): every freshly
-//!    simulated job's full `ExecStats` flows back through the executor
-//!    seam and is folded — in job order, so the totals are bit-identical
-//!    across worker counts — into campaign-wide counters (fence executions
-//!    and stall cycles by kind, store-buffer stalls, cache-hierarchy
-//!    outcomes, cost-loop invocations). The totals land in the manifest's
-//!    non-gated `telemetry` section; per-batch and per-job wall timings can
-//!    additionally be exported as a `chrome://tracing` timeline.
+//! 4. **Simulator totals** ([`artifact::SimTotals`], [`trace`]): every
+//!    freshly simulated job's full `ExecStats` flows back through the
+//!    executor seam and is folded — in job order, so the totals are
+//!    bit-identical across worker counts — into campaign-wide counters
+//!    (fence executions and stall cycles by kind, store-buffer stalls,
+//!    cache-hierarchy outcomes, cost-loop invocations). Per-batch and
+//!    per-job wall timings can additionally be exported as a
+//!    `chrome://tracing` timeline.
 //! 5. **Metrics** ([`ParallelExecutor::with_metrics`]): a `wmm-obs`
 //!    [`MetricsRegistry`](wmm_obs::MetricsRegistry) can be attached to an
 //!    executor, which then maintains:
@@ -38,16 +38,19 @@
 //!      [`Telemetry`] and the run summary. A hit is a cell answered from
 //!      the cache; a miss is a cell simulated, sited cells included, so
 //!      `cache_hits + cache_misses == jobs`;
-//!    - `harness.exec.queue_depth` and the `harness.exec.job_latency_ns`
-//!      histogram;
+//!    - `sim.*` gauges holding the [`SimTotals`] fold, so
+//!      `sim.jobs_observed == cache_misses`;
+//!    - `harness.exec.queue_depth`, the `harness.exec.job_latency_ns`
+//!      histogram and the observational timing gauges (`threads`,
+//!      `sim_ms`, `wall_ms`, `max_batch_ms`, `max_batch_jobs`, `links`);
 //!    - per-worker `harness.worker.<i>.jobs` and `.busy_ns` counters;
 //!    - `harness.cache.sim.*` gauges mirroring the cache's [`CacheStats`]:
-//!      `entries`, `puts`, `disk_append_bytes` and `lock_wait_ns`, plus
-//!      `hits` and `misses`, which count lookups (sited cells make none).
+//!      `entries`, `puts`, `disk_append_bytes` and `lock_wait_ns`.
 //!
-//!    Structural metrics are byte-identical across worker counts and land
-//!    in the manifest's optional `metrics` block (schema v4); span logs
-//!    merge into the Chrome trace via [`trace::span_trace_events`].
+//!    Structural metrics are byte-identical across worker counts. The
+//!    snapshot is the manifest's one counts block, `metrics` (schema v5);
+//!    span logs merge into the Chrome trace via
+//!    [`trace::span_trace_events`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,10 +9,11 @@
 //!
 //! Beyond results, the executor keeps the one count of batches, jobs,
 //! cache hits and misses (per batch, on the calling thread), and it
-//! aggregates the simulator's own telemetry: every freshly simulated
+//! aggregates the simulator's own statistics: every freshly simulated
 //! job's [`ExecStats`] is folded — in job order, so float sums are
 //! bit-identical across worker counts — into a campaign-wide
-//! [`SimTotals`], and per-batch/per-job wall timings can be recorded as
+//! [`SimTotals`], which an attached metrics registry receives as `sim.*`
+//! entries; per-batch/per-job wall timings can be recorded as
 //! [`TraceEvent`]s for Chrome-trace export.
 
 use std::cell::RefCell;
@@ -148,20 +149,19 @@ impl BatchCounters {
 /// Registered metric handles for an instrumented executor, beyond the
 /// counts [`BatchCounters`] shares with the registry.
 ///
-/// Structural metrics (queue depth, the cache gauges) are updated only on
-/// the calling thread from count-derived values, so their values — and
-/// therefore the registry's structural snapshot — are byte-identical
-/// across worker counts. Observational metrics (the job-latency histogram
-/// and the per-worker counters) are updated from worker threads and carry
-/// wall-clock readings.
+/// Structural metrics (queue depth, the cache gauges, the `sim.*` totals)
+/// are updated only on the calling thread from count-derived values, so
+/// their values — and therefore the registry's structural snapshot — are
+/// byte-identical across worker counts. Observational metrics (the
+/// job-latency histogram, the per-worker counters and the timings) carry
+/// wall-clock readings; the first two are updated from worker threads.
 struct ExecMetrics {
+    registry: MetricsRegistry,
     queue_depth: Arc<Gauge>,
     job_latency_ns: Arc<Histogram>,
     worker_jobs: Vec<Arc<Counter>>,
     worker_busy_ns: Vec<Arc<Counter>>,
     sim_cache_entries: Arc<Gauge>,
-    sim_cache_hits: Arc<Gauge>,
-    sim_cache_misses: Arc<Gauge>,
     sim_cache_puts: Arc<Gauge>,
     sim_cache_disk_append_bytes: Arc<Gauge>,
     sim_cache_lock_wait_ns: Arc<Gauge>,
@@ -170,6 +170,7 @@ struct ExecMetrics {
 impl ExecMetrics {
     fn register(registry: &MetricsRegistry, threads: usize) -> Self {
         ExecMetrics {
+            registry: registry.clone(),
             queue_depth: registry.gauge("harness.exec.queue_depth", Class::Structural),
             job_latency_ns: registry.histogram(
                 "harness.exec.job_latency_ns",
@@ -187,8 +188,6 @@ impl ExecMetrics {
                 })
                 .collect(),
             sim_cache_entries: registry.gauge("harness.cache.sim.entries", Class::Structural),
-            sim_cache_hits: registry.gauge("harness.cache.sim.hits", Class::Structural),
-            sim_cache_misses: registry.gauge("harness.cache.sim.misses", Class::Structural),
             sim_cache_puts: registry.gauge("harness.cache.sim.puts", Class::Structural),
             sim_cache_disk_append_bytes: registry
                 .gauge("harness.cache.sim.disk_append_bytes", Class::Structural),
@@ -202,8 +201,6 @@ impl ExecMetrics {
     /// gauges only ever see deterministic values).
     fn sync_cache(&self, stats: CacheStats) {
         self.sim_cache_entries.set(stats.entries as f64);
-        self.sim_cache_hits.set(stats.hits as f64);
-        self.sim_cache_misses.set(stats.misses as f64);
         self.sim_cache_puts.set(stats.puts as f64);
         self.sim_cache_disk_append_bytes
             .set(stats.disk_append_bytes as f64);
@@ -216,10 +213,11 @@ impl ExecMetrics {
 /// Wraps the scheduler around an optional content-addressed [`SimCache`]:
 /// each batch first resolves cache hits on the calling thread, fans the
 /// misses out across workers, then stores the fresh results. Alongside the
-/// results the executor aggregates campaign telemetry — batch/job counts,
+/// results the executor aggregates how the campaign ran — batch/job counts,
 /// wall and simulated time, and the [`SimTotals`] merged from every freshly
-/// simulated job's [`ExecStats`] — for the run manifest's telemetry
-/// section, and (when enabled) a Chrome-trace timeline of batches and jobs.
+/// simulated job's [`ExecStats`] — into its [`Telemetry`] snapshot and an
+/// attached metrics registry, and (when enabled) a Chrome-trace timeline of
+/// batches and jobs.
 pub struct ParallelExecutor {
     threads: usize,
     cache: Option<SimCache>,
@@ -270,11 +268,11 @@ impl ParallelExecutor {
     /// Attach a metrics registry: the executor counts batches, jobs, hits
     /// and misses through the registry's `harness.exec.*` counters, and
     /// registers and updates its `harness.worker.*` and
-    /// `harness.cache.sim.*` metrics per batch. Without this call the
-    /// executor touches no registry, and the hot path pays nothing extra
-    /// (an `Option` check per batch, not per job). The executor's
-    /// telemetry reads the shared counters, so give each executor a
-    /// registry of its own.
+    /// `harness.cache.sim.*` metrics, the `sim.*` totals and its timings
+    /// per batch. Without this call the executor touches no registry, and
+    /// the hot path pays nothing extra (an `Option` check per batch, not
+    /// per job). The executor's telemetry reads the shared counters, so
+    /// give each executor a registry of its own.
     pub fn with_metrics(mut self, registry: &MetricsRegistry) -> Self {
         self.counters.share(registry);
         self.metrics = Some(ExecMetrics::register(registry, self.threads));
@@ -300,15 +298,19 @@ impl ParallelExecutor {
             cache_hits: self.counters.cache_hits.get(),
             cache_misses: self.counters.cache_misses.get(),
             sim: self.sim_totals.lock().expect("totals poisoned").clone(),
-            sites: None,
-            timing: Timing {
-                threads: self.threads,
-                sim_ms: self.counters.sim_ns.load(Ordering::Relaxed) as f64 / 1e6,
-                wall_ms: self.counters.wall_ns.load(Ordering::Relaxed) as f64 / 1e6,
-                max_batch_ms: self.counters.max_batch_ns.load(Ordering::Relaxed) as f64 / 1e6,
-                max_batch_jobs: self.counters.max_batch_jobs.load(Ordering::Relaxed),
-                links: self.counters.links.load(Ordering::Relaxed),
-            },
+            timing: self.timing(),
+        }
+    }
+
+    fn timing(&self) -> Timing {
+        let ms = |ns: &AtomicU64| ns.load(Ordering::Relaxed) as f64 / 1e6;
+        Timing {
+            threads: self.threads,
+            sim_ms: ms(&self.counters.sim_ns),
+            wall_ms: ms(&self.counters.wall_ns),
+            max_batch_ms: ms(&self.counters.max_batch_ns),
+            max_batch_jobs: self.counters.max_batch_jobs.load(Ordering::Relaxed),
+            links: self.counters.links.load(Ordering::Relaxed),
         }
     }
 
@@ -431,6 +433,9 @@ impl Executor for ParallelExecutor {
             for s in &stats {
                 totals.merge_stats(s);
             }
+            if let Some(m) = &self.metrics {
+                totals.publish(&m.registry);
+            }
         }
         for (&slot, s) in misses.iter().zip(stats) {
             if let (Some(cache), Some(keys)) = (&self.cache, &keys) {
@@ -445,12 +450,6 @@ impl Executor for ParallelExecutor {
         self.counters.jobs.add(n as u64);
         self.counters.cache_hits.add((n - total) as u64);
         self.counters.cache_misses.add(total as u64);
-        if let Some(m) = &self.metrics {
-            m.queue_depth.set(n as f64);
-            if let Some(cache) = &self.cache {
-                m.sync_cache(cache.stats());
-            }
-        }
 
         let batch_ns = start.elapsed().as_nanos() as u64;
         self.counters
@@ -463,6 +462,13 @@ impl Executor for ParallelExecutor {
         self.counters
             .max_batch_jobs
             .fetch_max(n as u64, Ordering::Relaxed);
+        if let Some(m) = &self.metrics {
+            m.queue_depth.set(n as f64);
+            if let Some(cache) = &self.cache {
+                m.sync_cache(cache.stats());
+            }
+            self.timing().publish(&m.registry);
+        }
         if self.tracing {
             self.trace.lock().expect("trace poisoned").push(TraceEvent {
                 name: format!("batch {batch_id} ({total}/{n} simulated)"),
@@ -545,10 +551,6 @@ mod tests {
             let t = exec.telemetry();
             // Bit-identical, including the f64 stall-cycle sums.
             assert_eq!(t.sim, base_t.sim, "threads = {threads}");
-            assert_eq!(
-                t.deterministic_json().to_string(),
-                base_t.deterministic_json().to_string()
-            );
         }
     }
 
@@ -663,6 +665,13 @@ mod tests {
         assert_eq!(snap.gauge("harness.exec.queue_depth"), Some(20.0));
         assert_eq!(snap.gauge("harness.cache.sim.entries"), Some(20.0));
         assert_eq!(snap.gauge("harness.cache.sim.puts"), Some(20.0));
+        // The simulator totals and timings ride along, by class.
+        assert_eq!(snap.gauge("sim.jobs_observed"), Some(20.0));
+        assert_eq!(snap.gauge("sim.fence.dmb_ish.count"), Some(20.0));
+        let class = |name: &str| snap.get(name).expect("published").class;
+        assert_eq!(class("sim.fence.dmb_ish.stall_cycles"), Class::Structural);
+        assert_eq!(class("harness.exec.wall_ms"), Class::Observational);
+        assert_eq!(snap.gauge("harness.exec.max_batch_jobs"), Some(20.0));
         // Every simulated job landed in the latency histogram and on some
         // worker track.
         let lat = snap.get("harness.exec.job_latency_ns").expect("registered");
@@ -704,6 +713,10 @@ mod tests {
         assert_eq!(
             snap.counter("harness.exec.cache_misses"),
             Some(t.cache_misses)
+        );
+        assert_eq!(
+            snap.gauge("sim.jobs_observed"),
+            Some(t.sim.jobs_observed as f64)
         );
     }
 

@@ -1,19 +1,18 @@
 //! Executor determinism over *generated* programs, as a property test: a
 //! batch of random jobs must produce bit-identical outcomes — wall times,
-//! statistics, and the aggregated telemetry manifest — no matter how many
+//! statistics, and the aggregated simulator totals — no matter how many
 //! workers drain it, whether a cache is attached, and despite every worker
 //! thread reusing its `MachineScratch` arena across jobs. Scratch reuse is
 //! exactly the seam where stale per-run state (core clocks, store buffers,
 //! directory warmth) would leak between jobs if a `reset` missed a field.
 
 use proptest::prelude::*;
-use wmm_harness::{ParallelExecutor, SimCache};
+use wmm_harness::{ParallelExecutor, SimCache, SimTotals};
 use wmm_sim::arch::{armv8_xgene1, power7};
 use wmm_sim::isa::{AccessOrd, FenceKind, Instr, Loc, Mispredict};
 use wmm_sim::machine::{Program, WorkloadCtx};
 use wmm_sim::Machine;
 use wmmbench::exec::{Executor, SerialExecutor, SimJob};
-use wmmbench::json::ToJson;
 
 fn loc() -> impl Strategy<Value = Loc> {
     // Small line ids force real sharing and coherence traffic.
@@ -104,7 +103,7 @@ proptest! {
     fn parallel_executor_is_worker_count_invariant(batch in batch(), power in 0u32..2) {
         let machine = Machine::new(if power == 1 { power7() } else { armv8_xgene1() });
         let serial = SerialExecutor.run_batch_stats(jobs(&machine, &batch));
-        let mut manifest: Option<String> = None;
+        let mut totals: Option<SimTotals> = None;
         for threads in [1usize, 2, 4] {
             for cached in [false, true] {
                 let mut exec = ParallelExecutor::new(Some(threads));
@@ -113,14 +112,13 @@ proptest! {
                 }
                 let first = exec.run_batch_stats(jobs(&machine, &batch));
                 // The aggregated simulator totals (float sums folded in job
-                // order) are part of the run manifest: identical across
+                // order) are part of the run manifest: bit-identical across
                 // every executor configuration after one batch.
                 let t = exec.telemetry();
                 prop_assert_eq!(t.sim.jobs_observed, batch.len() as u64);
-                let rendered = t.sim.to_json().to_string();
-                match &manifest {
-                    None => manifest = Some(rendered),
-                    Some(m) => prop_assert!(m == &rendered,
+                match &totals {
+                    None => totals = Some(t.sim),
+                    Some(m) => prop_assert!(m == &t.sim,
                         "totals drifted: threads {threads} cached {cached}"),
                 }
                 // A second identical batch exercises the warm-hit path when

@@ -2,17 +2,11 @@
 //!
 //! Structured observability for the `wmm-sim` execution engine.
 //!
-//! The simulator's [`Probe`](wmm_sim::Probe) seam emits typed events —
-//! instruction begin/retire, fence stalls, store-buffer capacity stalls,
-//! memory-access outcomes — tagged with the stable site id `(thread,
-//! stream index)` of the instruction that caused them, at zero cost when
-//! disabled (the default `NullProbe` path is the same code path, observing
-//! already-computed values). This crate is everything built *on top of*
-//! that seam:
+//! The simulator's sited runs attribute every core-clock advance to the
+//! instruction that caused it, tagged with the stable site id `(thread,
+//! stream index)`. This crate is everything built *on top of* those
+//! records, plus the harness-wide metrics layer:
 //!
-//! * [`EventBuffer`](event::EventBuffer): a deterministic bounded ring of
-//!   raw [`Event`](event::Event)s, for fine-grained inspection and
-//!   instruction-granular trace export.
 //! * [`SiteProfile`](profile::SiteProfile) / [`Profile`](profile::Profile):
 //!   per-site cycles split by cause — fence-kind stall, store-buffer
 //!   stall, exposed memory time, residual compute — folded across the
@@ -29,7 +23,7 @@
 //!   fixed-bucket histograms with deterministic (name-sorted) snapshots,
 //!   split into structural (gateable, byte-identical across worker counts)
 //!   and observational (timing) classes, with JSON and Prometheus
-//!   exporters.
+//!   exporters. A snapshot is every run manifest's one counts block.
 //! * [`span`]: wall-clock [`SpanLog`](span::SpanLog) intervals that merge
 //!   into the harness's Chrome-trace timeline.
 //!
@@ -40,17 +34,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod event;
 pub mod flame;
 pub mod metrics;
 pub mod profile;
 pub mod span;
 
-pub use event::{Event, EventBuffer};
 pub use flame::collapsed_stacks;
 pub use metrics::{
-    Class, Counter, Gauge, Histogram, MetricEntry, MetricValue, MetricsProbe, MetricsRegistry,
-    MetricsSnapshot,
+    Class, Counter, Gauge, Histogram, MetricEntry, MetricValue, MetricsRegistry, MetricsSnapshot,
 };
 pub use profile::{Profile, ProfileDiff, SiteDelta, SiteProfile};
 pub use span::{SpanGuard, SpanLog, SpanRecord};

@@ -27,9 +27,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use wmm_sim::isa::Instr;
-use wmm_sim::mem::AccessOutcome;
-use wmm_sim::Probe;
 use wmmbench::json::{Json, ToJson};
 
 /// Determinism class of a metric (see the module docs).
@@ -232,14 +229,16 @@ struct Entry {
 /// Registration is idempotent: asking for an existing name with the same
 /// kind and class returns the existing handle, so independent layers
 /// (executor, cache sync, solver) can share metrics without coordination.
+/// Cloning a registry shares it: every clone registers into and snapshots
+/// the same metrics.
 ///
 /// # Panics
 ///
 /// Re-registering a name with a different kind or class panics — that is a
 /// programming error, not a runtime condition.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    inner: Mutex<BTreeMap<String, Entry>>,
+    inner: Arc<Mutex<BTreeMap<String, Entry>>>,
 }
 
 impl MetricsRegistry {
@@ -595,54 +594,6 @@ impl ToJson for MetricsSnapshot {
     }
 }
 
-/// A [`Probe`] that counts simulator events into registry counters — the
-/// metrics layer's use of the existing observation seam. The default
-/// simulation path is untouched: a job only pays for these counters when
-/// explicitly driven through the probe.
-///
-/// All four counters are event *counts* (never cycle sums read off a
-/// clock), updated once per event in the machine's deterministic
-/// interleave order, so they are [`Class::Structural`].
-#[derive(Debug)]
-pub struct MetricsProbe {
-    instructions: Arc<Counter>,
-    fences: Arc<Counter>,
-    sb_stalls: Arc<Counter>,
-    accesses: Arc<Counter>,
-}
-
-impl MetricsProbe {
-    /// Register the simulator counters (`sim.instructions`, `sim.fences`,
-    /// `sim.sb_stalls`, `sim.accesses`) in `registry` and return a probe
-    /// feeding them.
-    pub fn new(registry: &MetricsRegistry) -> Self {
-        MetricsProbe {
-            instructions: registry.counter("sim.instructions", Class::Structural),
-            fences: registry.counter("sim.fences", Class::Structural),
-            sb_stalls: registry.counter("sim.sb_stalls", Class::Structural),
-            accesses: registry.counter("sim.accesses", Class::Structural),
-        }
-    }
-}
-
-impl Probe for MetricsProbe {
-    fn begin(&mut self, _thread: usize, _index: usize, _instr: &Instr) {
-        self.instructions.inc();
-    }
-
-    fn fence_retired(&mut self, _kind: wmm_sim::isa::FenceKind, _cycles: f64) {
-        self.fences.inc();
-    }
-
-    fn sb_stall(&mut self, _cycles: f64) {
-        self.sb_stalls.inc();
-    }
-
-    fn access(&mut self, _outcome: AccessOutcome, _cycles: f64) {
-        self.accesses.inc();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -731,25 +682,5 @@ mod tests {
         assert!(text.contains("wps_gap_bucket{le=\"2\"} 2"));
         assert!(text.contains("wps_gap_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("wps_gap_count 2"));
-    }
-
-    #[test]
-    fn metrics_probe_counts_events() {
-        use wmm_sim::arch::armv8_xgene1;
-        use wmm_sim::isa::FenceKind;
-        use wmm_sim::machine::{Program, WorkloadCtx};
-        use wmm_sim::Machine;
-
-        let reg = MetricsRegistry::new();
-        let mut probe = MetricsProbe::new(&reg);
-        let machine = Machine::new(armv8_xgene1());
-        let program = Program::new(vec![vec![
-            Instr::Compute { cycles: 100 },
-            Instr::Fence(FenceKind::DmbIsh),
-        ]]);
-        machine.run_probed(&program, &WorkloadCtx::default(), 7, &mut probe);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("sim.instructions"), Some(2));
-        assert_eq!(snap.counter("sim.fences"), Some(1));
     }
 }

@@ -82,7 +82,7 @@ impl FenceKind {
         ]
     }
 
-    /// Inverse of [`FenceKind::mnemonic`], for parsing serialised telemetry.
+    /// Inverse of [`FenceKind::mnemonic`], for parsing serialised site records.
     pub fn from_mnemonic(s: &str) -> Option<FenceKind> {
         FenceKind::ALL.into_iter().find(|k| k.mnemonic() == s)
     }

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use wmm::wmm_bench::profiling::{batch_with_profile, site_records};
 use wmm::wmm_bench::{fig5_openjdk_sweeps_with, ExpConfig};
 use wmm::wmm_harness::{
-    compare, job_key, GateConfig, ParallelExecutor, RunManifest, SimCache, DISK_HEADER,
+    compare, job_key, GateConfig, ParallelExecutor, RunManifest, SimCache, Telemetry, DISK_HEADER,
 };
 use wmm::wmm_obs::MetricsRegistry;
 use wmm::wmm_sim::arch::{armv8_xgene1, Arch};
@@ -120,52 +120,80 @@ fn fitted_k_is_bitwise_identical_across_thread_counts() {
     }
 }
 
+/// One synthetic sweep on a metered executor with `threads` workers: the
+/// manifest with its counts block, and the executor's totals.
+fn metered_manifest(threads: usize) -> (RunManifest, Telemetry) {
+    let registry = MetricsRegistry::new();
+    let exec = ParallelExecutor::new(Some(threads))
+        .with_cache(SimCache::in_memory())
+        .with_metrics(&registry);
+    let mut manifest = campaign_manifest(&campaign_sweep(&exec));
+    manifest.metrics = Some(registry.snapshot());
+    (manifest, exec.telemetry())
+}
+
 #[test]
 fn telemetry_counters_identical_across_thread_counts() {
-    // The determinism contract extends to telemetry: everything under
-    // `deterministic_json()` — cells, fits, executor counters and the
-    // aggregated simulator statistics — is byte-identical whether the
-    // campaign ran on one worker or four. Only `timing` may differ, and it
-    // is excluded from that scope.
-    let mut reference: Option<(wmm::wmm_harness::SimTotals, String)> = None;
-    for threads in [1, 4] {
-        let exec = ParallelExecutor::new(Some(threads));
-        let mut manifest = campaign_manifest(&campaign_sweep(&exec));
-        manifest.telemetry = Some(exec.telemetry());
-        let t = manifest.telemetry.as_ref().unwrap();
-        assert!(t.sim.jobs_observed > 0, "campaign must simulate jobs");
-        assert!(t.sim.total_fences() > 0, "fenced campaign must run fences");
-        assert_eq!(t.timing.threads, threads, "timing records worker count");
-        let det = manifest.deterministic_json().to_string_pretty();
-        match &reference {
-            None => reference = Some((t.sim.clone(), det)),
-            Some((sim, json)) => {
-                assert_eq!(&t.sim, sim, "sim totals, threads = {threads}");
-                assert_eq!(&det, json, "deterministic json, threads = {threads}");
-            }
-        }
-    }
+    // The determinism contract extends to the counts block: everything
+    // under `deterministic_json()` — cells, fits, and the structural
+    // metrics, executor counts and `sim.*` simulator totals included — is
+    // byte-identical whether the campaign ran on one worker or four. Only
+    // observational entries (timings, worker tracks) may differ, and they
+    // are excluded from that scope.
+    let (one, one_t) = metered_manifest(1);
+    let (four, four_t) = metered_manifest(4);
+    assert!(one_t.sim.jobs_observed > 0, "campaign must simulate jobs");
+    assert!(
+        one_t.sim.total_fences() > 0,
+        "fenced campaign must run fences"
+    );
+    assert_eq!(one_t.sim, four_t.sim, "sim totals");
+    let structural = |m: &RunManifest| m.metrics.as_ref().unwrap().structural();
+    assert!(structural(&one).gauge("sim.jobs_observed").unwrap() > 0.0);
+    assert!(structural(&one).gauge("sim.fence.dmb_ish.count").unwrap() > 0.0);
+    assert_eq!(
+        structural(&one).to_json().to_string_pretty(),
+        structural(&four).to_json().to_string_pretty()
+    );
+    assert_eq!(
+        one.deterministic_json().to_string_pretty(),
+        four.deterministic_json().to_string_pretty()
+    );
+    let threads = |m: &RunManifest| m.metrics.as_ref().unwrap().gauge("harness.exec.threads");
+    assert_eq!(threads(&one), Some(1.0), "timing records worker count");
+    assert_eq!(threads(&four), Some(4.0), "timing records worker count");
 }
 
 #[test]
 fn metrics_registry_never_changes_results() {
     // Attaching a registry only observes: the same sweep with and without
-    // one writes byte-identical manifest text and identical telemetry.
+    // one writes byte-identical canonical content and identical totals,
+    // and the structural snapshot does not depend on the worker count.
     let bare = ParallelExecutor::new(Some(2)).with_cache(SimCache::in_memory());
-    let registry = MetricsRegistry::new();
-    let metered = ParallelExecutor::new(Some(2))
-        .with_cache(SimCache::in_memory())
-        .with_metrics(&registry);
-    let text = |exec: &ParallelExecutor| {
-        let mut manifest = campaign_manifest(&campaign_sweep(exec));
-        manifest.telemetry = Some(exec.telemetry());
-        manifest.deterministic_json().to_string_pretty()
-    };
-    assert_eq!(text(&bare), text(&metered));
+    let bare_manifest = campaign_manifest(&campaign_sweep(&bare));
+    for threads in [1, 4] {
+        let (metered, t) = metered_manifest(threads);
+        assert_eq!(
+            metered.canonical_json().to_string_pretty(),
+            bare_manifest.canonical_json().to_string_pretty()
+        );
+        assert_eq!(t.sim, bare.telemetry().sim, "threads = {threads}");
+        let snap = metered.metrics.as_ref().unwrap();
+        assert_eq!(
+            snap.counter("harness.exec.jobs"),
+            Some(bare.telemetry().jobs),
+            "the registry must have observed the metered run"
+        );
+    }
     assert_eq!(
-        registry.snapshot().counter("harness.exec.jobs"),
-        Some(bare.telemetry().jobs),
-        "the registry must have observed the metered run"
+        metered_manifest(1)
+            .0
+            .deterministic_json()
+            .to_string_pretty(),
+        metered_manifest(4)
+            .0
+            .deterministic_json()
+            .to_string_pretty()
     );
 }
 
@@ -317,14 +345,52 @@ fn gate_passes_unmodified_rerun_and_fails_drift() {
 
 #[test]
 fn manifest_roundtrips_through_disk() {
-    let exec = ParallelExecutor::new(Some(2));
-    let mut manifest = campaign_manifest(&campaign_sweep(&exec));
-    manifest.telemetry = Some(exec.telemetry());
+    let (manifest, _) = metered_manifest(2);
     let dir = std::env::temp_dir().join("wmm-harness-it-manifest");
     let path = manifest.write(&dir).unwrap();
     let back = RunManifest::load(&path).unwrap();
     assert_eq!(back, manifest);
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn manifest_with_counts_and_sites_roundtrips_and_balances() {
+    // A warm cached sweep (hits) followed by a sited profiling batch
+    // (sited cells skip the lookup and simulate): the counts block read
+    // back from the file must balance hits + misses == jobs, and every
+    // miss must be a simulated job.
+    let registry = MetricsRegistry::new();
+    let exec = ParallelExecutor::new(Some(2))
+        .with_cache(SimCache::in_memory())
+        .with_metrics(&registry);
+    let mut manifest = campaign_manifest(&campaign_sweep(&exec));
+    campaign_sweep(&exec);
+    let machine = Machine::new(armv8_xgene1());
+    let strategy = FnStrategy::new("dmb", |_: &Site| vec![Instr::Fence(FenceKind::DmbIsh)]);
+    let env = compute_envelope(&[Site], &[&strategy], 0);
+    let rw = SiteRewriter::new(&strategy, Injection::None, env);
+    let batch = batch_with_profile(&machine, &Contended, &rw, RunConfig::quick(), &exec);
+    manifest.campaign = "counts_and_sites".to_string();
+    manifest.sites = Some(site_records(&batch.profile));
+    manifest.metrics = Some(registry.snapshot());
+
+    let dir = std::env::temp_dir().join("wmm-harness-it-counts");
+    let path = manifest.write(&dir).unwrap();
+    let back = RunManifest::load(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(back, manifest);
+    assert!(!back.sites.as_ref().unwrap().is_empty());
+    let snap = back.metrics.as_ref().unwrap();
+    let count = |name: &str| snap.counter(name).unwrap();
+    let (jobs, hits, misses) = (
+        count("harness.exec.jobs"),
+        count("harness.exec.cache_hits"),
+        count("harness.exec.cache_misses"),
+    );
+    assert!(hits > 0, "the second sweep hits the cache");
+    assert_eq!(hits + misses, jobs);
+    assert_eq!(Some(misses as f64), snap.gauge("sim.jobs_observed"));
+    assert_eq!(exec.telemetry().cache_misses, misses);
 }
 
 // ---------------------------------------------------------------------------
@@ -386,10 +452,7 @@ fn profiled_manifest_text(exec: &dyn Executor) -> String {
     let mut manifest = RunManifest::new("obs_determinism", "armv8-xgene1");
     manifest.push_cell("contended/wall_ns", batch.mean_wall_ns());
     manifest.push_cell("contended/sites", batch.profile.sites.len() as f64);
-    manifest.telemetry = Some(wmm::wmm_harness::Telemetry {
-        sites: Some(site_records(&batch.profile)),
-        ..Default::default()
-    });
+    manifest.sites = Some(site_records(&batch.profile));
     manifest.deterministic_json().to_string_pretty()
 }
 
