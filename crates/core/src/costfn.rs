@@ -58,6 +58,9 @@ impl Calibration {
     /// Fig. 1).
     pub fn measure(machine: &Machine, stack_spill: bool, max_exp: u32) -> Self {
         let mut points = Vec::with_capacity(max_exp as usize + 1);
+        // The ALU-only baseline subtracted from every point: one seed, one
+        // run.
+        let empty = machine.time_sequence_ns(&[Instr::Alu, Instr::Alu], 400, 0xC0FFEE);
         for e in 0..=max_exp {
             let n = 1u64 << e;
             let cf = CostFunction {
@@ -68,7 +71,6 @@ impl Calibration {
             // in a realistic pipeline context rather than back-to-back.
             let body = [Instr::Alu, cf.instr(), Instr::Alu];
             let total = machine.time_sequence_ns(&body, 400, 0xC0FFEE + e as u64);
-            let empty = machine.time_sequence_ns(&[Instr::Alu, Instr::Alu], 400, 0xC0FFEE);
             points.push((n, (total - empty).max(0.01)));
         }
         Calibration {
@@ -159,6 +161,39 @@ mod tests {
             .size(),
             3
         );
+    }
+
+    #[test]
+    fn calibration_points_are_pinned_bit_for_bit() {
+        // Every sweep's `a` axis is read off these tables, so any drift in
+        // how they are measured moves every cell of every figure.
+        #[rustfmt::skip]
+        let cases: [(Machine, bool, [u64; 13]); 3] = [
+            (Machine::new(armv8_xgene1()), false, [
+                0x3fee000000000000, 0x3ff09eb1b61b5ecf, 0x3ff3f7b5c15d7d72, 0x3ffaa2d0bb0195ba,
+                0x4013ff9842ee08bf, 0x402755322d62d972, 0x40390142f608f4e5, 0x4049d5319ea8c5cb,
+                0x405a4013ae883759, 0x406a757fa0e6a773, 0x407a8ff27b546e39, 0x408a9d543ceba000,
+                0x409aa4006be1ac81,
+            ]),
+            (Machine::new(armv8_xgene1()), true, [
+                0x4004d55555555555, 0x4005a4ae306304bd, 0x400751303604140f, 0x400aa6bdb2d62033,
+                0x401aaa42ed98b369, 0x402aaa8782b82ec8, 0x403aabeda0b39f91, 0x404aaa86f3fe1b1f,
+                0x405aaabe5932e203, 0x406aaad4f63bfcc8, 0x407aaa9d25ff18e3, 0x408aaaa99240f556,
+                0x409aaaab168c572c,
+            ]),
+            (Machine::new(power7()), true, [
+                0x3ffb3e45306eb489, 0x3ffc9457e6301404, 0x3fff21ab24a935b0, 0x40022a9996007a23,
+                0x4011bfdaee908a2e, 0x40218470b305baca, 0x403168e788bc41be, 0x40415a3e9e0b7445,
+                0x405153209cf4f4fe, 0x40614fa2c8f7a2a0, 0x40714de18e3d5482, 0x40814cf89fa0d5ac,
+                0x40914c8dc5f256bd,
+            ]),
+        ];
+        for (machine, spill, bits) in cases {
+            let cal = Calibration::measure(&machine, spill, 12);
+            let got: Vec<(u64, u64)> = cal.points.iter().map(|&(n, t)| (n, t.to_bits())).collect();
+            let want: Vec<(u64, u64)> = (0..13).map(|e| (1 << e, bits[e])).collect();
+            assert_eq!(got, want, "{:?}, spill {spill}", machine.spec().arch);
+        }
     }
 
     #[test]

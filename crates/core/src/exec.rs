@@ -20,19 +20,24 @@
 //! executor that preserves order produces bit-identical experiment output
 //! regardless of worker count.
 //!
-//! # Cells, and linking on a miss
+//! # Cells, simulated in place
 //!
 //! The unit of work is a [`SimCell`]. The measurement paths submit cells
-//! whose program is not linked yet — an [`ImageCode`] (an image whose
-//! literal code is digested once and shared by every configuration) plus
-//! one rewriter's [`SiteTable`] ([`CellProgram::Image`]). The cell's
-//! [`SimCell::digest`] equals the digest of the program it would link to,
-//! so a caching executor keys and looks it up without linking; only a
-//! miss is linked, by the worker that then simulates it, and the program
-//! is dropped after the run. A sweep's warm rerun links nothing, and a
-//! cold one holds a linked program per worker rather than per cell. An
-//! already-linked [`SimJob`] is the trivial cell ([`CellProgram::Linked`]),
-//! keyed from its stream: one executor path serves both.
+//! that are never linked into a program: an [`ImageCode`] (an image whose
+//! literal code is indexed and digested once and shared by every
+//! configuration) plus one rewriter's [`SiteTable`]
+//! ([`CellProgram::Image`]). The cell's [`SimCell::digest`] equals the
+//! digest of the program [`SiteRewriter::link`] would return, so a caching
+//! executor keys and looks it up from digests alone, and a miss is
+//! simulated in place: the simulator's run loop walks each thread's parts
+//! — the image's code slices and the table's site lowerings — through
+//! [`ImageCode::parts`], with results bit-identical to running the linked
+//! program. No path through an executor copies an image cell's
+//! instructions. An already-linked [`SimJob`] is the trivial cell
+//! ([`CellProgram::Linked`]), keyed from its stream: one executor path
+//! serves both.
+//!
+//! [`SiteRewriter::link`]: crate::image::SiteRewriter::link
 //!
 //! # Telemetry through the seam
 //!
@@ -47,7 +52,7 @@
 //! the observed (freshly simulated) cells. [`Executor::run_batch_stats`]
 //! and [`Executor::run_batch`] are the same operation over linked jobs.
 
-use wmm_sim::machine::{MachineScratch, Program, WorkloadCtx};
+use wmm_sim::machine::{Code, MachineScratch, Program, WorkloadCtx};
 use wmm_sim::stats::ExecStats;
 use wmm_sim::Machine;
 
@@ -102,9 +107,9 @@ impl SimJob<'_> {
     }
 }
 
-fn simulate(
+fn simulate<C: Code + ?Sized>(
     machine: &Machine,
-    program: &Program,
+    program: &C,
     ctx: &WorkloadCtx,
     seed: u64,
     sited: bool,
@@ -121,21 +126,19 @@ fn simulate(
 pub enum CellProgram<'a> {
     /// An already-linked program; its digest is hashed from the stream.
     Linked(Program),
-    /// An image to link under a rewriter's site table — only when the
-    /// cell is actually simulated. Its digest is composed from the image's
-    /// code digests and the table's site digests.
+    /// An image under a rewriter's site table, simulated in place. Its
+    /// digest is composed from the image's code digests and the table's
+    /// site digests.
     Image(&'a ImageCode<'a>, &'a SiteTable),
 }
 
-/// The unit every [`Executor`] drains: a [`SimJob`] whose program may not
-/// be linked yet.
+/// The unit every [`Executor`] drains: a [`SimJob`] whose program may be
+/// an image under a site table rather than a linked stream.
 ///
-/// A caching executor keys a cell by [`SimCell::digest`], which never
-/// links, and calls [`SimCell::run_stats_with`], which links an
-/// [`CellProgram::Image`] cell on the spot and drops the program after
-/// the run. A cache hit therefore costs no linking at all, and a miss
-/// holds its program only while it simulates. An already-linked job is
-/// the trivial cell ([`SimCell::from`]).
+/// A caching executor keys a cell by [`SimCell::digest`] and simulates a
+/// miss with [`SimCell::run_stats_with`]; neither links an
+/// [`CellProgram::Image`] cell. An already-linked job is the trivial cell
+/// ([`SimCell::from`]).
 pub struct SimCell<'a> {
     /// The machine to simulate on.
     pub machine: &'a Machine,
@@ -171,31 +174,16 @@ impl SimCell<'_> {
         }
     }
 
-    /// Whether running this cell links a program first.
-    pub fn links(&self) -> bool {
-        matches!(self.program, CellProgram::Image(..))
-    }
-
-    /// Run the cell to completion, linking first if it is not linked yet.
-    /// Results are bit-identical to [`SimJob::run_stats`] on the linked
-    /// job.
+    /// Run the cell to completion; an image cell runs in place. Results
+    /// are bit-identical to [`SimJob::run_stats`] on the linked job.
     pub fn run_stats_with(&self, scratch: &mut MachineScratch) -> ExecStats {
-        let linked;
-        let program = match &self.program {
-            CellProgram::Linked(p) => p,
+        let (machine, ctx, seed, sited) = (self.machine, &self.ctx, self.seed, self.sited);
+        match &self.program {
+            CellProgram::Linked(p) => simulate(machine, p, ctx, seed, sited, scratch),
             CellProgram::Image(code, sites) => {
-                linked = code.link(sites);
-                &linked
+                simulate(machine, &code.parts(sites), ctx, seed, sited, scratch)
             }
-        };
-        simulate(
-            self.machine,
-            program,
-            &self.ctx,
-            self.seed,
-            self.sited,
-            scratch,
-        )
+        }
     }
 }
 

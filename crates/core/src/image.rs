@@ -11,19 +11,23 @@
 //! padding with `nop`s to a per-site envelope that is identical across all
 //! variants under comparison.
 //!
-//! Linking goes through two shareable halves: an [`ImageCode`] indexes an
-//! image's sites into a path list once, and a [`SiteTable`] holds one
-//! rewriter's lowering of every path. Together they link a program, or —
-//! without linking — give its [`Digest`], composed from the image's code
-//! digests and the table's site digests. Many configurations of one image
-//! are then many small tables, not many linked programs.
+//! The measurement paths never link. An image is split into two
+//! shareable halves: an [`ImageCode`] indexes its sites into a path list
+//! once, and a [`SiteTable`] holds one rewriter's lowering of every path.
+//! Together they give the linked program's [`Digest`], composed from the
+//! image's code digests and the table's site digests, and its code as
+//! [`Code`] parts ([`ImageParts`]) that the simulator runs in place, with
+//! results bit-identical to running the linked program. Many
+//! configurations of one image are then many small tables, not many
+//! linked programs. [`SiteRewriter::link`] still builds the whole program
+//! for callers that want one.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::OnceLock;
 
 use wmm_sim::isa::{pad_to, seq_size, AccessOrd, Instr};
-use wmm_sim::machine::{Program, WorkloadCtx};
+use wmm_sim::machine::{Code, Program, WorkloadCtx};
 
 use crate::costfn::CostFunction;
 use crate::digest::{instrs_digest, program_head, Digest};
@@ -218,7 +222,7 @@ impl<'a, P: Clone + Eq + Hash> SiteRewriter<'a, P> {
     }
 
     /// Lower every path of `paths` once, with its digest: the table
-    /// [`ImageCode::link`] and [`ImageCode::digest`] index sites into.
+    /// [`ImageCode::parts`] and [`ImageCode::digest`] index sites into.
     pub fn site_table(&self, paths: &[P]) -> SiteTable {
         SiteTable {
             sites: paths
@@ -347,7 +351,7 @@ enum Piece<'i> {
     Site(usize),
 }
 
-/// An image's threads ready to be linked under any number of rewriters.
+/// An image's threads ready to run under any number of rewriters.
 ///
 /// Sites become indices into a path list shared by every image of a batch,
 /// so one [`SiteTable`] per rewriter serves all of them. The digests of
@@ -365,23 +369,29 @@ pub struct ImageCode<'i> {
 
 impl<'i> ImageCode<'i> {
     /// Index `image`'s sites into `paths`, appending paths not yet listed.
+    /// Empty literal code is dropped: it contributes neither instructions
+    /// nor digest, and would only cost the run loop a part boundary.
     pub fn new<P: Clone + PartialEq>(image: &'i Image<P>, paths: &mut Vec<P>) -> Self {
         let threads = image
             .threads
             .iter()
             .map(|segs| {
                 segs.iter()
-                    .map(|seg| match seg {
-                        Segment::Code(is) | Segment::Labeled(_, is) => Piece::Code(is),
+                    .filter_map(|seg| match seg {
+                        Segment::Code(is) | Segment::Labeled(_, is) => {
+                            (!is.is_empty()).then_some(Piece::Code(is))
+                        }
                         // Images have thousands of sites over a handful of
                         // paths: an `Eq` scan beats hashing each site.
-                        Segment::Site(p) => Piece::Site(match paths.iter().position(|q| q == p) {
-                            Some(i) => i,
-                            None => {
-                                paths.push(p.clone());
-                                paths.len() - 1
-                            }
-                        }),
+                        Segment::Site(p) => {
+                            Some(Piece::Site(match paths.iter().position(|q| q == p) {
+                                Some(i) => i,
+                                None => {
+                                    paths.push(p.clone());
+                                    paths.len() - 1
+                                }
+                            }))
+                        }
                     })
                     .collect()
             })
@@ -392,32 +402,28 @@ impl<'i> ImageCode<'i> {
         }
     }
 
+    /// The image's code under `sites`, as the simulator runs it in place:
+    /// each thread's parts are its literal code slices and the table's
+    /// site lowerings, in stream order. Nothing is copied.
+    pub fn parts<'a>(&'a self, sites: &'a SiteTable) -> ImageParts<'a> {
+        ImageParts { code: self, sites }
+    }
+
     /// Link under `sites`: the program [`SiteRewriter::link`] returns.
-    pub fn link(&self, sites: &SiteTable) -> Program {
-        let seq = |piece: &Piece<'i>| -> &[Instr] {
-            match *piece {
-                Piece::Code(is) => is,
-                Piece::Site(i) => &sites.sites[i].0,
-            }
-        };
-        let threads = self
-            .threads
-            .iter()
-            .map(|pieces| {
-                // Size first: one exact allocation per linked thread.
-                let len = pieces.iter().map(|p| seq(p).len()).sum();
-                let mut out = Vec::with_capacity(len);
-                for p in pieces {
-                    out.extend_from_slice(seq(p));
-                }
-                out
+    fn link(&self, sites: &SiteTable) -> Program {
+        let parts = self.parts(sites);
+        let threads = (0..parts.threads())
+            .map(|t| {
+                let thread: Vec<&[Instr]> = (0..).map_while(|k| parts.part(t, k)).collect();
+                thread.concat()
             })
             .collect();
         Program::new(threads)
     }
 
-    /// The digest of the program [`ImageCode::link`] would return under
-    /// `sites`, composed from per-piece digests without linking.
+    /// The digest of the program [`SiteRewriter::link`] would return for
+    /// this image under `sites`, composed from per-piece digests without
+    /// linking.
     pub fn digest(&self, sites: &SiteTable) -> Digest {
         let codes = self.code_digests.get_or_init(|| {
             let code = self.threads.iter().flatten().filter_map(|p| match p {
@@ -443,6 +449,28 @@ impl<'i> ImageCode<'i> {
             d = d.then_word(len as u64).then(thread);
         }
         d
+    }
+}
+
+/// An [`ImageCode`] under one [`SiteTable`], as [`Code`] for the simulator
+/// to run in place (see [`ImageCode::parts`]). Running it is bit-identical
+/// to running the program [`SiteRewriter::link`] returns.
+#[derive(Debug, Clone, Copy)]
+pub struct ImageParts<'a> {
+    code: &'a ImageCode<'a>,
+    sites: &'a SiteTable,
+}
+
+impl Code for ImageParts<'_> {
+    fn threads(&self) -> usize {
+        self.code.threads.len()
+    }
+
+    fn part(&self, thread: usize, part: usize) -> Option<&[Instr]> {
+        Some(match *self.code.threads[thread].get(part)? {
+            Piece::Code(is) => is,
+            Piece::Site(i) => &self.sites.sites[i].0,
+        })
     }
 }
 

@@ -48,7 +48,9 @@ pub mod turnkey;
 
 pub use costfn::{Calibration, CostFunction};
 pub use exec::{CellProgram, Executor, JobOutcome, SerialExecutor, SimCell, SimJob};
-pub use image::{flatten_streams, Image, ImageCode, Segment, SiteMap, SiteRewriter, SiteTable};
+pub use image::{
+    flatten_streams, Image, ImageCode, ImageParts, Segment, SiteMap, SiteRewriter, SiteTable,
+};
 pub use json::{Json, ToJson};
 pub use model::{estimate_cost, predicted_performance, SensitivityFit};
 pub use runner::{measure_relative_with, measure_with, BenchSpec, Measurement, RunConfig};

@@ -126,7 +126,7 @@ pub fn jobs_from_images<'m, P: Clone + Eq + Hash>(
 
 /// Per-sample images (from [`sample_images`]) ready to become simulation
 /// cells under any number of rewriters: each image's code is indexed once,
-/// and its digests computed once, for every configuration linked from it.
+/// and its digests computed once, for every configuration run from it.
 pub struct SampleCode<'i, P> {
     samples: &'i [(u64, Image<P>)],
     paths: Vec<P>,
@@ -153,7 +153,7 @@ impl<'i, P: Clone + Eq + Hash> SampleCode<'i, P> {
         rewriter.site_table(&self.paths)
     }
 
-    /// One unlinked cell per sample under `sites`, in sample order.
+    /// One image cell per sample under `sites`, in sample order.
     pub fn cells<'a>(&'a self, machine: &'a Machine, sites: &'a SiteTable) -> Vec<SimCell<'a>> {
         self.samples
             .iter()

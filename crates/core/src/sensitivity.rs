@@ -94,9 +94,9 @@ pub enum SweepTarget<P> {
 ///
 /// The per-sample images are generated once and shared by every
 /// configuration (they depend only on the benchmark and seed). No program
-/// is linked here: each configuration only lowers its sites, and the
-/// executor links a cell on the worker that simulates it — or not at all
-/// when its result is cached.
+/// is linked, here or in the executor: each configuration only lowers its
+/// sites, and a cell whose result is not cached is simulated in place over
+/// the image's code and those lowerings.
 #[allow(clippy::too_many_arguments)]
 pub fn sweep_with<P: Clone + Eq + Hash>(
     machine: &Machine,

@@ -228,9 +228,6 @@ pub struct Timing {
     pub max_batch_ms: f64,
     /// Jobs in the largest batch submitted (queue-depth proxy).
     pub max_batch_jobs: u64,
-    /// Programs the executor linked before simulating them (cells
-    /// submitted unlinked and not answered from the cache).
-    pub links: u64,
 }
 
 impl Timing {
@@ -243,7 +240,6 @@ impl Timing {
             ("harness.exec.wall_ms", self.wall_ms),
             ("harness.exec.max_batch_ms", self.max_batch_ms),
             ("harness.exec.max_batch_jobs", self.max_batch_jobs as f64),
-            ("harness.exec.links", self.links as f64),
         ] {
             registry.gauge(name, Class::Observational).set(v);
         }
@@ -623,7 +619,6 @@ mod tests {
             wall_ms: 3.25,
             max_batch_ms: 2.125,
             max_batch_jobs: 24,
-            links: 12,
         };
         let snap = counts(&sample_totals(), &timing);
         assert_eq!(snap.gauge("sim.loads"), Some(120.0));

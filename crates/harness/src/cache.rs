@@ -21,8 +21,8 @@
 //! hashes a linked program's stream; [`cell_key`] computes the same value
 //! for a cell that was never linked, from the image's per-segment digests
 //! (computed once per image) and the rewriter's per-path site digests
-//! (computed once per rewriter). A sweep's warm rerun therefore neither
-//! links nor hashes a stream.
+//! (computed once per rewriter). A sweep therefore never hashes a
+//! stream, cold or warm.
 //!
 //! # The disk store
 //!

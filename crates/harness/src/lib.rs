@@ -42,7 +42,7 @@
 //!      `sim.jobs_observed == cache_misses`;
 //!    - `harness.exec.queue_depth`, the `harness.exec.job_latency_ns`
 //!      histogram and the observational timing gauges (`threads`,
-//!      `sim_ms`, `wall_ms`, `max_batch_ms`, `max_batch_jobs`, `links`);
+//!      `sim_ms`, `wall_ms`, `max_batch_ms`, `max_batch_jobs`);
 //!    - per-worker `harness.worker.<i>.jobs` and `.busy_ns` counters;
 //!    - `harness.cache.sim.*` gauges mirroring the cache's [`CacheStats`]:
 //!      `entries`, `puts`, `disk_append_bytes` and `lock_wait_ns`.

@@ -126,7 +126,6 @@ struct BatchCounters {
     wall_ns: AtomicU64,
     max_batch_ns: AtomicU64,
     max_batch_jobs: AtomicU64,
-    links: AtomicU64,
 }
 
 impl BatchCounters {
@@ -310,7 +309,6 @@ impl ParallelExecutor {
             wall_ms: ms(&self.counters.wall_ns),
             max_batch_ms: ms(&self.counters.max_batch_ns),
             max_batch_jobs: self.counters.max_batch_jobs.load(Ordering::Relaxed),
-            links: self.counters.links.load(Ordering::Relaxed),
         }
     }
 
@@ -348,9 +346,8 @@ impl Executor for ParallelExecutor {
         let n = cells.len();
         let mut outcomes: Vec<Option<JobOutcome>> = (0..n).map(|_| None).collect();
 
-        // Resolve cache hits up front. Keys never link: an image cell's
-        // key is composed from digests, a linked cell's hashed from its
-        // stream. They are computed on the worker pool (in submission
+        // Resolve cache hits up front. An image cell's key is composed
+        // from digests, a linked cell's hashed from its stream. They are computed on the worker pool (in submission
         // order) and the hits then resolve on the calling thread.
         let mut misses: Vec<usize> = Vec::with_capacity(n);
         let keys: Option<Vec<u128>> = self.cache.as_ref().map(|cache| {
@@ -375,9 +372,9 @@ impl Executor for ParallelExecutor {
             misses = (0..n).collect();
         }
 
-        // Fan the misses out across workers — each links its cell, if
-        // unlinked, right before simulating it — observing progress and
-        // (optionally) recording one trace slice per simulated cell.
+        // Fan the misses out across workers — an image cell is simulated
+        // in place — observing progress and (optionally) recording one
+        // trace slice per simulated cell.
         let done = AtomicUsize::new(0);
         let sim_ns = AtomicU64::new(0);
         let total = misses.len();
@@ -385,9 +382,6 @@ impl Executor for ParallelExecutor {
             let ts_us = self.epoch.elapsed().as_secs_f64() * 1e6;
             let t0 = Instant::now();
             let cell = &cells[slot];
-            if cell.links() {
-                self.counters.links.fetch_add(1, Ordering::Relaxed);
-            }
             let stats = SIM_SCRATCH.with(|s| cell.run_stats_with(&mut s.borrow_mut()));
             let dur = t0.elapsed();
             sim_ns.fetch_add(dur.as_nanos() as u64, Ordering::Relaxed);

@@ -118,17 +118,19 @@ pub fn lower(threads: &[Vec<JavaOp>], cfg: &JitConfig) -> Vec<Vec<Segment<Combin
 // One arm per JavaOp; splitting the match would obscure the lowering table.
 #[allow(clippy::too_many_lines)]
 fn lower_thread(ops: &[JavaOp], cfg: JitConfig) -> Vec<Segment<Combined>> {
+    // Pending literal code moves into a segment of exactly its size, and
+    // the buffer keeps its capacity for the next run of code: images are
+    // held for a whole sweep, so slack capacity would be held with them.
+    fn flush(code: &mut Vec<Instr>, segs: &mut Vec<Segment<Combined>>) {
+        if !code.is_empty() {
+            segs.push(Segment::Code(code.to_vec()));
+            code.clear();
+        }
+    }
     let mut segs: Vec<Segment<Combined>> = Vec::new();
     let mut code: Vec<Instr> = Vec::new();
-    let flush = |code: &mut Vec<Instr>, segs: &mut Vec<Segment<Combined>>| {
-        if !code.is_empty() {
-            segs.push(Segment::Code(std::mem::take(code)));
-        }
-    };
     let site = |segs: &mut Vec<Segment<Combined>>, code: &mut Vec<Instr>, c: Combined| {
-        if !code.is_empty() {
-            segs.push(Segment::Code(std::mem::take(code)));
-        }
+        flush(code, segs);
         segs.push(Segment::Site(c));
     };
     // Volatile accesses are tagged with a label in *every* volatile mode, so
@@ -138,9 +140,7 @@ fn lower_thread(ops: &[JavaOp], cfg: JitConfig) -> Vec<Segment<Combined>> {
                    code: &mut Vec<Instr>,
                    label: &'static str,
                    i: Instr| {
-        if !code.is_empty() {
-            segs.push(Segment::Code(std::mem::take(code)));
-        }
+        flush(code, segs);
         segs.push(Segment::Labeled(label, vec![i]));
     };
 
@@ -309,6 +309,7 @@ fn lower_thread(ops: &[JavaOp], cfg: JitConfig) -> Vec<Segment<Combined>> {
         }
     }
     flush(&mut code, &mut segs);
+    segs.shrink_to_fit();
     segs
 }
 

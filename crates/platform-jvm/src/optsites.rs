@@ -124,6 +124,7 @@ pub fn lower_with_optsites(threads: &[Vec<JavaOp>], cfg: &JitConfig) -> Vec<Vec<
                     });
                 }
             }
+            out.shrink_to_fit();
             out
         })
         .collect()

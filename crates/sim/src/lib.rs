@@ -60,7 +60,7 @@ pub mod stats;
 
 pub use arch::{Arch, ArchSpec};
 pub use isa::{AccessOrd, FenceKind, Instr, Loc};
-pub use machine::{Machine, MachineScratch, Program, WorkloadCtx};
+pub use machine::{Code, Machine, MachineScratch, Program, WorkloadCtx};
 pub use probe::{NullProbe, Probe, SiteStallProbe};
 pub use rng::SplitMix64;
 pub use stats::{ExecStats, SiteStall};

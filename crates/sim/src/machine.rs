@@ -44,6 +44,61 @@ impl Program {
     }
 }
 
+/// A program as the run loop reads it: per thread, an ordered list of
+/// instruction *parts* whose concatenation is the thread's stream.
+///
+/// The run loop steps each thread through a cursor over its parts, so a
+/// caller can hand it code assembled from shared pieces — an image's
+/// literal code slices and one rewriter's site lowerings — without first
+/// copying them into one stream per thread. Parts may be empty. Probes and
+/// statistics see the linear instruction index into the concatenated
+/// stream, so a run over any split of a program is bit-identical to the
+/// run over the program itself. A [`Program`] is one part per thread.
+pub trait Code {
+    /// The number of threads.
+    fn threads(&self) -> usize;
+
+    /// Part `part` of `thread`'s stream, or `None` past its last part.
+    fn part(&self, thread: usize, part: usize) -> Option<&[Instr]>;
+}
+
+impl Code for Program {
+    fn threads(&self) -> usize {
+        self.threads.len()
+    }
+
+    fn part(&self, thread: usize, part: usize) -> Option<&[Instr]> {
+        (part == 0).then(|| self.threads[thread].as_slice())
+    }
+}
+
+/// Where a core is in its thread's parts: the part being executed, its
+/// index, and the linear instruction index of its first instruction.
+struct Cursor<'c> {
+    instrs: &'c [Instr],
+    part: usize,
+    base: usize,
+}
+
+impl<'c> Cursor<'c> {
+    /// The first non-empty part at or after `part`, starting at linear
+    /// index `base`; `None` once the thread's parts are exhausted.
+    fn seek<C: Code + ?Sized>(
+        code: &'c C,
+        thread: usize,
+        mut part: usize,
+        base: usize,
+    ) -> Option<Self> {
+        loop {
+            let instrs = code.part(thread, part)?;
+            if !instrs.is_empty() {
+                return Some(Cursor { instrs, part, base });
+            }
+            part += 1;
+        }
+    }
+}
+
 /// Workload-level execution context: locality and pipeline-pressure
 /// characteristics that belong to the *application*, not the machine.
 ///
@@ -159,15 +214,15 @@ impl Machine {
     /// identical results. Different seeds vary the stochastic components
     /// (cache misses on private data, branch mispredicts, run-level noise) —
     /// one seed corresponds to one of the paper's benchmark samples.
-    pub fn run(&self, program: &Program, ctx: &WorkloadCtx, seed: u64) -> ExecStats {
+    pub fn run<C: Code + ?Sized>(&self, program: &C, ctx: &WorkloadCtx, seed: u64) -> ExecStats {
         self.run_probed(program, ctx, seed, &mut NullProbe)
     }
 
     /// [`Machine::run`] reusing a [`MachineScratch`] arena instead of
     /// allocating fresh per-run state — the executor hot path.
-    pub fn run_with(
+    pub fn run_with<C: Code + ?Sized>(
         &self,
-        program: &Program,
+        program: &C,
         ctx: &WorkloadCtx,
         seed: u64,
         scratch: &mut MachineScratch,
@@ -181,14 +236,19 @@ impl Machine {
     /// `per_site: Some(..)`. Every other field — wall time, core cycles,
     /// counters, store-buffer stalls — is bit-identical to [`Machine::run`]
     /// on the same inputs: the probe observes, it never perturbs.
-    pub fn run_sited(&self, program: &Program, ctx: &WorkloadCtx, seed: u64) -> ExecStats {
+    pub fn run_sited<C: Code + ?Sized>(
+        &self,
+        program: &C,
+        ctx: &WorkloadCtx,
+        seed: u64,
+    ) -> ExecStats {
         self.run_sited_with(program, ctx, seed, &mut MachineScratch::new())
     }
 
     /// [`Machine::run_sited`] reusing a [`MachineScratch`] arena.
-    pub fn run_sited_with(
+    pub fn run_sited_with<C: Code + ?Sized>(
         &self,
-        program: &Program,
+        program: &C,
         ctx: &WorkloadCtx,
         seed: u64,
         scratch: &mut MachineScratch,
@@ -202,9 +262,9 @@ impl Machine {
     /// [`Machine::run`] driving execution events through `probe` (the
     /// observability seam; see [`crate::probe`]). Results are bit-identical
     /// regardless of the probe attached.
-    pub fn run_probed(
+    pub fn run_probed<C: Code + ?Sized>(
         &self,
-        program: &Program,
+        program: &C,
         ctx: &WorkloadCtx,
         seed: u64,
         probe: &mut dyn Probe,
@@ -214,9 +274,9 @@ impl Machine {
 
     /// The run loop: [`Machine::run_probed`] with every per-run allocation
     /// drawn from (and returned to) `scratch`.
-    pub fn run_probed_with(
+    pub fn run_probed_with<C: Code + ?Sized>(
         &self,
-        program: &Program,
+        program: &C,
         ctx: &WorkloadCtx,
         seed: u64,
         probe: &mut dyn Probe,
@@ -234,18 +294,20 @@ impl Machine {
     /// coherence interactions happen in global time order, and a stepped
     /// core whose clock is still minimal keeps running without touching the
     /// other cores at all.
-    fn run_loop<P: Probe + ?Sized>(
+    fn run_loop<C: Code + ?Sized, P: Probe + ?Sized>(
         &self,
-        program: &Program,
+        program: &C,
         ctx: &WorkloadCtx,
         seed: u64,
         probe: &mut P,
         scratch: &mut MachineScratch,
     ) -> ExecStats {
+        let n = program.threads();
+        // The same refusal `Program::new` makes, for code of any shape.
+        assert!(n > 0, "program needs at least one thread");
         assert!(
-            program.threads.len() <= self.spec.cores * self.spec.smt as usize,
-            "program has {} threads but machine exposes {} hardware contexts",
-            program.threads.len(),
+            n <= self.spec.cores * self.spec.smt as usize,
+            "program has {n} threads but machine exposes {} hardware contexts",
             self.spec.cores * self.spec.smt as usize
         );
         // Reject hostile contexts before any simulation: a NaN or negative
@@ -267,7 +329,6 @@ impl Machine {
             1.0
         };
 
-        let n = program.threads.len();
         let MachineScratch {
             cores,
             rngs,
@@ -294,29 +355,39 @@ impl Machine {
 
         // Interleave: always step the core with the smallest local clock so
         // cross-core coherence interactions happen in global time order.
+        // A thread with no instructions never enters the heap.
+        let mut cursors: Vec<Option<Cursor<'_>>> =
+            (0..n).map(|t| Cursor::seek(program, t, 0, 0)).collect();
         heap.clear();
         for (i, core) in cores.iter().enumerate() {
-            if !program.threads[i].is_empty() {
+            if cursors[i].is_some() {
                 heap.push(core.clock, i);
             }
         }
         while let Some(idx) = heap.peek() {
             let core = &mut cores[idx];
-            let thread = &program.threads[idx];
+            let cursor = cursors[idx].as_mut().expect("a queued core has code left");
             let rng = &mut rngs[idx];
             // Step this core while it remains the globally-minimal one; the
             // common case (one straggler core, or a core far behind the
-            // pack) never re-consults the other cores.
+            // pack) never re-consults the other cores. Within a part the
+            // walk is a flat slice walk; only a part boundary moves the
+            // cursor.
             loop {
-                let instr = &thread[core.pc];
+                let instr = &cursor.instrs[core.pc - cursor.base];
                 probe.begin(idx, core.pc, instr);
                 let before = core.clock;
                 core.step_probed(instr, &self.spec, ctx, mem, rng, &mut counters, probe);
                 probe.retire(idx, core.pc, core.clock - before, core.clock);
                 core.pc += 1;
-                if core.pc >= thread.len() {
-                    heap.pop_root();
-                    break;
+                if core.pc - cursor.base == cursor.instrs.len() {
+                    match Cursor::seek(program, idx, cursor.part + 1, core.pc) {
+                        Some(next) => *cursor = next,
+                        None => {
+                            heap.pop_root();
+                            break;
+                        }
+                    }
                 }
                 heap.update_root(core.clock);
                 if heap.peek() != Some(idx) {

@@ -4,10 +4,14 @@
 //! from the pre-heap scheduler on pinned litmus shapes; any tie-break or
 //! ordering drift in the scheduler rewrite shows up as a trace mismatch
 //! long before it would surface as a baseline diff.
+//!
+//! Every pin is also replayed with each program split into multi-part
+//! [`Code`] at arbitrary boundaries, empty parts included: the run loop's
+//! part cursor must neither reorder instructions nor shift their indices.
 
 use wmm_sim::arch::{armv8_xgene1, power7};
 use wmm_sim::isa::{AccessOrd, FenceKind, Instr, Loc};
-use wmm_sim::{Machine, Probe, Program, WorkloadCtx};
+use wmm_sim::{Code, Machine, Probe, Program, SplitMix64, WorkloadCtx};
 
 /// Records the global begin-order of every instruction as `(thread, index)`.
 struct TraceProbe {
@@ -34,15 +38,69 @@ fn load(line: u64) -> Instr {
     }
 }
 
-fn trace_of(machine: &Machine, program: &Program, seed: u64) -> Vec<(usize, usize)> {
+/// A program cut into parts: per thread, the parts' slices in order.
+struct Split<'p> {
+    threads: Vec<Vec<&'p [Instr]>>,
+}
+
+impl<'p> Split<'p> {
+    /// Cut every thread of `program` at random boundaries drawn from
+    /// `seed`; repeated and end-point cuts give empty parts.
+    fn new(program: &'p Program, seed: u64) -> Self {
+        let mut rng = SplitMix64::new(seed);
+        let threads = program
+            .threads
+            .iter()
+            .map(|stream| {
+                let len = stream.len() as u64;
+                let mut cuts: Vec<usize> = (0..rng.next_below(len + 3))
+                    .map(|_| rng.next_below(len + 1) as usize)
+                    .collect();
+                cuts.sort_unstable();
+                let mut parts = vec![];
+                let mut from = 0;
+                for cut in cuts {
+                    parts.push(&stream[from..cut]);
+                    from = cut;
+                }
+                parts.push(&stream[from..]);
+                parts
+            })
+            .collect();
+        Split { threads }
+    }
+}
+
+impl Code for Split<'_> {
+    fn threads(&self) -> usize {
+        self.threads.len()
+    }
+
+    fn part(&self, thread: usize, part: usize) -> Option<&[Instr]> {
+        self.threads[thread].get(part).copied()
+    }
+}
+
+fn probed_trace<C: Code + ?Sized>(machine: &Machine, code: &C, seed: u64) -> Vec<(usize, usize)> {
     let mut probe = TraceProbe { events: vec![] };
-    machine.run_probed(program, &WorkloadCtx::default(), seed, &mut probe);
-    assert_eq!(
-        probe.events.len(),
-        program.len(),
-        "every instruction begins"
-    );
+    machine.run_probed(code, &WorkloadCtx::default(), seed, &mut probe);
     probe.events
+}
+
+/// The program's trace, checked to be the same for 32 random splits.
+fn trace_of(machine: &Machine, program: &Program, seed: u64) -> Vec<(usize, usize)> {
+    let events = probed_trace(machine, program, seed);
+    assert_eq!(events.len(), program.len(), "every instruction begins");
+    for split in 0..32 {
+        let parts = Split::new(program, split);
+        assert_eq!(
+            probed_trace(machine, &parts, seed),
+            events,
+            "split {split}: {:?}",
+            parts.threads.iter().map(|t| t.len()).collect::<Vec<_>>()
+        );
+    }
+    events
 }
 
 fn sb_program(fence: FenceKind) -> Program {

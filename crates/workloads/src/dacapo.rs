@@ -446,6 +446,31 @@ pub fn profile(name: &str) -> Option<JvmProfile> {
 mod tests {
     use super::*;
     use wmm_jvm::barrier::Elemental;
+    use wmmbench::image::Segment;
+
+    /// Every literal code segment and every thread's segment list holds
+    /// exactly its content: sweeps keep their sample images for the whole
+    /// sweep.
+    fn assert_exact_size<P>(image: &Image<P>) {
+        for segs in &image.threads {
+            assert_eq!(segs.capacity(), segs.len(), "{}", image.ctx.name);
+            for seg in segs {
+                if let Segment::Code(code) = seg {
+                    assert_eq!(code.capacity(), code.len(), "{}", image.ctx.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dacapo_and_optsite_images_are_exact_size() {
+        for arch in [Arch::ArmV8, Arch::Power7] {
+            for bench in dacapo_suite(JitConfig::jdk8(arch), 0.2) {
+                assert_exact_size(&bench.image(3));
+                assert_exact_size(&OptAnnotatedBench(bench).image(3));
+            }
+        }
+    }
 
     #[test]
     fn suite_has_the_eight_fig5_benchmarks() {

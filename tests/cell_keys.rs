@@ -1,13 +1,17 @@
-//! Cell keys composed from digests equal the keys hashed from linked
-//! programs.
+//! Cells keyed from digests and simulated in place agree with the linked
+//! programs, bit for bit.
 //!
 //! A cache hit must not depend on whether a cell arrived linked or as an
 //! image plus a rewriter's site table: `cell_key` of an image cell has to
-//! equal `job_key` of the job `SiteRewriter::link` produces. The property
-//! test checks this on arbitrary images and checks that rewriting an image
-//! without changing its linked stream leaves the key alone; the
-//! exhaustive tests cover every image and configuration of the quick
-//! Fig. 5, Fig. 6 and Fig. 9 sweeps.
+//! equal `job_key` of the job `SiteRewriter::link` produces. And a miss
+//! must not depend on it either: the image cell, simulated in place over
+//! its parts, must produce exactly the `ExecStats` of the linked job —
+//! wall time, per-core cycles, counters, store-buffer stalls and, for a
+//! sited run, every per-site record. The property tests check both on
+//! arbitrary images, including empty code, zero-length site lowerings and
+//! empty threads, and check that rewriting an image without changing its
+//! linked stream leaves the key alone; the exhaustive tests cover every
+//! image and configuration of the quick Fig. 5, Fig. 6 and Fig. 9 sweeps.
 
 use std::hash::Hash;
 
@@ -21,37 +25,68 @@ use wmm::wmm_jvm::jit::JitConfig;
 use wmm::wmm_kernel::macros::{default_arm_strategy, KMacro};
 use wmm::wmm_sim::arch::{armv8_xgene1, Arch};
 use wmm::wmm_sim::isa::{AccessOrd, FenceKind, Instr, Loc, Mispredict};
-use wmm::wmm_sim::machine::WorkloadCtx;
+use wmm::wmm_sim::machine::{MachineScratch, WorkloadCtx};
+use wmm::wmm_sim::stats::ExecStats;
 use wmm::wmm_sim::Machine;
 use wmm::wmm_workloads::dacapo::{dacapo_suite, profile, DacapoBench};
 use wmm::wmm_workloads::kernel::{kernel_profile, KernelBench};
 use wmm::wmmbench::costfn::{Calibration, CostFunction};
-use wmm::wmmbench::exec::CellProgram;
+use wmm::wmmbench::exec::{CellProgram, SimCell, SimJob};
 use wmm::wmmbench::image::{compute_envelope, Image, Injection, Segment, SiteRewriter};
 use wmm::wmmbench::runner::{jobs_from_images, sample_images, SampleCode};
 use wmm::wmmbench::sensitivity::pow2_targets;
 use wmm::wmmbench::strategy::{FencingStrategy, FnStrategy};
 
-/// Assert, for every sample and rewriter, that the unlinked cell's key and
-/// link equal the linked job's; returns the number of cells checked.
+/// Every field of a run's statistics, floats by bit pattern.
+fn stats_bits(s: &ExecStats) -> impl PartialEq + std::fmt::Debug + '_ {
+    (
+        s.wall_ns.to_bits(),
+        s.core_cycles
+            .iter()
+            .map(|c| c.to_bits())
+            .collect::<Vec<_>>(),
+        &s.counters,
+        s.sb_stall_cycles.to_bits(),
+        s.sb_stalls,
+        &s.per_site,
+    )
+}
+
+/// Simulate `cell` in place and its linked `job` on the same scratch,
+/// unsited and sited, and assert the statistics are identical.
+fn assert_runs_match(cell: &mut SimCell<'_>, job: &mut SimJob<'_>, scratch: &mut MachineScratch) {
+    assert!(matches!(cell.program, CellProgram::Image(..)));
+    for sited in [false, true] {
+        (cell.sited, job.sited) = (sited, sited);
+        let in_place = cell.run_stats_with(scratch);
+        let linked = job.run_stats();
+        assert_eq!(in_place.per_site.is_some(), sited);
+        assert_eq!(
+            stats_bits(&in_place),
+            stats_bits(&linked),
+            "seed {}, sited {sited}",
+            job.seed
+        );
+    }
+}
+
+/// Assert, for every sample and rewriter, that the image cell's key and
+/// in-place runs equal the linked job's; returns the number of cells
+/// checked.
 fn assert_cells_match_jobs<P: Clone + Eq + Hash>(
     machine: &Machine,
     images: &[(u64, Image<P>)],
     rewriters: &[SiteRewriter<'_, P>],
 ) -> usize {
     let code = SampleCode::new(images);
+    let mut scratch = MachineScratch::new();
     let mut checked = 0;
     for rw in rewriters {
         let sites = code.site_table(rw);
-        let (jobs, _) = jobs_from_images(machine, images, rw);
-        for (cell, job) in code.cells(machine, &sites).iter().zip(&jobs) {
-            assert_eq!(cell_key(cell), job_key(job), "seed {}", job.seed);
-            match &cell.program {
-                CellProgram::Image(code, sites) => {
-                    assert_eq!(code.link(sites).threads, job.program.threads)
-                }
-                CellProgram::Linked(_) => panic!("sample cells are unlinked"),
-            }
+        let (mut jobs, _) = jobs_from_images(machine, images, rw);
+        for (mut cell, job) in code.cells(machine, &sites).into_iter().zip(&mut jobs) {
+            assert_eq!(cell_key(&cell), job_key(job), "seed {}", job.seed);
+            assert_runs_match(&mut cell, job, &mut scratch);
             checked += 1;
         }
     }
@@ -243,8 +278,55 @@ fn cell_key_of(machine: &Machine, image: &Image<Path>, rw: &SiteRewriter<'_, Pat
     key
 }
 
+#[test]
+#[should_panic(expected = "program needs at least one thread")]
+fn zero_thread_image_cell_is_refused_like_program_new() {
+    let machine = Machine::new(armv8_xgene1());
+    let strategy = FnStrategy::new("mixed", lower);
+    let rw = SiteRewriter::new(
+        &strategy,
+        Injection::None,
+        compute_envelope(&PATHS, &[&strategy], 0),
+    );
+    let samples = [(11, build_image(vec![]))];
+    let code = SampleCode::new(&samples);
+    let sites = code.site_table(&rw);
+    code.cells(&machine, &sites)[0].run_stats_with(&mut MachineScratch::new());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// An image cell simulated in place over its parts — empty code
+    /// segments, zero-length site lowerings (no envelope room, no
+    /// injection) and empty threads included — produces exactly the
+    /// statistics of its linked job, sited or not.
+    #[test]
+    fn in_place_runs_equal_linked_runs(
+        threads in prop::collection::vec(prop::collection::vec(arb_segment(), 0..8), 1..4),
+        injection in 0u8..4,
+        iters in 0u64..1 << 12,
+        seed in 0u64..u64::MAX,
+    ) {
+        let machine = Machine::new(armv8_xgene1());
+        let strategy = FnStrategy::new("mixed", lower);
+        let cf = CostFunction { iters, stack_spill: iters % 2 == 1 };
+        // Without an injection the envelope leaves no room beyond the
+        // lowering, so `Path::Empty` sites lower to nothing.
+        let (injection, room) = match injection {
+            0 => (Injection::None, 0),
+            1 => (Injection::All(cf), cf.size()),
+            2 => (Injection::At(Path::Branchy, cf), cf.size()),
+            _ => (Injection::Set(vec![Path::Fence, Path::Empty], cf), cf.size()),
+        };
+        let rw = SiteRewriter::new(&strategy, injection, compute_envelope(&PATHS, &[&strategy], room));
+        let samples = [(seed, build_image(threads))];
+        let code = SampleCode::new(&samples);
+        let sites = code.site_table(&rw);
+        let (mut jobs, _) = jobs_from_images(&machine, &samples, &rw);
+        let mut cell = code.cells(&machine, &sites).remove(0);
+        assert_runs_match(&mut cell, &mut jobs[0], &mut MachineScratch::new());
+    }
 
     /// Splitting a code segment, relabelling it, or inlining a site's
     /// lowering as literal code leaves the composed key unchanged, and the
