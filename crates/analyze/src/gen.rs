@@ -601,13 +601,18 @@ pub fn generate_all() -> Vec<LitmusTest> {
 /// count and store count (every store carries a per-thread propagation
 /// mask under non-multi-copy-atomic models). Measured on one core of a
 /// 2-CPU Linux host: within `threads * stores <= 12` the worst test takes
-/// 2.7 s across all four models (10^6 POWER states) and the whole slice
-/// under a minute. Past the bound, sampled 15- and 16-products take up to
-/// 1.4 s (up to 9×10^5 states), but one 20-product visits 10^7 POWER
-/// states in 24 s and another outgrew a 3 GB memory limit. The axiomatic
-/// oracle handles the full corpus either way; this filter only bounds what
-/// the differential harness feeds to both oracles. The cut retains ≥ 1,000
-/// tests (asserted in this module's tests and re-checked by `axiom_diff`).
+/// 0.06 s across all four models (2.7×10^4 POWER states) and the whole
+/// slice 3.9 s (6.8×10^6 states).
+///
+/// The cut is no longer the explorer's limit: the 1,052 tests at products
+/// 15 and 16 add 3 min on one core (the worst 0.6 s, 2.5×10^5 POWER
+/// states). It stays at 12 because the WPS bundles (the head of this
+/// slice, packed by `wmm-bench`'s `make_bundles`) and `axiom_diff`'s
+/// quick 1-in-8 stride both draw from it, so moving the cut would change
+/// the pinned WPS checksum and the quick `axiom_diff` baseline. The axiomatic oracle handles the full
+/// corpus either way; this filter only bounds what the differential
+/// harness feeds to both oracles. The cut retains ≥ 1,000 tests (asserted
+/// in this module's tests and re-checked by `axiom_diff`).
 #[must_use]
 pub fn differential_corpus() -> Vec<LitmusTest> {
     generate_all()

@@ -25,9 +25,13 @@
 //!    submission order and every cell is an exact count.
 //!
 //! Disagreement policy: any finals-set mismatch, any lint finding, or a
-//! differential corpus below 1,000 tests (full mode) fails the campaign;
-//! the gate then guards the quick manifest against drift. `--quick` runs the full hand suite plus a
-//! pinned 1-in-8 stride of the generated corpus.
+//! differential corpus below 1,000 tests (full mode) fails the campaign.
+//! A mismatch's error names the first final state only the axiomatic side
+//! reaches and the first only the operational side reaches. The gate then
+//! guards the quick manifest against drift. `--quick` runs the full hand
+//! suite plus a pinned 1-in-8 stride of the generated corpus.
+
+use std::collections::BTreeSet;
 
 use wmm_analyze::gen::differential_corpus;
 use wmm_axiom::{axiomatic_outcomes, Axiom};
@@ -54,6 +58,55 @@ struct DiffRow {
     mismatches: Vec<String>,
 }
 
+/// Final `(registers, memory)` states, in canonical order.
+type Finals = BTreeSet<(Vec<Vec<u32>>, Vec<u32>)>;
+
+/// A final state in litmus notation: `thread:rN=value` for every register,
+/// then `[var]=value` for every variable, e.g. `0:r0=1 1:r0=0 [0]=1 [1]=1`.
+fn show_final((regs, mem): &(Vec<Vec<u32>>, Vec<u32>)) -> String {
+    let regs = regs.iter().enumerate().flat_map(|(t, file)| {
+        file.iter()
+            .enumerate()
+            .map(move |(r, v)| format!("{t}:r{r}={v}"))
+    });
+    let mem = mem
+        .iter()
+        .enumerate()
+        .map(|(var, v)| format!("[{var}]={v}"));
+    let parts: Vec<String> = regs.chain(mem).collect();
+    if parts.is_empty() {
+        "(no registers or memory)".to_string()
+    } else {
+        parts.join(" ")
+    }
+}
+
+/// The mismatch report for one test under one model, or `None` when the
+/// oracles reach the same final states. It counts each side's extra finals
+/// and names the first (in canonical order) that only the axiomatic side
+/// reaches and the first that only the operational side reaches.
+fn disagreement(context: &str, ax: &Finals, op: &Finals) -> Option<String> {
+    if ax == op {
+        return None;
+    }
+    let first = |only: &Finals, other: &Finals| {
+        only.difference(other)
+            .next()
+            .map_or_else(|| "none".to_string(), show_final)
+    };
+    Some(format!(
+        "{context}: axiomatic {} finals vs operational {} \
+         ({} axiomatic-only, {} operational-only); \
+         first axiomatic-only: {}; first operational-only: {}",
+        ax.len(),
+        op.len(),
+        ax.difference(op).count(),
+        op.difference(ax).count(),
+        first(ax, op),
+        first(op, ax),
+    ))
+}
+
 fn diff_one(test: &LitmusTest) -> DiffRow {
     let mut ax_mask = 0u32;
     let mut rejected_by = [0usize; 4];
@@ -67,19 +120,8 @@ fn diff_one(test: &LitmusTest) -> DiffRow {
         for (slot, n) in rejected_by.iter_mut().zip(ax.rejected_by) {
             *slot += n;
         }
-        let op_finals = op.canonical();
-        if ax.finals != op_finals {
-            let only_ax = ax.finals.difference(&op_finals).count();
-            let only_op = op_finals.difference(&ax.finals).count();
-            mismatches.push(format!(
-                "{} under {}: axiomatic {} finals vs operational {} \
-                 ({only_ax} axiomatic-only, {only_op} operational-only)",
-                test.name,
-                model.label(),
-                ax.finals.len(),
-                op_finals.len(),
-            ));
-        }
+        let context = format!("{} under {}", test.name, model.label());
+        mismatches.extend(disagreement(&context, &ax.finals, &op.canonical()));
     }
     DiffRow {
         name: test.name.clone(),
@@ -206,4 +248,51 @@ pub fn axiom_diff(ctx: &Ctx) -> Result<RunManifest, String> {
     check(ctx.name, &errors)?;
     println!("the oracles agree exactly");
     Ok(manifest)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn finals(states: &[(&[&[u32]], &[u32])]) -> Finals {
+        states
+            .iter()
+            .map(|&(regs, mem)| (regs.iter().map(|r| r.to_vec()).collect(), mem.to_vec()))
+            .collect()
+    }
+
+    #[test]
+    fn equal_finals_report_nothing() {
+        let a = finals(&[(&[&[0], &[1]], &[1, 1]), (&[&[1], &[1]], &[1, 1])]);
+        assert_eq!(disagreement("SB under SC", &a, &a.clone()), None);
+    }
+
+    #[test]
+    fn disagreement_names_the_first_final_only_each_side_reaches() {
+        let shared: (&[&[u32]], &[u32]) = (&[&[1], &[1]], &[1, 1]);
+        let ax = finals(&[shared, (&[&[0], &[0]], &[1, 1]), (&[&[1], &[0]], &[1, 1])]);
+        let op = finals(&[shared, (&[&[0, 2], &[]], &[2])]);
+        assert_eq!(
+            disagreement("SB under POWER", &ax, &op).as_deref(),
+            Some(
+                "SB under POWER: axiomatic 3 finals vs operational 2 \
+                 (2 axiomatic-only, 1 operational-only); \
+                 first axiomatic-only: 0:r0=0 1:r0=0 [0]=1 [1]=1; \
+                 first operational-only: 0:r0=0 0:r1=2 [0]=2"
+            )
+        );
+    }
+
+    #[test]
+    fn a_one_sided_disagreement_says_none_for_the_other_side() {
+        let op = finals(&[(&[&[1]], &[1])]);
+        let ax = finals(&[(&[&[1]], &[1]), (&[], &[])]);
+        let report = disagreement("t under TSO", &ax, &op).expect("sets differ");
+        assert!(
+            report.ends_with(
+                "first axiomatic-only: (no registers or memory); first operational-only: none"
+            ),
+            "{report}"
+        );
+    }
 }

@@ -17,7 +17,9 @@
 //!   `lwsync`/`sync` cumulativity enforced through per-store prerequisite
 //!   sets; on SC/TSO/ARMv8 propagation is instantaneous (multi-copy atomic);
 //! * exhaustive **DFS with memoisation** over all scheduling and propagation
-//!   choices, collecting the set of reachable final register states.
+//!   choices, collecting the set of reachable final register states. States
+//!   are canonical (see [`explore`](mod@explore)): commits to different
+//!   variables commute, and weak fence markers never interleave.
 //!
 //! Classic litmus tests (SB, MP, LB, WRC, IRIW, `CoRR`, S, R, 2+2W and fenced
 //! variants) with per-model allow/forbid expectations live in [`suite`].

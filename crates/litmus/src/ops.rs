@@ -144,6 +144,12 @@ impl LOp {
         !matches!(self, LOp::Fence(_))
     }
 
+    /// Is this a weak fence marker (any fence class but `Full`)?
+    #[must_use]
+    pub fn is_weak_marker(&self) -> bool {
+        matches!(self, LOp::Fence(class) if *class != FClass::Full)
+    }
+
     /// Is this a store?
     #[must_use]
     pub fn is_store(&self) -> bool {
@@ -230,14 +236,16 @@ impl LitmusTest {
         let a = &self.threads[t][i];
         let b = &self.threads[t][j];
 
-        // Full fences execute in program order against everything.
+        // Weak fence markers do not themselves execute; they order access
+        // pairs via the marker scan below. Nothing is ordered against a
+        // marker itself.
+        if a.is_weak_marker() || b.is_weak_marker() {
+            return false;
+        }
+        // Full fences execute in program order against every access and
+        // every other full fence.
         if matches!(a, LOp::Fence(FClass::Full)) || matches!(b, LOp::Fence(FClass::Full)) {
             return true;
-        }
-        // Weak fence markers do not themselves execute; they order access
-        // pairs via `fence_between` below. Two markers never block.
-        if !a.is_access() || !b.is_access() {
-            return false;
         }
 
         match model {
@@ -389,6 +397,26 @@ mod tests {
             memory: vec![],
         };
         assert!(!t2.ordered(ModelKind::ArmV8, 0, 0, 2));
+    }
+
+    #[test]
+    fn nothing_is_ordered_against_a_weak_marker() {
+        let full = LOp::Fence(FClass::Full);
+        for class in [FClass::LwSync, FClass::StSt, FClass::LdLdSt] {
+            let t = LitmusTest {
+                name: "marker".into(),
+                threads: vec![vec![full, st(0, 1), LOp::Fence(class), ld(1, 0), full]],
+                interesting: vec![],
+                store_deps: vec![],
+                memory: vec![],
+            };
+            for model in [ModelKind::Sc, ModelKind::Power] {
+                for (i, j) in [(0, 2), (1, 2), (2, 3), (2, 4)] {
+                    assert!(!t.ordered(model, 0, i, j), "{class:?} {model:?} {i}->{j}");
+                }
+                assert!(t.ordered(model, 0, 0, 4), "full fences stay ordered");
+            }
+        }
     }
 
     #[test]
