@@ -31,7 +31,7 @@
 //! * **Global** (POWER `sync`): the fence waits until its group-A stores
 //!   have propagated *everywhere* — `prop(s, u) < exec(b)`.
 
-use wmm_litmus::ops::{FClass, ModelKind};
+use wmm_litmus::ops::{DepKind, FClass, ModelKind};
 
 use crate::cycles::{CommKind, CriticalCycle};
 use crate::graph::{Access, ProgramGraph};
@@ -50,7 +50,7 @@ pub struct CycleCheck {
 /// synthesis layer (`crate::synth`), which uses it both to decide which
 /// candidate instruments strengthen a pair and to generate lazy
 /// constraints when a trial placement fails verification.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct PairCut {
     pub(crate) local: bool,
     pub(crate) cumulative: bool,
@@ -63,6 +63,91 @@ impl PairCut {
         (self.local && !base.local)
             || (self.cumulative && !base.cumulative)
             || (self.global && !base.global)
+    }
+}
+
+/// A hypothetical edit of one fence, for the lint probes: fence `fence`
+/// (an index into [`ProgramGraph::fences`]) removed (`class: None`) or
+/// re-classed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FenceEdit {
+    pub(crate) fence: usize,
+    pub(crate) class: Option<FClass>,
+}
+
+/// Everything [`PairCut`] depends on for one program-order pair: the two
+/// accesses with their attributes, the pair's dependency, and what the
+/// fences between them contribute. The synthesis layer overlays candidate
+/// instruments on a view instead of building the instrumented graph.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PairView {
+    pub(crate) a: Access,
+    pub(crate) b: Access,
+    pub(crate) dep: Option<DepKind>,
+    /// Some fence between the pair covers its role combination.
+    fence_local: bool,
+    /// Some fence between the pair is cumulative (`Full` or `LwSync`).
+    fence_cumulative: bool,
+    /// Some fence between the pair is `Full`.
+    fence_global: bool,
+}
+
+impl PairView {
+    /// The view of the pair `(a_id, b_id)` (same thread, `a` earlier) in
+    /// `g`, with `probe` applied to the graph's fences.
+    pub(crate) fn of(g: &ProgramGraph, a_id: usize, b_id: usize, probe: Option<FenceEdit>) -> Self {
+        let (a, b) = (g.accesses[a_id], g.accesses[b_id]);
+        debug_assert_eq!(a.thread, b.thread);
+        debug_assert!(a.pos < b.pos);
+        let mut view = PairView {
+            a,
+            b,
+            dep: g.dep_between(a_id, b_id),
+            fence_local: false,
+            fence_cumulative: false,
+            fence_global: false,
+        };
+        for (i, f) in g.fences.iter().enumerate() {
+            if f.thread != a.thread || f.slot <= a.pos || f.slot > b.pos {
+                continue;
+            }
+            match probe {
+                Some(e) if e.fence == i => {
+                    if let Some(class) = e.class {
+                        view.add_fence(class);
+                    }
+                }
+                _ => view.add_fence(f.class),
+            }
+        }
+        view
+    }
+
+    /// Account for one more fence of `class` between the pair.
+    pub(crate) fn add_fence(&mut self, class: FClass) {
+        self.fence_local |= covers_pair(class, &self.a, &self.b);
+        self.fence_cumulative |= matches!(class, FClass::Full | FClass::LwSync);
+        self.fence_global |= class == FClass::Full;
+    }
+
+    /// The pair's ordering strength under `model`.
+    pub(crate) fn cut(&self, model: ModelKind) -> PairCut {
+        let (a, b) = (&self.a, &self.b);
+        // ARMv8 is RCsc: an acquire load never overtakes an earlier release
+        // store (`stlr; ldar` stay ordered) — what lets JDK9 drop the dmb
+        // between a volatile store and a following volatile load.
+        let rcsc = model == ModelKind::ArmV8 && a.is_store && a.release && b.is_load && b.acquire;
+        let local = bare_ordered(model, a, b)
+            || (a.is_load && a.acquire)
+            || (b.is_store && b.release)
+            || rcsc
+            || self.dep.is_some_and(|k| k.orders(b.is_store))
+            || self.fence_local;
+        PairCut {
+            local,
+            cumulative: b.is_store && (b.release || self.fence_cumulative),
+            global: self.fence_global,
+        }
     }
 }
 
@@ -82,48 +167,6 @@ fn bare_ordered(model: ModelKind, a: &Access, b: &Access) -> bool {
         // (RMWs are locked operations: fully ordered).
         ModelKind::Tso => !(a.is_store && !a.is_load && b.is_load && !b.is_store && a.loc != b.loc),
         ModelKind::ArmV8 | ModelKind::Power => a.loc == b.loc,
-    }
-}
-
-pub(crate) fn pair_cut(
-    g: &ProgramGraph,
-    model: ModelKind,
-    a_id: usize,
-    b_id: usize,
-    skip_fence: Option<usize>,
-) -> PairCut {
-    let (a, b) = (&g.accesses[a_id], &g.accesses[b_id]);
-    let fences: Vec<&crate::graph::FenceNode> = g
-        .fences_between(a_id, b_id)
-        .into_iter()
-        .filter(|&f| Some(f) != skip_fence)
-        .map(|f| &g.fences[f])
-        .collect();
-
-    let dep_orders = g
-        .dep_between(a_id, b_id)
-        .is_some_and(|k| k.orders(b.is_store));
-    // ARMv8 is RCsc: an acquire load never overtakes an earlier release
-    // store (`stlr; ldar` stay ordered) — what lets JDK9 drop the dmb
-    // between a volatile store and a following volatile load.
-    let rcsc = model == ModelKind::ArmV8 && a.is_store && a.release && b.is_load && b.acquire;
-
-    let local = bare_ordered(model, a, b)
-        || (a.is_load && a.acquire)
-        || (b.is_store && b.release)
-        || rcsc
-        || dep_orders
-        || fences.iter().any(|f| covers_pair(f.class, a, b));
-    let cumulative = b.is_store
-        && ((b.release)
-            || fences
-                .iter()
-                .any(|f| matches!(f.class, FClass::Full | FClass::LwSync)));
-    let global = fences.iter().any(|f| f.class == FClass::Full);
-    PairCut {
-        local,
-        cumulative,
-        global,
     }
 }
 
@@ -152,7 +195,7 @@ fn has_cycle(n: usize, edges: &[(usize, usize)]) -> bool {
 /// Check one cycle under `model`.
 #[must_use]
 pub fn check_cycle(g: &ProgramGraph, model: ModelKind, cyc: &CriticalCycle) -> CycleCheck {
-    check_cycle_without(g, model, cyc, None)
+    check_cycle_edited(g, model, cyc, None)
 }
 
 /// Check one cycle with fence `skip_fence` (an index into
@@ -169,6 +212,19 @@ pub fn check_cycle_without(
     model: ModelKind,
     cyc: &CriticalCycle,
     skip_fence: Option<usize>,
+) -> CycleCheck {
+    let probe = skip_fence.map(|fence| FenceEdit { fence, class: None });
+    check_cycle_edited(g, model, cyc, probe)
+}
+
+/// Check one cycle with `probe` applied to the graph's fences (the
+/// redundancy and downgrade probes): build the constraint graph over
+/// `exec`/`prop` events and look for a directed cycle.
+pub(crate) fn check_cycle_edited(
+    g: &ProgramGraph,
+    model: ModelKind,
+    cyc: &CriticalCycle,
+    probe: Option<FenceEdit>,
 ) -> CycleCheck {
     let n = cyc.legs.len();
     let mca = model.multi_copy_atomic();
@@ -227,7 +283,7 @@ pub fn check_cycle_without(
         let (entry, exit) = cyc.legs[i];
         // Program-order leg.
         if entry != exit {
-            let cut = pair_cut(g, model, entry, exit, skip_fence);
+            let cut = PairView::of(g, entry, exit, probe).cut(model);
             if cut.local {
                 edges.push((exec(entry), exec(exit)));
             } else {

@@ -25,6 +25,7 @@
 //! final state can.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, RandomState};
 
 use wmm_litmus::ops::{DepKind, FClass, LOp, LitmusTest};
 
@@ -578,15 +579,26 @@ fn stride_sample<T>(items: Vec<T>, cap: usize) -> Vec<T> {
 /// The full generated corpus: all three architectures' standard
 /// configurations, structurally deduplicated (the TSO vocabulary is a
 /// subset of the others, so bare shapes would otherwise appear three
-/// times).
+/// times). A test is a duplicate when its threads, store dependencies and
+/// memory conjuncts equal a kept test's; the first occurrence is kept.
 #[must_use]
 pub fn generate_all() -> Vec<LitmusTest> {
     let mut out: Vec<LitmusTest> = vec![];
-    let mut seen: HashSet<String> = HashSet::new();
+    // Structural hash -> the kept tests with that hash, by index in `out`.
+    let mut kept: HashMap<u64, Vec<usize>> = HashMap::new();
+    let hasher = RandomState::new();
     for arch in [GenArch::Tso, GenArch::ArmV8, GenArch::Power] {
         for test in generate(&GenConfig::standard(arch)) {
-            let key = format!("{:?}|{:?}|{:?}", test.threads, test.store_deps, test.memory);
-            if seen.insert(key) {
+            let hash = hasher.hash_one((&test.threads, &test.store_deps, &test.memory));
+            let same_hash = kept.entry(hash).or_default();
+            let duplicate = same_hash.iter().any(|&i| {
+                let k = &out[i];
+                k.threads == test.threads
+                    && k.store_deps == test.store_deps
+                    && k.memory == test.memory
+            });
+            if !duplicate {
+                same_hash.push(out.len());
                 out.push(test);
             }
         }
@@ -655,6 +667,28 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(format!("{x:?}"), format!("{y:?}"));
         }
+    }
+
+    #[test]
+    fn structural_dedup_equals_the_debug_key_dedup() {
+        // The dedup the corpus was defined with: one Debug-string key per
+        // test, first occurrence kept.
+        let mut reference: Vec<LitmusTest> = vec![];
+        let mut seen: HashSet<String> = HashSet::new();
+        for arch in [GenArch::Tso, GenArch::ArmV8, GenArch::Power] {
+            for test in generate(&GenConfig::standard(arch)) {
+                let key = format!("{:?}|{:?}|{:?}", test.threads, test.store_deps, test.memory);
+                if seen.insert(key) {
+                    reference.push(test);
+                }
+            }
+        }
+        let tests = generate_all();
+        assert_eq!(tests.len(), reference.len());
+        for (x, y) in tests.iter().zip(&reference) {
+            assert_eq!(format!("{x:?}"), format!("{y:?}"));
+        }
+        assert_eq!(differential_corpus().len(), 1_092);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use wmm_sim::isa::{Instr, Loc};
 // The four flags are two role bits (load/store, both for RMWs) and the
 // ldar/stlr attributes — independent axes, not a disguised state machine.
 #[allow(clippy::struct_excessive_bools)]
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Access {
     /// Owning thread.
     pub thread: usize,
@@ -46,11 +46,11 @@ impl Access {
     /// The store-role alternatives this access can play in a fence-coverage
     /// question: `[true]` for stores, `[false]` for loads, both for RMWs.
     #[must_use]
-    pub fn roles(&self) -> Vec<bool> {
+    pub fn roles(&self) -> &'static [bool] {
         match (self.is_store, self.is_load) {
-            (true, true) => vec![true, false],
-            (true, false) => vec![true],
-            _ => vec![false],
+            (true, true) => &[true, false],
+            (true, false) => &[true],
+            _ => &[false],
         }
     }
 
@@ -230,7 +230,7 @@ impl ProgramGraph {
             g.loc_names
                 .extend(part.loc_names.iter().map(|n| format!("f{i}.{n}")));
             for a in &part.accesses {
-                let mut a = a.clone();
+                let mut a = *a;
                 a.thread += thread_off;
                 a.loc += loc_off;
                 g.accesses.push(a);
@@ -338,22 +338,6 @@ impl ProgramGraph {
         g
     }
 
-    /// Fences of `a`'s thread lying strictly between accesses `a` and `b`
-    /// (both access ids of the same thread, `a` earlier), as indices into
-    /// [`ProgramGraph::fences`].
-    #[must_use]
-    pub fn fences_between(&self, a: usize, b: usize) -> Vec<usize> {
-        let (a, b) = (&self.accesses[a], &self.accesses[b]);
-        debug_assert_eq!(a.thread, b.thread);
-        debug_assert!(a.pos < b.pos);
-        self.fences
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.thread == a.thread && f.slot > a.pos && f.slot <= b.pos)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Dependency from access `a` to access `b`, if annotated.
     #[must_use]
     pub fn dep_between(&self, a: usize, b: usize) -> Option<DepKind> {
@@ -385,8 +369,7 @@ mod tests {
         assert_eq!(g.accesses.len(), 4);
         assert_eq!(g.fences.len(), 2);
         // The writer's fence sits between its two stores.
-        let (a, b) = (g.threads[0][0], g.threads[0][1]);
-        assert_eq!(g.fences_between(a, b).len(), 1);
+        assert_eq!((g.fences[0].thread, g.fences[0].slot), (0, 1));
         assert_eq!(g.describe(g.threads[0][0]), "t0:Wx");
         assert_eq!(g.describe(g.threads[1][1]), "t1:Rx");
     }
@@ -470,7 +453,7 @@ mod tests {
         }]];
         let g = ProgramGraph::from_streams("cas", &threads, &[]);
         assert!(g.accesses[0].is_load && g.accesses[0].is_store);
-        assert_eq!(g.accesses[0].roles(), vec![true, false]);
+        assert_eq!(g.accesses[0].roles(), [true, false]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use wmm_litmus::ops::{FClass, ModelKind};
 use wmmbench::model::{estimate_cost, predicted_performance};
 
-use crate::check::{check_cycle, check_cycle_without};
+use crate::check::{check_cycle, check_cycle_edited, FenceEdit};
 use crate::cycles::{critical_cycles, CriticalCycle};
 use crate::graph::ProgramGraph;
 
@@ -165,7 +165,12 @@ fn fence_on_cycle(g: &ProgramGraph, f: usize, cyc: &CriticalCycle) -> bool {
 }
 
 /// Analyse `g` under `model`: enumerate critical cycles, check each, and
-/// probe every fence for redundancy (removal flips no verdict).
+/// probe every fence for redundancy (removal flips no verdict) and, if it
+/// is a needed full barrier, for a downgrade (a weaker class flips none).
+///
+/// A probe re-checks only the cycles the fence lies on: a fence off every
+/// leg of a cycle takes part in none of its pair cuts, so editing it
+/// cannot change that cycle's verdict.
 #[must_use]
 pub fn analyze(g: &ProgramGraph, model: ModelKind) -> Analysis {
     let cycles = critical_cycles(g);
@@ -185,14 +190,25 @@ pub fn analyze(g: &ProgramGraph, model: ModelKind) -> Analysis {
         })
         .collect();
 
+    // Does every cycle fence `f` lies on keep its verdict under `edit`?
+    let keeps_verdicts = |f: usize, edit: FenceEdit| {
+        cycles
+            .iter()
+            .zip(&verdicts)
+            .filter(|(c, _)| fence_on_cycle(g, f, c))
+            .all(|(c, v)| check_cycle_edited(g, model, c, Some(edit)).protected == v.protected)
+    };
+
     let mut redundant = vec![];
     let mut redundant_idx = vec![false; g.fences.len()];
     for (f, marked) in redundant_idx.iter_mut().enumerate() {
-        let same_verdicts = cycles
-            .iter()
-            .zip(&verdicts)
-            .all(|(c, v)| check_cycle_without(g, model, c, Some(f)).protected == v.protected);
-        if same_verdicts {
+        if keeps_verdicts(
+            f,
+            FenceEdit {
+                fence: f,
+                class: None,
+            },
+        ) {
             *marked = true;
             redundant.push(RedundantFence {
                 thread: g.fences[f].thread,
@@ -221,13 +237,13 @@ pub fn analyze(g: &ProgramGraph, model: ModelKind) -> Analysis {
             &[FClass::StSt, FClass::LdLdSt]
         };
         for &to in options {
-            let mut weaker = g.clone();
-            weaker.fences[f].class = to;
-            let same_verdicts = cycles
-                .iter()
-                .zip(&verdicts)
-                .all(|(c, v)| check_cycle(&weaker, model, c).protected == v.protected);
-            if same_verdicts {
+            if keeps_verdicts(
+                f,
+                FenceEdit {
+                    fence: f,
+                    class: Some(to),
+                },
+            ) {
                 downgrade.push(DowngradableFence {
                     thread: g.fences[f].thread,
                     slot: g.fences[f].slot,

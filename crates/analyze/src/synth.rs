@@ -42,20 +42,45 @@
 //! which is what lets synthesis rediscover `dmb ishst`/`dmb ishld` even
 //! though idle-machine microbenchmarks cannot separate the `dmb` variants
 //! (the sim's `micro_timing_cannot_distinguish_dmb_variants` property).
+//!
+//! ## Searching without instrumented graphs
+//!
+//! Candidates are judged on pair cuts, never on a rebuilt graph. A
+//! `PairView` ([`crate::check`]) holds one program-order pair's two
+//! accesses, its dependency and what the fences between them contribute;
+//! `overlay` applies a bundle to the view exactly as [`apply_to_graph`]
+//! would apply it to the graph, so the pair's cut is the same either way
+//! (a property test in this module holds the two equal). Candidate
+//! enumeration, the eager local-cut filter and the lazy escape sets all
+//! run on views; a pair shared by several cycles is enumerated once. The
+//! only graph a round builds is its trial placement's, for the exact
+//! [`check_cycle`] verdict.
+//!
+//! Branch-and-bound runs on interned instruments: every distinct
+//! instrument gets a dense id, ids follow the tie-break key order, and
+//! each is priced once. The search keeps how many chosen candidates hold
+//! each instrument and how many each constraint holds, so pricing a
+//! branch and finding the next unhit constraint are counter reads; an
+//! incumbent's sorted id vector, which orders as its sorted key vector
+//! does, is only gathered when its cost wins or ties. A brute-force
+//! subset search on random instances checks the minimum and its
+//! tie-break.
+
+use std::collections::HashMap;
 
 use wmm_litmus::ops::{DepKind, FClass, ModelKind};
 use wmm_litmus::rewrite::Reinforce;
 use wmm_sim::isa::{AccessOrd, FenceKind, Instr, Loc};
 use wmmbench::model::{estimate_cost, predicted_performance};
 
-use crate::check::{check_cycle, pair_cut, PairCut};
+use crate::check::{check_cycle, PairCut, PairView};
 use crate::cycles::{critical_cycles, CriticalCycle};
 use crate::graph::{FenceNode, ProgramGraph, StreamDep};
 
 /// One synthesized ordering instrument, addressed by access position
 /// (the [`crate::graph::Access::pos`] coordinate system, portable across
 /// the litmus and stream frontends).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Instrument {
     /// A fence of `kind` between access positions `slot - 1` and `slot`.
     Fence {
@@ -607,20 +632,62 @@ pub fn apply_to_streams(
     (out, deps)
 }
 
-/// Enumerate the candidate bundles that could strengthen the pair
-/// `(a_id, b_id)`, validated against the constraint-check semantics: a
-/// bundle is a candidate iff applying it changes the pair's [`PairCut`]
+/// `view` with `extra` applied the way [`apply_to_graph`] applies it, so
+/// `overlay(PairView::of(g, a, b, None), extra).cut(model)` equals
+/// `PairView::of(&apply_to_graph(g, extra), a, b, None).cut(model)` without
+/// building the graph: only fences on the pair's thread inside its slot
+/// range, upgrades of its two accesses and a dependency between exactly
+/// them can change its cut, and a dependency lands only where the pair
+/// has none yet (the graph's, else the first in `extra`).
+fn overlay(mut view: PairView, extra: &[Instrument]) -> PairView {
+    let (t, a_pos, b_pos) = (view.a.thread, view.a.pos, view.b.pos);
+    for ins in extra {
+        match *ins {
+            Instrument::Fence { thread, slot, kind } => {
+                let class = FClass::of_fence(kind).expect("synthesized fences are classed");
+                if thread == t && a_pos < slot && slot <= b_pos {
+                    view.add_fence(class);
+                }
+            }
+            Instrument::Acquire { thread, pos } if thread == t => {
+                if pos == a_pos {
+                    view.a.acquire = true;
+                } else if pos == b_pos {
+                    view.b.acquire = true;
+                }
+            }
+            Instrument::Release { thread, pos } if thread == t => {
+                if pos == a_pos {
+                    view.a.release = true;
+                } else if pos == b_pos {
+                    view.b.release = true;
+                }
+            }
+            Instrument::Dep {
+                thread,
+                from_pos,
+                to_pos,
+                kind,
+            } => {
+                if view.dep.is_none() && thread == t && from_pos == a_pos && to_pos == b_pos {
+                    view.dep = Some(kind);
+                }
+            }
+            Instrument::Acquire { .. } | Instrument::Release { .. } => {}
+        }
+    }
+    view
+}
+
+/// Enumerate the candidate bundles that could strengthen the pair `view`
+/// describes, validated against the constraint-check semantics: a bundle
+/// is a candidate iff [`overlay`]ing it changes the pair's [`PairCut`]
 /// strength. Returned in canonical order (slots ascending, fence kinds
 /// weakest first, then upgrades, the `RCsc` pair, dependencies).
-fn pair_candidates(
-    g: &ProgramGraph,
-    cfg: SynthConfig,
-    a_id: usize,
-    b_id: usize,
-) -> Vec<Vec<Instrument>> {
+fn pair_candidates(view: PairView, cfg: SynthConfig) -> Vec<Vec<Instrument>> {
     let model = cfg.model;
-    let base = pair_cut(g, model, a_id, b_id, None);
-    let (a, b) = (&g.accesses[a_id], &g.accesses[b_id]);
+    let base = view.cut(model);
+    let (a, b) = (&view.a, &view.b);
     let thread = a.thread;
 
     let mut bundles: Vec<Vec<Instrument>> = vec![];
@@ -645,7 +712,7 @@ fn pair_candidates(
             ]);
         }
     }
-    if cfg.deps && a.is_load && g.dep_between(a_id, b_id).is_none() {
+    if cfg.deps && a.is_load && view.dep.is_none() {
         bundles.push(vec![Instrument::Dep {
             thread,
             from_pos: a.pos,
@@ -654,13 +721,8 @@ fn pair_candidates(
         }]);
     }
 
+    bundles.retain(|bundle| overlay(view, bundle).cut(model).stronger_than(base));
     bundles
-        .into_iter()
-        .filter(|bundle| {
-            let g2 = apply_to_graph(g, bundle);
-            pair_cut(&g2, model, a_id, b_id, None).stronger_than(base)
-        })
-        .collect()
 }
 
 /// The multi-access program-order legs of a cycle.
@@ -795,17 +857,59 @@ impl SynthOutcome {
     }
 }
 
+/// The candidate bundles on interned instruments: every distinct
+/// instrument gets a dense id, and ids follow [`Instrument::key`] order,
+/// so a sorted id vector compares exactly as the sorted key vector of the
+/// same instruments.
+struct Interned {
+    /// Instrument of each id, in key order.
+    instruments: Vec<Instrument>,
+    /// Priced cost of each id.
+    price: Vec<f64>,
+    /// Each candidate bundle as ids, in bundle order.
+    cands: Vec<Vec<usize>>,
+}
+
+impl Interned {
+    fn new(cands: &[Vec<Instrument>], costs: &CostModel) -> Self {
+        let mut instruments: Vec<Instrument> = cands.iter().flatten().copied().collect();
+        instruments.sort_unstable();
+        instruments.dedup();
+        let id = |ins: &Instrument| {
+            instruments
+                .binary_search(ins)
+                .expect("every bundle instrument is interned")
+        };
+        let cands = cands.iter().map(|c| c.iter().map(id).collect()).collect();
+        let price = instruments.iter().map(|i| costs.instrument_ns(i)).collect();
+        Interned {
+            instruments,
+            price,
+            cands,
+        }
+    }
+}
+
 /// Exact weighted hitting set by branch-and-bound with a greedy seed.
 /// Cost of a solution is the priced sum over its *distinct* instruments.
 /// Deterministic: among equal-cost solutions the lexicographically
 /// smallest sorted instrument-key vector wins.
+///
+/// The search state is counted, not searched: `uses` says how many chosen
+/// candidates hold each instrument (so an instrument is paid for while it
+/// is non-zero) and `hits` how many chosen candidates each constraint
+/// holds (so a constraint is unhit while it is zero).
 struct HittingSet<'a> {
-    cands: &'a [Vec<Instrument>],
+    inst: &'a Interned,
     constraints: &'a [Vec<usize>],
-    costs: &'a CostModel,
+    /// The constraints each candidate appears in.
+    cand_constraints: Vec<Vec<usize>>,
+    uses: Vec<u32>,
+    hits: Vec<u32>,
+    chosen: Vec<usize>,
     best_cost: f64,
-    best_keys: Vec<(usize, usize, u8, usize, u8)>,
-    best_chosen: Vec<usize>,
+    /// Sorted instrument ids of the best solution.
+    best_ids: Vec<usize>,
     nodes: u64,
     budget: u64,
     out_of_budget: bool,
@@ -813,73 +917,124 @@ struct HittingSet<'a> {
 
 const EPS: f64 = 1e-9;
 
-impl HittingSet<'_> {
-    fn marginal(&self, ci: usize, instrs: &[Instrument]) -> f64 {
-        self.cands[ci]
+impl<'a> HittingSet<'a> {
+    fn new(inst: &'a Interned, constraints: &'a [Vec<usize>], budget: u64) -> Self {
+        let mut cand_constraints = vec![vec![]; inst.cands.len()];
+        for (c, set) in constraints.iter().enumerate() {
+            for &ci in set {
+                cand_constraints[ci].push(c);
+            }
+        }
+        HittingSet {
+            inst,
+            constraints,
+            cand_constraints,
+            uses: vec![0; inst.instruments.len()],
+            hits: vec![0; constraints.len()],
+            chosen: vec![],
+            best_cost: f64::INFINITY,
+            best_ids: vec![],
+            nodes: 0,
+            budget,
+            out_of_budget: false,
+        }
+    }
+
+    /// Price of the instruments of candidate `ci` not yet paid for.
+    fn marginal(&self, ci: usize) -> f64 {
+        self.inst.cands[ci]
             .iter()
-            .filter(|ins| !instrs.contains(ins))
-            .map(|ins| self.costs.instrument_ns(ins))
+            .filter(|&&id| self.uses[id] == 0)
+            .map(|&id| self.inst.price[id])
             .sum()
     }
 
-    fn keys_of(instrs: &[Instrument]) -> Vec<(usize, usize, u8, usize, u8)> {
-        let mut keys: Vec<_> = instrs.iter().map(Instrument::key).collect();
-        keys.sort_unstable();
-        keys
+    fn choose(&mut self, ci: usize) {
+        for &id in &self.inst.cands[ci] {
+            self.uses[id] += 1;
+        }
+        for &c in &self.cand_constraints[ci] {
+            self.hits[c] += 1;
+        }
+        self.chosen.push(ci);
     }
 
-    fn offer(&mut self, cost: f64, chosen: &[usize], instrs: &[Instrument]) {
-        let keys = Self::keys_of(instrs);
-        if cost < self.best_cost - EPS
-            || ((cost - self.best_cost).abs() <= EPS && keys < self.best_keys)
-        {
+    fn unchoose(&mut self) {
+        let ci = self.chosen.pop().expect("a chosen candidate");
+        for &id in &self.inst.cands[ci] {
+            self.uses[id] -= 1;
+        }
+        for &c in &self.cand_constraints[ci] {
+            self.hits[c] -= 1;
+        }
+    }
+
+    /// Sorted distinct instrument ids of the chosen candidates.
+    fn chosen_ids(&self) -> Vec<usize> {
+        let mut ids: Vec<usize> = self
+            .chosen
+            .iter()
+            .flat_map(|&ci| self.inst.cands[ci].iter().copied())
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
+    /// Offer the chosen set at `cost` as the incumbent. Its ids are only
+    /// gathered when it wins on cost or ties within `EPS`.
+    fn offer(&mut self, cost: f64) {
+        if cost < self.best_cost - EPS {
             self.best_cost = cost;
-            self.best_keys = keys;
-            self.best_chosen = chosen.to_vec();
+            self.best_ids = self.chosen_ids();
+        } else if (cost - self.best_cost).abs() <= EPS {
+            let ids = self.chosen_ids();
+            if ids < self.best_ids {
+                self.best_cost = cost;
+                self.best_ids = ids;
+            }
         }
     }
 
     /// Greedy cover: repeatedly take the candidate with the best marginal
     /// cost per newly hit constraint. Seeds the branch-and-bound bound.
     fn greedy(&mut self) {
-        let mut unhit: Vec<usize> = (0..self.constraints.len()).collect();
-        let mut chosen: Vec<usize> = vec![];
-        let mut instrs: Vec<Instrument> = vec![];
         let mut cost = 0.0;
-        while !unhit.is_empty() {
-            let mut pick: Option<(f64, usize, usize)> = None; // (score, ci, hits)
-            for ci in 0..self.cands.len() {
-                let hits = unhit
+        while self.hits.contains(&0) {
+            let mut pick: Option<(f64, usize)> = None; // (score, ci)
+            for ci in 0..self.inst.cands.len() {
+                // A chosen candidate hits nothing new: its constraints
+                // are all hit.
+                let hits = self.cand_constraints[ci]
                     .iter()
-                    .filter(|&&c| self.constraints[c].contains(&ci))
+                    .filter(|&&c| self.hits[c] == 0)
                     .count();
-                if hits == 0 || chosen.contains(&ci) {
+                if hits == 0 {
                     continue;
                 }
                 #[allow(clippy::cast_precision_loss)] // hits is tiny
-                let score = self.marginal(ci, &instrs) / hits as f64;
-                if pick.is_none_or(|(s, _, _)| score < s - EPS) {
-                    pick = Some((score, ci, hits));
+                let score = self.marginal(ci) / hits as f64;
+                if pick.is_none_or(|(s, _)| score < s - EPS) {
+                    pick = Some((score, ci));
                 }
             }
-            let Some((_, ci, _)) = pick else {
+            let Some((_, ci)) = pick else {
                 // A constraint with no candidates: infeasible; leave the
                 // bound at infinity and let branch-and-bound report it.
-                return;
+                break;
             };
-            cost += self.marginal(ci, &instrs);
-            for ins in &self.cands[ci] {
-                if !instrs.contains(ins) {
-                    instrs.push(*ins);
-                }
-            }
-            chosen.push(ci);
-            unhit.retain(|&c| !self.constraints[c].contains(&ci));
+            cost += self.marginal(ci);
+            self.choose(ci);
         }
-        self.offer(cost, &chosen, &instrs);
+        if !self.hits.contains(&0) {
+            self.offer(cost);
+        }
+        while !self.chosen.is_empty() {
+            self.unchoose();
+        }
     }
 
-    fn branch(&mut self, chosen: &mut Vec<usize>, instrs: &mut Vec<Instrument>, cost: f64) {
+    fn branch(&mut self, cost: f64) {
         // Explicit node budget: without it an adversarial instance keeps
         // the search alive indefinitely; with it the caller gets the best
         // incumbent so far plus a Timeout marker instead of a hang.
@@ -896,28 +1051,19 @@ impl HittingSet<'_> {
         }
         // Branch on the unhit constraint with the fewest candidates
         // (lowest index on ties).
-        let next = self
-            .constraints
-            .iter()
-            .enumerate()
-            .filter(|(_, set)| !set.iter().any(|ci| chosen.contains(ci)))
-            .min_by_key(|(i, set)| (set.len(), *i));
-        let Some((_, set)) = next else {
-            self.offer(cost, chosen, instrs);
+        let constraints = self.constraints;
+        let next = (0..constraints.len())
+            .filter(|&c| self.hits[c] == 0)
+            .min_by_key(|&c| (constraints[c].len(), c));
+        let Some(c) = next else {
+            self.offer(cost);
             return;
         };
-        for &ci in set {
-            let added: Vec<Instrument> = self.cands[ci]
-                .iter()
-                .filter(|ins| !instrs.contains(ins))
-                .copied()
-                .collect();
-            let add_cost: f64 = added.iter().map(|i| self.costs.instrument_ns(i)).sum();
-            chosen.push(ci);
-            instrs.extend(added.iter().copied());
-            self.branch(chosen, instrs, cost + add_cost);
-            instrs.truncate(instrs.len() - added.len());
-            chosen.pop();
+        for &ci in &constraints[c] {
+            let add_cost = self.marginal(ci);
+            self.choose(ci);
+            self.branch(cost + add_cost);
+            self.unchoose();
         }
     }
 }
@@ -930,37 +1076,21 @@ struct SolveStats {
 }
 
 fn solve_hitting_set(
-    cands: &[Vec<Instrument>],
+    inst: &Interned,
     constraints: &[Vec<usize>],
-    costs: &CostModel,
     opts: &SolverOptions,
 ) -> SolveStats {
-    let mut solver = HittingSet {
-        cands,
-        constraints,
-        costs,
-        best_cost: f64::INFINITY,
-        best_keys: vec![],
-        best_chosen: vec![],
-        nodes: 0,
-        budget: opts.node_budget,
-        out_of_budget: false,
-    };
+    let mut solver = HittingSet::new(inst, constraints, opts.node_budget);
     solver.greedy();
     if !opts.greedy_only {
-        solver.branch(&mut vec![], &mut vec![], 0.0);
+        solver.branch(0.0);
     }
-    let mut instruments: Vec<Instrument> = vec![];
-    for &ci in &solver.best_chosen {
-        for ins in &cands[ci] {
-            if !instruments.contains(ins) {
-                instruments.push(*ins);
-            }
-        }
-    }
-    instruments.sort_unstable();
     SolveStats {
-        instruments,
+        instruments: solver
+            .best_ids
+            .iter()
+            .map(|&id| inst.instruments[id])
+            .collect(),
         nodes: solver.nodes,
         timed_out: solver.out_of_budget,
     }
@@ -1010,7 +1140,7 @@ pub fn synthesize_with(
 /// POWER's cumulative/global strengths imply the local one in this
 /// checker). The reorder bound `k` limits which legs contribute *eager*
 /// constraints; candidates still register for every leg so lazy repair
-/// can reach them.
+/// can reach them. A pair shared by several cycles is enumerated once.
 #[allow(clippy::type_complexity)]
 fn eager_instance(
     g: &ProgramGraph,
@@ -1020,38 +1150,39 @@ fn eager_instance(
 ) -> Result<(Vec<Vec<Instrument>>, Vec<Vec<usize>>), SynthError> {
     let model = cfg.model;
     let mut cands: Vec<Vec<Instrument>> = vec![];
+    let mut cand_ids: HashMap<Vec<Instrument>, usize> = HashMap::new();
     let mut constraints: Vec<Vec<usize>> = vec![];
-    let register = |cands: &mut Vec<Vec<Instrument>>, bundle: Vec<Instrument>| -> usize {
-        cands.iter().position(|c| *c == bundle).unwrap_or_else(|| {
-            cands.push(bundle);
-            cands.len() - 1
-        })
-    };
+    // Per pair: the candidates that locally cut it, or `None` when the
+    // pair is locally cut already.
+    let mut locals_of: HashMap<(usize, usize), Option<Vec<usize>>> = HashMap::new();
     let eager = opts.reorder_bound.unwrap_or(usize::MAX);
     for cyc in open {
         for (leg_idx, (a_id, b_id)) in po_legs(cyc).into_iter().enumerate() {
-            let bundles = pair_candidates(g, cfg, a_id, b_id);
-            let ids: Vec<usize> = bundles
-                .into_iter()
-                .map(|b| register(&mut cands, b))
-                .collect();
-            if leg_idx < eager && !pair_cut(g, model, a_id, b_id, None).local {
-                let locals: Vec<usize> = ids
-                    .iter()
-                    .copied()
-                    .filter(|&ci| {
-                        let g2 = apply_to_graph(g, &cands[ci]);
-                        pair_cut(&g2, model, a_id, b_id, None).local
-                    })
-                    .collect();
-                if locals.is_empty() {
-                    return Err(SynthError::NoCandidate {
-                        cycle: describe_cycle(g, cyc),
+            let locals = locals_of.entry((a_id, b_id)).or_insert_with(|| {
+                let view = PairView::of(g, a_id, b_id, None);
+                let mut locals = vec![];
+                for bundle in pair_candidates(view, cfg) {
+                    let local = overlay(view, &bundle).cut(model).local;
+                    let ci = *cand_ids.entry(bundle).or_insert_with_key(|bundle| {
+                        cands.push(bundle.clone());
+                        cands.len() - 1
                     });
+                    if local {
+                        locals.push(ci);
+                    }
                 }
-                if !constraints.contains(&locals) {
-                    constraints.push(locals);
-                }
+                (!view.cut(model).local).then_some(locals)
+            });
+            let Some(locals) = locals.as_ref().filter(|_| leg_idx < eager) else {
+                continue;
+            };
+            if locals.is_empty() {
+                return Err(SynthError::NoCandidate {
+                    cycle: describe_cycle(g, cyc),
+                });
+            }
+            if !constraints.contains(locals) {
+                constraints.push(locals.clone());
             }
         }
     }
@@ -1076,12 +1207,24 @@ pub fn synthesize_cycles(
     costs: &CostModel,
     opts: &SolverOptions,
 ) -> Result<SynthOutcome, SynthError> {
-    const MAX_ROUNDS: usize = 32;
-    let model = cfg.model;
     let open: Vec<&CriticalCycle> = cycles
         .iter()
-        .filter(|c| !check_cycle(g, model, c).protected)
+        .filter(|c| !check_cycle(g, cfg.model, c).protected)
         .collect();
+    synthesize_open(g, &open, cfg, costs, opts)
+}
+
+/// [`synthesize_cycles`] given the cycles of `g`'s complete set that
+/// `cfg.model` leaves unprotected.
+pub(crate) fn synthesize_open(
+    g: &ProgramGraph,
+    open: &[&CriticalCycle],
+    cfg: SynthConfig,
+    costs: &CostModel,
+    opts: &SolverOptions,
+) -> Result<SynthOutcome, SynthError> {
+    const MAX_ROUNDS: usize = 32;
+    let model = cfg.model;
     if open.is_empty() {
         let placement = Placement {
             instruments: vec![],
@@ -1094,12 +1237,13 @@ pub fn synthesize_cycles(
         });
     }
 
-    let (cands, mut constraints) = eager_instance(g, cfg, &open, opts)?;
+    let (cands, mut constraints) = eager_instance(g, cfg, open, opts)?;
+    let interned = Interned::new(&cands, costs);
 
     let mut nodes_total: u64 = 0;
     let mut timed_out = false;
     for round in 1..=MAX_ROUNDS {
-        let solve = solve_hitting_set(&cands, &constraints, costs, opts);
+        let solve = solve_hitting_set(&interned, &constraints, opts);
         nodes_total += solve.nodes;
         timed_out |= solve.timed_out;
         let solution = solve.instruments;
@@ -1137,10 +1281,12 @@ pub fn synthesize_cycles(
         // this set; and the trial itself does not, so each round strictly
         // excludes the current solution.
         for cyc in failing {
-            let legs = po_legs(cyc);
-            let current: Vec<PairCut> = legs
-                .iter()
-                .map(|&(a, b)| pair_cut(&applied, model, a, b, None))
+            let legs: Vec<(PairView, PairCut)> = po_legs(cyc)
+                .into_iter()
+                .map(|(a, b)| {
+                    let view = PairView::of(&applied, a, b, None);
+                    (view, view.cut(model))
+                })
                 .collect();
             let escape: Vec<usize> = (0..cands.len())
                 .filter(|&ci| {
@@ -1149,10 +1295,8 @@ pub fn synthesize_cycles(
                     // here naturally — the escape set never contains a
                     // chosen candidate, which is what guarantees each
                     // round strictly excludes the current solution.
-                    let g2 = apply_to_graph(&applied, &cands[ci]);
                     legs.iter()
-                        .zip(&current)
-                        .any(|(&(a, b), cur)| pair_cut(&g2, model, a, b, None).stronger_than(*cur))
+                        .any(|&(view, cur)| overlay(view, &cands[ci]).cut(model).stronger_than(cur))
                 })
                 .collect();
             if escape.is_empty() {
@@ -1443,6 +1587,266 @@ mod tests {
         for bad in [f64::NAN, 0.0, 1.0, 1.5, -0.2] {
             let m = CostModel::priced(bad);
             assert_eq!(m.fence_ns(FenceKind::LwSync), 6.1, "k={bad}");
+        }
+    }
+
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
+
+    /// The generated corpus, built once.
+    fn corpus() -> &'static [ProgramGraph] {
+        static CORPUS: OnceLock<Vec<ProgramGraph>> = OnceLock::new();
+        CORPUS.get_or_init(|| {
+            crate::gen::generate_all()
+                .iter()
+                .map(ProgramGraph::from_litmus)
+                .collect()
+        })
+    }
+
+    /// Assert the overlay of `extra` on the pair `(a, b)` of `g` equals the
+    /// pair's cut in the instrumented graph, under every model; return the
+    /// `ArmV8` cut.
+    fn overlay_matches(g: &ProgramGraph, a: usize, b: usize, extra: &[Instrument]) -> PairCut {
+        let applied = apply_to_graph(g, extra);
+        for model in [Sc, Tso, ArmV8, Power] {
+            let fast = overlay(PairView::of(g, a, b, None), extra).cut(model);
+            let slow = PairView::of(&applied, a, b, None).cut(model);
+            assert_eq!(
+                fast, slow,
+                "{} ({a}, {b}) {extra:?} under {model:?}",
+                g.name
+            );
+        }
+        overlay(PairView::of(g, a, b, None), extra).cut(ArmV8)
+    }
+
+    #[test]
+    fn overlay_covers_fences_upgrades_and_deps_like_the_instrumented_graph() {
+        let fence = |thread, slot, kind| Instrument::Fence { thread, slot, kind };
+        // MP's writer pair (t0: Wx; Wy): only a fence of its own thread
+        // inside its slot range cuts it.
+        let mp = ProgramGraph::from_litmus(&suite::message_passing().test);
+        let (a, b) = (mp.threads[0][0], mp.threads[0][1]);
+        assert!(overlay_matches(&mp, a, b, &[fence(0, 1, FenceKind::DmbIshSt)]).local);
+        for off in [
+            fence(1, 1, FenceKind::DmbIsh),
+            fence(0, 0, FenceKind::DmbIsh),
+            fence(0, 2, FenceKind::DmbIsh),
+        ] {
+            assert!(!overlay_matches(&mp, a, b, &[off]).local, "{off:?}");
+        }
+        // Repeated instruments change nothing.
+        let twice = [
+            fence(0, 1, FenceKind::LwSync),
+            fence(0, 1, FenceKind::LwSync),
+        ];
+        assert!(overlay_matches(&mp, a, b, &twice).cumulative);
+        // SB's pair (t0: Wx; Ry): the RCsc stlr;ldar bundle cuts it on ARMv8.
+        let sb = ProgramGraph::from_litmus(&suite::store_buffering().test);
+        let (a, b) = (sb.threads[0][0], sb.threads[0][1]);
+        let rcsc = [
+            Instrument::Release { thread: 0, pos: 0 },
+            Instrument::Acquire { thread: 0, pos: 1 },
+        ];
+        assert!(overlay_matches(&sb, a, b, &rcsc).local);
+        // A ctrl dependency already on the pair stays: an added address
+        // dependency does not replace it, so the load pair stays uncut.
+        let ctrl = ProgramGraph::from_litmus(&suite::mp_dmbst_ctrl().test);
+        let (a, b) = (ctrl.threads[1][0], ctrl.threads[1][1]);
+        assert_eq!(ctrl.dep_between(a, b), Some(DepKind::Ctrl));
+        let addr = Instrument::Dep {
+            thread: 1,
+            from_pos: 0,
+            to_pos: 1,
+            kind: DepKind::Addr,
+        };
+        assert!(!overlay_matches(&ctrl, a, b, &[addr]).local);
+        // Without a dependency, the first one in the bundle lands.
+        let (a, b) = (mp.threads[1][0], mp.threads[1][1]);
+        let ctrl_then_addr = [
+            Instrument::Dep {
+                thread: 1,
+                from_pos: 0,
+                to_pos: 1,
+                kind: DepKind::Ctrl,
+            },
+            addr,
+        ];
+        assert!(!overlay_matches(&mp, a, b, &ctrl_then_addr).local);
+        assert!(overlay_matches(&mp, a, b, &[addr, ctrl_then_addr[0]]).local);
+    }
+
+    /// Fence kinds synthesis can place (every classed one).
+    const CLASSED: [FenceKind; 5] = [
+        FenceKind::DmbIshSt,
+        FenceKind::DmbIshLd,
+        FenceKind::LwSync,
+        FenceKind::DmbIsh,
+        FenceKind::HwSync,
+    ];
+    const DEPS: [DepKind; 4] = [
+        DepKind::Addr,
+        DepKind::Data,
+        DepKind::Ctrl,
+        DepKind::CtrlIsb,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The overlay equals the cut of the instrumented graph on corpus
+        /// graphs and random bundles: fences on the pair's thread and on
+        /// others, in and out of its slot range, upgrades, the RCsc pair,
+        /// dependencies (also where one exists) and repeats.
+        #[test]
+        fn overlay_equals_the_cut_of_the_instrumented_graph(
+            pick in 0usize..1 << 20,
+            pair in (0usize..8, 0usize..8, 0usize..8),
+            raw in prop::collection::vec((0usize..64, 0usize..64, 0usize..16, 0usize..16), 0..7)
+        ) {
+            let g = &corpus()[pick % corpus().len()];
+            let nthreads = g.threads.len();
+            let Some(t) = (0..nthreads)
+                .map(|k| (pair.0 + k) % nthreads)
+                .find(|&t| g.threads[t].len() >= 2)
+            else {
+                return Ok(());
+            };
+            let ids = &g.threads[t];
+            let i = pair.1 % (ids.len() - 1);
+            let j = i + 1 + pair.2 % (ids.len() - 1 - i);
+            let (a, b) = (ids[i], ids[j]);
+            let mut extra: Vec<Instrument> = vec![];
+            for &(sel, th, p, q) in &raw {
+                let thread = if th % 2 == 0 { t } else { (th / 2) % nthreads };
+                let len = g.threads[thread].len();
+                let ins = match sel % 6 {
+                    0 | 1 => Instrument::Fence {
+                        thread,
+                        slot: p % (len + 1),
+                        kind: CLASSED[q % CLASSED.len()],
+                    },
+                    2 if len > 0 => Instrument::Acquire { thread, pos: p % len },
+                    3 if len > 0 => Instrument::Release { thread, pos: p % len },
+                    4 if len > 0 => Instrument::Dep {
+                        thread,
+                        from_pos: p % len,
+                        to_pos: q % len,
+                        kind: DEPS[(sel / 6) % DEPS.len()],
+                    },
+                    // Aimed at the pair itself.
+                    _ => match (sel / 6) % 4 {
+                        0 => {
+                            extra.push(Instrument::Release { thread: t, pos: i });
+                            Instrument::Acquire { thread: t, pos: j }
+                        }
+                        1 => Instrument::Dep {
+                            thread: t,
+                            from_pos: i,
+                            to_pos: j,
+                            kind: DEPS[q % DEPS.len()],
+                        },
+                        2 if !extra.is_empty() => extra[p % extra.len()],
+                        _ => Instrument::Fence {
+                            thread: t,
+                            slot: j,
+                            kind: CLASSED[q % CLASSED.len()],
+                        },
+                    },
+                };
+                extra.push(ins);
+            }
+            let applied = apply_to_graph(g, &extra);
+            for model in [Sc, Tso, ArmV8, Power] {
+                let fast = overlay(PairView::of(g, a, b, None), &extra).cut(model);
+                prop_assert_eq!(fast, PairView::of(&applied, a, b, None).cut(model));
+            }
+        }
+
+        /// Branch-and-bound finds the brute-force minimum over every
+        /// candidate subset, and among equal-cost covers the one whose
+        /// sorted instrument-key vector is lexicographically smallest.
+        #[test]
+        fn branch_and_bound_matches_brute_force_subset_search(
+            bundles in prop::collection::vec((0usize..12, 0usize..16), 1..10),
+            sets in prop::collection::vec(prop::collection::vec(0usize..16, 1..4), 1..7)
+        ) {
+            let pool: Vec<Instrument> = (0..12)
+                .map(|i| match i % 4 {
+                    0 => Instrument::Fence {
+                        thread: i % 3,
+                        slot: 1 + i % 2,
+                        kind: CLASSED[i % CLASSED.len()],
+                    },
+                    1 => Instrument::Acquire { thread: i % 3, pos: i % 2 },
+                    2 => Instrument::Release { thread: i % 3, pos: 1 + i % 2 },
+                    _ => Instrument::Dep {
+                        thread: i % 3,
+                        from_pos: 0,
+                        to_pos: 1 + i % 2,
+                        kind: DEPS[i % DEPS.len()],
+                    },
+                })
+                .collect();
+            let mut cands: Vec<Vec<Instrument>> = vec![];
+            for &(x, y) in &bundles {
+                let bundle = if y < pool.len() && y != x {
+                    vec![pool[x], pool[y]]
+                } else {
+                    vec![pool[x]]
+                };
+                if !cands.contains(&bundle) {
+                    cands.push(bundle);
+                }
+            }
+            let constraints: Vec<Vec<usize>> = sets
+                .iter()
+                .map(|set| {
+                    let mut c: Vec<usize> = vec![];
+                    for &k in set {
+                        if !c.contains(&(k % cands.len())) {
+                            c.push(k % cands.len());
+                        }
+                    }
+                    c
+                })
+                .collect();
+            let costs = CostModel::priced(0.0087);
+            let price = |ins: &[Instrument]| -> f64 { ins.iter().map(|i| costs.instrument_ns(i)).sum() };
+
+            let mut best: Option<(f64, Vec<Instrument>)> = None;
+            for mask in 0u32..1 << cands.len() {
+                if !constraints.iter().all(|c| c.iter().any(|&ci| mask >> ci & 1 == 1)) {
+                    continue;
+                }
+                let mut ins: Vec<Instrument> = (0..cands.len())
+                    .filter(|&ci| mask >> ci & 1 == 1)
+                    .flat_map(|ci| cands[ci].iter().copied())
+                    .collect();
+                ins.sort_unstable();
+                ins.dedup();
+                let cost = price(&ins);
+                let better = best.as_ref().is_none_or(|(c, b)| {
+                    cost < c - EPS || ((cost - c).abs() <= EPS && ins < *b)
+                });
+                if better {
+                    best = Some((cost, ins));
+                }
+            }
+            let (best_cost, best_ins) = best.expect("every constraint is non-empty");
+
+            let interned = Interned::new(&cands, &costs);
+            let exact = solve_hitting_set(&interned, &constraints, &SolverOptions::default());
+            prop_assert!(!exact.timed_out);
+            prop_assert_eq!(&exact.instruments, &best_ins);
+            prop_assert!((price(&exact.instruments) - best_cost).abs() <= EPS);
+            // The greedy tier is a feasible upper bound.
+            let greedy = solve_hitting_set(&interned, &constraints, &SolverOptions::approx(2));
+            prop_assert!(price(&greedy.instruments) >= best_cost - EPS);
+            prop_assert!(constraints.iter().all(|c| c
+                .iter()
+                .any(|&ci| cands[ci].iter().all(|i| greedy.instruments.contains(i)))));
         }
     }
 

@@ -38,7 +38,7 @@ use crate::check::check_cycle;
 use crate::cycles::{critical_cycles, dedup_cycles, CriticalCycle};
 use crate::graph::ProgramGraph;
 use crate::synth::{
-    synthesize_cycles, CostModel, Placement, SolverOptions, SynthConfig, SynthError, SynthOutcome,
+    synthesize_open, CostModel, Placement, SolverOptions, SynthConfig, SynthError, SynthOutcome,
 };
 
 /// Content-addressed store of per-component cycle sets, keyed by the
@@ -261,8 +261,9 @@ pub fn component_key(g: &ProgramGraph, threads: &[usize]) -> u128 {
 
 /// The component as a standalone graph (threads/locations renumbered in
 /// first-occurrence order, fences and deps dropped — enumeration ignores
-/// them) plus the local-to-parent access id map.
-fn component_graph(g: &ProgramGraph, threads: &[usize]) -> (ProgramGraph, Vec<usize>) {
+/// them). Its access ids number the component's threads' accesses in
+/// order, which is what [`component_to_parent`] maps back.
+fn component_graph(g: &ProgramGraph, threads: &[usize]) -> ProgramGraph {
     let mut sub = ProgramGraph {
         name: String::new(),
         accesses: vec![],
@@ -271,7 +272,6 @@ fn component_graph(g: &ProgramGraph, threads: &[usize]) -> (ProgramGraph, Vec<us
         deps: vec![],
         loc_names: vec![],
     };
-    let mut to_parent: Vec<usize> = vec![];
     let mut locs: Vec<usize> = vec![];
     for (local_t, &t) in threads.iter().enumerate() {
         let mut ids: Vec<usize> = vec![];
@@ -287,14 +287,21 @@ fn component_graph(g: &ProgramGraph, threads: &[usize]) -> (ProgramGraph, Vec<us
                 thread: local_t,
                 pos: ids.len(),
                 loc: local_loc,
-                ..a.clone()
+                ..*a
             });
-            to_parent.push(id);
             ids.push(local_id);
         }
         sub.threads.push(ids);
     }
-    (sub, to_parent)
+    sub
+}
+
+/// The parent access id of each of [`component_graph`]'s access ids.
+fn component_to_parent(g: &ProgramGraph, threads: &[usize]) -> Vec<usize> {
+    threads
+        .iter()
+        .flat_map(|&t| g.threads[t].iter().copied())
+        .collect()
 }
 
 /// Whole-program critical-cycle enumeration: decompose into conflict
@@ -318,11 +325,11 @@ pub fn critical_cycles_wps(
         workers,
         cache,
         |comp| component_key(g, comp),
-        |comp| critical_cycles(&component_graph(g, comp).0),
+        |comp| critical_cycles(&component_graph(g, comp)),
     );
     let mut merged: Vec<CriticalCycle> = vec![];
     for (comp, local) in comps.iter().zip(local_sets) {
-        let (_, to_parent) = component_graph(g, comp);
+        let to_parent = component_to_parent(g, comp);
         for mut cyc in local {
             for leg in &mut cyc.legs {
                 *leg = (to_parent[leg.0], to_parent[leg.1]);
@@ -387,9 +394,9 @@ pub fn synthesize_wps(
     legs.sort_unstable();
     legs.dedup();
 
-    let approx = synthesize_cycles(
+    let approx = synthesize_open(
         g,
-        &cycles,
+        &open,
         cfg,
         costs,
         &SolverOptions::approx(wps.reorder_bound),
@@ -410,13 +417,7 @@ pub fn synthesize_wps(
     if legs.len() > wps.exact_leg_cap {
         return Ok(report);
     }
-    let outcome = synthesize_cycles(
-        g,
-        &cycles,
-        cfg,
-        costs,
-        &SolverOptions::exact(wps.node_budget),
-    )?;
+    let outcome = synthesize_open(g, &open, cfg, costs, &SolverOptions::exact(wps.node_budget))?;
     apply_exact_tier(&mut report, outcome);
     Ok(report)
 }

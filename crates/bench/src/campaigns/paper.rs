@@ -679,8 +679,9 @@ pub fn ext_jit_optsites(ctx: &Ctx) -> Result<RunManifest, String> {
 /// a (machine, benchmark, strategy) triple and runs the complete
 /// methodology: calibrate, discover code paths, sweep each, fit, classify
 /// usability, and rank — "potentially yielding a turnkey evaluation
-/// system". Also writes the JSON report to
-/// `results/turnkey_netperf_udp.json`.
+/// system". Also writes the full JSON report next to the run manifest, to
+/// `results/runs/turnkey_netperf_udp.report.json` (a build product, like
+/// the manifest: the manifest carries each path's fit and instability).
 pub fn turnkey_netperf_udp(ctx: &Ctx) -> Result<RunManifest, String> {
     let m = machine(Arch::ArmV8);
     let strategy = default_arm_strategy();
@@ -725,8 +726,10 @@ pub fn turnkey_netperf_udp(ctx: &Ctx) -> Result<RunManifest, String> {
             hot.path
         );
     }
-    let path = crate::results_dir().join("turnkey_netperf_udp.json");
-    write_json(&path, &report).map_err(|e| format!("{}: {e}", path.display()))?;
+    let path = crate::runs_dir().join("turnkey_netperf_udp.report.json");
+    std::fs::create_dir_all(crate::runs_dir())
+        .and_then(|()| write_json(&path, &report))
+        .map_err(|e| format!("{}: {e}", path.display()))?;
     println!("wrote {}", path.display());
     Ok(manifest)
 }
