@@ -56,11 +56,11 @@ pub use gen::{differential_corpus, generate, generate_all, GenArch, GenConfig};
 pub use graph::{Access, FenceNode, ProgramGraph, StreamDep};
 pub use report::{analyze, Analysis, DowngradableFence, RedundantFence, UnprotectedCycle};
 pub use synth::{
-    apply_to_graph, apply_to_streams, graph_cost, synthesize, synthesize_cycles, synthesize_with,
-    CostModel, Instrument, Placement, SolverOptions, SynthConfig, SynthError, SynthOutcome,
+    apply_to_graph, apply_to_streams, graph_cost, synthesize, synthesize_cycles, CostModel,
+    Instrument, Placement, SolverOptions, SynthConfig, SynthError, SynthOutcome,
     DEFAULT_NODE_BUDGET,
 };
 pub use wps::{
-    critical_cycles_wps, critical_cycles_wps_metered, synthesize_wps, synthesize_wps_metered,
-    CycleCache, WpsConfig, WpsMetrics, WpsReport, WpsTier,
+    critical_cycles_wps, synthesize_wps, synthesize_wps_metered, CycleCache, WpsConfig, WpsMetrics,
+    WpsReport, WpsTier,
 };

@@ -247,8 +247,9 @@ impl CostModel {
     }
 
     /// The static table priced through the Eq. 1/Eq. 2 round trip at
-    /// sensitivity `k` (the [`eq_price`] guard falls back to the raw
-    /// entry on any non-finite input or result).
+    /// sensitivity `k`. An entry whose raw cost is non-finite or
+    /// non-positive, a `k` outside `(0, 1)`, or a non-finite result keeps
+    /// the raw entry.
     #[must_use]
     pub fn priced(k: f64) -> Self {
         let mut m = CostModel::static_table();
@@ -1107,30 +1108,18 @@ fn solve_hitting_set(
 /// round budget (a solver bug, not an input property);
 /// [`SynthError::Timeout`] if branch-and-bound exhausts the default node
 /// budget (callers of this wrapper require a proven-minimal placement —
-/// use [`synthesize_with`] to accept the incumbent instead).
+/// use [`synthesize_cycles`] to choose the solve tier or accept the
+/// incumbent instead).
 pub fn synthesize(
     g: &ProgramGraph,
     cfg: SynthConfig,
     costs: &CostModel,
 ) -> Result<Placement, SynthError> {
-    match synthesize_with(g, cfg, costs, &SolverOptions::default())? {
+    let cycles = critical_cycles(g);
+    match synthesize_cycles(g, &cycles, cfg, costs, &SolverOptions::default())? {
         SynthOutcome::Timeout { nodes, .. } => Err(SynthError::Timeout { nodes }),
         outcome => Ok(outcome.into_placement()),
     }
-}
-
-/// [`synthesize_cycles`] over `g`'s own (serially enumerated) cycle set.
-///
-/// # Errors
-///
-/// As for [`synthesize_cycles`].
-pub fn synthesize_with(
-    g: &ProgramGraph,
-    cfg: SynthConfig,
-    costs: &CostModel,
-    opts: &SolverOptions,
-) -> Result<SynthOutcome, SynthError> {
-    synthesize_cycles(g, &critical_cycles(g), cfg, costs, opts)
 }
 
 /// Candidate enumeration over every multi-access leg of every open cycle;

@@ -340,25 +340,6 @@ pub fn critical_cycles_wps(
     dedup_cycles(merged)
 }
 
-/// [`critical_cycles_wps`], recording the decomposition and cycle counts
-/// into `metrics` when one is supplied. The returned cycle set is
-/// identical either way — the metered variant exists so instrumented
-/// campaigns keep the uninstrumented function's signature untouched.
-#[must_use]
-pub fn critical_cycles_wps_metered(
-    g: &ProgramGraph,
-    threads: Option<usize>,
-    cache: Option<&CycleCache>,
-    metrics: Option<&WpsMetrics>,
-) -> Vec<CriticalCycle> {
-    let cycles = critical_cycles_wps(g, threads, cache);
-    if let Some(m) = metrics {
-        m.record_components(&conflict_components(g));
-        m.cycles_enumerated.add(cycles.len() as u64);
-    }
-    cycles
-}
-
 /// Tiered whole-program synthesis over the parallel-enumerated cycle set.
 ///
 /// Every instance runs the reorder-bounded greedy tier; instances whose
@@ -631,20 +612,17 @@ mod tests {
 
         let reg = MetricsRegistry::new();
         let metrics = WpsMetrics::register(&reg);
-        let plain = critical_cycles_wps(&u, Some(2), None);
-        let metered = critical_cycles_wps_metered(&u, Some(2), None, Some(&metrics));
-        assert_eq!(format!("{plain:?}"), format!("{metered:?}"));
+        let report =
+            synthesize_wps_metered(&u, cfg, &costs, &WpsConfig::default(), None, Some(&metrics))
+                .expect("synth");
+        let plain = synthesize_wps(&u, cfg, &costs, &WpsConfig::default(), None).expect("synth");
+        assert_eq!(format!("{plain:?}"), format!("{report:?}"));
         let snap = reg.snapshot();
         assert_eq!(snap.counter("wps.components"), Some(2));
         assert_eq!(
             snap.counter("wps.cycles_enumerated"),
-            Some(plain.len() as u64)
+            Some(critical_cycles_wps(&u, Some(2), None).len() as u64)
         );
-
-        let report =
-            synthesize_wps_metered(&u, cfg, &costs, &WpsConfig::default(), None, Some(&metrics))
-                .expect("synth");
-        let snap = reg.snapshot();
         assert_eq!(snap.counter("wps.tier.exact"), Some(1));
         assert_eq!(
             snap.counter("wps.open_cycles"),

@@ -9,7 +9,7 @@
 //! * **sc-per-location** — `acyclic(po-loc ∪ rf ∪ fr ∪ co)` per variable:
 //!   coherence. Purely relational, model-independent.
 //! * **no-thin-air** — `acyclic(ppo ∪ rf)`: values cannot justify
-//!   themselves. `ppo` is exactly [`LitmusTest::ordered`], i.e. SC orders
+//!   themselves. `ppo` is exactly [`LitmusTest::ordered`](wmm_litmus::LitmusTest::ordered), i.e. SC orders
 //!   everything, TSO all but store→load, ARM/POWER same-location pairs,
 //!   fences, acquire/release (incl. the `ARMv8` `RCsc` pair), and
 //!   dependencies.

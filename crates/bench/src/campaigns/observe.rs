@@ -5,7 +5,7 @@ use std::path::Path;
 
 use wmm_harness::{instruction_trace_events, span_trace_events, RunManifest};
 use wmm_obs::{Profile, ProfileDiff};
-use wmmbench::image::SiteMap;
+use wmmbench::image::SiteNames;
 use wmmbench::report::Table;
 
 use super::Ctx;
@@ -244,12 +244,13 @@ pub fn wmm_profile(ctx: &Ctx) -> Result<RunManifest, String> {
         ctx.write_file(path, &wmm_obs::collapsed_stacks(&merged))?;
     }
     if ctx.tracing() {
-        let Some((stalls, map)) = cp.benches.first().and_then(|b| b.batch.exemplar.as_ref()) else {
+        let Some((stalls, names)) = cp.benches.first().and_then(|b| b.batch.exemplar.as_ref())
+        else {
             return Err("no exemplar run captured; nothing to trace".into());
         };
         let bench = &cp.benches[0].bench;
         let events = instruction_trace_events(stalls, cp.ns_per_cycle, |t, i| {
-            match map.name(t as usize, i as usize) {
+            match names.name(t as usize, i as usize) {
                 Some(n) => format!("{bench}/{n}"),
                 None => format!("{bench}/t{t}:#{i}"),
             }
@@ -407,7 +408,7 @@ pub fn wmm_tracediff(ctx: &Ctx) -> Result<RunManifest, String> {
         manifest.push_cell("wall_delta_ns", test.total_wall_ns() - base.total_wall_ns());
         diff
     };
-    let share = diff.share(|r| !SiteMap::is_code(&r.name));
+    let share = diff.share(|r| !SiteNames::is_code(&r.name));
     manifest.push_cell("site_share", share);
     push_diff(&mut manifest, &diff);
     share_check("barrier-site share of the delta", share)?;

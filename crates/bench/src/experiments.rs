@@ -798,7 +798,7 @@ pub struct SiteCostRow {
     pub campaign: &'static str,
     /// Benchmark name.
     pub bench: String,
-    /// Stable site name (from the sited link's `SiteMap`).
+    /// Stable site name (from the sited batch's `SiteNames`).
     pub site: String,
     /// Fence mnemonic executed at the site.
     pub fence: &'static str,

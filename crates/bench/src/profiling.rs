@@ -3,9 +3,10 @@
 //!
 //! Where [`crate::experiments`] answers "what does this strategy cost
 //! per *fence kind*", this module answers "which *site* paid it": every
-//! measurement batch runs through `Machine::run_sited`, the per-sample
-//! [`SiteStall`] records are folded into a [`Profile`] keyed by the stable
-//! site names a [`SiteMap`] assigns, and whole campaigns (all DaCapo or
+//! measurement batch is a set of image cells run in place through
+//! `Machine::run_sited`, the per-sample [`SiteStall`] records are folded
+//! into a [`Profile`] keyed by the stable site names [`SiteNames`] reads
+//! off each image and its site table, and whole campaigns (all DaCapo or
 //! kernel benchmarks under one strategy) merge into a single name-prefixed
 //! profile ready for flamegraph export or site-by-site diffing.
 //!
@@ -30,9 +31,9 @@ use wmm_sim::stats::SiteStall;
 use wmm_sim::Machine;
 use wmm_workloads::dacapo::dacapo_suite;
 use wmm_workloads::kernel::{kernel_profile, KernelBench};
-use wmmbench::exec::Executor;
-use wmmbench::image::{Injection, SiteMap, SiteRewriter};
-use wmmbench::runner::{measurement_jobs_sited, BenchSpec, RunConfig};
+use wmmbench::exec::{Executor, SimCell};
+use wmmbench::image::{Injection, SiteNames, SiteRewriter};
+use wmmbench::runner::{sample_images, BenchSpec, RunConfig, SampleCode};
 use wmmbench::strategy::{FencingStrategy, FnStrategy};
 
 use crate::experiments::{
@@ -51,10 +52,10 @@ pub struct ProfiledBatch {
     pub totals: SimTotals,
     /// Per-site stall profile folded over the same samples.
     pub profile: Profile,
-    /// The first sample's raw stall records and site map — enough to
+    /// The first sample's raw stall records and site names — enough to
     /// reconstruct one run's instruction-granular timeline for trace
     /// export.
-    pub exemplar: Option<(Vec<SiteStall>, SiteMap)>,
+    pub exemplar: Option<(Vec<SiteStall>, SiteNames)>,
 }
 
 impl ProfiledBatch {
@@ -68,9 +69,10 @@ impl ProfiledBatch {
 }
 
 /// Run one measurement batch sited: the per-site counterpart of the
-/// attribution campaigns' stats batches. Wall times and per-kind totals
-/// are bit-identical to the unsited batch — the probe observes values the
-/// executor already computed — so callers can use them interchangeably.
+/// attribution campaigns' stats batches, submitted as the same image cells
+/// with `sited` set. Wall times and per-kind totals are bit-identical to
+/// the unsited batch — the probe observes values the executor already
+/// computed — so callers can use them interchangeably.
 pub fn batch_with_profile<P: Clone + Eq + Hash + std::fmt::Debug>(
     m: &Machine,
     bench: &dyn BenchSpec<P>,
@@ -78,22 +80,26 @@ pub fn batch_with_profile<P: Clone + Eq + Hash + std::fmt::Debug>(
     cfg: RunConfig,
     exec: &dyn Executor,
 ) -> ProfiledBatch {
-    let (jobs, maps, _) = measurement_jobs_sited(m, bench, rw, cfg);
-    let outcomes = exec.run_batch_stats(jobs);
+    let images = sample_images(bench, cfg);
+    let code = SampleCode::new(&images);
+    let sites = code.site_table(rw);
+    let cells = code.cells(m, &sites).into_iter();
+    let outcomes = exec.run_cells(cells.map(|c| SimCell { sited: true, ..c }).collect());
+    let sample_names = code.site_names(&sites);
     let mut batch = ProfiledBatch {
         times: Vec::with_capacity(cfg.samples),
         totals: SimTotals::default(),
         profile: Profile::new(),
         exemplar: None,
     };
-    for (o, map) in outcomes.iter().zip(&maps).skip(cfg.warmups) {
+    for (o, names) in outcomes.iter().zip(sample_names).skip(cfg.warmups) {
         batch.times.push(o.wall_ns);
         if let Some(s) = &o.stats {
             batch.totals.merge_stats(s);
             if let Some(per_site) = &s.per_site {
-                batch.profile.add_run(per_site, map);
+                batch.profile.add_run(per_site, &names);
                 if batch.exemplar.is_none() {
-                    batch.exemplar = Some((per_site.clone(), map.clone()));
+                    batch.exemplar = Some((per_site.clone(), names));
                 }
             }
         }
@@ -127,7 +133,7 @@ pub struct CampaignProfile {
 impl CampaignProfile {
     /// The campaign-wide profile: every benchmark's sites merged under
     /// `benchmark/site` names (prefixing keeps same-shaped benchmarks from
-    /// colliding; `SiteMap::is_code` still recognises code rows because it
+    /// colliding; `SiteNames::is_code` still recognises code rows because it
     /// matches the name's tail).
     pub fn merged(&self) -> Profile {
         let mut merged = Profile::new();
@@ -489,7 +495,7 @@ mod tests {
         let test = profile_jdk9_arm(cfg, &SerialExecutor);
         let diff = base.merged().diff(&test.merged());
         assert!(diff.abs_delta() > 0.0, "strategies must differ");
-        let share = diff.share(|r| !SiteMap::is_code(&r.name));
+        let share = diff.share(|r| !SiteNames::is_code(&r.name));
         assert!(
             share >= 0.90,
             "barrier sites must carry ≥90% of the delta, got {share:.3}"

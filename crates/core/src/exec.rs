@@ -22,22 +22,25 @@
 //!
 //! # Cells, simulated in place
 //!
-//! The unit of work is a [`SimCell`]. The measurement paths submit cells
-//! that are never linked into a program: an [`ImageCode`] (an image whose
-//! literal code is indexed and digested once and shared by every
-//! configuration) plus one rewriter's [`SiteTable`]
-//! ([`CellProgram::Image`]). The cell's [`SimCell::digest`] equals the
-//! digest of the program [`SiteRewriter::link`] would return, so a caching
-//! executor keys and looks it up from digests alone, and a miss is
-//! simulated in place: the simulator's run loop walks each thread's parts
-//! — the image's code slices and the table's site lowerings — through
-//! [`ImageCode::parts`], with results bit-identical to running the linked
-//! program. No path through an executor copies an image cell's
-//! instructions. An already-linked [`SimJob`] is the trivial cell
-//! ([`CellProgram::Linked`]), keyed from its stream: one executor path
-//! serves both.
+//! The unit of work is a [`SimCell`]. Every campaign batch built from
+//! images, sited profiling batches included, submits cells that are never
+//! linked into a program: an [`ImageCode`] (an image whose literal code
+//! is indexed and digested once and shared by every configuration) plus
+//! one rewriter's [`SiteTable`] ([`CellProgram::Image`]). The cell's
+//! [`SimCell::digest`] equals the digest of the program
+//! [`SiteRewriter::link`] would return, so a caching executor keys and
+//! looks it up from digests alone, and a miss is simulated in place: the
+//! simulator's run loop walks each thread's parts — the image's code
+//! slices and the table's site lowerings — through [`ImageCode::parts`],
+//! with results bit-identical to running the linked program. A sited cell's stall records carry linear
+//! indices into that stream, which [`SiteNames`] maps to site names. No
+//! path through an executor copies an image cell's instructions. An
+//! already-linked [`SimJob`] (a hand-built job, or the benchmark's linked
+//! replica) is the trivial cell ([`CellProgram::Linked`]), keyed from its
+//! stream: one executor path serves both.
 //!
 //! [`SiteRewriter::link`]: crate::image::SiteRewriter::link
+//! [`SiteNames`]: crate::image::SiteNames
 //!
 //! # Telemetry through the seam
 //!

@@ -41,8 +41,8 @@ pub enum Segment<P> {
     Code(Vec<Instr>),
     /// Literal instructions carrying an observability label. Linked exactly
     /// like [`Segment::Code`] — no strategy lowering, no padding — but
-    /// [`SiteRewriter::link_sited`] names them `t{t}:{label}#{occ}` instead
-    /// of pooling them into `t{t}:code`. Platforms use this to tag accesses
+    /// [`SiteNames`] names them `t{t}:{label}#{occ}` instead of pooling
+    /// them into `t{t}:code`. Platforms use this to tag accesses
     /// whose cost moves *between* segments across strategy variants (e.g. a
     /// volatile access that is a plain load under a barrier JIT but an
     /// acquire load under `ldar`/`stlr` lowering), so per-site profiles of
@@ -103,20 +103,12 @@ impl<P: Clone + Eq + Hash> Image<P> {
         counts
     }
 
-    /// All distinct code paths present in the image.
+    /// All distinct code paths present in the image, in order of first
+    /// appearance.
     pub fn paths(&self) -> Vec<P> {
-        let mut seen = HashMap::new();
-        let mut out = vec![];
-        for t in &self.threads {
-            for seg in t {
-                if let Segment::Site(p) = seg {
-                    if seen.insert(p.clone(), ()).is_none() {
-                        out.push(p.clone());
-                    }
-                }
-            }
-        }
-        out
+        let mut paths = Vec::new();
+        ImageCode::new(self, &mut paths);
+        paths
     }
 }
 
@@ -193,11 +185,6 @@ impl<'a, P: Clone + Eq + Hash> SiteRewriter<'a, P> {
         }
     }
 
-    /// The strategy being applied.
-    pub fn strategy_name(&self) -> &str {
-        self.strategy.name()
-    }
-
     /// Lower one site to its final, envelope-padded sequence.
     pub fn lower_site(&self, path: &P) -> Vec<Instr> {
         let mut seq = self.strategy.lower(path);
@@ -234,103 +221,6 @@ impl<'a, P: Clone + Eq + Hash> SiteRewriter<'a, P> {
                 })
                 .collect(),
         }
-    }
-
-    /// Like [`SiteRewriter::link`], but also produce a [`SiteMap`] that
-    /// names every linked instruction after the image segment it came from.
-    /// The program is identical to what `link` returns; the map is what lets
-    /// the observability layer fold per-`(thread, index)` stall records into
-    /// profiles keyed by stable, human-readable site names.
-    pub fn link_sited(&self, image: &Image<P>) -> (Program, SiteMap)
-    where
-        P: std::fmt::Debug,
-    {
-        let mut lowered: Vec<(P, Vec<Instr>)> = Vec::new();
-        let mut names: Vec<String> = Vec::new();
-        let mut ids: HashMap<String, u32> = HashMap::new();
-        let mut intern = |names: &mut Vec<String>, name: String| -> u32 {
-            if let Some(&id) = ids.get(&name) {
-                return id;
-            }
-            let id = names.len() as u32;
-            ids.insert(name.clone(), id);
-            names.push(name);
-            id
-        };
-        let mut threads = Vec::with_capacity(image.threads.len());
-        let mut map_threads = Vec::with_capacity(image.threads.len());
-        for (t, segs) in image.threads.iter().enumerate() {
-            let mut out = Vec::new();
-            let mut map = Vec::new();
-            let mut occ: HashMap<String, u64> = HashMap::new();
-            for seg in segs {
-                match seg {
-                    Segment::Code(instrs) => {
-                        // Ordered accesses are observation-worthy sites in
-                        // their own right: a JIT that lowers volatiles to
-                        // `ldar`/`stlr` emits no barrier segment, yet those
-                        // accesses are exactly where the volatile cost
-                        // moved. Name them individually; pool the rest.
-                        for instr in instrs {
-                            let label = match instr {
-                                Instr::Load {
-                                    ord: AccessOrd::Acquire,
-                                    ..
-                                } => Some("acq"),
-                                Instr::Store {
-                                    ord: AccessOrd::Release,
-                                    ..
-                                } => Some("rel"),
-                                _ => None,
-                            };
-                            let id = match label {
-                                Some(l) => {
-                                    let n = occ.entry(l.to_string()).or_insert(0);
-                                    let id = intern(&mut names, format!("t{t}:{l}#{n}"));
-                                    *n += 1;
-                                    id
-                                }
-                                None => intern(&mut names, format!("t{t}:code")),
-                            };
-                            out.push(*instr);
-                            map.push(id);
-                        }
-                    }
-                    Segment::Labeled(label, instrs) => {
-                        let n = occ.entry((*label).to_string()).or_insert(0);
-                        let id = intern(&mut names, format!("t{t}:{label}#{n}"));
-                        *n += 1;
-                        map.extend(std::iter::repeat_n(id, instrs.len()));
-                        out.extend_from_slice(instrs);
-                    }
-                    Segment::Site(p) => {
-                        let label = format!("{p:?}");
-                        let n = occ.entry(label.clone()).or_insert(0);
-                        let id = intern(&mut names, format!("t{t}:{label}#{n}"));
-                        *n += 1;
-                        let idx = match lowered.iter().position(|(q, _)| q == p) {
-                            Some(i) => i,
-                            None => {
-                                lowered.push((p.clone(), self.lower_site(p)));
-                                lowered.len() - 1
-                            }
-                        };
-                        let seq = &lowered[idx].1;
-                        map.extend(std::iter::repeat_n(id, seq.len()));
-                        out.extend_from_slice(seq);
-                    }
-                }
-            }
-            threads.push(out);
-            map_threads.push(map);
-        }
-        (
-            Program::new(threads),
-            SiteMap {
-                names,
-                threads: map_threads,
-            },
-        )
     }
 }
 
@@ -474,32 +364,116 @@ impl Code for ImageParts<'_> {
     }
 }
 
-/// Maps every linked instruction back to the image segment it came from, by
-/// interned name. Site instructions are named `t{thread}:{path:?}#{occ}`
-/// (`occ` counts occurrences of the same path within the thread, in stream
-/// order); [`Segment::Labeled`] code is named `t{thread}:{label}#{occ}` the
-/// same way; ordered accesses inside unlabeled literal code — `ldar`/`stlr`
+/// Stable names for the stall records of a sited run of an image: a
+/// record's `(thread, index)`, with `index` linear in the thread's stream,
+/// names the image segment its instruction came from.
+///
+/// Site instructions are named `t{thread}:{path:?}#{occ}` (`occ` counts
+/// occurrences of the same path within the thread, in stream order);
+/// [`Segment::Labeled`] code is named `t{thread}:{label}#{occ}` the same
+/// way; ordered accesses inside unlabeled literal code — `ldar`/`stlr`
 /// stand-ins a platform did not tag — get fallback `t{thread}:acq#{occ}` /
 /// `t{thread}:rel#{occ}` names; the remaining literal platform code is
 /// pooled under `t{thread}:code`. Names are a function of the *image* and
 /// thread layout only — not of the strategy, injection, or seed — so
 /// profiles from different variants of the same image join site-by-site.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SiteMap {
+pub struct SiteNames {
     names: Vec<String>,
-    threads: Vec<Vec<u32>>,
+    /// Per thread, runs of instructions sharing a name, as `(end, name)`
+    /// in stream order: one per segment, plus one per ordered access in
+    /// unlabeled code. A run ends before linear index `end`.
+    runs: Vec<Vec<(u32, u32)>>,
 }
 
-impl SiteMap {
-    /// The name of instruction `index` of `thread`, if in range.
-    pub fn name(&self, thread: usize, index: usize) -> Option<&str> {
-        let id = *self.threads.get(thread)?.get(index)?;
-        self.names.get(id as usize).map(String::as_str)
+impl SiteNames {
+    /// Name the instructions of `image` run under `sites`, a table over
+    /// `paths` (the path list [`ImageCode::new`] indexed the image into):
+    /// a site's run is as long as the table's lowering of its path.
+    pub(crate) fn new<P: std::fmt::Debug + PartialEq>(
+        image: &Image<P>,
+        paths: &[P],
+        sites: &SiteTable,
+    ) -> Self {
+        use AccessOrd::{Acquire, Release};
+        let labels: Vec<String> = paths.iter().map(|p| format!("{p:?}")).collect();
+        let mut out = SiteNames {
+            names: Vec::new(),
+            runs: Vec::new(),
+        };
+        for (t, segs) in image.threads.iter().enumerate() {
+            let (mut occ, mut code) = (HashMap::new(), None);
+            out.runs.push(Vec::new());
+            for seg in segs {
+                match seg {
+                    // Ordered accesses are observation-worthy sites in
+                    // their own right: a JIT that lowers volatiles to
+                    // `ldar`/`stlr` emits no barrier segment, yet those
+                    // accesses are exactly where the volatile cost moved.
+                    // Name them individually; pool the rest.
+                    Segment::Code(instrs) => {
+                        for instr in instrs {
+                            let label = match instr {
+                                Instr::Load { ord: Acquire, .. } => Some("acq"),
+                                Instr::Store { ord: Release, .. } => Some("rel"),
+                                _ => None,
+                            };
+                            out.push(t, label, 1, &mut occ, &mut code);
+                        }
+                    }
+                    Segment::Labeled(label, instrs) => {
+                        out.push(t, Some(label), instrs.len(), &mut occ, &mut code);
+                    }
+                    Segment::Site(p) => {
+                        let i = paths.iter().position(|q| q == p).expect("path listed");
+                        let len = sites.sites[i].0.len();
+                        out.push(t, Some(&labels[i]), len, &mut occ, &mut code);
+                    }
+                }
+            }
+        }
+        out
     }
 
-    /// All interned names, in first-appearance order.
-    pub fn names(&self) -> &[String] {
-        &self.names
+    /// Give thread `t`'s next `len` instructions one name: the thread's
+    /// next occurrence of `label` (counted in `occ`, even when `len` is
+    /// 0), or with no label its pooled-code name (`code`, made on first
+    /// use).
+    fn push<'l>(
+        &mut self,
+        t: usize,
+        label: Option<&'l str>,
+        len: usize,
+        occ: &mut HashMap<&'l str, u32>,
+        code: &mut Option<u32>,
+    ) {
+        let mut new_name = |name: String| {
+            self.names.push(name);
+            self.names.len() as u32 - 1
+        };
+        let id = match label {
+            Some(l) => {
+                let n = occ.entry(l).or_insert(0);
+                let id = new_name(format!("t{t}:{l}#{n}"));
+                *n += 1;
+                id
+            }
+            None => *code.get_or_insert_with(|| new_name(format!("t{t}:code"))),
+        };
+        let runs = self.runs.last_mut().expect("a thread is open");
+        let end = runs.last().map_or(0, |r| r.0) + len as u32;
+        match runs.last_mut() {
+            Some(last) if last.1 == id => last.0 = end,
+            _ if len > 0 => runs.push((end, id)),
+            _ => {}
+        }
+    }
+
+    /// The name of instruction `index` of `thread`, if in range.
+    pub fn name(&self, thread: usize, index: usize) -> Option<&str> {
+        let runs = self.runs.get(thread)?;
+        let &(_, id) = runs.get(runs.partition_point(|&(end, _)| end as usize <= index))?;
+        Some(&self.names[id as usize])
     }
 
     /// Whether `name` denotes pooled literal code rather than a site.
@@ -538,7 +512,8 @@ pub fn program_words(program: &Program) -> u64 {
 mod tests {
     use super::*;
     use crate::strategy::FnStrategy;
-    use wmm_sim::isa::FenceKind;
+    use wmm_sim::isa::AccessOrd::{Acquire, Plain, Release};
+    use wmm_sim::isa::{FenceKind, Loc};
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
     enum Path {
@@ -649,29 +624,75 @@ mod tests {
     }
 
     #[test]
-    fn link_sited_matches_link_and_names_every_instruction() {
-        let img = image();
+    fn site_names_follow_every_naming_rule() {
+        let loc = Loc::SharedRw(1);
+        let load = |ord| Instr::Load { loc, ord };
+        let (ld, ldar) = (load(Plain), load(Acquire));
+        let stlr = Instr::Store { loc, ord: Release };
+        let (enter, exit) = (Segment::Site(Path::Enter), Segment::Site(Path::Exit));
+        let img = Image {
+            threads: vec![
+                vec![
+                    Segment::Code(vec![Instr::Alu, ldar, Instr::Alu, stlr, ldar]),
+                    enter.clone(),
+                    Segment::Labeled("ld", vec![ld]),
+                    enter.clone(),
+                    Segment::Labeled("ld", vec![ld, ld]),
+                    Segment::Code(vec![Instr::Alu]),
+                ],
+                // An empty label still takes an occurrence number.
+                vec![
+                    exit,
+                    Segment::Code(vec![Instr::Alu, Instr::Alu]),
+                    Segment::Labeled("ld", vec![]),
+                    Segment::Labeled("ld", vec![ld]),
+                    enter,
+                ],
+            ],
+            ctx: WorkloadCtx::default(),
+            work_units: 1.0,
+        };
+        // The injected loop fills Enter's 4-word envelope with 2
+        // instructions; Exit pads its fence with 3 nops. A site's run is
+        // as long as the table's lowering, not its envelope in words.
+        let cf = CostFunction {
+            iters: 4,
+            stack_spill: false,
+        };
         let (a, _) = strategies();
-        let env = compute_envelope(&img.paths(), &[&a], 0);
-        let rw = SiteRewriter::new(&a, Injection::None, env);
-        let plain = rw.link(&img);
-        let (sited, map) = rw.link_sited(&img);
-        assert_eq!(plain.threads, sited.threads);
-        // Every instruction of every thread has a name...
-        for (t, stream) in sited.threads.iter().enumerate() {
-            for i in 0..stream.len() {
-                assert!(map.name(t, i).is_some(), "unnamed instr t{t}:{i}");
+        let env = compute_envelope(&img.paths(), &[&a], cf.size());
+        let rw = SiteRewriter::new(&a, Injection::At(Path::Enter, cf), env);
+        let mut paths = Vec::new();
+        ImageCode::new(&img, &mut paths);
+        let names = SiteNames::new(&img, &paths, &rw.site_table(&paths));
+        let expected = [
+            vec![
+                "code", "acq#0", "code", "rel#0", "acq#1", "Enter#0", "Enter#0", "ld#0", "Enter#1",
+                "Enter#1", "ld#1", "ld#1", "code",
+            ],
+            vec![
+                "Exit#0", "Exit#0", "Exit#0", "Exit#0", "code", "code", "ld#1", "Enter#0",
+                "Enter#0",
+            ],
+        ];
+        let linked = rw.link(&img);
+        for (t, want) in expected.iter().enumerate() {
+            assert_eq!(linked.threads[t].len(), want.len(), "t{t} length");
+            for (i, w) in want.iter().enumerate() {
+                assert_eq!(
+                    names.name(t, i),
+                    Some(format!("t{t}:{w}").as_str()),
+                    "t{t}:{i}"
+                );
             }
-            assert!(map.name(t, stream.len()).is_none());
+            assert_eq!(names.name(t, want.len()), None);
         }
-        // ...and repeated sites of the same path get distinct names.
-        let names = map.names();
-        assert!(names.contains(&"t0:code".to_string()));
-        assert!(names.contains(&"t0:Enter#0".to_string()));
-        assert!(names.contains(&"t0:Enter#1".to_string()));
-        assert!(names.contains(&"t0:Exit#0".to_string()));
-        assert!(SiteMap::is_code("t0:code"));
-        assert!(!SiteMap::is_code("t0:Enter#0"));
+        assert_eq!(names.name(2, 0), None);
+        // One run per segment, plus one per ordered access in unlabeled
+        // code; the empty label adds none.
+        assert_eq!(names.runs.iter().map(Vec::len).collect::<Vec<_>>(), [10, 4]);
+        assert!(SiteNames::is_code("t0:code"));
+        assert!(!SiteNames::is_code("t0:Enter#0"));
     }
 
     #[test]

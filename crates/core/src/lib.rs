@@ -49,7 +49,7 @@ pub mod turnkey;
 pub use costfn::{Calibration, CostFunction};
 pub use exec::{CellProgram, Executor, JobOutcome, SerialExecutor, SimCell, SimJob};
 pub use image::{
-    flatten_streams, Image, ImageCode, ImageParts, Segment, SiteMap, SiteRewriter, SiteTable,
+    flatten_streams, Image, ImageCode, ImageParts, Segment, SiteNames, SiteRewriter, SiteTable,
 };
 pub use json::{Json, ToJson};
 pub use model::{estimate_cost, predicted_performance, SensitivityFit};

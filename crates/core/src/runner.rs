@@ -9,10 +9,10 @@
 use std::hash::Hash;
 
 use wmm_sim::Machine;
-use wmm_stats::{confidence_interval, Comparison, ConfidenceInterval, Summary};
+use wmm_stats::{Comparison, Summary};
 
 use crate::exec::{wall_times, CellProgram, Executor, SimCell, SimJob};
-use crate::image::{Image, ImageCode, SiteMap, SiteRewriter, SiteTable};
+use crate::image::{Image, ImageCode, SiteNames, SiteRewriter, SiteTable};
 
 /// A benchmark: a black box producing a program image per sample seed.
 ///
@@ -72,19 +72,6 @@ impl Measurement {
     /// Summary statistics of the times.
     pub fn summary(&self) -> Summary {
         Summary::of(&self.times_ns)
-    }
-
-    /// Throughput samples (work units per second).
-    pub fn throughput(&self) -> Vec<f64> {
-        self.times_ns
-            .iter()
-            .map(|t| self.work_units / (t * 1e-9))
-            .collect()
-    }
-
-    /// 95% confidence interval on the mean time.
-    pub fn ci95(&self) -> ConfidenceInterval {
-        confidence_interval(&self.times_ns, 0.95)
     }
 }
 
@@ -168,6 +155,20 @@ impl<'i, P: Clone + Eq + Hash> SampleCode<'i, P> {
             .collect()
     }
 
+    /// Per-sample [`SiteNames`] under `sites`, in sample order: what a
+    /// sited run of each of [`SampleCode::cells`] folds its stall records
+    /// by. Images can vary with the sample seed, so profiles join records
+    /// by site *name*, not raw index.
+    pub fn site_names(&self, sites: &SiteTable) -> Vec<SiteNames>
+    where
+        P: std::fmt::Debug,
+    {
+        self.samples
+            .iter()
+            .map(|(_, image)| SiteNames::new(image, &self.paths, sites))
+            .collect()
+    }
+
     /// Work units per run (the last sample's, as [`jobs_from_images`]
     /// reports).
     pub fn work_units(&self) -> f64 {
@@ -175,36 +176,6 @@ impl<'i, P: Clone + Eq + Hash> SampleCode<'i, P> {
             .last()
             .map_or(1.0, |(_, image)| image.work_units)
     }
-}
-
-/// Like [`jobs_from_images`], but the jobs collect per-site stall
-/// attribution and each job is paired (by index) with the [`SiteMap`] of
-/// the image it was linked from — images can vary with the sample seed, so
-/// profile folds join records by site *name*, not raw index.
-pub fn measurement_jobs_sited<'m, P: Clone + Eq + Hash + std::fmt::Debug>(
-    machine: &'m Machine,
-    bench: &dyn BenchSpec<P>,
-    rewriter: &SiteRewriter<'_, P>,
-    cfg: RunConfig,
-) -> (Vec<SimJob<'m>>, Vec<SiteMap>, f64) {
-    let mut jobs = Vec::with_capacity(cfg.warmups + cfg.samples);
-    let mut maps = Vec::with_capacity(cfg.warmups + cfg.samples);
-    let mut work_units = 1.0;
-    for i in 0..(cfg.warmups + cfg.samples) {
-        let seed = cfg.base_seed.wrapping_add(i as u64);
-        let image = bench.image(seed);
-        work_units = image.work_units;
-        let (program, map) = rewriter.link_sited(&image);
-        jobs.push(SimJob {
-            machine,
-            program,
-            ctx: image.ctx,
-            seed,
-            sited: true,
-        });
-        maps.push(map);
-    }
-    (jobs, maps, work_units)
 }
 
 /// Assemble a [`Measurement`] from batch results (drops warm-ups).
@@ -310,7 +281,6 @@ mod tests {
         assert_eq!(m.times_ns.len(), 3);
         assert!(m.summary().mean > 0.0);
         assert_eq!(m.work_units, 50.0);
-        assert!(m.throughput().iter().all(|&t| t > 0.0));
     }
 
     #[test]

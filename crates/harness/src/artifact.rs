@@ -171,8 +171,8 @@ impl SimTotals {
 }
 
 /// One site's stall profile, aggregated over every sited sample of a
-/// campaign and keyed by the stable site name the image's `SiteMap`
-/// assigned (`t{thread}:{path}#{occ}`, or `t{thread}:code` for pooled
+/// campaign and keyed by the stable site name the image's `SiteNames`
+/// assign (`t{thread}:{path}#{occ}`, or `t{thread}:code` for pooled
 /// literal code).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SiteRecord {

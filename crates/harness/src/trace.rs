@@ -57,9 +57,9 @@ impl ToJson for TraceEvent {
 /// instructions strictly in stream order and each advances the core's
 /// clock by exactly `total_cycles`, so slice starts are the per-thread
 /// cumulative sums — an exact reconstruction of the simulated timeline.
-/// `label` renders each `(thread, index)` site's name (e.g. through a
-/// `SiteMap`); `ns_per_cycle` converts the architecture's clock to trace
-/// time. The records must be sorted by `(thread, index)`, which is how
+/// `label` renders each `(thread, index)` site's name (e.g. through the
+/// run's `SiteNames`); `ns_per_cycle` converts the architecture's clock
+/// to trace time. The records must be sorted by `(thread, index)`, which is how
 /// `Machine::run_sited` returns them.
 pub fn instruction_trace_events(
     sites: &[SiteStall],

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use wmm_sim::stats::SiteStall;
 use wmm_sim::FenceKind;
-use wmmbench::image::SiteMap;
+use wmmbench::image::SiteNames;
 use wmmbench::json::{Json, ToJson};
 
 /// One named site's cycles, split by cause and accumulated over every
@@ -76,20 +76,20 @@ impl Profile {
         Profile::default()
     }
 
-    /// Fold one sited run into the profile. `map` names each `(thread,
-    /// index)` site; instructions the map cannot name (out of range —
-    /// should not happen for a map linked with the run's program) fall
-    /// back to a positional `t{thread}:#{index}` name rather than being
-    /// dropped, so cycle totals are conserved.
+    /// Fold one sited run into the profile. `names` names each `(thread,
+    /// index)` site; instructions it cannot name (out of range — should
+    /// not happen for names built from the run's image and site table)
+    /// fall back to a positional `t{thread}:#{index}` name rather than
+    /// being dropped, so cycle totals are conserved.
     ///
     /// Site keys are interned: a key's `String` is allocated only the first
     /// time the site appears in the campaign; every later record (the steady
     /// state — one per executed site instruction per run) folds through a
     /// borrowed-`&str` lookup with no allocation.
-    pub fn add_run(&mut self, sites: &[SiteStall], map: &SiteMap) {
+    pub fn add_run(&mut self, sites: &[SiteStall], names: &SiteNames) {
         let mut fallback = String::new();
         for s in sites {
-            let name: &str = match map.name(s.thread as usize, s.index as usize) {
+            let name: &str = match names.name(s.thread as usize, s.index as usize) {
                 Some(n) => n,
                 None => {
                     use std::fmt::Write as _;

@@ -16,7 +16,7 @@ use wmm::wmm_sim::isa::{AccessOrd, FenceKind, Instr, Loc};
 use wmm::wmm_sim::machine::{Program, WorkloadCtx};
 use wmm::wmm_sim::Machine;
 use wmm::wmmbench::costfn::Calibration;
-use wmm::wmmbench::exec::{Executor, SerialExecutor, SimJob};
+use wmm::wmmbench::exec::{CellProgram, Executor, JobOutcome, SerialExecutor, SimCell, SimJob};
 use wmm::wmmbench::image::{compute_envelope, Image, Injection, Segment, SiteRewriter};
 use wmm::wmmbench::json::ToJson;
 use wmm::wmmbench::runner::{BenchSpec, RunConfig};
@@ -476,19 +476,41 @@ fn sited_profiles_identical_across_thread_counts_and_reruns() {
     }
 }
 
+/// The serial executor, asserting that every cell it is handed is a sited
+/// image cell: a profiling batch links no program.
+struct SitedImageCellsOnly;
+
+impl Executor for SitedImageCellsOnly {
+    fn run_cells(&self, cells: Vec<SimCell<'_>>) -> Vec<JobOutcome> {
+        for c in &cells {
+            assert!(c.sited, "profiling cells run sited");
+            assert!(matches!(c.program, CellProgram::Image(..)), "linked cell");
+        }
+        SerialExecutor.run_cells(cells)
+    }
+}
+
 #[test]
-fn labeled_segments_get_stable_site_names() {
+fn sited_image_cells_name_every_stall_record() {
+    let machine = Machine::new(armv8_xgene1());
     let strategy = FnStrategy::new("dmb", |_: &Site| vec![Instr::Fence(FenceKind::DmbIsh)]);
     let env = compute_envelope(&[Site], &[&strategy], 0);
     let rw = SiteRewriter::new(&strategy, Injection::None, env);
-    let img = Contended.image(7);
-    let (prog, map) = rw.link_sited(&img);
-    // The labeled loads are their own named rows, distinct from pooled code.
-    assert!(map.names().iter().any(|n| n == "t0:ld#0"));
-    assert!(map.names().iter().any(|n| n == "t1:ld#11"));
-    assert!(map.names().iter().any(|n| n == "t0:code"));
-    // link_sited is a pure annotation: same program as link().
-    assert_eq!(prog.threads, rw.link(&img).threads);
+    let batch = batch_with_profile(
+        &machine,
+        &Contended,
+        &rw,
+        RunConfig::quick(),
+        &SitedImageCellsOnly,
+    );
+    // No sample's record fell back to a positional `t{t}:#{i}` name.
+    let sites = &batch.profile.sites;
+    let fallback: Vec<&String> = sites.keys().filter(|n| n.contains(":#")).collect();
+    assert!(fallback.is_empty(), "{fallback:?}");
+    // Sites, labeled loads and pooled code are their own rows.
+    for name in ["t0:Site#0", "t1:Site#11", "t0:ld#0", "t1:ld#11", "t0:code"] {
+        assert!(sites.contains_key(name), "no row {name}");
+    }
 }
 
 // ---------------------------------------------------------------------------
