@@ -60,7 +60,4 @@ pub use synth::{
     Instrument, Placement, SolverOptions, SynthConfig, SynthError, SynthOutcome,
     DEFAULT_NODE_BUDGET,
 };
-pub use wps::{
-    critical_cycles_wps, synthesize_wps, synthesize_wps_metered, CycleCache, WpsConfig, WpsMetrics,
-    WpsReport, WpsTier,
-};
+pub use wps::{critical_cycles_wps, synthesize_wps, CycleCache, WpsConfig, WpsReport, WpsTier};

@@ -29,10 +29,7 @@
 //!    tier ([`SolverOptions::approx`]), and where both ran the report
 //!    carries the priced optimality gap.
 
-use std::sync::Arc;
-
 use wmm_harness::{resolve_threads, run_cached_tasks, Fnv128, TaskCache};
-use wmm_obs::{Class, Counter, Histogram, MetricsRegistry};
 
 use crate::check::check_cycle;
 use crate::cycles::{critical_cycles, dedup_cycles, CriticalCycle};
@@ -123,70 +120,6 @@ pub struct WpsReport {
     /// Priced optimality gap `approx / exact` when both tiers completed
     /// (1.0 = greedy matched the optimum).
     pub gap: Option<f64>,
-}
-
-/// Registered metric handles for the WPS pipeline (`wps.*`).
-///
-/// Every metric here is [`Class::Structural`]: components, cycle and leg
-/// counts, solver nodes, tier outcomes and priced gaps are all pure
-/// functions of the analysed program, recorded on the calling thread after
-/// the deterministic merge — so the structural snapshot of a WPS campaign
-/// is byte-identical at any worker count.
-pub struct WpsMetrics {
-    components: Arc<Counter>,
-    component_size: Arc<Histogram>,
-    cycles_enumerated: Arc<Counter>,
-    open_cycles: Arc<Counter>,
-    legs: Arc<Counter>,
-    solver_nodes: Arc<Counter>,
-    tier_exact: Arc<Counter>,
-    tier_approx: Arc<Counter>,
-    tier_timeout: Arc<Counter>,
-    gap: Arc<Histogram>,
-}
-
-impl WpsMetrics {
-    /// Register the `wps.*` metrics in `registry` and return the handles.
-    pub fn register(registry: &MetricsRegistry) -> Self {
-        WpsMetrics {
-            components: registry.counter("wps.components", Class::Structural),
-            component_size: registry.histogram(
-                "wps.component_size",
-                Class::Structural,
-                &[2.0, 4.0, 8.0, 16.0],
-            ),
-            cycles_enumerated: registry.counter("wps.cycles_enumerated", Class::Structural),
-            open_cycles: registry.counter("wps.open_cycles", Class::Structural),
-            legs: registry.counter("wps.legs", Class::Structural),
-            solver_nodes: registry.counter("wps.solver.nodes", Class::Structural),
-            tier_exact: registry.counter("wps.tier.exact", Class::Structural),
-            tier_approx: registry.counter("wps.tier.approx", Class::Structural),
-            tier_timeout: registry.counter("wps.tier.timeout", Class::Structural),
-            gap: registry.histogram("wps.gap", Class::Structural, &[1.0, 1.01, 1.05, 1.25, 2.0]),
-        }
-    }
-
-    fn record_components(&self, comps: &[Vec<usize>]) {
-        self.components.add(comps.len() as u64);
-        for c in comps {
-            #[allow(clippy::cast_precision_loss)] // components hold ≤ threads
-            self.component_size.observe(c.len() as f64);
-        }
-    }
-
-    fn record_report(&self, report: &WpsReport) {
-        self.open_cycles.add(report.open_cycles as u64);
-        self.legs.add(report.legs as u64);
-        self.solver_nodes.add(report.nodes);
-        match report.tier {
-            WpsTier::Exact => self.tier_exact.inc(),
-            WpsTier::Approx => self.tier_approx.inc(),
-            WpsTier::Timeout => self.tier_timeout.inc(),
-        }
-        if let Some(gap) = report.gap {
-            self.gap.observe(gap);
-        }
-    }
 }
 
 /// Partition thread indices into conflict components: two threads share a
@@ -403,30 +336,6 @@ pub fn synthesize_wps(
     Ok(report)
 }
 
-/// [`synthesize_wps`], recording the full report — decomposition, cycle,
-/// open-cycle and leg counts, solver nodes, tier outcome and priced gap —
-/// into `metrics` when one is supplied.
-///
-/// # Errors
-///
-/// As for [`synthesize_wps`].
-pub fn synthesize_wps_metered(
-    g: &ProgramGraph,
-    cfg: SynthConfig,
-    costs: &CostModel,
-    wps: &WpsConfig,
-    cache: Option<&CycleCache>,
-    metrics: Option<&WpsMetrics>,
-) -> Result<WpsReport, SynthError> {
-    let report = synthesize_wps(g, cfg, costs, wps, cache)?;
-    if let Some(m) = metrics {
-        m.record_components(&conflict_components(g));
-        m.cycles_enumerated.add(report.cycles as u64);
-        m.record_report(&report);
-    }
-    Ok(report)
-}
-
 /// Fold the exact oracle's outcome into a report seeded with the approx
 /// tier, pricing the optimality gap when the oracle completed.
 fn apply_exact_tier(report: &mut WpsReport, outcome: SynthOutcome) {
@@ -598,45 +507,6 @@ mod tests {
         for cyc in critical_cycles(&applied) {
             assert!(check_cycle(&applied, ModelKind::ArmV8, &cyc).protected);
         }
-    }
-
-    #[test]
-    fn metered_variants_record_structural_wps_metrics() {
-        let parts = [
-            graph_of(&suite::store_buffering()),
-            graph_of(&suite::message_passing()),
-        ];
-        let u = ProgramGraph::disjoint_union("pair", &parts.iter().collect::<Vec<_>>());
-        let costs = CostModel::static_table();
-        let cfg = SynthConfig::for_model(ModelKind::ArmV8);
-
-        let reg = MetricsRegistry::new();
-        let metrics = WpsMetrics::register(&reg);
-        let report =
-            synthesize_wps_metered(&u, cfg, &costs, &WpsConfig::default(), None, Some(&metrics))
-                .expect("synth");
-        let plain = synthesize_wps(&u, cfg, &costs, &WpsConfig::default(), None).expect("synth");
-        assert_eq!(format!("{plain:?}"), format!("{report:?}"));
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("wps.components"), Some(2));
-        assert_eq!(
-            snap.counter("wps.cycles_enumerated"),
-            Some(critical_cycles_wps(&u, Some(2), None).len() as u64)
-        );
-        assert_eq!(snap.counter("wps.tier.exact"), Some(1));
-        assert_eq!(
-            snap.counter("wps.open_cycles"),
-            Some(report.open_cycles as u64)
-        );
-        assert_eq!(snap.counter("wps.legs"), Some(report.legs as u64));
-        assert!(snap.counter("wps.solver.nodes").unwrap_or(0) > 0);
-        // Everything the WPS pipeline records is structural, and the
-        // counts are worker-count independent by the merge contract.
-        assert_eq!(
-            snap.structural().entries.len(),
-            snap.entries.len(),
-            "wps metrics are all structural"
-        );
     }
 
     #[test]

@@ -68,8 +68,7 @@ impl Campaign {
     }
 }
 
-const PROFILE_FLAGS: &[&str] = &["--flame"];
-const REPORT_FLAGS: &[&str] = &["--md", "--prom"];
+const PROFILE_FLAGS: &[&str] = &["--flame", "--md", "--prom"];
 
 /// Every campaign, in the order `--all` runs them.
 pub const REGISTRY: &[Campaign] = &[
@@ -112,21 +111,6 @@ pub const REGISTRY: &[Campaign] = &[
         .fresh()
         .flags(&["--base", "--test"]),
     Campaign::new("wmm_tracediff-dstruct", observe::wmm_tracediff_dstruct).fresh(),
-    Campaign::new("wmm_report", observe::wmm_report)
-        .fresh()
-        .flags(REPORT_FLAGS),
-    Campaign::new("wmm_report-fig9-kernel", observe::wmm_report)
-        .fresh()
-        .flags(REPORT_FLAGS),
-    Campaign::new("wmm_report-jdk8-arm", observe::wmm_report)
-        .fresh()
-        .flags(REPORT_FLAGS),
-    Campaign::new("wmm_report-jdk9-arm", observe::wmm_report)
-        .fresh()
-        .flags(REPORT_FLAGS),
-    Campaign::new("wmm_report-dstruct-hp-dmb", observe::wmm_report)
-        .fresh()
-        .flags(REPORT_FLAGS),
 ];
 
 /// The registry entry named `name`.
@@ -144,9 +128,9 @@ pub fn baselines_dir() -> PathBuf {
 pub struct Outputs {
     /// `--flame`: collapsed-stack export of a per-site profile.
     pub flame: Option<PathBuf>,
-    /// `--md`: the run report's markdown, instead of stdout.
+    /// `--md`: a profile's markdown run report.
     pub md: Option<PathBuf>,
-    /// `--prom`: the run report's Prometheus text exposition.
+    /// `--prom`: a profile's metrics in the Prometheus text exposition.
     pub prom: Option<PathBuf>,
     /// `--base`: base manifest of a per-site diff.
     pub base: Option<PathBuf>,
@@ -267,22 +251,28 @@ impl Ctx {
     }
 }
 
+/// The first 40 `errors`, then how many more there were.
+fn shown(errors: &[String]) -> Vec<String> {
+    const SHOWN: usize = 40;
+    let mut lines: Vec<String> = errors.iter().take(SHOWN).cloned().collect();
+    if errors.len() > SHOWN {
+        lines.push(format!("... and {} more", errors.len() - SHOWN));
+    }
+    lines
+}
+
 /// `Err` listing the first `errors`, or `Ok` after printing `<name>: OK`.
 pub fn check(name: &str, errors: &[String]) -> Result<(), String> {
     if errors.is_empty() {
         println!("{name}: OK");
         return Ok(());
     }
-    const SHOWN: usize = 40;
-    let mut msg: Vec<String> = errors.iter().take(SHOWN).cloned().collect();
-    if errors.len() > SHOWN {
-        msg.push(format!("... and {} more", errors.len() - SHOWN));
-    }
-    Err(msg.join("\n"))
+    Err(shown(errors).join("\n"))
 }
 
 /// Run one campaign and write its manifest (with the registry snapshot as
-/// its counts block), trace and summary.
+/// its counts block, marked when the disk cache was open), trace and
+/// summary.
 pub fn run(campaign: &Campaign, s: &Settings) -> Result<(), String> {
     // A failed run must not leave an earlier manifest for the gate to pass.
     let stale = runs_dir().join(format!("{}.json", campaign.name));
@@ -301,6 +291,7 @@ pub fn run(campaign: &Campaign, s: &Settings) -> Result<(), String> {
         ));
     }
     manifest.metrics = Some(ctx.registry.snapshot());
+    manifest.disk_cache = ctx.exec.disk_cache();
     let path = manifest
         .write(runs_dir())
         .map_err(|e| format!("write manifest: {e}"))?;
@@ -315,22 +306,23 @@ pub fn run(campaign: &Campaign, s: &Settings) -> Result<(), String> {
     Ok(())
 }
 
-/// Gate one campaign's latest run against its committed baseline; `Ok`
-/// carries the number of values checked.
-pub fn gate(campaign: &Campaign) -> Result<usize, String> {
+/// Gate one campaign's latest run against its committed baseline: cells
+/// and fits within tolerance, counts and sites exactly. `Ok` carries the
+/// line saying what was compared.
+pub fn gate(campaign: &Campaign) -> Result<String, String> {
     let file = format!("{}.json", campaign.name);
     let baseline = RunManifest::load(baselines_dir().join(&file))?;
     let current = RunManifest::load(runs_dir().join(&file))?;
     let report = compare(&baseline, &current, GateConfig::default());
     if report.pass() {
-        return Ok(report.checked);
+        return Ok(report.summary());
     }
     let mut msg = format!(
-        "{} of {} checks out of tolerance:",
+        "{} failure(s) over {}:",
         report.failures.len(),
-        report.checked.max(report.failures.len())
+        report.summary()
     );
-    for failure in &report.failures {
+    for failure in shown(&report.failures) {
         msg.push_str(&format!("\n  - {failure}"));
     }
     for line in report.diff_table().lines() {

@@ -1,16 +1,16 @@
 //! The observability campaigns: fence-cost attribution, per-site stall
-//! profiles, cross-campaign site diffs and the observed run report.
+//! profiles with their run report, and cross-campaign site diffs.
 
 use std::path::Path;
 
-use wmm_harness::{instruction_trace_events, span_trace_events, RunManifest};
+use wmm_harness::{instruction_trace_events, RunManifest};
 use wmm_obs::{Profile, ProfileDiff};
 use wmmbench::image::SiteNames;
 use wmmbench::report::Table;
 
 use super::Ctx;
 use crate::profiling::{kind_checks, profile_campaign, profile_from_records, CampaignProfile};
-use crate::report::{checks_pass, collect_report, manifest, markdown};
+use crate::report::{check_table, markdown, site_table};
 use crate::{fig5_arm_fence_attribution, fig9_fence_attribution, AttributionReport};
 
 /// Site-diff rows printed and pinned.
@@ -153,8 +153,10 @@ pub fn fence_attribution(ctx: &Ctx) -> Result<RunManifest, String> {
 /// disagreement fails the campaign.
 ///
 /// `--flame <path>` writes the collapsed stacks for `flamegraph.pl`;
-/// `--trace <path>` adds an instruction-granular timeline of one exemplar
-/// run. The manifest's `sites` carries the per-site records.
+/// `--md <path>` the run report (see [`crate::report`]); `--prom <path>`
+/// the metrics snapshot in the Prometheus text format; `--trace <path>`
+/// adds an instruction-granular timeline of one exemplar run. The
+/// manifest's `sites` carries the per-site records.
 pub fn wmm_profile(ctx: &Ctx) -> Result<RunManifest, String> {
     let id = ctx.name.trim_start_matches("wmm_profile-");
     let cp = profile_campaign(id, ctx.cfg, &ctx.exec)
@@ -168,37 +170,7 @@ pub fn wmm_profile(ctx: &Ctx) -> Result<RunManifest, String> {
     let merged = cp.merged();
     let ns = |cycles: f64| cycles * cp.ns_per_cycle;
 
-    // Top sites by total cycles (the merged profile iterates name-ordered;
-    // re-rank by weight for display).
-    let mut ranked: Vec<(&String, &wmm_obs::SiteProfile)> = merged.sites.iter().collect();
-    ranked.sort_by(|a, b| {
-        b.1.total_cycles
-            .total_cmp(&a.1.total_cycles)
-            .then_with(|| a.0.cmp(b.0))
-    });
-    let mut table = Table::new(&[
-        "site",
-        "fence",
-        "fences",
-        "fence_ns",
-        "sb_ns",
-        "mem_ns",
-        "compute_ns",
-        "total_ns",
-    ]);
-    for (name, sp) in ranked.iter().take(15) {
-        table.row(vec![
-            (*name).clone(),
-            sp.fence.map_or("-", |k| k.mnemonic()).to_string(),
-            sp.fences.to_string(),
-            format!("{:.0}", ns(sp.fence_cycles)),
-            format!("{:.0}", ns(sp.sb_stall_cycles)),
-            format!("{:.0}", ns(sp.mem_cycles)),
-            format!("{:.0}", ns(sp.compute_cycles())),
-            format!("{:.0}", ns(sp.total_cycles)),
-        ]);
-    }
-    println!("{}", table.markdown());
+    println!("{}", site_table(&cp, &merged, 15).markdown());
     println!(
         "{} sites, {:.0} ns total ({:.0} ns in fences)",
         merged.sites.len(),
@@ -209,31 +181,12 @@ pub fn wmm_profile(ctx: &Ctx) -> Result<RunManifest, String> {
     // Per-kind cross-check: the per-site fold must reproduce the per-kind
     // telemetry totals the attribution campaigns gate.
     let checks = kind_checks(&cp);
-    let mut check_table = Table::new(&[
-        "benchmark",
-        "fence",
-        "fences",
-        "site_ns",
-        "kind_ns",
-        "rel_err",
-        "ok",
-    ]);
-    let mut failed = vec![];
-    for c in &checks {
-        if !c.pass() {
-            failed.push(format!("{}/{}", c.bench, c.kind.mnemonic()));
-        }
-        check_table.row(vec![
-            c.bench.clone(),
-            c.kind.mnemonic().to_string(),
-            c.site_fences.to_string(),
-            format!("{:.2}", ns(c.site_cycles)),
-            format!("{:.2}", ns(c.kind_cycles)),
-            format!("{:.1e}", c.rel_err()),
-            if c.pass() { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
-    println!("{}", check_table.markdown());
+    let failed: Vec<String> = checks
+        .iter()
+        .filter(|c| !c.pass())
+        .map(|c| format!("{}/{}", c.bench, c.kind.mnemonic()))
+        .collect();
+    println!("{}", check_table(&cp, &checks).markdown());
     println!(
         "per-site vs per-kind cross-check over {} cells: {}",
         checks.len(),
@@ -242,6 +195,13 @@ pub fn wmm_profile(ctx: &Ctx) -> Result<RunManifest, String> {
 
     if let Some(path) = &ctx.out.flame {
         ctx.write_file(path, &wmm_obs::collapsed_stacks(&merged))?;
+    }
+    if let Some(path) = &ctx.out.md {
+        let snapshot = ctx.registry.snapshot();
+        ctx.write_file(path, &markdown(&cp, &checks, &ctx.exec, &snapshot))?;
+    }
+    if let Some(path) = &ctx.out.prom {
+        ctx.write_file(path, &ctx.registry.snapshot().to_prometheus())?;
     }
     if ctx.tracing() {
         let Some((stalls, names)) = cp.benches.first().and_then(|b| b.batch.exemplar.as_ref())
@@ -264,21 +224,7 @@ pub fn wmm_profile(ctx: &Ctx) -> Result<RunManifest, String> {
         ));
     }
 
-    let mut manifest = RunManifest::new(ctx.name, cp.arch);
-    for b in &cp.benches {
-        manifest.push_cell(format!("{}/wall_ns", b.bench), b.batch.mean_wall_ns());
-        manifest.push_cell(
-            format!("{}/sites", b.bench),
-            b.batch.profile.sites.len() as f64,
-        );
-    }
-    for c in &checks {
-        let stem = format!("{}/{}", c.bench, c.kind.mnemonic());
-        manifest.push_cell(format!("{stem}/site_fence_ns"), ns(c.site_cycles));
-        manifest.push_cell(format!("{stem}/kind_fence_ns"), ns(c.kind_cycles));
-    }
-    manifest.sites = Some(cp.site_records());
-    Ok(manifest)
+    Ok(cp.manifest(ctx.name, &checks))
 }
 
 /// Print the top rows of a diff, values scaled by `scale` into `unit`.
@@ -434,35 +380,4 @@ pub fn wmm_tracediff_dstruct(ctx: &Ctx) -> Result<RunManifest, String> {
     push_diff(&mut manifest, &diff);
     share_check("protect-site share of the fence-stall delta", share)?;
     Ok(manifest)
-}
-
-/// One observed run of a profile campaign, reported every way at once:
-/// `wmm_report` observes `fig5-arm`, `wmm_report-<id>` observes `<id>`.
-///
-/// The campaign runs with the full observability stack attached (the
-/// metrics registry on the executor and simulation cache, a span log
-/// around the run's phases, a metered WPS solver stage). The markdown
-/// report goes to stdout or `--md <path>`; `--prom <path>` exports the
-/// metrics snapshot in the Prometheus text format; `--trace <path>` merges
-/// the span timeline into the Chrome trace. The manifest pins every
-/// structural metric as a cell and carries the full snapshot as its counts
-/// block. A failed per-kind cross-check fails the campaign.
-pub fn wmm_report(ctx: &Ctx) -> Result<RunManifest, String> {
-    let id = ctx.name.strip_prefix("wmm_report-").unwrap_or("fig5-arm");
-    let report = collect_report(id, ctx.cfg, &ctx.exec, &ctx.registry)
-        .ok_or_else(|| format!("unknown profile campaign `{id}`"))?;
-
-    let md = markdown(&report);
-    match &ctx.out.md {
-        Some(path) => ctx.write_file(path, &md)?,
-        None => print!("{md}"),
-    }
-    if let Some(path) = &ctx.out.prom {
-        ctx.write_file(path, &report.snapshot.to_prometheus())?;
-    }
-    ctx.add_trace(&span_trace_events(&report.spans));
-    if !checks_pass(&report) {
-        return Err("per-site vs per-kind cross-check failed".into());
-    }
-    Ok(manifest(&report))
 }

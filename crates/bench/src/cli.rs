@@ -165,7 +165,7 @@ pub fn main(args: &[String]) -> ExitCode {
         Command::Gate(list) => {
             for c in &list {
                 match campaigns::gate(c) {
-                    Ok(n) => println!("{}: PASS — {n} values within tolerance", c.name),
+                    Ok(summary) => println!("{}: PASS — {summary}", c.name),
                     Err(e) => {
                         eprintln!("{}: FAIL", c.name);
                         print_error(c.name, &e);
@@ -218,7 +218,7 @@ mod tests {
     fn rejects_unknown_flag() {
         assert!(err("run fig5_openjdk_sweep --quik").contains("unknown flag `--quik`"));
         // Every manifest carries the metrics snapshot; there is no separate export.
-        assert!(err("run wmm_report --metrics-json m.json").contains("unknown flag"));
+        assert!(err("run wmm_profile-fig5-arm --metrics-json m.json").contains("unknown flag"));
     }
 
     #[test]
@@ -254,5 +254,10 @@ mod tests {
         assert!(err("run --all --trace t.json").contains("one campaign"));
         assert!(err("run wmm_tracediff --base a.json").contains("go together"));
         assert!(parse_str("run wmm_profile-fig5-arm --flame f.txt --trace t.json").is_ok());
+        // The run report renders any profile campaign, and only those.
+        let both = "wmm_profile-fig9-kernel wmm_profile-jdk8-arm --md r.md --prom r.prom";
+        assert!(parse_str(&format!("run {both}")).is_ok());
+        assert!(err("run fig5_openjdk_sweep --md r.md").contains("does not apply"));
+        assert!(err("run wmm_tracediff --prom r.prom").contains("does not apply"));
     }
 }

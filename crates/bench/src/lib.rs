@@ -31,10 +31,9 @@
 //! | fence synthesis | `wmm_analyze::synthesize` + dual validation | `fence_synth` |
 //! | whole-program synthesis | `wmm_analyze::synthesize_wps` + [`wps`] | `fence_synth_wps` |
 //! | dual-oracle differential | `wmm_axiom` vs `wmm_litmus::explore` | `axiom_diff` |
-//! | per-site profiles | [`profiling::profile_campaign`] | `wmm_profile-<id>` |
+//! | per-site profiles and run reports | [`profiling::profile_campaign`] + [`report::markdown`] | `wmm_profile-<id>` |
 //! | cross-JIT site diff | [`profiling`] + `wmm_obs::Profile::diff` | `wmm_tracediff` |
 //! | reclamation site diff | [`profiling`] + `wmm_obs::Profile::diff` | `wmm_tracediff-dstruct` |
-//! | observed run report | [`report::collect_report`] | `wmm_report`, `wmm_report-<id>` |
 //!
 //! The [`streams`] module is the shared stream-ingestion path for the
 //! static checkers: platform instruction streams go through one

@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use wmm_harness::{SimTotals, SiteRecord};
+use wmm_harness::{RunManifest, SimTotals, SiteRecord};
 use wmm_jvm::barrier::Combined;
 use wmm_jvm::jit::JitConfig;
 use wmm_kernel::rbd::{rbd_strategy, RbdStrategy};
@@ -153,10 +153,27 @@ impl CampaignProfile {
         self.benches.iter().map(|b| b.batch.mean_wall_ns()).sum()
     }
 
-    /// The merged profile as manifest site records (deterministic name
-    /// order, straight from the `BTreeMap`).
-    pub fn site_records(&self) -> Vec<SiteRecord> {
-        site_records(&self.merged())
+    /// The `wmm_profile-*` manifest `name`: per-benchmark wall time and
+    /// site count, both accounts of every cross-check cell in ns, and the
+    /// merged profile as `sites` (deterministic name order, straight from
+    /// the `BTreeMap`).
+    pub fn manifest(&self, name: &str, checks: &[KindCheck]) -> RunManifest {
+        let mut manifest = RunManifest::new(name, self.arch);
+        for b in &self.benches {
+            manifest.push_cell(format!("{}/wall_ns", b.bench), b.batch.mean_wall_ns());
+            manifest.push_cell(
+                format!("{}/sites", b.bench),
+                b.batch.profile.sites.len() as f64,
+            );
+        }
+        let ns = |cycles: f64| cycles * self.ns_per_cycle;
+        for c in checks {
+            let stem = format!("{}/{}", c.bench, c.kind.mnemonic());
+            manifest.push_cell(format!("{stem}/site_fence_ns"), ns(c.site_cycles));
+            manifest.push_cell(format!("{stem}/kind_fence_ns"), ns(c.kind_cycles));
+        }
+        manifest.sites = Some(site_records(&self.merged()));
+        manifest
     }
 }
 
@@ -455,7 +472,7 @@ mod tests {
         let cfg = ExpConfig::quick();
         let cp = profile_fig9_kernel(cfg, &SerialExecutor);
         let merged = cp.merged();
-        let records = cp.site_records();
+        let records = site_records(&merged);
         assert!(!records.is_empty());
         let back = profile_from_records(&records);
         assert_eq!(back.sites.len(), merged.sites.len());

@@ -1,10 +1,9 @@
 //! Shared workload for whole-program synthesis: generated-corpus bundles.
 //!
-//! `fence_synth_wps` (the validating campaign), the `wmm_report` solver
-//! stage and the repository benchmark drive the same inputs —
-//! parallel-composition bundles packed from the differential corpus under
-//! whole-program size caps — so the bundle builder and the
-//! placement-slicing helper live here.
+//! `fence_synth_wps` (the validating campaign) and the repository
+//! benchmark drive the same inputs — parallel-composition bundles packed
+//! from the differential corpus under whole-program size caps — so the
+//! bundle builder and the placement-slicing helper live here.
 
 use wmm_analyze::{
     check_cycle, critical_cycles, differential_corpus, Instrument, Placement, ProgramGraph,

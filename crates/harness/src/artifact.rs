@@ -7,20 +7,26 @@
 //! simulator observed while doing so, and, for campaigns that ran sited,
 //! per-site stall records (`sites`).
 //!
-//! The sections have different determinism contracts:
+//! The sections have different determinism contracts, and the regression
+//! gate compares each by its own:
 //!
 //! * The *result* section (cells + fits) is a pure function of the
 //!   experiment inputs — [`RunManifest::canonical_json`] — byte-identical
-//!   across worker counts, cache states and machines. The regression gate
-//!   compares this content only.
+//!   across worker counts, cache states and machines. The gate compares it
+//!   within tolerance.
 //! * The structural entries of `metrics` (executor counts, the `sim.*`
 //!   [`SimTotals`] fold, cache gauges) and `sites` are deterministic
 //!   *given the cache state*: the simulator totals cover exactly the freshly
 //!   simulated jobs, merged in job order, so two runs with the same cache
 //!   contents produce identical values regardless of worker count
-//!   ([`RunManifest::deterministic_json`] includes them).
+//!   ([`RunManifest::deterministic_json`] includes them). The gate compares
+//!   them exactly. A run whose executor opened the disk cache records that
+//!   fact (`disk_cache`), and the gate skips its counts: what it simulated
+//!   depends on what the file already held. Sited jobs always simulate, so
+//!   `sites` is compared either way.
 //! * The observational entries of `metrics` (wall clocks, worker count,
-//!   per-worker tracks) are excluded from every determinism comparison.
+//!   per-worker tracks) are excluded from every determinism comparison and
+//!   from the gate.
 
 use std::path::{Path, PathBuf};
 
@@ -297,6 +303,10 @@ pub struct RunManifest {
     /// canonical content; the deterministic projection keeps only the
     /// structural entries).
     pub metrics: Option<MetricsSnapshot>,
+    /// Whether the run's executor opened the disk cache, so its counts
+    /// depend on what the cache file held. Written only when set, so every
+    /// cold manifest's text is unchanged.
+    pub disk_cache: bool,
 }
 
 impl RunManifest {
@@ -328,8 +338,7 @@ impl RunManifest {
     }
 
     /// The canonical result content: cells and fits only. Byte-identical
-    /// across worker counts and cache states; this is what the gate
-    /// inspects.
+    /// across worker counts and cache states.
     pub fn canonical_json(&self) -> Json {
         Json::obj(vec![
             ("schema_version", SCHEMA_VERSION.to_json()),
@@ -389,10 +398,14 @@ impl RunManifest {
         text
     }
 
-    /// The canonical content followed by `metrics` and `sites`, when set.
+    /// The canonical content followed by `disk_cache`, `metrics` and
+    /// `sites`, when set.
     fn with_counts(&self, metrics: Option<&MetricsSnapshot>) -> Json {
         let mut json = self.canonical_json();
         if let Json::Obj(pairs) = &mut json {
+            if self.disk_cache {
+                pairs.push(("disk_cache".to_string(), Json::Bool(true)));
+            }
             if let Some(m) = metrics {
                 pairs.push(("metrics".to_string(), m.to_json()));
             }
@@ -482,6 +495,11 @@ impl RunManifest {
             None => None,
             Some(m) => Some(MetricsSnapshot::from_json(m)?),
         };
+        let disk_cache = match json.get("disk_cache") {
+            None => false,
+            Some(Json::Bool(b)) => *b,
+            Some(_) => return Err("disk_cache is not a boolean".into()),
+        };
         Ok(RunManifest {
             campaign: field("campaign")?.to_string(),
             arch: field("arch")?.to_string(),
@@ -489,6 +507,7 @@ impl RunManifest {
             fits,
             sites,
             metrics,
+            disk_cache,
         })
     }
 
@@ -502,24 +521,28 @@ impl RunManifest {
 }
 
 fn site_from_json(entry: &Json) -> Result<SiteRecord, String> {
-    let u = |k: &str| entry.get(k).and_then(Json::as_f64).unwrap_or(0.0) as u64;
-    let f = |k: &str| entry.get(k).and_then(Json::as_f64).unwrap_or(0.0);
+    let name = entry
+        .get("name")
+        .and_then(Json::as_str)
+        .ok_or("site record missing name")?;
+    let f = |k: &str| {
+        entry
+            .get(k)
+            .and_then(Json::as_f64)
+            .ok_or_else(|| format!("site `{name}`: missing numeric {k}"))
+    };
     let fence = match entry.get("fence").and_then(Json::as_str) {
         None => None,
         Some(m) => Some(FenceKind::from_mnemonic(m).ok_or("unknown fence kind in site record")?),
     };
     Ok(SiteRecord {
-        name: entry
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("site record missing name")?
-            .to_string(),
+        name: name.to_string(),
         fence,
-        fences: u("fences"),
-        fence_cycles: f("fence_cycles"),
-        sb_stall_cycles: f("sb_stall_cycles"),
-        mem_cycles: f("mem_cycles"),
-        total_cycles: f("total_cycles"),
+        fences: f("fences")? as u64,
+        fence_cycles: f("fence_cycles")?,
+        sb_stall_cycles: f("sb_stall_cycles")?,
+        mem_cycles: f("mem_cycles")?,
+        total_cycles: f("total_cycles")?,
     })
 }
 
@@ -728,6 +751,45 @@ mod tests {
         // projection, so the threads-1-vs-N comparisons cover them.
         assert!(m.deterministic_json().to_string().contains("VolatileStore"));
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn site_record_missing_a_count_is_an_error() {
+        let full = r#"{"name":"t0:code","fences":1,"fence_cycles":2,"sb_stall_cycles":3,"mem_cycles":4,"total_cycles":10}"#;
+        assert!(site_from_json(&Json::parse(full).unwrap()).is_ok());
+        for field in [
+            "fences",
+            "fence_cycles",
+            "sb_stall_cycles",
+            "mem_cycles",
+            "total_cycles",
+        ] {
+            // Missing, and present but not a number: both name the field
+            // instead of reading it as zero.
+            let missing = full.replace(&format!(r#""{field}":"#), r#""other":"#);
+            let text = full.replace(
+                &format!(r#""{field}":"#),
+                &format!(r#""{field}":"x","was":"#),
+            );
+            for bad in [missing, text] {
+                let err = site_from_json(&Json::parse(&bad).unwrap()).unwrap_err();
+                assert!(err.contains(field) && err.contains("t0:code"), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn disk_cache_is_written_only_when_set_and_roundtrips() {
+        let mut m = sample();
+        assert!(!m.to_file_text().contains("disk_cache"));
+        m.disk_cache = true;
+        // Recorded beside the counts: canonical content ignores cache state.
+        assert!(m.canonical_json().get("disk_cache").is_none());
+        let text = m.to_file_text();
+        let parse = |text: &str| RunManifest::from_json(&Json::parse(text).unwrap());
+        assert_eq!(parse(&text).unwrap(), m);
+        let bad = text.replace(r#""disk_cache": true"#, r#""disk_cache": 1"#);
+        assert!(parse(&bad).unwrap_err().contains("disk_cache"));
     }
 
     /// Every prefix and every single-byte flip of committed baselines — one

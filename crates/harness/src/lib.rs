@@ -21,7 +21,8 @@
 //!    writes a schema-versioned JSON manifest (per-cell measurements,
 //!    fitted sensitivities, one counts block) under `results/runs/`, and
 //!    [`compare`] diffs a manifest against a committed baseline
-//!    (`wmm gate`), failing on out-of-tolerance drift.
+//!    (`wmm gate`): cells and fits within tolerance, counts and per-site
+//!    records exactly.
 //! 4. **Simulator totals** ([`artifact::SimTotals`], [`trace`]): every
 //!    freshly simulated job's full `ExecStats` flows back through the
 //!    executor seam and is folded — in job order, so the totals are

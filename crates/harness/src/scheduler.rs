@@ -288,6 +288,12 @@ impl ParallelExecutor {
         self.cache.as_ref().map(SimCache::stats)
     }
 
+    /// Whether the result cache persists to disk, so which jobs simulate
+    /// depends on what the file already held.
+    pub fn disk_cache(&self) -> bool {
+        self.cache.as_ref().is_some_and(|c| c.disk_path().is_some())
+    }
+
     /// Telemetry snapshot for the campaign so far: executor counters, the
     /// aggregated simulator totals, and observational timings.
     pub fn telemetry(&self) -> Telemetry {

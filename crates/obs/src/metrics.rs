@@ -360,7 +360,9 @@ pub enum MetricValue {
 }
 
 impl MetricValue {
-    fn kind(&self) -> &'static str {
+    /// The value's kind: `counter`, `gauge` or `histogram`.
+    #[must_use]
+    pub fn kind(&self) -> &'static str {
         match self {
             MetricValue::Counter(_) => "counter",
             MetricValue::Gauge(_) => "gauge",
@@ -541,7 +543,11 @@ impl MetricsSnapshot {
                             .get("sum")
                             .and_then(Json::as_f64)
                             .ok_or_else(|| format!("metric `{name}`: missing sum"))?,
-                        count: e.get("count").and_then(Json::as_f64).unwrap_or(0.0) as u64,
+                        count: e
+                            .get("count")
+                            .and_then(Json::as_f64)
+                            .ok_or_else(|| format!("metric `{name}`: missing count"))?
+                            as u64,
                     }
                 }
                 other => return Err(format!("metric `{name}`: unknown kind `{other}`")),
@@ -662,6 +668,18 @@ mod tests {
         assert_eq!(back, snap);
         // Serialisation is a pure function of the snapshot.
         assert_eq!(back.to_json().to_string_pretty(), text);
+    }
+
+    #[test]
+    fn histogram_without_count_is_an_error() {
+        let reg = MetricsRegistry::new();
+        reg.histogram("h", Class::Structural, &[10.0]).observe(4.0);
+        let text = reg.snapshot().to_json().to_string();
+        for bad in [r#""counted":1"#, r#""count":"1""#] {
+            let json = Json::parse(&text.replace(r#""count":1"#, bad)).expect("parse");
+            let err = MetricsSnapshot::from_json(&json).unwrap_err();
+            assert_eq!(err, "metric `h`: missing count");
+        }
     }
 
     #[test]

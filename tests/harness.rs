@@ -301,6 +301,11 @@ fn disk_cache_survives_processes_and_stays_exact() {
     );
     let t = exec.telemetry();
     assert_eq!(t.cache_misses, 0, "reloaded cache must answer every job");
+    // Its counts depend on the file, which the manifest records.
+    assert!(exec.disk_cache());
+    assert!(!ParallelExecutor::new(Some(2))
+        .with_cache(SimCache::in_memory())
+        .disk_cache());
     // An all-hits run appends nothing: the disk lane grew only during the
     // first process, by exactly one 50-byte line per inserted key after
     // the key-scheme header line.
