@@ -31,6 +31,8 @@
 //! * **Global** (POWER `sync`): the fence waits until its group-A stores
 //!   have propagated *everywhere* — `prop(s, u) < exec(b)`.
 
+use std::cell::Cell;
+
 use wmm_litmus::ops::{DepKind, FClass, ModelKind};
 
 use crate::cycles::{CommKind, CriticalCycle};
@@ -170,26 +172,64 @@ fn bare_ordered(model: ModelKind, a: &Access, b: &Access) -> bool {
     }
 }
 
-/// Kahn's algorithm: does the directed graph contain a cycle?
-fn has_cycle(n: usize, edges: &[(usize, usize)]) -> bool {
-    let mut adj = vec![vec![]; n];
-    let mut indeg = vec![0usize; n];
-    for &(u, v) in edges {
-        adj[u].push(v);
-        indeg[v] += 1;
+/// A directed graph on dense node ids as adjacency bit rows, with each
+/// node's in-degree counted as edges are added (a repeated edge counts
+/// once). Its buffers are reused from check to check on a thread.
+#[derive(Default)]
+struct BitGraph {
+    /// Words per row.
+    words: usize,
+    /// Row `u` holds the successors of `u`.
+    rows: Vec<u64>,
+    indeg: Vec<u32>,
+    queue: Vec<usize>,
+}
+
+thread_local! {
+    static BIT_GRAPH: Cell<BitGraph> = Cell::new(BitGraph::default());
+}
+
+impl BitGraph {
+    /// Clear to `n` nodes and no edges.
+    fn reset(&mut self, n: usize) {
+        self.words = n.div_ceil(64);
+        self.rows.clear();
+        self.rows.resize(n * self.words, 0);
+        self.indeg.clear();
+        self.indeg.resize(n, 0);
     }
-    let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut removed = 0;
-    while let Some(u) = queue.pop() {
-        removed += 1;
-        for &v in &adj[u] {
-            indeg[v] -= 1;
-            if indeg[v] == 0 {
-                queue.push(v);
-            }
+
+    fn add(&mut self, u: usize, v: usize) {
+        let word = &mut self.rows[u * self.words + v / 64];
+        let bit = 1u64 << (v % 64);
+        if *word & bit == 0 {
+            *word |= bit;
+            self.indeg[v] += 1;
         }
     }
-    removed < n
+
+    /// Kahn's algorithm: does the graph contain a directed cycle?
+    fn has_cycle(&mut self) -> bool {
+        let n = self.indeg.len();
+        self.queue.clear();
+        self.queue.extend((0..n).filter(|&v| self.indeg[v] == 0));
+        let mut removed = 0;
+        while let Some(u) = self.queue.pop() {
+            removed += 1;
+            for w in 0..self.words {
+                let mut bits = self.rows[u * self.words + w];
+                while bits != 0 {
+                    let v = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    self.indeg[v] -= 1;
+                    if self.indeg[v] == 0 {
+                        self.queue.push(v);
+                    }
+                }
+            }
+        }
+        removed < n
+    }
 }
 
 /// Check one cycle under `model`.
@@ -218,74 +258,74 @@ pub fn check_cycle_without(
 }
 
 /// Check one cycle with `probe` applied to the graph's fences (the
-/// redundancy and downgrade probes): build the constraint graph over
-/// `exec`/`prop` events and look for a directed cycle.
+/// redundancy and downgrade probes).
 pub(crate) fn check_cycle_edited(
     g: &ProgramGraph,
     model: ModelKind,
     cyc: &CriticalCycle,
     probe: Option<FenceEdit>,
 ) -> CycleCheck {
+    check_cycle_cut(g, model, cyc, |a, b| {
+        PairView::of(g, a, b, probe).cut(model)
+    })
+}
+
+/// Check one cycle given `cut(entry, exit)`, the cut under `model` of each
+/// of its program-order legs: build the constraint graph over `exec`/`prop`
+/// events and look for a directed cycle. The cuts may come from an
+/// instrumented copy of `g`: instruments change no access's thread or
+/// roles, which is all this reads from `g`.
+///
+/// Nodes are numbered from leg coordinates. End `at` of the cycle is
+/// `2i` for the entry of leg `i` and `2i + 1` for its exit (`2i` again
+/// when the leg is a single access); `exec` of an end is node `at`. On a
+/// non-MCA model, `prop` of the store at end `at` to the thread of leg
+/// `to` is node `2n + at·n + to` (`exec` itself when `to` is the store's
+/// own leg). Numbers of non-stores and unused exits stay isolated nodes.
+pub(crate) fn check_cycle_cut(
+    g: &ProgramGraph,
+    model: ModelKind,
+    cyc: &CriticalCycle,
+    mut cut: impl FnMut(usize, usize) -> PairCut,
+) -> CycleCheck {
     let n = cyc.legs.len();
     let mca = model.multi_copy_atomic();
-    let threads: Vec<usize> = cyc
-        .legs
-        .iter()
-        .map(|&(e, _)| g.accesses[e].thread)
-        .collect();
-
-    // exec nodes: the cycle's distinct accesses.
-    let mut nodes: Vec<usize> = vec![];
-    for &(e, x) in &cyc.legs {
-        nodes.push(e);
-        if x != e {
-            nodes.push(x);
+    let multi = |leg: usize| cyc.legs[leg].0 != cyc.legs[leg].1;
+    let end = |leg: usize, exit: bool| 2 * leg + usize::from(exit && multi(leg));
+    let is_store = |at: usize| {
+        let (entry, exit) = cyc.legs[at / 2];
+        g.accesses[if at.is_multiple_of(2) { entry } else { exit }].is_store
+    };
+    let prop = |at: usize, to: usize| {
+        if mca || at / 2 == to {
+            at
+        } else {
+            2 * n + at * n + to
         }
-    }
-    let exec = |id: usize| nodes.iter().position(|&a| a == id).expect("cycle access");
+    };
 
-    // prop nodes: per cycle store × cycle thread (non-MCA only).
-    let mut node_count = nodes.len();
-    let mut prop_nodes: Vec<(usize, usize, usize)> = vec![]; // (store, thread, node)
+    let mut graph = BIT_GRAPH.take();
+    graph.reset(if mca { 2 * n } else { 2 * n + 2 * n * n });
     if !mca {
-        for &a in &nodes {
-            if g.accesses[a].is_store {
-                for &u in &threads {
-                    if u != g.accesses[a].thread {
-                        prop_nodes.push((a, u, node_count));
-                        node_count += 1;
-                    }
+        // A store is visible to a remote thread only after it commits.
+        for at in 0..2 * n {
+            if (at.is_multiple_of(2) || multi(at / 2)) && is_store(at) {
+                for to in (0..n).filter(|&to| to != at / 2) {
+                    graph.add(at, prop(at, to));
                 }
             }
         }
     }
-    let prop = |store: usize, u: usize| -> usize {
-        if mca || g.accesses[store].thread == u {
-            exec(store)
-        } else {
-            prop_nodes
-                .iter()
-                .find(|&&(s, t, _)| s == store && t == u)
-                .map(|&(_, _, node)| node)
-                .expect("prop node")
-        }
-    };
-
-    let mut edges: Vec<(usize, usize)> = vec![];
-    // A store is visible to a remote thread only after it commits.
-    for &(store, u, node) in &prop_nodes {
-        let _ = u;
-        edges.push((exec(store), node));
-    }
 
     let mut uncut = vec![];
-    for i in 0..n {
-        let (entry, exit) = cyc.legs[i];
+    for leg in 0..n {
+        let (entry, exit) = cyc.legs[leg];
+        let exit_at = end(leg, true);
         // Program-order leg.
-        if entry != exit {
-            let cut = PairView::of(g, entry, exit, probe).cut(model);
-            if cut.local {
-                edges.push((exec(entry), exec(exit)));
+        if multi(leg) {
+            let pair = cut(entry, exit);
+            if pair.local {
+                graph.add(end(leg, false), exit_at);
             } else {
                 uncut.push((entry, exit));
             }
@@ -293,40 +333,38 @@ pub(crate) fn check_cycle_edited(
                 // The store whose visibility the entry's thread "knows":
                 // the entry itself, or the store a load entry reads in this
                 // scenario (its incoming rf edge's source).
-                let prev_exit = cyc.legs[(i + n - 1) % n].1;
-                let s = if g.accesses[entry].is_store {
-                    entry
+                let known = if is_store(end(leg, false)) {
+                    end(leg, false)
                 } else {
-                    prev_exit
+                    end((leg + n - 1) % n, true)
                 };
-                if cut.cumulative {
-                    for &u in &threads {
-                        edges.push((prop(s, u), prop(exit, u)));
+                if pair.cumulative {
+                    for to in 0..n {
+                        graph.add(prop(known, to), prop(exit_at, to));
                     }
                 }
-                if cut.global {
-                    for &u in &threads {
-                        edges.push((prop(s, u), exec(exit)));
+                if pair.global {
+                    for to in 0..n {
+                        graph.add(prop(known, to), exit_at);
                     }
                 }
             }
         }
         // Communication edge into the next leg.
-        let next = cyc.legs[(i + 1) % n].0;
-        match cyc.comms[i] {
+        let next = (leg + 1) % n;
+        match cyc.comms[leg] {
             // The reader saw the store: it propagated to the reader first.
-            CommKind::Rf => edges.push((prop(exit, g.accesses[next].thread), exec(next))),
+            CommKind::Rf => graph.add(prop(exit_at, next), end(next, false)),
             // The reader missed the store: it reaches the reader later.
-            CommKind::Fr => edges.push((exec(exit), prop(next, g.accesses[exit].thread))),
+            CommKind::Fr => graph.add(exit_at, prop(end(next, false), leg)),
             // Coherence order is commit order.
-            CommKind::Co => edges.push((exec(exit), exec(next))),
+            CommKind::Co => graph.add(exit_at, end(next, false)),
         }
     }
 
-    CycleCheck {
-        protected: has_cycle(node_count, &edges),
-        uncut,
-    }
+    let protected = graph.has_cycle();
+    BIT_GRAPH.set(graph);
+    CycleCheck { protected, uncut }
 }
 
 #[cfg(test)]

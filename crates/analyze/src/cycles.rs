@@ -10,9 +10,16 @@
 //! "Don't sit on the fence" (Alglave et al.) checks statically and this
 //! module's caller checks per memory model.
 //!
-//! Programs here are litmus-sized, so a brute-force DFS over leg sequences
-//! is exact and fast. Each *orientation* of the communication edges is a
-//! distinct cycle (a distinct weak-execution scenario).
+//! The enumeration is a depth-first search over leg sequences. It starts
+//! each sequence at an access of the cycle's lowest thread and extends it
+//! only into higher threads not yet on the path, so every rotation class
+//! is found once. A leg's exits are read from its thread's own access
+//! list (program-later accesses only), and the communication edges out of
+//! an exit from an index of each location's shared accesses, built once
+//! per graph, so no step scans the whole graph. The threads on the path
+//! are marked in a flag per thread: any thread count works. Each
+//! *orientation* of the communication edges is a distinct cycle (a
+//! distinct weak-execution scenario).
 
 use crate::graph::{Access, ProgramGraph};
 
@@ -56,17 +63,21 @@ impl CommKind {
         if u.thread == v.thread || u.loc != v.loc || !u.shared || !v.shared {
             return vec![];
         }
-        let mut kinds = vec![];
-        if u.is_store && v.is_load {
-            kinds.push(CommKind::Rf);
+        [CommKind::Rf, CommKind::Fr, CommKind::Co]
+            .into_iter()
+            .filter(|k| k.joins(u, v))
+            .collect()
+    }
+
+    /// Do the roles of `u` and `v` admit an edge of this kind from `u` to
+    /// `v` (given a conflicting pair: shared, same location, different
+    /// threads)?
+    fn joins(self, u: &Access, v: &Access) -> bool {
+        match self {
+            CommKind::Rf => u.is_store && v.is_load,
+            CommKind::Fr => u.is_load && v.is_store,
+            CommKind::Co => u.is_store && v.is_store,
         }
-        if u.is_load && v.is_store {
-            kinds.push(CommKind::Fr);
-        }
-        if u.is_store && v.is_store {
-            kinds.push(CommKind::Co);
-        }
-        kinds
     }
 }
 
@@ -89,30 +100,31 @@ impl CriticalCycle {
     #[must_use]
     pub fn canonical_key(&self) -> Vec<(usize, usize, u8)> {
         let n = self.legs.len();
-        let seq: Vec<(usize, usize, u8)> = (0..n)
-            .map(|i| (self.legs[i].0, self.legs[i].1, self.comms[i].rank()))
-            .collect();
-        let best = (0..n)
-            .min_by_key(|&r| (0..n).map(|i| seq[(r + i) % n]).collect::<Vec<_>>())
-            .unwrap_or(0);
-        (0..n).map(|i| seq[(best + i) % n]).collect()
+        let r = self.canonical_start();
+        (0..n)
+            .map(|i| {
+                let j = (r + i) % n;
+                (self.legs[j].0, self.legs[j].1, self.comms[j].rank())
+            })
+            .collect()
     }
 
     /// Rotate the cycle in place onto its canonical rotation (the one whose
-    /// `(entry, exit, comm)` sequence is lexicographically smallest). Leg
-    /// threads are pairwise distinct, so the minimal rotation is unique and
-    /// starts at the cycle's smallest entry access — which, with accesses
-    /// numbered thread-major, is the lowest-numbered thread.
+    /// `(entry, exit, comm)` sequence is lexicographically smallest).
     pub fn canonicalize(&mut self) {
-        let key = self.canonical_key();
-        for (i, &(entry, exit, comm)) in key.iter().enumerate() {
-            self.legs[i] = (entry, exit);
-            self.comms[i] = match comm {
-                0 => CommKind::Rf,
-                1 => CommKind::Fr,
-                _ => CommKind::Co,
-            };
-        }
+        let r = self.canonical_start();
+        self.legs.rotate_left(r);
+        self.comms.rotate_left(r);
+    }
+
+    /// Where the canonical rotation starts: at the smallest entry. Leg
+    /// threads are pairwise distinct, so entries are distinct accesses, and
+    /// the rotations' sequences already differ in their first entry — the
+    /// smallest one is the lexicographic minimum.
+    fn canonical_start(&self) -> usize {
+        (0..self.legs.len())
+            .min_by_key(|&i| self.legs[i].0)
+            .unwrap_or(0)
     }
 
     /// Human-readable rendering, e.g.
@@ -134,22 +146,39 @@ impl CriticalCycle {
 }
 
 /// Enumerate every critical cycle of `g`, once per rotation class (the
-/// leg sequence starts at the cycle's lowest-numbered thread).
+/// leg sequence starts at the cycle's lowest-numbered thread), each in
+/// its canonical rotation.
 #[must_use]
 pub fn critical_cycles(g: &ProgramGraph) -> Vec<CriticalCycle> {
     let mut out = vec![];
     if g.threads.len() < 2 {
         return out;
     }
+    let by_loc = shared_by_loc(g);
+    let mut dfs = Dfs {
+        g,
+        by_loc: &by_loc,
+        e0: 0,
+        t0: 0,
+        legs: vec![],
+        comms: vec![],
+        used: vec![false; g.threads.len()],
+        out: &mut out,
+    };
     for t0 in 0..g.threads.len() {
+        dfs.t0 = t0;
         for &e0 in &g.threads[t0] {
-            let mut legs = vec![];
-            let mut comms = vec![];
-            let mut used: u64 = 1 << t0;
-            extend(g, e0, e0, &mut legs, &mut comms, &mut used, &mut out);
+            dfs.e0 = e0;
+            dfs.extend(e0);
         }
     }
-    dedup_cycles(out)
+    // Each rotation class is emitted once: every emitted sequence starts
+    // on its lowest thread, and distinct DFS paths give distinct
+    // sequences. So canonicalizing is all `dedup_cycles` would do here.
+    for cyc in &mut out {
+        cyc.canonicalize();
+    }
+    out
 }
 
 /// Canonicalize every cycle onto its minimal rotation and drop
@@ -173,66 +202,82 @@ pub fn dedup_cycles(cycles: Vec<CriticalCycle>) -> Vec<CriticalCycle> {
     out
 }
 
-/// Valid exits for a leg entered at `entry`: the entry itself, or a
-/// program-later access of the thread at a different location.
-fn exits_of(g: &ProgramGraph, entry: usize) -> Vec<usize> {
-    let e = &g.accesses[entry];
-    g.threads[e.thread]
-        .iter()
-        .copied()
-        .filter(|&x| {
-            let a = &g.accesses[x];
-            x == entry || (a.pos > e.pos && a.loc != e.loc)
-        })
-        .collect()
+/// The shared accesses of each location, in access-id order: the only
+/// accesses a communication edge can reach.
+fn shared_by_loc(g: &ProgramGraph) -> Vec<Vec<usize>> {
+    let mut by_loc = vec![vec![]; g.loc_names.len()];
+    for (id, a) in g.accesses.iter().enumerate() {
+        if a.shared {
+            by_loc[a.loc].push(id);
+        }
+    }
+    by_loc
 }
 
-#[allow(clippy::too_many_arguments)]
-fn extend(
-    g: &ProgramGraph,
+/// The depth-first search over leg sequences that start at access `e0` of
+/// thread `t0` and visit only higher-numbered threads, each at most once.
+struct Dfs<'a> {
+    g: &'a ProgramGraph,
+    by_loc: &'a [Vec<usize>],
     e0: usize,
-    entry: usize,
-    legs: &mut Vec<(usize, usize)>,
-    comms: &mut Vec<CommKind>,
-    used: &mut u64,
-    out: &mut Vec<CriticalCycle>,
-) {
-    let t0 = g.accesses[e0].thread;
-    for exit in exits_of(g, entry) {
-        legs.push((entry, exit));
-        for (v, kind) in comm_targets(g, exit) {
-            let vt = g.accesses[v].thread;
-            if v == e0 {
-                comms.push(kind);
-                if legs.len() >= 2 && !degenerate(legs) {
-                    out.push(CriticalCycle {
-                        legs: legs.clone(),
-                        comms: comms.clone(),
-                    });
-                }
-                comms.pop();
-            } else if vt > t0 && *used & (1 << vt) == 0 {
-                comms.push(kind);
-                *used |= 1 << vt;
-                extend(g, e0, v, legs, comms, used, out);
-                *used &= !(1 << vt);
-                comms.pop();
-            }
-        }
-        legs.pop();
-    }
+    t0: usize,
+    legs: Vec<(usize, usize)>,
+    comms: Vec<CommKind>,
+    /// Threads on the current path (`t0` is never marked: the path can
+    /// only return to it by closing at `e0`).
+    used: Vec<bool>,
+    out: &'a mut Vec<CriticalCycle>,
 }
 
-/// All `(target access, kind)` communication edges leaving `u`.
-fn comm_targets(g: &ProgramGraph, u: usize) -> Vec<(usize, CommKind)> {
-    let ua = &g.accesses[u];
-    let mut out = vec![];
-    for (v, va) in g.accesses.iter().enumerate() {
-        for kind in CommKind::between(ua, va) {
-            out.push((v, kind));
+impl Dfs<'_> {
+    /// Extend the path with every leg entered at `entry`: its exit is the
+    /// entry itself or a program-later access of the thread at another
+    /// location; every communication edge out of the exit then closes the
+    /// cycle at `e0` or enters an unvisited higher thread.
+    fn extend(&mut self, entry: usize) {
+        let (g, by_loc) = (self.g, self.by_loc);
+        let e = &g.accesses[entry];
+        for &exit in &g.threads[e.thread][e.pos..] {
+            let x = &g.accesses[exit];
+            if (exit != entry && x.loc == e.loc) || !x.shared {
+                continue;
+            }
+            self.legs.push((entry, exit));
+            for &v in &by_loc[x.loc] {
+                let va = &g.accesses[v];
+                if va.thread == x.thread {
+                    continue;
+                }
+                for kind in [CommKind::Rf, CommKind::Fr, CommKind::Co] {
+                    if kind.joins(x, va) {
+                        self.follow(v, kind);
+                    }
+                }
+            }
+            self.legs.pop();
         }
     }
-    out
+
+    /// Take the communication edge of `kind` into access `v`.
+    fn follow(&mut self, v: usize, kind: CommKind) {
+        let vt = self.g.accesses[v].thread;
+        if v == self.e0 {
+            self.comms.push(kind);
+            if self.legs.len() >= 2 && !degenerate(&self.legs) {
+                self.out.push(CriticalCycle {
+                    legs: self.legs.clone(),
+                    comms: self.comms.clone(),
+                });
+            }
+            self.comms.pop();
+        } else if vt > self.t0 && !self.used[vt] {
+            self.comms.push(kind);
+            self.used[vt] = true;
+            self.extend(v);
+            self.used[vt] = false;
+            self.comms.pop();
+        }
+    }
 }
 
 /// A two-leg cycle whose legs are both single accesses runs both its
@@ -438,10 +483,78 @@ mod tests {
         assert_eq!(merged[0].legs, cyc.legs);
     }
 
+    #[test]
+    fn threads_numbered_past_63_still_form_cycles() {
+        // SB between threads 1 and 65 of a 66-thread program. A 64-bit
+        // mask of visited threads cannot name thread 65: its shift wraps
+        // onto thread 1's bit (release) or overflows (debug).
+        let mut streams: Vec<Vec<Instr>> = vec![vec![]; 66];
+        streams[1] = vec![store(0), load(1)];
+        streams[65] = vec![store(1), load(0)];
+        let g = ProgramGraph::from_streams("sb-1-65", &streams, &[]);
+        assert_eq!(critical_cycles(&g).len(), 1);
+        assert!(!crate::report::analyze(&g, wmm_litmus::ops::ModelKind::ArmV8).protected());
+    }
+
+    /// The canonical key by its definition: the lexicographically
+    /// smallest rotation, found by comparing them all.
+    fn lexmin_key(cyc: &CriticalCycle) -> Vec<(usize, usize, u8)> {
+        let n = cyc.legs.len();
+        let rotation = |r: usize| -> Vec<(usize, usize, u8)> {
+            (0..n)
+                .map(|i| {
+                    let j = (r + i) % n;
+                    (cyc.legs[j].0, cyc.legs[j].1, cyc.comms[j].rank())
+                })
+                .collect()
+        };
+        (0..n).map(rotation).min().unwrap_or_default()
+    }
+
+    /// A program of `threads` streams of `(role, loc)` accesses: role 0 a
+    /// load, 1 a store, 2 an RMW.
+    fn program(threads: &[Vec<(u8, u8)>]) -> ProgramGraph {
+        let streams: Vec<Vec<Instr>> = threads
+            .iter()
+            .map(|ops| {
+                ops.iter()
+                    .map(|&(role, loc)| match role {
+                        0 => load(u64::from(loc)),
+                        1 => store(u64::from(loc)),
+                        _ => cas(u64::from(loc)),
+                    })
+                    .collect()
+            })
+            .collect();
+        ProgramGraph::from_streams("prop", &streams, &[])
+    }
+
     use proptest::prelude::*;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Starting the rotation at the smallest entry gives the
+        /// lexicographic minimum, from whichever leg a cycle starts.
+        #[test]
+        fn canonical_rotation_is_the_lexicographic_minimum(
+            threads in prop::collection::vec(
+                prop::collection::vec((0u8..3, 0u8..3), 0..4),
+                2..5,
+            ),
+            turn in 0usize..8,
+        ) {
+            let g = program(&threads);
+            for cyc in critical_cycles(&g) {
+                let mut rotated = cyc.clone();
+                rotated.legs.rotate_left(turn % cyc.legs.len());
+                rotated.comms.rotate_left(turn % cyc.legs.len());
+                prop_assert_eq!(rotated.canonical_key(), lexmin_key(&cyc));
+                rotated.canonicalize();
+                prop_assert_eq!(&rotated.legs, &cyc.legs);
+                prop_assert_eq!(&rotated.comms, &cyc.comms);
+            }
+        }
+
         #[test]
         fn every_enumerated_cycle_is_structurally_critical(
             threads in prop::collection::vec(
@@ -449,21 +562,7 @@ mod tests {
                 1..4,
             )
         ) {
-            let streams: Vec<Vec<Instr>> = threads
-                .iter()
-                .map(|ops| {
-                    ops.iter()
-                        .map(|&(role, loc)| {
-                            if role == 0 {
-                                load(u64::from(loc))
-                            } else {
-                                store(u64::from(loc))
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
-            let g = ProgramGraph::from_streams("prop", &streams, &[]);
+            let g = program(&threads);
             for cyc in critical_cycles(&g) {
                 prop_assert!(cyc.legs.len() >= 2);
                 prop_assert_eq!(cyc.legs.len(), cyc.comms.len());

@@ -52,9 +52,17 @@
 //! would apply it to the graph, so the pair's cut is the same either way
 //! (a property test in this module holds the two equal). Candidate
 //! enumeration, the eager local-cut filter and the lazy escape sets all
-//! run on views; a pair shared by several cycles is enumerated once. The
-//! only graph a round builds is its trial placement's, for the exact
-//! [`check_cycle`] verdict.
+//! run on views; a pair shared by several cycles is enumerated once. A
+//! round judges its trial placement the same way: the exact cycle check
+//! reads each leg's cut from the pair view with the placement overlaid,
+//! so no round builds a graph.
+//!
+//! The candidates, the per-leg local-cut sets and their interned form
+//! make up one instance per set of open cycles. Whole-program synthesis
+//! ([`crate::wps`]) builds it once for both of its tiers: the approximate
+//! tier seeds eager constraints from the first `k` legs of each cycle,
+//! the exact tier from all of them, in the same order and with the same
+//! deduplication.
 //!
 //! Branch-and-bound runs on interned instruments: every distinct
 //! instrument gets a dense id, ids follow the tie-break key order, and
@@ -73,7 +81,7 @@ use wmm_litmus::rewrite::Reinforce;
 use wmm_sim::isa::{AccessOrd, FenceKind, Instr, Loc};
 use wmmbench::model::{estimate_cost, predicted_performance};
 
-use crate::check::{check_cycle, PairCut, PairView};
+use crate::check::{check_cycle, check_cycle_cut, PairCut, PairView};
 use crate::cycles::{critical_cycles, CriticalCycle};
 use crate::graph::{FenceNode, ProgramGraph, StreamDep};
 
@@ -1122,62 +1130,6 @@ pub fn synthesize(
     }
 }
 
-/// Candidate enumeration over every multi-access leg of every open cycle;
-/// eager constraints demand a local cut on every uncut leg (necessary
-/// under every model — a leg without a local cut contributes no edge that
-/// could close the constraint graph across it on the MCA side, and
-/// POWER's cumulative/global strengths imply the local one in this
-/// checker). The reorder bound `k` limits which legs contribute *eager*
-/// constraints; candidates still register for every leg so lazy repair
-/// can reach them. A pair shared by several cycles is enumerated once.
-#[allow(clippy::type_complexity)]
-fn eager_instance(
-    g: &ProgramGraph,
-    cfg: SynthConfig,
-    open: &[&CriticalCycle],
-    opts: &SolverOptions,
-) -> Result<(Vec<Vec<Instrument>>, Vec<Vec<usize>>), SynthError> {
-    let model = cfg.model;
-    let mut cands: Vec<Vec<Instrument>> = vec![];
-    let mut cand_ids: HashMap<Vec<Instrument>, usize> = HashMap::new();
-    let mut constraints: Vec<Vec<usize>> = vec![];
-    // Per pair: the candidates that locally cut it, or `None` when the
-    // pair is locally cut already.
-    let mut locals_of: HashMap<(usize, usize), Option<Vec<usize>>> = HashMap::new();
-    let eager = opts.reorder_bound.unwrap_or(usize::MAX);
-    for cyc in open {
-        for (leg_idx, (a_id, b_id)) in po_legs(cyc).into_iter().enumerate() {
-            let locals = locals_of.entry((a_id, b_id)).or_insert_with(|| {
-                let view = PairView::of(g, a_id, b_id, None);
-                let mut locals = vec![];
-                for bundle in pair_candidates(view, cfg) {
-                    let local = overlay(view, &bundle).cut(model).local;
-                    let ci = *cand_ids.entry(bundle).or_insert_with_key(|bundle| {
-                        cands.push(bundle.clone());
-                        cands.len() - 1
-                    });
-                    if local {
-                        locals.push(ci);
-                    }
-                }
-                (!view.cut(model).local).then_some(locals)
-            });
-            let Some(locals) = locals.as_ref().filter(|_| leg_idx < eager) else {
-                continue;
-            };
-            if locals.is_empty() {
-                return Err(SynthError::NoCandidate {
-                    cycle: describe_cycle(g, cyc),
-                });
-            }
-            if !constraints.contains(locals) {
-                constraints.push(locals.clone());
-            }
-        }
-    }
-    Ok((cands, constraints))
-}
-
 /// Synthesize a placement protecting every cycle in `cycles` (which must
 /// be `g`'s complete critical-cycle set — e.g. from the parallel
 /// whole-program enumerator) under `cfg.model`, with the solve tier
@@ -1200,105 +1152,210 @@ pub fn synthesize_cycles(
         .iter()
         .filter(|c| !check_cycle(g, cfg.model, c).protected)
         .collect();
-    synthesize_open(g, &open, cfg, costs, opts)
+    Instance::new(g, cfg, costs, &open).solve(opts)
 }
 
-/// [`synthesize_cycles`] given the cycles of `g`'s complete set that
-/// `cfg.model` leaves unprotected.
-pub(crate) fn synthesize_open(
-    g: &ProgramGraph,
-    open: &[&CriticalCycle],
+/// The hitting-set instance of a set of open cycles, shared by both
+/// solver tiers: the candidate bundles of every multi-access leg,
+/// interned, and per leg the candidates that cut it locally. The tiers
+/// differ only in which legs seed eager constraints
+/// ([`Instance::solve`]).
+pub(crate) struct Instance<'a> {
+    g: &'a ProgramGraph,
     cfg: SynthConfig,
-    costs: &CostModel,
-    opts: &SolverOptions,
-) -> Result<SynthOutcome, SynthError> {
-    const MAX_ROUNDS: usize = 32;
-    let model = cfg.model;
-    if open.is_empty() {
-        let placement = Placement {
-            instruments: vec![],
-            cost_ns: 0.0,
-            rounds: 0,
-        };
-        return Ok(SynthOutcome::Exact {
-            placement,
-            nodes: 0,
-        });
+    costs: &'a CostModel,
+    /// The cycles of `g`'s complete set that `cfg.model` leaves open.
+    open: &'a [&'a CriticalCycle],
+    /// Candidate bundles, in first-enumeration order.
+    cands: Vec<Vec<Instrument>>,
+    interned: Interned,
+    /// Per distinct pair: the candidates that cut it locally, or `None`
+    /// when it is locally cut already.
+    locals: Vec<Option<Vec<usize>>>,
+    /// Per open cycle, per multi-access leg in order: its pair's index
+    /// into `locals`.
+    leg_pairs: Vec<Vec<usize>>,
+}
+
+impl<'a> Instance<'a> {
+    /// Enumerate the candidates of every multi-access leg of every open
+    /// cycle. A pair shared by several cycles is enumerated once.
+    pub(crate) fn new(
+        g: &'a ProgramGraph,
+        cfg: SynthConfig,
+        costs: &'a CostModel,
+        open: &'a [&'a CriticalCycle],
+    ) -> Self {
+        let model = cfg.model;
+        let mut cands: Vec<Vec<Instrument>> = vec![];
+        let mut cand_ids: HashMap<Vec<Instrument>, usize> = HashMap::new();
+        let mut locals: Vec<Option<Vec<usize>>> = vec![];
+        let mut pair_ids: HashMap<(usize, usize), usize> = HashMap::new();
+        let leg_pairs = open
+            .iter()
+            .map(|cyc| {
+                po_legs(cyc)
+                    .into_iter()
+                    .map(|(a_id, b_id)| {
+                        *pair_ids.entry((a_id, b_id)).or_insert_with(|| {
+                            let view = PairView::of(g, a_id, b_id, None);
+                            let mut cut_by = vec![];
+                            for bundle in pair_candidates(view, cfg) {
+                                let local = overlay(view, &bundle).cut(model).local;
+                                let ci = *cand_ids.entry(bundle).or_insert_with_key(|bundle| {
+                                    cands.push(bundle.clone());
+                                    cands.len() - 1
+                                });
+                                if local {
+                                    cut_by.push(ci);
+                                }
+                            }
+                            locals.push((!view.cut(model).local).then_some(cut_by));
+                            locals.len() - 1
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        let interned = Interned::new(&cands, costs);
+        Instance {
+            g,
+            cfg,
+            costs,
+            open,
+            cands,
+            interned,
+            locals,
+            leg_pairs,
+        }
     }
 
-    let (cands, mut constraints) = eager_instance(g, cfg, open, opts)?;
-    let interned = Interned::new(&cands, costs);
+    /// Distinct multi-access legs across the open cycles.
+    pub(crate) fn pairs(&self) -> usize {
+        self.locals.len()
+    }
 
-    let mut nodes_total: u64 = 0;
-    let mut timed_out = false;
-    for round in 1..=MAX_ROUNDS {
-        let solve = solve_hitting_set(&interned, &constraints, opts);
-        nodes_total += solve.nodes;
-        timed_out |= solve.timed_out;
-        let solution = solve.instruments;
-        let applied = apply_to_graph(g, &solution);
-        let failing: Vec<&&CriticalCycle> = open
-            .iter()
-            .filter(|c| !check_cycle(&applied, model, c).protected)
-            .collect();
-        if failing.is_empty() {
-            let cost_ns = solution.iter().map(|i| costs.instrument_ns(i)).sum();
+    /// Eager constraints: a local cut on each of the first `eager`
+    /// multi-access legs of every open cycle that has none (necessary
+    /// under every model — a leg without a local cut contributes no edge
+    /// that could close the constraint graph across it on the MCA side,
+    /// and POWER's cumulative/global strengths imply the local one in this
+    /// checker), each distinct constraint once.
+    fn eager_constraints(&self, eager: usize) -> Result<Vec<Vec<usize>>, SynthError> {
+        let mut constraints: Vec<Vec<usize>> = vec![];
+        for (cyc, pairs) in self.open.iter().zip(&self.leg_pairs) {
+            for &p in pairs.iter().take(eager) {
+                let Some(cut_by) = &self.locals[p] else {
+                    continue;
+                };
+                if cut_by.is_empty() {
+                    return Err(SynthError::NoCandidate {
+                        cycle: describe_cycle(self.g, cyc),
+                    });
+                }
+                if !constraints.contains(cut_by) {
+                    constraints.push(cut_by.clone());
+                }
+            }
+        }
+        Ok(constraints)
+    }
+
+    /// Solve the instance with the tier `opts` chooses. The reorder bound
+    /// `k` limits which legs seed eager constraints; candidates are
+    /// registered for every leg, so lazy repair can reach them.
+    ///
+    /// Each round judges its trial placement on pair views with the
+    /// placement [`overlay`]ed, never on an instrumented graph.
+    pub(crate) fn solve(&self, opts: &SolverOptions) -> Result<SynthOutcome, SynthError> {
+        const MAX_ROUNDS: usize = 32;
+        let (g, model) = (self.g, self.cfg.model);
+        if self.open.is_empty() {
             let placement = Placement {
-                instruments: solution,
-                cost_ns,
-                rounds: round,
+                instruments: vec![],
+                cost_ns: 0.0,
+                rounds: 0,
             };
-            return Ok(if opts.greedy_only {
-                SynthOutcome::Approx { placement }
-            } else if timed_out {
-                SynthOutcome::Timeout {
-                    placement,
-                    nodes: nodes_total,
-                    budget: opts.node_budget,
-                }
-            } else {
-                SynthOutcome::Exact {
-                    placement,
-                    nodes: nodes_total,
-                }
+            return Ok(SynthOutcome::Exact {
+                placement,
+                nodes: 0,
             });
         }
-        // Lazy constraints: for each failing cycle, the unchosen
-        // candidates that add any strength bit to one of its legs beyond
-        // the trial placement. Per-leg strength is monotone in the
-        // instrument set, so every feasible superset of the trial hits
-        // this set; and the trial itself does not, so each round strictly
-        // excludes the current solution.
-        for cyc in failing {
-            let legs: Vec<(PairView, PairCut)> = po_legs(cyc)
-                .into_iter()
-                .map(|(a, b)| {
-                    let view = PairView::of(&applied, a, b, None);
-                    (view, view.cut(model))
-                })
+
+        let mut constraints = self.eager_constraints(opts.reorder_bound.unwrap_or(usize::MAX))?;
+        let mut nodes_total: u64 = 0;
+        let mut timed_out = false;
+        for round in 1..=MAX_ROUNDS {
+            let solve = solve_hitting_set(&self.interned, &constraints, opts);
+            nodes_total += solve.nodes;
+            timed_out |= solve.timed_out;
+            let solution = solve.instruments;
+            let trial = |a: usize, b: usize| overlay(PairView::of(g, a, b, None), &solution);
+            let failing: Vec<&&CriticalCycle> = self
+                .open
+                .iter()
+                .filter(|c| !check_cycle_cut(g, model, c, |a, b| trial(a, b).cut(model)).protected)
                 .collect();
-            let escape: Vec<usize> = (0..cands.len())
-                .filter(|&ci| {
-                    // Candidates already contained in the trial placement
-                    // add nothing beyond `applied`, so they filter out
-                    // here naturally — the escape set never contains a
-                    // chosen candidate, which is what guarantees each
-                    // round strictly excludes the current solution.
-                    legs.iter()
-                        .any(|&(view, cur)| overlay(view, &cands[ci]).cut(model).stronger_than(cur))
-                })
-                .collect();
-            if escape.is_empty() {
-                return Err(SynthError::NoCandidate {
-                    cycle: describe_cycle(g, cyc),
+            if failing.is_empty() {
+                let cost_ns = solution.iter().map(|i| self.costs.instrument_ns(i)).sum();
+                let placement = Placement {
+                    instruments: solution,
+                    cost_ns,
+                    rounds: round,
+                };
+                return Ok(if opts.greedy_only {
+                    SynthOutcome::Approx { placement }
+                } else if timed_out {
+                    SynthOutcome::Timeout {
+                        placement,
+                        nodes: nodes_total,
+                        budget: opts.node_budget,
+                    }
+                } else {
+                    SynthOutcome::Exact {
+                        placement,
+                        nodes: nodes_total,
+                    }
                 });
             }
-            if !constraints.contains(&escape) {
-                constraints.push(escape);
+            // Lazy constraints: for each failing cycle, the unchosen
+            // candidates that add any strength bit to one of its legs beyond
+            // the trial placement. Per-leg strength is monotone in the
+            // instrument set, so every feasible superset of the trial hits
+            // this set; and the trial itself does not, so each round strictly
+            // excludes the current solution.
+            for cyc in failing {
+                let legs: Vec<(PairView, PairCut)> = po_legs(cyc)
+                    .into_iter()
+                    .map(|(a, b)| {
+                        let view = trial(a, b);
+                        (view, view.cut(model))
+                    })
+                    .collect();
+                let escape: Vec<usize> = (0..self.cands.len())
+                    .filter(|&ci| {
+                        // Candidates already contained in the trial placement
+                        // add nothing beyond it, so they filter out here
+                        // naturally — the escape set never contains a chosen
+                        // candidate, which is what guarantees each round
+                        // strictly excludes the current solution.
+                        legs.iter().any(|&(view, cur)| {
+                            overlay(view, &self.cands[ci]).cut(model).stronger_than(cur)
+                        })
+                    })
+                    .collect();
+                if escape.is_empty() {
+                    return Err(SynthError::NoCandidate {
+                        cycle: describe_cycle(g, cyc),
+                    });
+                }
+                if !constraints.contains(&escape) {
+                    constraints.push(escape);
+                }
             }
         }
+        Err(SynthError::Diverged { rounds: MAX_ROUNDS })
     }
-    Err(SynthError::Diverged { rounds: MAX_ROUNDS })
 }
 
 fn describe_cycle(g: &ProgramGraph, cyc: &CriticalCycle) -> String {
@@ -1681,75 +1738,122 @@ mod tests {
         DepKind::CtrlIsb,
     ];
 
+    /// A program-order pair `(a, b)` of `g` and a random bundle aimed at
+    /// it from `raw`: fences on the pair's thread and on others, in and
+    /// out of its slot range, upgrades, the `RCsc` pair, dependencies (also
+    /// on the pair itself) and repeats. `None` when no thread of `g` has
+    /// two accesses.
+    fn random_bundle(
+        g: &ProgramGraph,
+        pair: (usize, usize, usize),
+        raw: &[(usize, usize, usize, usize)],
+    ) -> Option<(usize, usize, Vec<Instrument>)> {
+        let nthreads = g.threads.len();
+        let t = (0..nthreads)
+            .map(|k| (pair.0 + k) % nthreads)
+            .find(|&t| g.threads[t].len() >= 2)?;
+        let ids = &g.threads[t];
+        let i = pair.1 % (ids.len() - 1);
+        let j = i + 1 + pair.2 % (ids.len() - 1 - i);
+        let mut extra: Vec<Instrument> = vec![];
+        for &(sel, th, p, q) in raw {
+            let thread = if th % 2 == 0 { t } else { (th / 2) % nthreads };
+            let len = g.threads[thread].len();
+            let ins = match sel % 6 {
+                0 | 1 => Instrument::Fence {
+                    thread,
+                    slot: p % (len + 1),
+                    kind: CLASSED[q % CLASSED.len()],
+                },
+                2 if len > 0 => Instrument::Acquire {
+                    thread,
+                    pos: p % len,
+                },
+                3 if len > 0 => Instrument::Release {
+                    thread,
+                    pos: p % len,
+                },
+                4 if len > 0 => Instrument::Dep {
+                    thread,
+                    from_pos: p % len,
+                    to_pos: q % len,
+                    kind: DEPS[(sel / 6) % DEPS.len()],
+                },
+                // Aimed at the pair itself.
+                _ => match (sel / 6) % 4 {
+                    0 => {
+                        extra.push(Instrument::Release { thread: t, pos: i });
+                        Instrument::Acquire { thread: t, pos: j }
+                    }
+                    1 => Instrument::Dep {
+                        thread: t,
+                        from_pos: i,
+                        to_pos: j,
+                        kind: DEPS[q % DEPS.len()],
+                    },
+                    2 if !extra.is_empty() => extra[p % extra.len()],
+                    _ => Instrument::Fence {
+                        thread: t,
+                        slot: j,
+                        kind: CLASSED[q % CLASSED.len()],
+                    },
+                },
+            };
+            extra.push(ins);
+        }
+        Some((ids[i], ids[j], extra))
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The overlay equals the cut of the instrumented graph on corpus
         /// graphs and random bundles: fences on the pair's thread and on
         /// others, in and out of its slot range, upgrades, the RCsc pair,
-        /// dependencies (also where one exists) and repeats.
+        /// dependencies (also where one exists) and repeats. Overlaying
+        /// the bundle's tail on the view of the graph instrumented with
+        /// its head (a candidate judged against a trial placement) agrees
+        /// too.
         #[test]
         fn overlay_equals_the_cut_of_the_instrumented_graph(
             pick in 0usize..1 << 20,
             pair in (0usize..8, 0usize..8, 0usize..8),
-            raw in prop::collection::vec((0usize..64, 0usize..64, 0usize..16, 0usize..16), 0..7)
+            raw in prop::collection::vec((0usize..64, 0usize..64, 0usize..16, 0usize..16), 0..7),
+            split in 0usize..8,
         ) {
             let g = &corpus()[pick % corpus().len()];
-            let nthreads = g.threads.len();
-            let Some(t) = (0..nthreads)
-                .map(|k| (pair.0 + k) % nthreads)
-                .find(|&t| g.threads[t].len() >= 2)
-            else {
+            let Some((a, b, extra)) = random_bundle(g, pair, &raw) else {
                 return Ok(());
             };
-            let ids = &g.threads[t];
-            let i = pair.1 % (ids.len() - 1);
-            let j = i + 1 + pair.2 % (ids.len() - 1 - i);
-            let (a, b) = (ids[i], ids[j]);
-            let mut extra: Vec<Instrument> = vec![];
-            for &(sel, th, p, q) in &raw {
-                let thread = if th % 2 == 0 { t } else { (th / 2) % nthreads };
-                let len = g.threads[thread].len();
-                let ins = match sel % 6 {
-                    0 | 1 => Instrument::Fence {
-                        thread,
-                        slot: p % (len + 1),
-                        kind: CLASSED[q % CLASSED.len()],
-                    },
-                    2 if len > 0 => Instrument::Acquire { thread, pos: p % len },
-                    3 if len > 0 => Instrument::Release { thread, pos: p % len },
-                    4 if len > 0 => Instrument::Dep {
-                        thread,
-                        from_pos: p % len,
-                        to_pos: q % len,
-                        kind: DEPS[(sel / 6) % DEPS.len()],
-                    },
-                    // Aimed at the pair itself.
-                    _ => match (sel / 6) % 4 {
-                        0 => {
-                            extra.push(Instrument::Release { thread: t, pos: i });
-                            Instrument::Acquire { thread: t, pos: j }
-                        }
-                        1 => Instrument::Dep {
-                            thread: t,
-                            from_pos: i,
-                            to_pos: j,
-                            kind: DEPS[q % DEPS.len()],
-                        },
-                        2 if !extra.is_empty() => extra[p % extra.len()],
-                        _ => Instrument::Fence {
-                            thread: t,
-                            slot: j,
-                            kind: CLASSED[q % CLASSED.len()],
-                        },
-                    },
-                };
-                extra.push(ins);
-            }
             let applied = apply_to_graph(g, &extra);
+            let (head, tail) = extra.split_at(split.min(extra.len()));
+            let trial = apply_to_graph(g, head);
             for model in [Sc, Tso, ArmV8, Power] {
-                let fast = overlay(PairView::of(g, a, b, None), &extra).cut(model);
-                prop_assert_eq!(fast, PairView::of(&applied, a, b, None).cut(model));
+                let slow = PairView::of(&applied, a, b, None).cut(model);
+                prop_assert_eq!(overlay(PairView::of(g, a, b, None), &extra).cut(model), slow);
+                prop_assert_eq!(overlay(PairView::of(&trial, a, b, None), tail).cut(model), slow);
+            }
+        }
+
+        /// Instruments change whether cycles are protected, never which
+        /// cycles exist: the instrumented graph has the same cycles, in
+        /// the same order, as the bare one.
+        #[test]
+        fn instruments_leave_the_critical_cycles_unchanged(
+            pick in 0usize..1 << 20,
+            pair in (0usize..8, 0usize..8, 0usize..8),
+            raw in prop::collection::vec((0usize..64, 0usize..64, 0usize..16, 0usize..16), 0..7),
+        ) {
+            let g = &corpus()[pick % corpus().len()];
+            let Some((_, _, extra)) = random_bundle(g, pair, &raw) else {
+                return Ok(());
+            };
+            let bare = critical_cycles(g);
+            let instrumented = critical_cycles(&apply_to_graph(g, &extra));
+            prop_assert_eq!(instrumented.len(), bare.len());
+            for (x, y) in instrumented.iter().zip(&bare) {
+                prop_assert_eq!(&x.legs, &y.legs);
+                prop_assert_eq!(&x.comms, &y.comms);
             }
         }
 

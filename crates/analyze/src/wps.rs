@@ -35,7 +35,7 @@ use crate::check::check_cycle;
 use crate::cycles::{critical_cycles, dedup_cycles, CriticalCycle};
 use crate::graph::ProgramGraph;
 use crate::synth::{
-    synthesize_open, CostModel, Placement, SolverOptions, SynthConfig, SynthError, SynthOutcome,
+    CostModel, Instance, Placement, SolverOptions, SynthConfig, SynthError, SynthOutcome,
 };
 
 /// Content-addressed store of per-component cycle sets, keyed by the
@@ -281,7 +281,8 @@ pub fn critical_cycles_wps(
 /// [`WpsConfig::node_budget`] nodes) and the report prices the gap
 /// between the tiers. The returned placement comes from the strongest
 /// tier that completed: exact when it ran to optimality, its feasible
-/// incumbent on timeout, greedy otherwise.
+/// incumbent on timeout, greedy otherwise. Both tiers solve one candidate
+/// instance, built once.
 ///
 /// # Errors
 ///
@@ -301,37 +302,26 @@ pub fn synthesize_wps(
         .iter()
         .filter(|c| !check_cycle(g, cfg.model, c).protected)
         .collect();
-    let mut legs: Vec<(usize, usize)> = open
-        .iter()
-        .flat_map(|c| c.legs.iter().copied().filter(|&(e, x)| e != x))
-        .collect();
-    legs.sort_unstable();
-    legs.dedup();
-
-    let approx = synthesize_open(
-        g,
-        &open,
-        cfg,
-        costs,
-        &SolverOptions::approx(wps.reorder_bound),
-    )?
-    .into_placement();
+    let instance = Instance::new(g, cfg, costs, &open);
+    let approx = instance
+        .solve(&SolverOptions::approx(wps.reorder_bound))?
+        .into_placement();
     let mut report = WpsReport {
         placement: approx.clone(),
         tier: WpsTier::Approx,
         components,
         cycles: cycles.len(),
         open_cycles: open.len(),
-        legs: legs.len(),
+        legs: instance.pairs(),
         nodes: 0,
         exact_cost_ns: None,
         approx_cost_ns: approx.cost_ns,
         gap: None,
     };
-    if legs.len() > wps.exact_leg_cap {
+    if report.legs > wps.exact_leg_cap {
         return Ok(report);
     }
-    let outcome = synthesize_open(g, &open, cfg, costs, &SolverOptions::exact(wps.node_budget))?;
+    let outcome = instance.solve(&SolverOptions::exact(wps.node_budget))?;
     apply_exact_tier(&mut report, outcome);
     Ok(report)
 }

@@ -150,15 +150,6 @@ impl<P: PartialEq> Injection<P> {
             }
         }
     }
-
-    /// The largest instruction-word footprint this injection can add to any
-    /// single site (for envelope computation).
-    pub fn max_size(&self) -> u64 {
-        match self {
-            Injection::None => 0,
-            Injection::All(cf) | Injection::At(_, cf) | Injection::Set(_, cf) => cf.size(),
-        }
-    }
 }
 
 /// Links images into runnable programs under a (strategy, injection,

@@ -70,18 +70,6 @@ impl FenceKind {
         FenceKind::Compiler,
     ];
 
-    /// All hardware fence kinds (excluding the compiler-only barrier).
-    pub fn all_hardware() -> [FenceKind; 6] {
-        [
-            FenceKind::DmbIsh,
-            FenceKind::DmbIshLd,
-            FenceKind::DmbIshSt,
-            FenceKind::Isb,
-            FenceKind::HwSync,
-            FenceKind::LwSync,
-        ]
-    }
-
     /// Inverse of [`FenceKind::mnemonic`], for parsing serialised site records.
     pub fn from_mnemonic(s: &str) -> Option<FenceKind> {
         FenceKind::ALL.into_iter().find(|k| k.mnemonic() == s)
@@ -222,11 +210,6 @@ impl Instr {
             // irrelevant to barrier-site invariance, report 0.
             Instr::Compute { .. } => 0,
         }
-    }
-
-    /// Whether this instruction is a memory barrier of kind `k`.
-    pub fn is_fence(&self, k: FenceKind) -> bool {
-        matches!(self, Instr::Fence(f) if *f == k)
     }
 }
 

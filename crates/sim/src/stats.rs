@@ -182,23 +182,6 @@ impl ExecStats {
             .map(|&k| self.fence_stall_cycles(k))
             .sum()
     }
-
-    /// Sum of per-site fence stall cycles over sites whose fence is `kind`,
-    /// if per-site attribution was collected.
-    ///
-    /// Mathematically this equals [`ExecStats::fence_stall_cycles`] — both
-    /// accounts add the identical per-execution cost values — but the
-    /// per-site sum regroups the additions, so the two agree to floating
-    /// point reassociation (≈1e-9 relative), not bitwise.
-    pub fn site_fence_stall_cycles(&self, kind: FenceKind) -> Option<f64> {
-        self.per_site.as_ref().map(|sites| {
-            sites
-                .iter()
-                .filter(|s| s.fence == Some(kind))
-                .map(|s| s.fence_cycles)
-                .sum()
-        })
-    }
 }
 
 #[cfg(test)]
