@@ -48,7 +48,7 @@ impl CommKind {
 
     /// Short arrow label.
     #[must_use]
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             CommKind::Rf => "rf",
             CommKind::Fr => "fr",
@@ -98,7 +98,7 @@ impl CriticalCycle {
     /// scenario iff their keys are equal, regardless of which leg the
     /// enumeration happened to start from.
     #[must_use]
-    pub fn canonical_key(&self) -> Vec<(usize, usize, u8)> {
+    pub(crate) fn canonical_key(&self) -> Vec<(usize, usize, u8)> {
         let n = self.legs.len();
         let r = self.canonical_start();
         (0..n)
@@ -111,7 +111,7 @@ impl CriticalCycle {
 
     /// Rotate the cycle in place onto its canonical rotation (the one whose
     /// `(entry, exit, comm)` sequence is lexicographically smallest).
-    pub fn canonicalize(&mut self) {
+    pub(crate) fn canonicalize(&mut self) {
         let r = self.canonical_start();
         self.legs.rotate_left(r);
         self.comms.rotate_left(r);
@@ -130,7 +130,7 @@ impl CriticalCycle {
     /// Human-readable rendering, e.g.
     /// `t0:Wx ->po t0:Wy ->rf t1:Ry ->po t1:Rx ->fr t0:Wx`.
     #[must_use]
-    pub fn describe(&self, g: &ProgramGraph) -> String {
+    pub(crate) fn describe(&self, g: &ProgramGraph) -> String {
         let mut parts = vec![];
         for (i, &(entry, exit)) in self.legs.iter().enumerate() {
             parts.push(g.describe(entry));
@@ -190,7 +190,7 @@ pub fn critical_cycles(g: &ProgramGraph) -> Vec<CriticalCycle> {
 /// parallel communication edges folded from several sources) can carry the
 /// same cycle under different rotations. This pass makes dedup exact.
 #[must_use]
-pub fn dedup_cycles(cycles: Vec<CriticalCycle>) -> Vec<CriticalCycle> {
+pub(crate) fn dedup_cycles(cycles: Vec<CriticalCycle>) -> Vec<CriticalCycle> {
     let mut seen = std::collections::BTreeSet::new();
     let mut out = Vec::with_capacity(cycles.len());
     for mut cyc in cycles {

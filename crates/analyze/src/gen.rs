@@ -24,7 +24,7 @@
 //! the asserted outcome identifies the intended execution as sharply as
 //! final state can.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasher, RandomState};
 
 use wmm_litmus::ops::{DepKind, FClass, LOp, LitmusTest};
@@ -33,7 +33,7 @@ use crate::cycles::CommKind;
 
 /// Architecture whose ordering vocabulary decorates the cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GenArch {
+pub(crate) enum GenArch {
     /// TSO: full fences only.
     Tso,
     /// `ARMv8`: `dmb ish`/`ishst`/`ishld`, dependencies, acquire/release.
@@ -45,7 +45,7 @@ pub enum GenArch {
 impl GenArch {
     /// Name segment used in generated test names.
     #[must_use]
-    pub fn tag(self) -> &'static str {
+    pub(crate) fn tag(self) -> &'static str {
         match self {
             GenArch::Tso => "tso",
             GenArch::ArmV8 => "arm",
@@ -56,7 +56,7 @@ impl GenArch {
 
 /// Generator configuration.
 #[derive(Debug, Clone)]
-pub struct GenConfig {
+pub(crate) struct GenConfig {
     /// Vocabulary source.
     pub arch: GenArch,
     /// Maximum threads (= legs) per cycle, capped at 4.
@@ -70,7 +70,7 @@ impl GenConfig {
     /// The standard configuration for an architecture: up to 4 threads /
     /// 8 accesses, uncapped.
     #[must_use]
-    pub fn standard(arch: GenArch) -> Self {
+    pub(crate) fn standard(arch: GenArch) -> Self {
         GenConfig {
             arch,
             max_threads: 4,
@@ -181,7 +181,7 @@ fn is_canonical_rotation(legs: &[Leg]) -> bool {
 // --- leg annotations -------------------------------------------------------
 
 /// Ordering decoration on one (double) leg.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Anno {
     None,
     Fence(FClass),
@@ -255,9 +255,9 @@ fn vocabulary(arch: GenArch) -> Vec<Anno> {
 fn assignments(legs: &[Leg], vocab: &[Anno]) -> Vec<Vec<Anno>> {
     let n = legs.len();
     let mut out: Vec<Vec<Anno>> = vec![];
-    let mut seen: HashSet<Vec<Anno>> = HashSet::new();
-    let mut push = |a: Vec<Anno>, out: &mut Vec<Vec<Anno>>| {
-        if seen.insert(a.clone()) {
+    // At most 81 assignments per shape: a linear dedup beats hashing.
+    let push = |a: Vec<Anno>, out: &mut Vec<Vec<Anno>>| {
+        if !out.contains(&a) {
             out.push(a);
         }
     };
@@ -298,22 +298,28 @@ struct AccessRef {
 }
 
 /// Deterministic per-location topological order over co-precedence pairs
-/// (Kahn, smallest store index first). `None` on contradiction.
+/// (Kahn, smallest store index first). `None` on contradiction. A location
+/// has a handful of stores, so in-degrees sit in a `Vec` by store position
+/// and successors are read straight off `pairs`.
 fn pin_coherence(stores: &[usize], pairs: &[(usize, usize)]) -> Option<Vec<usize>> {
-    let mut indeg: HashMap<usize, usize> = stores.iter().map(|&s| (s, 0)).collect();
-    let mut adj: HashMap<usize, Vec<usize>> = HashMap::new();
-    for &(a, b) in pairs {
-        adj.entry(a).or_default().push(b);
-        *indeg.get_mut(&b)? += 1;
+    let slot = |s: usize| stores.iter().position(|&x| x == s);
+    let mut indeg = vec![0usize; stores.len()];
+    for &(_, b) in pairs {
+        indeg[slot(b)?] += 1;
     }
     let mut order = vec![];
-    let mut ready: Vec<usize> = stores.iter().copied().filter(|s| indeg[s] == 0).collect();
+    let mut ready: Vec<usize> = stores
+        .iter()
+        .zip(&indeg)
+        .filter(|&(_, &d)| d == 0)
+        .map(|(&s, _)| s)
+        .collect();
     while !ready.is_empty() {
         ready.sort_unstable();
         let s = ready.remove(0);
         order.push(s);
-        for &nxt in adj.get(&s).into_iter().flatten() {
-            let d = indeg.get_mut(&nxt).expect("known store");
+        for &(_, nxt) in pairs.iter().filter(|&&(a, _)| a == s) {
+            let d = &mut indeg[slot(nxt).expect("known store")];
             *d -= 1;
             if *d == 0 {
                 ready.push(nxt);
@@ -428,7 +434,7 @@ fn emit(
 
     // Communication edges -> rf pairs and co-precedence pairs.
     let num_locs = locs.iter().max().map_or(0, |m| m + 1);
-    let mut rf_of: HashMap<usize, usize> = HashMap::new(); // load access -> store access
+    let mut rf_of: Vec<Option<usize>> = vec![None; accesses.len()]; // load access -> store access
     let mut fr_pairs: Vec<(usize, usize)> = vec![]; // (load access, store access), cycle order
     let mut co_pairs: Vec<Vec<(usize, usize)>> = vec![vec![]; num_locs];
     for (i, &comm) in comms.iter().enumerate() {
@@ -436,7 +442,7 @@ fn emit(
         let to = entry_of[(i + 1) % n];
         match comm {
             CommKind::Rf => {
-                rf_of.insert(to, from);
+                rf_of[to] = Some(from);
             }
             CommKind::Fr => {
                 fr_pairs.push((from, to));
@@ -449,13 +455,13 @@ fn emit(
     // A read with both an rf-in and an fr-out (single read legs) orders its
     // source store coherence-before the fr target.
     for &(load, later) in &fr_pairs {
-        if let Some(&src) = rf_of.get(&load) {
+        if let Some(src) = rf_of[load] {
             co_pairs[accesses[src].loc].push((src, later));
         }
     }
 
     // Pin coherence per location; assign values 1..k along it.
-    let mut val_of: HashMap<usize, u32> = HashMap::new();
+    let mut val_of = vec![0u32; accesses.len()]; // store access -> value
     let mut memory = vec![];
     for (loc, pairs) in co_pairs.iter().enumerate() {
         let stores: Vec<usize> = (0..accesses.len())
@@ -464,14 +470,14 @@ fn emit(
         let order = pin_coherence(&stores, pairs)?;
         for (i, &s) in order.iter().enumerate() {
             let v = u32::try_from(i + 1).expect("litmus-sized");
-            val_of.insert(s, v);
+            val_of[s] = v;
             let a = &accesses[s];
             if let LOp::Store { val, .. } = &mut threads[a.thread][a.op] {
                 *val = v;
             }
         }
         if order.len() >= 2 {
-            memory.push((loc, val_of[order.last().expect("non-empty")]));
+            memory.push((loc, val_of[*order.last().expect("non-empty")]));
         }
     }
 
@@ -483,7 +489,7 @@ fn emit(
             continue;
         }
         let reg = acc.reg.expect("loads carry a register");
-        let v = rf_of.get(&a).map_or(0, |src| val_of[src]);
+        let v = rf_of[a].map_or(0, |src| val_of[src]);
         interesting.push((acc.thread, reg, v));
     }
 
@@ -521,7 +527,7 @@ fn emit(
 
 /// Enumerate every decorated cycle shape for `cfg`, in a fixed order.
 #[must_use]
-pub fn generate(cfg: &GenConfig) -> Vec<LitmusTest> {
+pub(crate) fn generate(cfg: &GenConfig) -> Vec<LitmusTest> {
     let vocab = vocabulary(cfg.arch);
     let mut out = vec![];
     for n in 2..=cfg.max_threads.min(4) {
@@ -641,6 +647,7 @@ mod tests {
     use super::*;
     use crate::cycles::critical_cycles;
     use crate::graph::ProgramGraph;
+    use std::collections::HashSet;
     use wmm_litmus::lint::lint_corpus;
 
     #[test]

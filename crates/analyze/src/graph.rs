@@ -56,7 +56,7 @@ impl Access {
 
     /// Short label: `W` / `R` / `U` (update) plus the location name.
     #[must_use]
-    pub fn label(&self, loc_names: &[String]) -> String {
+    pub(crate) fn label(&self, loc_names: &[String]) -> String {
         let role = match (self.is_store, self.is_load) {
             (true, true) => "U",
             (true, false) => "W",
@@ -349,7 +349,7 @@ impl ProgramGraph {
 
     /// Human-readable access description, e.g. `t1:Rx`.
     #[must_use]
-    pub fn describe(&self, id: usize) -> String {
+    pub(crate) fn describe(&self, id: usize) -> String {
         let a = &self.accesses[id];
         format!("t{}:{}", a.thread, a.label(&self.loc_names))
     }

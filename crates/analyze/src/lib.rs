@@ -33,6 +33,7 @@
 //!    each architecture's ordering vocabulary, emitting thousands of
 //!    well-formed litmus tests for the `axiom_diff` differential harness.
 
+#![warn(unreachable_pub)]
 #![warn(clippy::pedantic)]
 // Pedantic relaxations, each with a reason:
 // - must_use_candidate: the analysis builders are consumed immediately at
@@ -51,13 +52,12 @@ pub mod synth;
 pub mod wps;
 
 pub use check::{check_cycle, check_cycle_without, CycleCheck};
-pub use cycles::{critical_cycles, dedup_cycles, CommKind, CriticalCycle};
-pub use gen::{differential_corpus, generate, generate_all, GenArch, GenConfig};
-pub use graph::{Access, FenceNode, ProgramGraph, StreamDep};
-pub use report::{analyze, Analysis, DowngradableFence, RedundantFence, UnprotectedCycle};
+pub use cycles::{critical_cycles, CommKind, CriticalCycle};
+pub use gen::{differential_corpus, generate_all};
+pub use graph::{Access, ProgramGraph, StreamDep};
+pub use report::{analyze, Analysis};
 pub use synth::{
     apply_to_graph, apply_to_streams, graph_cost, synthesize, synthesize_cycles, CostModel,
-    Instrument, Placement, SolverOptions, SynthConfig, SynthError, SynthOutcome,
-    DEFAULT_NODE_BUDGET,
+    Instrument, Placement, SolverOptions, SynthConfig,
 };
 pub use wps::{critical_cycles_wps, synthesize_wps, CycleCache, WpsConfig, WpsReport, WpsTier};

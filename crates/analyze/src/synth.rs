@@ -169,7 +169,7 @@ impl Instrument {
 
     /// Human-readable description, e.g. `t1 slot1: dmb ishld`.
     #[must_use]
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match *self {
             Instrument::Fence { thread, slot, kind } => {
                 format!("t{thread} slot{slot}: {}", kind.mnemonic())
@@ -282,7 +282,7 @@ impl CostModel {
     /// Cost of a *classed* fence under `model`: `Full` prices as the
     /// model's full barrier, the weaker classes as their native encoding.
     #[must_use]
-    pub fn class_ns(&self, class: FClass, model: ModelKind) -> f64 {
+    pub(crate) fn class_ns(&self, class: FClass, model: ModelKind) -> f64 {
         let kind = match (class, model) {
             (FClass::Full, ModelKind::Power) => FenceKind::HwSync,
             (FClass::Full, _) => FenceKind::DmbIsh,
@@ -295,7 +295,7 @@ impl CostModel {
 
     /// Cost of one instrument.
     #[must_use]
-    pub fn instrument_ns(&self, ins: &Instrument) -> f64 {
+    pub(crate) fn instrument_ns(&self, ins: &Instrument) -> f64 {
         match *ins {
             Instrument::Fence { kind, .. } => self.fence_ns(kind),
             Instrument::Acquire { .. } => self.acquire_ns,
@@ -744,7 +744,7 @@ fn po_legs(cyc: &CriticalCycle) -> Vec<(usize, usize)> {
 /// explores a few thousand nodes), so [`synthesize`] behaves exactly as
 /// the previously unbounded solver on every existing input while still
 /// terminating on adversarial ones.
-pub const DEFAULT_NODE_BUDGET: u64 = 1 << 22;
+pub(crate) const DEFAULT_NODE_BUDGET: u64 = 1 << 22;
 
 /// How to run the hitting-set solve.
 #[derive(Debug, Clone, Copy)]
@@ -826,42 +826,13 @@ pub enum SynthOutcome {
 }
 
 impl SynthOutcome {
-    /// The placement, whichever tier produced it.
-    #[must_use]
-    pub fn placement(&self) -> &Placement {
-        match self {
-            SynthOutcome::Exact { placement, .. }
-            | SynthOutcome::Approx { placement }
-            | SynthOutcome::Timeout { placement, .. } => placement,
-        }
-    }
-
     /// Consume the outcome, keeping the placement.
     #[must_use]
-    pub fn into_placement(self) -> Placement {
+    pub(crate) fn into_placement(self) -> Placement {
         match self {
             SynthOutcome::Exact { placement, .. }
             | SynthOutcome::Approx { placement }
             | SynthOutcome::Timeout { placement, .. } => placement,
-        }
-    }
-
-    /// Stable tier label for manifests.
-    #[must_use]
-    pub fn tier(&self) -> &'static str {
-        match self {
-            SynthOutcome::Exact { .. } => "exact",
-            SynthOutcome::Approx { .. } => "approx",
-            SynthOutcome::Timeout { .. } => "timeout",
-        }
-    }
-
-    /// Branch-and-bound nodes explored (0 for the greedy tier).
-    #[must_use]
-    pub fn nodes(&self) -> u64 {
-        match self {
-            SynthOutcome::Exact { nodes, .. } | SynthOutcome::Timeout { nodes, .. } => *nodes,
-            SynthOutcome::Approx { .. } => 0,
         }
     }
 }

@@ -172,7 +172,7 @@ pub fn conflict_components(g: &ProgramGraph) -> Vec<Vec<usize>> {
 /// change which critical cycles exist, only whether they are protected,
 /// so skeleton-equal components share one cached enumeration.
 #[must_use]
-pub fn component_key(g: &ProgramGraph, threads: &[usize]) -> u128 {
+pub(crate) fn component_key(g: &ProgramGraph, threads: &[usize]) -> u128 {
     let mut h = Fnv128::new();
     let mut locs: Vec<usize> = vec![];
     h.u64(threads.len() as u64);
@@ -426,7 +426,7 @@ mod tests {
         let cycles = critical_cycles_wps(&u, Some(2), Some(&cache));
         assert_eq!(cycles.len(), 3);
         // Three skeleton-equal components: one enumeration, fanned out.
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats().entries, 1);
         let again = critical_cycles_wps(&u, Some(4), Some(&cache));
         assert_eq!(format!("{cycles:?}"), format!("{again:?}"));
         assert_eq!(cache.hits(), 3);

@@ -1,6 +1,6 @@
 //! The relational axioms, cat-style.
 //!
-//! A candidate execution (a [`Witness`]) is **consistent** under a model
+//! A candidate execution (a `Witness`) is **consistent** under a model
 //! iff four acyclicity axioms hold. The names follow "Herding cats"
 //! (Alglave et al.); the relations are instantiated from the explorer's
 //! own vocabulary so both oracles share one definition of every ordering
@@ -67,7 +67,7 @@ impl Axiom {
 
 /// Verdict on one candidate execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Verdict {
+pub(crate) struct Verdict {
     /// Is the candidate consistent (every axiom acyclic)?
     pub allowed: bool,
     /// The first axiom violated, when forbidden.
@@ -358,7 +358,7 @@ fn sc_per_location(g: &EventGraph, w: &Witness) -> bool {
 
 /// Decide one candidate execution under `model`.
 #[must_use]
-pub fn check_witness(g: &EventGraph, model: ModelKind, w: &Witness) -> Verdict {
+pub(crate) fn check_witness(g: &EventGraph, model: ModelKind, w: &Witness) -> Verdict {
     let rel = build_relations(g, model, w);
     let nev = g.events.len();
 

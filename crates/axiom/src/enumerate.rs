@@ -45,19 +45,6 @@ impl AxOutcomeSet {
                     .all(|&(var, v)| mem.get(var).copied().unwrap_or(0) == v)
         })
     }
-
-    /// Number of distinct final states.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.finals.len()
-    }
-
-    /// True when no candidate was consistent (cannot happen for
-    /// well-formed tests — the SC-like serial execution always is).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.finals.is_empty()
-    }
 }
 
 /// Enumerate candidates, check axioms, fold consistent finals.

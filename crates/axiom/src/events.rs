@@ -6,7 +6,7 @@ use wmm_litmus::ops::{LOp, LitmusTest};
 
 /// One memory access event.
 #[derive(Debug, Clone)]
-pub struct Event {
+pub(crate) struct Event {
     /// Thread index.
     pub thread: usize,
     /// Op index within the thread (the index [`LitmusTest::ordered`]
@@ -26,7 +26,7 @@ pub struct Event {
 /// indices needed to enumerate candidate executions — loads in a fixed
 /// order and stores grouped per location.
 #[derive(Debug)]
-pub struct EventGraph<'t> {
+pub(crate) struct EventGraph<'t> {
     /// The underlying test (ppo queries go through
     /// [`LitmusTest::ordered`], so the axiomatic per-thread order is the
     /// explorer's by construction).
@@ -47,7 +47,7 @@ pub struct EventGraph<'t> {
 impl<'t> EventGraph<'t> {
     /// Extract the events of `test`.
     #[must_use]
-    pub fn new(test: &'t LitmusTest) -> Self {
+    pub(crate) fn new(test: &'t LitmusTest) -> Self {
         let num_vars = test.num_vars();
         let mut events = vec![];
         let mut loads = vec![];
@@ -97,22 +97,7 @@ impl<'t> EventGraph<'t> {
 
     /// Same-location stores as `ev` (including itself if a store).
     #[must_use]
-    pub fn co_group(&self, ev: usize) -> &[usize] {
+    pub(crate) fn co_group(&self, ev: usize) -> &[usize] {
         &self.stores_by_loc[self.events[ev].loc]
-    }
-
-    /// Short `t0:Wx`-style description of an event, for diagnostics.
-    #[must_use]
-    pub fn describe(&self, ev: usize) -> String {
-        let e = &self.events[ev];
-        let kind = if e.is_store { 'W' } else { 'R' };
-        let loc = match e.loc {
-            0 => "x".to_string(),
-            1 => "y".to_string(),
-            2 => "z".to_string(),
-            3 => "w".to_string(),
-            n => format!("v{n}"),
-        };
-        format!("t{}:{kind}{loc}", e.thread)
     }
 }

@@ -37,6 +37,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(clippy::pedantic)]
 #![allow(clippy::must_use_candidate, clippy::missing_panics_doc)]
 
@@ -46,7 +47,5 @@ pub mod witness;
 
 mod enumerate;
 
-pub use axioms::{check_witness, Axiom, Verdict};
-pub use enumerate::{axiomatic_outcomes, AxOutcomeSet};
-pub use events::{Event, EventGraph};
-pub use witness::{witnesses, Witness};
+pub use axioms::Axiom;
+pub use enumerate::axiomatic_outcomes;

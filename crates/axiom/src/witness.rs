@@ -19,7 +19,7 @@ use crate::events::EventGraph;
 
 /// One candidate execution's communication choices.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Witness {
+pub(crate) struct Witness {
     /// Per load slot (index into [`EventGraph::loads`]): the event id of
     /// the store read, or `None` for the initial state.
     pub rf: Vec<Option<usize>>,
@@ -31,7 +31,7 @@ impl Witness {
     /// The final value of each variable: the co-last store's value, 0 for
     /// never-written variables.
     #[must_use]
-    pub fn final_memory(&self, g: &EventGraph) -> Vec<u32> {
+    pub(crate) fn final_memory(&self, g: &EventGraph) -> Vec<u32> {
         let mut mem = vec![0u32; g.num_vars];
         for (loc, order) in self.co.iter().enumerate() {
             if let Some(&last) = order.last() {
@@ -45,7 +45,7 @@ impl Witness {
     /// per thread sized to the largest load register, loads from the
     /// initial state read 0.
     #[must_use]
-    pub fn final_registers(&self, g: &EventGraph) -> Vec<Vec<u32>> {
+    pub(crate) fn final_registers(&self, g: &EventGraph) -> Vec<Vec<u32>> {
         let mut regs: Vec<Vec<u32>> = g.reg_widths.iter().map(|&w| vec![0u32; w]).collect();
         for (slot, &load) in g.loads.iter().enumerate() {
             let e = &g.events[load];
@@ -80,7 +80,7 @@ fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
 
 /// Enumerate every candidate execution of `g`, deterministically.
 #[must_use]
-pub fn witnesses(g: &EventGraph) -> Vec<Witness> {
+pub(crate) fn witnesses(g: &EventGraph) -> Vec<Witness> {
     // rf choices per load slot: init first, then same-loc stores in event
     // order.
     let rf_choices: Vec<Vec<Option<usize>>> = g

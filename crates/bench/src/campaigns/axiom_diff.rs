@@ -155,7 +155,7 @@ fn lint_section(
 }
 
 /// Lints both corpora, then diffs the two oracles test by test.
-pub fn axiom_diff(ctx: &Ctx) -> Result<RunManifest, String> {
+pub(crate) fn axiom_diff(ctx: &Ctx) -> Result<RunManifest, String> {
     let quick = ctx.quick;
     let threads = ctx.exec.threads();
     println!(

@@ -280,7 +280,7 @@ fn dstruct_section(manifest: &mut RunManifest, errors: &mut Vec<String>) {
 }
 
 /// Runs the four audit sections.
-pub fn fence_lint(ctx: &Ctx) -> Result<RunManifest, String> {
+pub(crate) fn fence_lint(ctx: &Ctx) -> Result<RunManifest, String> {
     println!("fence_lint — static fence-placement audit");
     let mut manifest = RunManifest::new(ctx.name, "static");
     let mut errors: Vec<String> = vec![];

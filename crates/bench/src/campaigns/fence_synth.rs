@@ -357,7 +357,7 @@ fn micro_section(manifest: &mut RunManifest, exec: &ParallelExecutor, costs: &Co
 }
 
 /// Runs the five synthesis sections.
-pub fn fence_synth(ctx: &Ctx) -> Result<RunManifest, String> {
+pub(crate) fn fence_synth(ctx: &Ctx) -> Result<RunManifest, String> {
     println!("fence_synth — minimal-cost fence insertion with differential validation");
     let costs = CostModel::priced(NOMINAL_K);
     let mut manifest = RunManifest::new(ctx.name, "static");

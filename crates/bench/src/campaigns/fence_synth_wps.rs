@@ -204,8 +204,9 @@ fn analysis_pass(name: &str, threads: usize, costs: &CostModel) -> AnalysisPass 
     let packed: usize = bundles.iter().map(|(b, _, _)| b.parts.len()).sum();
     manifest.push_cell("wps/gen/tests_total", packed as f64);
     manifest.push_cell("wps/gen/bundles", bundles.len() as f64);
-    manifest.push_cell("wps/cache/entries", cache.len() as f64);
-    manifest.push_cell("wps/cache/hits", cache.hits() as f64);
+    let cache_stats = cache.stats();
+    manifest.push_cell("wps/cache/entries", cache_stats.entries as f64);
+    manifest.push_cell("wps/cache/hits", cache_stats.hits as f64);
     if packed < MIN_BUNDLED_TESTS {
         errors.push(format!(
             "only {packed} generated tests bundled (need >= {MIN_BUNDLED_TESTS})"
@@ -308,7 +309,7 @@ fn validate_bundles(pass: &mut AnalysisPass) {
 }
 
 /// Runs the analysis pass twice, then both dynamic validators.
-pub fn fence_synth_wps(ctx: &Ctx) -> Result<RunManifest, String> {
+pub(crate) fn fence_synth_wps(ctx: &Ctx) -> Result<RunManifest, String> {
     println!("fence_synth_wps — whole-program synthesis (decompose / enumerate / tier)");
     let costs = CostModel::priced(NOMINAL_K);
 

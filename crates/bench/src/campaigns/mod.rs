@@ -1,5 +1,5 @@
 //! The campaign registry: every paper artefact and every check as one
-//! [`Campaign`] entry, run and gated by the `wmm` driver ([`crate::cli`]).
+//! `Campaign` entry, run and gated by the `wmm` driver ([`crate::cli`]).
 //!
 //! An entry's run function does the science: it prints the tables, writes
 //! the CSVs and returns the run manifest. It returns `Err` when one of the
@@ -7,7 +7,7 @@
 //! of tolerance, a shape the paper predicts that did not emerge). Everything
 //! around it — the executor, the cache, the counts block, the Chrome trace,
 //! the manifest file and the `[wmm-harness]` summary — happens once, in
-//! [`run`]. [`gate`] then compares `results/runs/<name>.json` with the
+//! `run`. `gate` then compares `results/runs/<name>.json` with the
 //! committed `results/baselines/<name>.json`.
 
 use std::path::{Path, PathBuf};
@@ -30,11 +30,11 @@ mod observe;
 mod paper;
 
 /// A campaign's run function.
-pub type RunFn = fn(&Ctx) -> Result<RunManifest, String>;
+pub(crate) type RunFn = fn(&Ctx) -> Result<RunManifest, String>;
 
 /// One registry entry.
 #[derive(Debug, Clone, Copy)]
-pub struct Campaign {
+pub(crate) struct Campaign {
     /// Registry key; also the name of the manifest the campaign writes.
     pub name: &'static str,
     /// Runs the campaign.
@@ -71,7 +71,7 @@ impl Campaign {
 const PROFILE_FLAGS: &[&str] = &["--flame", "--md", "--prom"];
 
 /// Every campaign, in the order `--all` runs them.
-pub const REGISTRY: &[Campaign] = &[
+pub(crate) const REGISTRY: &[Campaign] = &[
     Campaign::new("fig1_fit", paper::fig1_fit),
     Campaign::new("fig4_costfn", paper::fig4_costfn),
     Campaign::new("fig5_openjdk_sweep", paper::fig5_openjdk_sweep),
@@ -114,18 +114,18 @@ pub const REGISTRY: &[Campaign] = &[
 ];
 
 /// The registry entry named `name`.
-pub fn find(name: &str) -> Option<&'static Campaign> {
+pub(crate) fn find(name: &str) -> Option<&'static Campaign> {
     REGISTRY.iter().find(|c| c.name == name)
 }
 
 /// The `results/baselines/` directory holding the committed manifests.
-pub fn baselines_dir() -> PathBuf {
+pub(crate) fn baselines_dir() -> PathBuf {
     results_dir().join("baselines")
 }
 
 /// Output paths of the campaign-specific flags (see [`Campaign`]).
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct Outputs {
+pub(crate) struct Outputs {
     /// `--flame`: collapsed-stack export of a per-site profile.
     pub flame: Option<PathBuf>,
     /// `--md`: a profile's markdown run report.
@@ -140,7 +140,7 @@ pub struct Outputs {
 
 /// The shared flags of `wmm run`, parsed once.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct Settings {
+pub(crate) struct Settings {
     /// `--quick`: the reduced smoke protocol the baselines are recorded at.
     pub quick: bool,
     /// `--scale`: image-scale override.
@@ -159,7 +159,7 @@ pub struct Settings {
 
 impl Settings {
     /// The experiment protocol these flags select.
-    pub fn config(&self) -> ExpConfig {
+    pub(crate) fn config(&self) -> ExpConfig {
         let mut cfg = if self.quick {
             ExpConfig::quick()
         } else {
@@ -173,7 +173,7 @@ impl Settings {
 }
 
 /// What a run function sees.
-pub struct Ctx {
+pub(crate) struct Ctx {
     /// Registry name of the running campaign.
     pub name: &'static str,
     /// Whether `--quick` was given.
@@ -219,12 +219,12 @@ impl Ctx {
     }
 
     /// Whether `--trace` asked for a Chrome trace.
-    pub fn tracing(&self) -> bool {
+    pub(crate) fn tracing(&self) -> bool {
         self.trace.is_some()
     }
 
     /// Add events to the Chrome trace (a no-op without `--trace`).
-    pub fn add_trace(&self, events: &[TraceEvent]) {
+    pub(crate) fn add_trace(&self, events: &[TraceEvent]) {
         if let Some(trace) = &self.trace {
             trace
                 .lock()
@@ -234,7 +234,7 @@ impl Ctx {
     }
 
     /// Write `table` as `results/<file>` and say so.
-    pub fn write_csv(&self, table: &Table, file: &str) -> Result<(), String> {
+    pub(crate) fn write_csv(&self, table: &Table, file: &str) -> Result<(), String> {
         let path = results_dir().join(file);
         table
             .write_csv(&path)
@@ -244,7 +244,7 @@ impl Ctx {
     }
 
     /// Write `text` to `path` and say so.
-    pub fn write_file(&self, path: &Path, text: &str) -> Result<(), String> {
+    pub(crate) fn write_file(&self, path: &Path, text: &str) -> Result<(), String> {
         std::fs::write(path, text).map_err(|e| format!("{}: {e}", path.display()))?;
         println!("wrote {}", path.display());
         Ok(())
@@ -262,7 +262,7 @@ fn shown(errors: &[String]) -> Vec<String> {
 }
 
 /// `Err` listing the first `errors`, or `Ok` after printing `<name>: OK`.
-pub fn check(name: &str, errors: &[String]) -> Result<(), String> {
+pub(crate) fn check(name: &str, errors: &[String]) -> Result<(), String> {
     if errors.is_empty() {
         println!("{name}: OK");
         return Ok(());
@@ -273,7 +273,7 @@ pub fn check(name: &str, errors: &[String]) -> Result<(), String> {
 /// Run one campaign and write its manifest (with the registry snapshot as
 /// its counts block, marked when the disk cache was open), trace and
 /// summary.
-pub fn run(campaign: &Campaign, s: &Settings) -> Result<(), String> {
+pub(crate) fn run(campaign: &Campaign, s: &Settings) -> Result<(), String> {
     // A failed run must not leave an earlier manifest for the gate to pass.
     let stale = runs_dir().join(format!("{}.json", campaign.name));
     match std::fs::remove_file(&stale) {
@@ -309,7 +309,7 @@ pub fn run(campaign: &Campaign, s: &Settings) -> Result<(), String> {
 /// Gate one campaign's latest run against its committed baseline: cells
 /// and fits within tolerance, counts and sites exactly. `Ok` carries the
 /// line saying what was compared.
-pub fn gate(campaign: &Campaign) -> Result<String, String> {
+pub(crate) fn gate(campaign: &Campaign) -> Result<String, String> {
     let file = format!("{}.json", campaign.name);
     let baseline = RunManifest::load(baselines_dir().join(&file))?;
     let current = RunManifest::load(runs_dir().join(&file))?;

@@ -38,7 +38,7 @@ const SHARE_THRESHOLD: f64 = 0.90;
 /// row is also broken down per *site* (stable `t{thread}:{path}#{occ}`
 /// names from the observability layer), so a disagreement can be
 /// localised to the code path that caused it.
-pub fn fence_attribution(ctx: &Ctx) -> Result<RunManifest, String> {
+pub(crate) fn fence_attribution(ctx: &Ctx) -> Result<RunManifest, String> {
     println!("Fence attribution — observed stall cycles vs Eq. 2 inferred cost");
     let fig5 = fig5_arm_fence_attribution(ctx.cfg, &ctx.exec);
     let fig9 = fig9_fence_attribution(ctx.cfg, &ctx.exec);
@@ -142,7 +142,7 @@ pub fn fence_attribution(ctx: &Ctx) -> Result<RunManifest, String> {
 /// suffix (`wmm_profile-fig5-arm` profiles `fig5-arm`; see
 /// [`profile_campaign`]).
 ///
-/// Every measurement batch goes through `Machine::run_sited`; the stall
+/// Every measurement batch goes through `Machine::run_sited_with`; the stall
 /// records fold into a per-site profile keyed by stable site names, which
 /// reports where the cycles went: fence-kind stall, store-buffer stall,
 /// exposed memory time, residual compute. The per-site fold is
@@ -157,7 +157,7 @@ pub fn fence_attribution(ctx: &Ctx) -> Result<RunManifest, String> {
 /// the metrics snapshot in the Prometheus text format; `--trace <path>`
 /// adds an instruction-granular timeline of one exemplar run. The
 /// manifest's `sites` carries the per-site records.
-pub fn wmm_profile(ctx: &Ctx) -> Result<RunManifest, String> {
+pub(crate) fn wmm_profile(ctx: &Ctx) -> Result<RunManifest, String> {
     let id = ctx.name.trim_start_matches("wmm_profile-");
     let cp = profile_campaign(id, ctx.cfg, &ctx.exec)
         .ok_or_else(|| format!("unknown profile campaign `{id}`"))?;
@@ -335,7 +335,7 @@ fn manifest_profile(path: &Path) -> Result<Profile, String> {
 /// The attribution quality metric is the *barrier-site share*: the
 /// fraction of the total absolute per-site delta carried by non-`:code`
 /// rows. Below 90% the campaign fails.
-pub fn wmm_tracediff(ctx: &Ctx) -> Result<RunManifest, String> {
+pub(crate) fn wmm_tracediff(ctx: &Ctx) -> Result<RunManifest, String> {
     let mut manifest = RunManifest::new(ctx.name, "arm");
     let diff = if let (Some(base), Some(test)) = (&ctx.out.base, &ctx.out.test) {
         println!("Per-site diff — {} → {}", base.display(), test.display());
@@ -369,7 +369,7 @@ pub fn wmm_tracediff(ctx: &Ctx) -> Result<RunManifest, String> {
 /// of the absolute per-site fence-stall delta carried by the `HpProtect`
 /// rows whose fences the asymmetric scheme removed. Below 90% the campaign
 /// fails.
-pub fn wmm_tracediff_dstruct(ctx: &Ctx) -> Result<RunManifest, String> {
+pub(crate) fn wmm_tracediff_dstruct(ctx: &Ctx) -> Result<RunManifest, String> {
     let (base, test, diff) = diff_campaigns(ctx, "dstruct-hp-dmb", "dstruct-hp-asym")?;
     let share = diff.fence_share(|r| r.name.contains(":HpProtect#"));
     let mut manifest = RunManifest::new(ctx.name, "arm");

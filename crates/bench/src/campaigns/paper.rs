@@ -63,7 +63,7 @@ fn mean_percent(rows: &[StrategyDelta]) -> f64 {
 /// Fig. 1: an example of fitting the sensitivity model to a cost-function
 /// sweep. The paper's example fits k = 0.00277 ± 2.5% over cost sizes up
 /// to 2^14; we sweep h2 on ARM, whose sensitivity sits in the same band.
-pub fn fig1_fit(ctx: &Ctx) -> Result<RunManifest, String> {
+pub(crate) fn fig1_fit(ctx: &Ctx) -> Result<RunManifest, String> {
     let result = fig1_example_fit(ctx.cfg, &ctx.exec);
     println!("Fig. 1 — example sensitivity fit (h2, ARM, all barriers)");
     println!("paper example: k = 0.00277 ±2.5%");
@@ -86,7 +86,7 @@ pub fn fig1_fit(ctx: &Ctx) -> Result<RunManifest, String> {
 /// three variants: arm (with stack spill), arm-nostack (OpenJDK's scratch
 /// register), power. Shows the sub-linear small-N region and the linear
 /// large-N slopes (~1 cycle/iteration: 0.42 ns on ARM, 0.27 ns on POWER).
-pub fn fig4_costfn(ctx: &Ctx) -> Result<RunManifest, String> {
+pub(crate) fn fig4_costfn(ctx: &Ctx) -> Result<RunManifest, String> {
     let cals = fig4_costfn_calibration();
     println!("Fig. 4 — cost function execution time (ns) vs loop count N");
     let mut t = Table::new(&["n", "arm_ns", "arm_nostack_ns", "power_ns"]);
@@ -117,7 +117,7 @@ pub fn fig4_costfn(ctx: &Ctx) -> Result<RunManifest, String> {
 /// Fig. 5: OpenJDK — impact of increasing cost-function size when injected
 /// into all memory barriers, for the eight concurrent-DaCapo/spark
 /// benchmarks on both architectures, with fitted sensitivities.
-pub fn fig5_openjdk_sweep(ctx: &Ctx) -> Result<RunManifest, String> {
+pub(crate) fn fig5_openjdk_sweep(ctx: &Ctx) -> Result<RunManifest, String> {
     println!("Fig. 5 — OpenJDK all-barrier sensitivity sweeps");
     let mut table = Table::new(&[
         "benchmark",
@@ -197,7 +197,7 @@ const FIG6_PAPER_K: [(Arch, [(&str, f64); 4]); 2] = [
 /// architectures. StoreStore dominates on both; the ARM implementation's
 /// defensiveness shows as high LoadLoad/LoadStore sensitivity, while POWER
 /// relies on StoreStore/StoreLoad.
-pub fn fig6_spark_barriers(ctx: &Ctx) -> Result<RunManifest, String> {
+pub(crate) fn fig6_spark_barriers(ctx: &Ctx) -> Result<RunManifest, String> {
     println!("Fig. 6 — spark sensitivity per elemental barrier");
     let mut table = Table::new(&["arch", "barrier", "k", "k_paper"]);
     let mut csv = Table::new(&["arch", "barrier", "cost_ns", "rel_perf"]);
@@ -258,7 +258,7 @@ const FIG8_PAPER_ORDER: [&str; 9] = [
 ///   interactions with the kernel."
 ///
 /// The manifest pins every macro×benchmark cell, so both views are gated.
-pub fn fig7_macro_ranking(ctx: &Ctx) -> Result<RunManifest, String> {
+pub(crate) fn fig7_macro_ranking(ctx: &Ctx) -> Result<RunManifest, String> {
     let m = linux_ranking_with(ctx.cfg, &ctx.exec);
     let mut manifest = RunManifest::new(ctx.name, "arm");
     for (pi, mac) in m.paths.iter().enumerate() {
@@ -302,7 +302,7 @@ pub fn fig7_macro_ranking(ctx: &Ctx) -> Result<RunManifest, String> {
 
 /// Fig. 9: sensitivity analysis of the six most interesting kernel
 /// benchmarks with respect to the `read_barrier_depends` code path.
-pub fn fig9_rbd_sensitivity(ctx: &Ctx) -> Result<RunManifest, String> {
+pub(crate) fn fig9_rbd_sensitivity(ctx: &Ctx) -> Result<RunManifest, String> {
     println!("Fig. 9 — read_barrier_depends sensitivity");
     let sweeps = fig9_rbd_sweeps_with(ctx.cfg, &ctx.exec);
     let mut t = Table::new(&["benchmark", "k", "k_err_pct", "k_paper"]);
@@ -338,7 +338,7 @@ pub fn fig9_rbd_sensitivity(ctx: &Ctx) -> Result<RunManifest, String> {
 /// strategies across the six kernel benchmarks, against the nop-padded
 /// base case. `isb` is "unreasonable due to its effect on the processor
 /// pipeline"; `dmb ishld`/`dmb ish` are the best-case ordering scenarios.
-pub fn fig10_rbd_strategies(ctx: &Ctx) -> Result<RunManifest, String> {
+pub(crate) fn fig10_rbd_strategies(ctx: &Ctx) -> Result<RunManifest, String> {
     println!("Fig. 10 — rbd fencing strategies, relative performance (%)");
     let results = crate::experiments::fig10_rbd_strategies(ctx.cfg, &ctx.exec);
     let mut headers = vec!["strategy"];
@@ -366,7 +366,7 @@ pub fn fig10_rbd_strategies(ctx: &Ctx) -> Result<RunManifest, String> {
 /// single-barrier modifications with their Eq. 2 cost estimates, the
 /// sync/lwsync microbenchmarks, JDK9 load-acquire/store-release vs JDK8
 /// barriers, and the DMB-elimination locking patch.
-pub fn table_jvm_strategies(ctx: &Ctx) -> Result<RunManifest, String> {
+pub(crate) fn table_jvm_strategies(ctx: &Ctx) -> Result<RunManifest, String> {
     let cfg = ctx.cfg;
     let mut out = Table::new(&["experiment", "measured", "paper"]);
     let mut manifest = RunManifest::new(ctx.name, "arm+power");
@@ -494,7 +494,7 @@ fn delta_table(ctx: &Ctx, rows: &[StrategyDelta]) -> (Table, RunManifest) {
 /// §4.3: the nop-padded base-case kernel vs the truly unmodified kernel.
 /// The paper observes a mean 1.9% drop with the largest (6.6%) in netperf;
 /// all further kernel measurements are made against the padded kernel.
-pub fn table_kernel_nop(ctx: &Ctx) -> Result<RunManifest, String> {
+pub(crate) fn table_kernel_nop(ctx: &Ctx) -> Result<RunManifest, String> {
     println!("§4.3 — kernel nop-padding overhead vs unmodified kernel");
     let rows = kernel_nop_overhead(ctx.cfg, &ctx.exec);
     let (t, manifest) = delta_table(ctx, &rows);
@@ -513,7 +513,7 @@ pub fn table_kernel_nop(ctx: &Ctx) -> Result<RunManifest, String> {
 /// expensive in vitro but is nearly free in vivo (quiet load queues) — "the
 /// dmb ishld results support it having complex behaviour, and not simply
 /// mapping to dmb ish." `ctrl+isb` is the same everywhere.
-pub fn table_rbd_costs(ctx: &Ctx) -> Result<RunManifest, String> {
+pub(crate) fn table_rbd_costs(ctx: &Ctx) -> Result<RunManifest, String> {
     println!("§4.3.1 — rbd strategy cost estimates (Eq. 2), ns per invocation");
     let paper = [
         ("ctrl", 4.6, 10.1),
@@ -558,7 +558,7 @@ pub fn table_rbd_costs(ctx: &Ctx) -> Result<RunManifest, String> {
 /// Marino et al.'s SC-preserving compiler: a 34% maximum slowdown on x86,
 /// with a 3.8% mean the paper judges "unlikely to be replicated" on weaker
 /// architectures.
-pub fn table_sc_strategy(ctx: &Ctx) -> Result<RunManifest, String> {
+pub(crate) fn table_sc_strategy(ctx: &Ctx) -> Result<RunManifest, String> {
     println!("§5 — SC-preserving fencing strategy on the ARMv8 kernel");
     let rows = sc_strategy_experiment(ctx.cfg, &ctx.exec);
     let (t, manifest) = delta_table(ctx, &rows);
@@ -577,7 +577,7 @@ pub fn table_sc_strategy(ctx: &Ctx) -> Result<RunManifest, String> {
 /// Validation artefact: the full litmus suite under every memory model,
 /// expected vs observed allow/forbid. This is the semantic ground truth
 /// behind the fence kinds the timing model prices; any mismatch fails.
-pub fn litmus_matrix(ctx: &Ctx) -> Result<RunManifest, String> {
+pub(crate) fn litmus_matrix(ctx: &Ctx) -> Result<RunManifest, String> {
     println!("Litmus validation matrix (operational model, exhaustive DFS)");
     let rows = run_full_suite();
     let mut t = Table::new(&["test", "model", "expected", "observed", "ok"]);
@@ -623,7 +623,7 @@ pub fn litmus_matrix(ctx: &Ctx) -> Result<RunManifest, String> {
 /// on the spark workload: the fitted sensitivity measures how much runtime
 /// the code touched by that optimisation class controls — i.e. the upper
 /// bound on what implementing or improving the pass could buy.
-pub fn ext_jit_optsites(ctx: &Ctx) -> Result<RunManifest, String> {
+pub(crate) fn ext_jit_optsites(ctx: &Ctx) -> Result<RunManifest, String> {
     let arch = Arch::ArmV8;
     let m = machine(arch);
     let inner = jvm_base_strategy(arch);
@@ -682,7 +682,7 @@ pub fn ext_jit_optsites(ctx: &Ctx) -> Result<RunManifest, String> {
 /// system". Also writes the full JSON report next to the run manifest, to
 /// `results/runs/turnkey_netperf_udp.report.json` (a build product, like
 /// the manifest: the manifest carries each path's fit and instability).
-pub fn turnkey_netperf_udp(ctx: &Ctx) -> Result<RunManifest, String> {
+pub(crate) fn turnkey_netperf_udp(ctx: &Ctx) -> Result<RunManifest, String> {
     let m = machine(Arch::ArmV8);
     let strategy = default_arm_strategy();
     let bench = KernelBench::new(
@@ -743,7 +743,7 @@ pub fn turnkey_netperf_udp(ctx: &Ctx) -> Result<RunManifest, String> {
 /// `hp-asym`) — the Eq. 1 prediction the platform exists to demonstrate
 /// (frequent cheap sites beat rare expensive ones only until the per-site
 /// fence dominates).
-pub fn fig_dstruct(ctx: &Ctx) -> Result<RunManifest, String> {
+pub(crate) fn fig_dstruct(ctx: &Ctx) -> Result<RunManifest, String> {
     println!("fig_dstruct — lock-free reclamation schemes under the methodology");
     let (manifest, sweeps, ranking) = fig_dstruct_manifest_with(ctx.cfg, &ctx.exec);
 

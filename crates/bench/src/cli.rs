@@ -10,7 +10,7 @@ use std::process::ExitCode;
 use crate::campaigns::{self, find, Campaign, Settings, REGISTRY};
 
 /// The usage line printed with every usage error.
-pub const USAGE: &str = "\
+pub(crate) const USAGE: &str = "\
 usage: wmm run <campaign>...|--all [--quick] [--scale F] [--threads N] [--cache]
                [--progress] [--trace PATH] [campaign flags]
        wmm gate <campaign>...|--all
@@ -18,7 +18,7 @@ usage: wmm run <campaign>...|--all [--quick] [--scale F] [--threads N] [--cache]
 
 /// What the command line asked for.
 #[derive(Debug)]
-pub enum Command {
+pub(crate) enum Command {
     /// Print the usage line and the registry.
     Help,
     /// Run these campaigns under these settings.
@@ -28,7 +28,7 @@ pub enum Command {
 }
 
 /// Parse the arguments after the program name.
-pub fn parse(args: &[String]) -> Result<Command, String> {
+pub(crate) fn parse(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter();
     let run = match it.next().map(String::as_str) {
         Some("run") => true,

@@ -64,14 +64,14 @@ impl ExpConfig {
 }
 
 /// The `results/` directory (created if needed).
-pub fn results_dir() -> std::path::PathBuf {
+pub(crate) fn results_dir() -> std::path::PathBuf {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     std::fs::create_dir_all(&dir).expect("create results dir");
     dir
 }
 
 /// The `results/runs/` directory where campaign manifests are written.
-pub fn runs_dir() -> std::path::PathBuf {
+pub(crate) fn runs_dir() -> std::path::PathBuf {
     results_dir().join("runs")
 }
 
@@ -137,7 +137,7 @@ pub fn kernel_envelope() -> HashMap<KMacro, u64> {
 
 /// Fig. 1: an example sensitivity fit over cost sizes up to 2^14, on a
 /// stable mid-sensitivity benchmark (the paper's example has k ≈ 0.00277).
-pub fn fig1_example_fit(cfg: ExpConfig, exec: &dyn Executor) -> SweepResult {
+pub(crate) fn fig1_example_fit(cfg: ExpConfig, exec: &dyn Executor) -> SweepResult {
     let m = machine(Arch::ArmV8);
     let strategy = jvm_base_strategy(Arch::ArmV8);
     let cal = Calibration::measure(&m, false, 14);
@@ -161,7 +161,7 @@ pub fn fig1_example_fit(cfg: ExpConfig, exec: &dyn Executor) -> SweepResult {
 
 /// Fig. 4: cost-function execution time vs loop count for the three
 /// variants (arm, arm-nostack, power).
-pub fn fig4_costfn_calibration() -> Vec<(&'static str, Calibration)> {
+pub(crate) fn fig4_costfn_calibration() -> Vec<(&'static str, Calibration)> {
     let arm = machine(Arch::ArmV8);
     let pow = machine(Arch::Power7);
     vec![
@@ -176,7 +176,7 @@ pub fn fig4_costfn_calibration() -> Vec<(&'static str, Calibration)> {
 // ---------------------------------------------------------------------------
 
 /// Fig. 5's published sensitivities: `(benchmark, k on ARMv8, k on POWER7)`.
-pub const FIG5_PAPER_K: [(&str, f64, f64); 8] = [
+pub(crate) const FIG5_PAPER_K: [(&str, f64, f64); 8] = [
     ("h2", 0.00339, 0.00251),
     ("lusearch", 0.00213, 0.00118),
     ("spark", 0.00870, 0.01227),
@@ -352,7 +352,7 @@ pub fn fence_microbenchmarks() -> Vec<(String, f64)> {
 /// The Dekker-style SB idiom over volatile fields: the store→load ordering
 /// volatiles guarantee (shared by the `fence_lint` and `fence_synth`
 /// static-analysis campaigns).
-pub fn volatile_sb_idiom() -> Vec<Vec<JavaOp>> {
+pub(crate) fn volatile_sb_idiom() -> Vec<Vec<JavaOp>> {
     let (x, y) = (Loc::SharedRw(1), Loc::SharedRw(2));
     vec![
         vec![JavaOp::VolatileStore(x), JavaOp::VolatileLoad(y)],
@@ -362,7 +362,7 @@ pub fn volatile_sb_idiom() -> Vec<Vec<JavaOp>> {
 
 /// The message-passing idiom: plain data store published by a volatile
 /// flag (shared by the `fence_lint` and `fence_synth` campaigns).
-pub fn volatile_mp_idiom() -> Vec<Vec<JavaOp>> {
+pub(crate) fn volatile_mp_idiom() -> Vec<Vec<JavaOp>> {
     let (data, flag) = (Loc::SharedRw(3), Loc::SharedRw(4));
     vec![
         vec![JavaOp::FieldStore(data), JavaOp::VolatileStore(flag)],
@@ -377,7 +377,7 @@ pub fn volatile_mp_idiom() -> Vec<Vec<JavaOp>> {
 ///
 /// Repetitions are fixed (not protocol-scaled) so the resulting manifest
 /// cells are identical under `--quick` and the full protocol.
-pub fn seam_fence_costs(exec: &dyn Executor, arch: Arch) -> Vec<(FenceKind, f64)> {
+pub(crate) fn seam_fence_costs(exec: &dyn Executor, arch: Arch) -> Vec<(FenceKind, f64)> {
     const REPS: usize = 2000;
     let m = machine(arch);
     let kinds: &[FenceKind] = match arch {
@@ -420,7 +420,7 @@ pub fn seam_fence_costs(exec: &dyn Executor, arch: Arch) -> Vec<(FenceKind, f64)
 /// §4.2.1: JDK9 load-acquire/store-release vs JDK8 barriers on ARM, per
 /// benchmark (paper: xalan +2.9%, sunflow +3.0%, h2 −0.3%, spark −0.5%,
 /// tomcat −1.7%; lusearch/tradebeans/tradesoap not significant).
-pub fn lasr_vs_barriers(cfg: ExpConfig, exec: &dyn Executor) -> Vec<StrategyDelta> {
+pub(crate) fn lasr_vs_barriers(cfg: ExpConfig, exec: &dyn Executor) -> Vec<StrategyDelta> {
     let m = machine(Arch::ArmV8);
     let strategy = jvm_base_strategy(Arch::ArmV8);
     let env = jvm_envelope(Arch::ArmV8);
@@ -526,7 +526,7 @@ pub fn kernel_nop_overhead(cfg: ExpConfig, exec: &dyn Executor) -> Vec<StrategyD
 }
 
 /// Fig. 9's published `read_barrier_depends` sensitivities.
-pub const FIG9_PAPER_K: [(&str, f64); 6] = [
+pub(crate) const FIG9_PAPER_K: [(&str, f64); 6] = [
     ("ebizzy", 0.00106),
     ("xalan", 0.00038),
     ("netperf_udp", 0.00943),
@@ -755,7 +755,7 @@ pub fn rbd_cost_estimates(cfg: ExpConfig, exec: &dyn Executor) -> Vec<(RbdStrate
 /// and the Eq. 2 inversion of the measured performance ratio under the
 /// benchmark's fitted sensitivity.
 #[derive(Debug, Clone)]
-pub struct AttributionRow {
+pub(crate) struct AttributionRow {
     /// Campaign the row belongs to (`"fig5-arm"` or `"fig9-kernel"`).
     pub campaign: &'static str,
     /// Benchmark name.
@@ -780,7 +780,7 @@ impl AttributionRow {
     /// The agreement factor between the two costings: `max(obs/eq2,
     /// eq2/obs)`. 1.0 is perfect; the repository's acceptance bar is 2.0.
     /// Non-positive or non-finite inputs yield infinity.
-    pub fn agreement(&self) -> f64 {
+    pub(crate) fn agreement(&self) -> f64 {
         let (a, b) = (self.observed_ns, self.eq2_ns);
         if !a.is_finite() || !b.is_finite() || a <= 0.0 || b <= 0.0 {
             return f64::INFINITY;
@@ -793,7 +793,7 @@ impl AttributionRow {
 /// [`AttributionRow`]: the same Eq. 2 per-invocation estimate, set against
 /// the stall cycles one specific site's fences actually paid.
 #[derive(Debug, Clone)]
-pub struct SiteCostRow {
+pub(crate) struct SiteCostRow {
     /// Campaign the row belongs to.
     pub campaign: &'static str,
     /// Benchmark name.
@@ -814,7 +814,7 @@ pub struct SiteCostRow {
 /// The attribution rows for one campaign plus the sensitivity fits they
 /// were inverted through (for the run manifest).
 #[derive(Debug, Clone, Default)]
-pub struct AttributionReport {
+pub(crate) struct AttributionReport {
     /// Per-(benchmark, fence) attribution rows.
     pub rows: Vec<AttributionRow>,
     /// Per-site observed costs backing the rows, where the campaign runs
@@ -860,7 +860,7 @@ fn batch_with_stats<P: Clone + Eq + Hash>(
 /// same fence-free baseline; Eq. 2 then converts the measured ratio into
 /// an inferred ns-per-invocation to set against the simulator's observed
 /// stall cycles per `dmb ish`.
-pub fn fig5_arm_fence_attribution(cfg: ExpConfig, exec: &dyn Executor) -> AttributionReport {
+pub(crate) fn fig5_arm_fence_attribution(cfg: ExpConfig, exec: &dyn Executor) -> AttributionReport {
     let m = machine(Arch::ArmV8);
     let spec = m.spec().clone();
     let nofence = FnStrategy::new("no-fence", |_: &Combined| vec![]);
@@ -955,7 +955,7 @@ pub fn fig5_arm_fence_attribution(cfg: ExpConfig, exec: &dyn Executor) -> Attrib
 /// exactly the fences the strategy added at rbd sites. The sensitivity `k`
 /// comes from the benchmark's rbd-path sweep (Fig. 9), mirroring how the
 /// paper's §4.3.1 Eq. 2 estimates are produced.
-pub fn fig9_fence_attribution(cfg: ExpConfig, exec: &dyn Executor) -> AttributionReport {
+pub(crate) fn fig9_fence_attribution(cfg: ExpConfig, exec: &dyn Executor) -> AttributionReport {
     let m = machine(Arch::ArmV8);
     let spec = m.spec().clone();
     let env = kernel_envelope();
@@ -1043,7 +1043,7 @@ pub fn fig9_fence_attribution(cfg: ExpConfig, exec: &dyn Executor) -> Attributio
 /// Envelope for dstruct experiments: covers all four reclamation-scheme
 /// strategies plus the (stack-spilling) cost function, so NR/EBR/HP images
 /// are size-identical and the comparison is fence cost alone.
-pub fn dstruct_envelope() -> HashMap<wmm_dstruct::DSite, u64> {
+pub(crate) fn dstruct_envelope() -> HashMap<wmm_dstruct::DSite, u64> {
     let paths: Vec<wmm_dstruct::DSite> = wmm_dstruct::DSite::ALL.to_vec();
     let strategies = wmm_dstruct::scheme_strategies();
     let refs: Vec<&dyn FencingStrategy<wmm_dstruct::DSite>> = strategies
@@ -1061,7 +1061,7 @@ pub fn dstruct_envelope() -> HashMap<wmm_dstruct::DSite, u64> {
 /// fig_dstruct part 1: sensitivity of each data-structure benchmark to the
 /// hazard-protect code path (the hottest reclamation site) under the
 /// classic `hp-dmb` scheme.
-pub fn fig_dstruct_sweeps_with(cfg: ExpConfig, exec: &dyn Executor) -> Vec<SweepResult> {
+pub(crate) fn fig_dstruct_sweeps_with(cfg: ExpConfig, exec: &dyn Executor) -> Vec<SweepResult> {
     let m = machine(Arch::ArmV8);
     let strategy = wmm_dstruct::hp_dmb_strategy();
     let cal = Calibration::measure(&m, true, 12);
@@ -1089,7 +1089,7 @@ pub fn fig_dstruct_sweeps_with(cfg: ExpConfig, exec: &dyn Executor) -> Vec<Sweep
 /// means the scheme is slower than the unsafe baseline; the interesting
 /// order is among the safe schemes — on protect-dense workloads `hp-dmb`
 /// must lose to the amortising (`ebr`) and asymmetric (`hp-asym`) schemes.
-pub fn dstruct_ranking_with(cfg: ExpConfig, exec: &dyn Executor) -> SchemeRanking {
+pub(crate) fn dstruct_ranking_with(cfg: ExpConfig, exec: &dyn Executor) -> SchemeRanking {
     let m = machine(Arch::ArmV8);
     let env = dstruct_envelope();
     let base = wmm_dstruct::nr_strategy();
@@ -1113,7 +1113,7 @@ pub fn dstruct_ranking_with(cfg: ExpConfig, exec: &dyn Executor) -> SchemeRankin
 }
 
 /// Per-scheme ranking rows: `(scheme_name, per-benchmark deltas vs nr)`.
-pub type SchemeRanking = Vec<(String, Vec<StrategyDelta>)>;
+pub(crate) type SchemeRanking = Vec<(String, Vec<StrategyDelta>)>;
 
 /// The whole fig_dstruct campaign — protect-path sweeps plus the scheme
 /// ranking — folded into one schema-gated manifest. Shared by the

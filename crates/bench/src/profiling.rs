@@ -4,7 +4,7 @@
 //! Where [`crate::experiments`] answers "what does this strategy cost
 //! per *fence kind*", this module answers "which *site* paid it": every
 //! measurement batch is a set of image cells run in place through
-//! `Machine::run_sited`, the per-sample [`SiteStall`] records are folded
+//! `Machine::run_sited_with`, the per-sample [`SiteStall`] records are folded
 //! into a [`Profile`] keyed by the stable site names [`SiteNames`] reads
 //! off each image and its site table, and whole campaigns (all DaCapo or
 //! kernel benchmarks under one strategy) merge into a single name-prefixed
@@ -14,7 +14,7 @@
 //! attribution campaigns already gate: for every `(benchmark, fence kind)`
 //! cell, summing site fence-stall cycles over sites of that kind must
 //! reproduce the `ExecStats` per-kind total (to float reassociation,
-//! ≈1e-9 relative — see [`KindCheck`]). No cycle is double-counted and
+//! ≈1e-9 relative — see `KindCheck`). No cycle is double-counted and
 //! none is lost.
 
 use std::collections::HashMap;
@@ -109,7 +109,7 @@ pub fn batch_with_profile<P: Clone + Eq + Hash + std::fmt::Debug>(
 
 /// One benchmark's sited batch within a campaign.
 #[derive(Debug, Clone)]
-pub struct BenchProfile {
+pub(crate) struct BenchProfile {
     /// Benchmark name (the site-name prefix in the merged profile).
     pub bench: String,
     /// The benchmark's sited measurement batch.
@@ -119,7 +119,7 @@ pub struct BenchProfile {
 /// A whole campaign profiled site by site: one sited batch per benchmark,
 /// plus the cycle→ns conversion of the machine it ran on.
 #[derive(Debug, Clone)]
-pub struct CampaignProfile {
+pub(crate) struct CampaignProfile {
     /// Campaign id (`fig5-arm`, `fig9-kernel`, `jdk8-arm`, `jdk9-arm`).
     pub campaign: &'static str,
     /// Architecture label for manifests.
@@ -135,7 +135,7 @@ impl CampaignProfile {
     /// `benchmark/site` names (prefixing keeps same-shaped benchmarks from
     /// colliding; `SiteNames::is_code` still recognises code rows because it
     /// matches the name's tail).
-    pub fn merged(&self) -> Profile {
+    pub(crate) fn merged(&self) -> Profile {
         let mut merged = Profile::new();
         for b in &self.benches {
             for (name, sp) in &b.batch.profile.sites {
@@ -149,7 +149,7 @@ impl CampaignProfile {
 
     /// Sum of per-benchmark mean wall times, ns — the campaign-level wall
     /// cost whose strategy-to-strategy delta `wmm_tracediff` attributes.
-    pub fn total_wall_ns(&self) -> f64 {
+    pub(crate) fn total_wall_ns(&self) -> f64 {
         self.benches.iter().map(|b| b.batch.mean_wall_ns()).sum()
     }
 
@@ -157,7 +157,7 @@ impl CampaignProfile {
     /// site count, both accounts of every cross-check cell in ns, and the
     /// merged profile as `sites` (deterministic name order, straight from
     /// the `BTreeMap`).
-    pub fn manifest(&self, name: &str, checks: &[KindCheck]) -> RunManifest {
+    pub(crate) fn manifest(&self, name: &str, checks: &[KindCheck]) -> RunManifest {
         let mut manifest = RunManifest::new(name, self.arch);
         for b in &self.benches {
             manifest.push_cell(format!("{}/wall_ns", b.bench), b.batch.mean_wall_ns());
@@ -197,7 +197,7 @@ pub fn site_records(profile: &Profile) -> Vec<SiteRecord> {
 /// Rebuild a [`Profile`] from manifest site records (the file side of
 /// `wmm_tracediff`). Executions are not recorded in manifests and come
 /// back as zero; every cycle and fence count round-trips exactly.
-pub fn profile_from_records(records: &[SiteRecord]) -> Profile {
+pub(crate) fn profile_from_records(records: &[SiteRecord]) -> Profile {
     let mut p = Profile::new();
     for r in records {
         let sp = p.sites.entry(r.name.clone()).or_default();
@@ -219,7 +219,7 @@ pub fn profile_from_records(records: &[SiteRecord]) -> Profile {
 /// different orders, so they agree to float reassociation (≈1e-9
 /// relative), and the fence *counts* must match exactly.
 #[derive(Debug, Clone)]
-pub struct KindCheck {
+pub(crate) struct KindCheck {
     /// Benchmark name.
     pub bench: String,
     /// Fence kind.
@@ -236,20 +236,20 @@ pub struct KindCheck {
 
 impl KindCheck {
     /// Relative cycle disagreement between the two accounts.
-    pub fn rel_err(&self) -> f64 {
+    pub(crate) fn rel_err(&self) -> f64 {
         (self.site_cycles - self.kind_cycles).abs() / self.kind_cycles.abs().max(1e-12)
     }
 
     /// Whether the accounts agree: exact fence counts, cycles within
     /// reassociation tolerance.
-    pub fn pass(&self) -> bool {
+    pub(crate) fn pass(&self) -> bool {
         self.site_fences == self.kind_fences && self.rel_err() < 1e-6
     }
 }
 
 /// Cross-check every `(benchmark, fence kind)` cell of a campaign. Kinds
 /// that neither account saw are omitted.
-pub fn kind_checks(cp: &CampaignProfile) -> Vec<KindCheck> {
+pub(crate) fn kind_checks(cp: &CampaignProfile) -> Vec<KindCheck> {
     let mut checks = vec![];
     for b in &cp.benches {
         for kind in FenceKind::ALL {
@@ -307,7 +307,7 @@ pub fn kind_checks(cp: &CampaignProfile) -> Vec<KindCheck> {
 ///   pointers (a `dmb ish` at every protect site) vs the asymmetric
 ///   scheme (readers free, the rare scan priced heavily); diffing them
 ///   attributes the scheme delta to the protect sites that went quiet.
-pub fn profile_campaign(
+pub(crate) fn profile_campaign(
     name: &str,
     cfg: ExpConfig,
     exec: &dyn Executor,
@@ -349,7 +349,7 @@ fn jvm_campaign(
 }
 
 /// The Fig. 5 ARM attribution test side, profiled per site.
-pub fn profile_fig5_arm(cfg: ExpConfig, exec: &dyn Executor) -> CampaignProfile {
+pub(crate) fn profile_fig5_arm(cfg: ExpConfig, exec: &dyn Executor) -> CampaignProfile {
     let dmb = FnStrategy::new("dmb-per-site", |_: &Combined| {
         vec![Instr::Fence(FenceKind::DmbIsh)]
     });
@@ -357,7 +357,7 @@ pub fn profile_fig5_arm(cfg: ExpConfig, exec: &dyn Executor) -> CampaignProfile 
 }
 
 /// §4.2.1 base side: JDK8 barrier images under the stock ARM strategy.
-pub fn profile_jdk8_arm(cfg: ExpConfig, exec: &dyn Executor) -> CampaignProfile {
+pub(crate) fn profile_jdk8_arm(cfg: ExpConfig, exec: &dyn Executor) -> CampaignProfile {
     let strategy = jvm_base_strategy(Arch::ArmV8);
     jvm_campaign(
         "jdk8-arm",
@@ -369,7 +369,7 @@ pub fn profile_jdk8_arm(cfg: ExpConfig, exec: &dyn Executor) -> CampaignProfile 
 }
 
 /// §4.2.1 test side: JDK9 `ldar`/`stlr` images under the same strategy.
-pub fn profile_jdk9_arm(cfg: ExpConfig, exec: &dyn Executor) -> CampaignProfile {
+pub(crate) fn profile_jdk9_arm(cfg: ExpConfig, exec: &dyn Executor) -> CampaignProfile {
     let strategy = jvm_base_strategy(Arch::ArmV8);
     jvm_campaign(
         "jdk9-arm",
@@ -382,7 +382,7 @@ pub fn profile_jdk9_arm(cfg: ExpConfig, exec: &dyn Executor) -> CampaignProfile 
 
 /// The Fig. 9 kernels with `read_barrier_depends = dmb ish`, profiled per
 /// site.
-pub fn profile_fig9_kernel(cfg: ExpConfig, exec: &dyn Executor) -> CampaignProfile {
+pub(crate) fn profile_fig9_kernel(cfg: ExpConfig, exec: &dyn Executor) -> CampaignProfile {
     let m = machine(Arch::ArmV8);
     let env = kernel_envelope();
     let strat = rbd_strategy(RbdStrategy::DmbIsh);
@@ -407,7 +407,7 @@ pub fn profile_fig9_kernel(cfg: ExpConfig, exec: &dyn Executor) -> CampaignProfi
 /// per reclamation site. `campaign` selects the scheme: `dstruct-hp-dmb`
 /// (classic, per-protect fence) or `dstruct-hp-asym` (asymmetric,
 /// scan-priced).
-pub fn profile_dstruct(
+pub(crate) fn profile_dstruct(
     cfg: ExpConfig,
     exec: &dyn Executor,
     campaign: &'static str,

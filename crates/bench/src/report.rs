@@ -18,7 +18,7 @@ use crate::profiling::{CampaignProfile, KindCheck};
 /// The `n` sites of `merged` (the merged profile of `cp`) with the most
 /// total cycles, hottest first (ties in name order), and where their
 /// cycles went, in ns.
-pub fn site_table(cp: &CampaignProfile, merged: &Profile, n: usize) -> Table {
+pub(crate) fn site_table(cp: &CampaignProfile, merged: &Profile, n: usize) -> Table {
     let mut ranked: Vec<_> = merged.sites.iter().collect();
     ranked.sort_by(|a, b| {
         b.1.total_cycles
@@ -52,7 +52,7 @@ pub fn site_table(cp: &CampaignProfile, merged: &Profile, n: usize) -> Table {
 }
 
 /// Both accounts of every per-kind cross-check cell of `cp`, in ns.
-pub fn check_table(cp: &CampaignProfile, checks: &[KindCheck]) -> Table {
+pub(crate) fn check_table(cp: &CampaignProfile, checks: &[KindCheck]) -> Table {
     let ns = |cycles: f64| format!("{:.2}", cycles * cp.ns_per_cycle);
     let mut table = Table::new(&[
         "benchmark",
@@ -92,7 +92,7 @@ fn metric_rows(snapshot: &MetricsSnapshot, class: Class) -> Table {
 
 /// Render the markdown report of profile `cp`, cross-checked by `checks`,
 /// run on `exec`, whose registry `snapshot` holds.
-pub fn markdown(
+pub(crate) fn markdown(
     cp: &CampaignProfile,
     checks: &[KindCheck],
     exec: &ParallelExecutor,

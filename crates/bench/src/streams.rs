@@ -7,7 +7,7 @@
 //! the platform's hand strategies. That flow used to be copy-pasted per
 //! platform; this module factors it so a new strategy-site platform (the
 //! JVM volatiles, the kernel macros, the dstruct reclamation schemes, the
-//! next one) plugs in with a [`StreamCase`] and an expectation, not glue.
+//! next one) plugs in with a `StreamCase` and an expectation, not glue.
 
 use wmm_analyze::{
     analyze, synthesize, Analysis, CostModel, Instrument, Placement, ProgramGraph, StreamDep,
@@ -26,7 +26,7 @@ pub const NOMINAL_K: f64 = 0.0087;
 
 /// Cost slack for "synthesis ≤ best hand strategy": ties are allowed,
 /// float noise is not a failure.
-pub const COST_EPS: f64 = 1e-9;
+pub(crate) const COST_EPS: f64 = 1e-9;
 
 /// The four memory models every audit runs under.
 pub const MODELS: [ModelKind; 4] = [
@@ -37,7 +37,7 @@ pub const MODELS: [ModelKind; 4] = [
 ];
 
 /// Per-fence cost (ns) on `mach`, keyed by the stream mnemonic.
-pub fn fence_cost(mach: &Machine) -> impl Fn(&str) -> f64 + '_ {
+pub(crate) fn fence_cost(mach: &Machine) -> impl Fn(&str) -> f64 + '_ {
     |mnemonic: &str| {
         let kind = match mnemonic {
             "DmbIsh" => Some(FenceKind::DmbIsh),
@@ -53,7 +53,7 @@ pub fn fence_cost(mach: &Machine) -> impl Fn(&str) -> f64 + '_ {
 }
 
 /// Record the analysis head-counts under `label` in the manifest.
-pub fn push_analysis(m: &mut RunManifest, label: &str, a: &Analysis) {
+pub(crate) fn push_analysis(m: &mut RunManifest, label: &str, a: &Analysis) {
     m.push_cell(format!("{label}/cycles"), a.cycles as f64);
     m.push_cell(format!("{label}/unprotected"), a.unprotected.len() as f64);
     m.push_cell(format!("{label}/redundant"), a.redundant.len() as f64);
@@ -61,7 +61,7 @@ pub fn push_analysis(m: &mut RunManifest, label: &str, a: &Analysis) {
 }
 
 /// Print every unprotected critical cycle with its missing orderings.
-pub fn print_unprotected(a: &Analysis) {
+pub(crate) fn print_unprotected(a: &Analysis) {
     for u in &a.unprotected {
         println!("    UNPROTECTED {}", u.cycle);
         for (from, to) in &u.missing {
@@ -71,7 +71,7 @@ pub fn print_unprotected(a: &Analysis) {
 }
 
 /// Print every redundant-fence lint with its Eq. 2 saving estimate.
-pub fn print_redundant(a: &Analysis) {
+pub(crate) fn print_redundant(a: &Analysis) {
     for r in &a.redundant {
         let place = if r.on_cycle {
             "covered elsewhere"
@@ -90,7 +90,7 @@ pub fn print_redundant(a: &Analysis) {
 }
 
 /// Print every over-strong-fence downgrade proposal.
-pub fn print_downgrade(a: &Analysis) {
+pub(crate) fn print_downgrade(a: &Analysis) {
     for d in &a.downgrade {
         let saving = d
             .saving_ns
@@ -108,7 +108,7 @@ pub fn print_downgrade(a: &Analysis) {
 /// expectation. Returns the analysis so callers can assert extra lints
 /// (redundancy, downgrades) on top.
 #[allow(clippy::too_many_arguments)]
-pub fn audit_streams(
+pub(crate) fn audit_streams(
     manifest: &mut RunManifest,
     errors: &mut Vec<String>,
     label: &str,
@@ -141,25 +141,29 @@ pub fn audit_streams(
 
 /// Dynamic validation: after reinforcing `test` with the placement, the
 /// explorer must no longer reach the weak outcome under `model`.
-pub fn explorer_rejects_weak(test: &LitmusTest, placement: &Placement, model: ModelKind) -> bool {
+pub(crate) fn explorer_rejects_weak(
+    test: &LitmusTest,
+    placement: &Placement,
+    model: ModelKind,
+) -> bool {
     let reinforced = test.reinforced(&placement.to_reinforce());
     !explore(&reinforced, model).allows_with_memory(&reinforced.interesting, &reinforced.memory)
 }
 
 /// A platform idiom lowered to instruction streams plus inter-thread
 /// dependencies — the analyzer's stream-ingestion input shape.
-pub type LoweredStreams = (Vec<Vec<Instr>>, Vec<StreamDep>);
+pub(crate) type LoweredStreams = (Vec<Vec<Instr>>, Vec<StreamDep>);
 
 /// One hand strategy to race synthesis against:
 /// `(tag, graph_name, streams, deps)`.
-pub type HandLowering = (String, String, Vec<Vec<Instr>>, Vec<StreamDep>);
+pub(crate) type HandLowering = (String, String, Vec<Vec<Instr>>, Vec<StreamDep>);
 
 /// Re-lowering hook: map synthesized instruments back onto the platform's
 /// strategy sites, or `None` if a placement has no site to live at.
-pub type RelowerFn<'a> = Box<dyn Fn(&[Instrument]) -> Option<LoweredStreams> + 'a>;
+pub(crate) type RelowerFn<'a> = Box<dyn Fn(&[Instrument]) -> Option<LoweredStreams> + 'a>;
 
 /// One synthesis case over a platform idiom expressed as bare streams.
-pub struct StreamCase<'a> {
+pub(crate) struct StreamCase<'a> {
     /// Manifest cell prefix, e.g. `synth/rbd`.
     pub label: String,
     /// Program-graph name prefix, e.g. `kernel/rbd-publish`.
@@ -185,7 +189,7 @@ pub struct StreamCase<'a> {
 /// idiom, validate it statically (through the platform re-lowering) and
 /// dynamically (through the explorer), then race it against every hand
 /// strategy — synthesis must cost no more than the best protected hand.
-pub fn synth_stream_case(
+pub(crate) fn synth_stream_case(
     case: &StreamCase,
     manifest: &mut RunManifest,
     errors: &mut Vec<String>,

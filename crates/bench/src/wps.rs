@@ -18,17 +18,17 @@ pub const WPS_MODEL: ModelKind = ModelKind::ArmV8;
 
 /// Bundle packing caps (whole-program scale: up to 16 threads / 64
 /// accesses per stitched program).
-pub const MAX_BUNDLE_THREADS: usize = 16;
+pub(crate) const MAX_BUNDLE_THREADS: usize = 16;
 /// Access cap per bundle.
-pub const MAX_BUNDLE_ACCESSES: usize = 64;
+pub(crate) const MAX_BUNDLE_ACCESSES: usize = 64;
 /// Generated-test floor the validating run must clear.
 pub const MIN_BUNDLED_TESTS: usize = 128;
 
 /// Open-leg floor for the stress bundles: packed from the leg-heaviest
 /// corpus tests so the greedy tier's constraint bound actually bites.
-pub const STRESS_LEG_TARGET: usize = 14;
+pub(crate) const STRESS_LEG_TARGET: usize = 14;
 /// Number of stress bundles packed after the corpus-ordered head.
-pub const STRESS_BUNDLES: usize = 3;
+pub(crate) const STRESS_BUNDLES: usize = 3;
 
 /// A parallel-composition bundle: the union graph plus each constituent
 /// test with its thread offset inside the union.
@@ -46,7 +46,7 @@ pub struct Bundle {
 
 /// Pack the head of the differential corpus into bundles under the
 /// thread/access caps until at least `min_tests` tests are in, then
-/// append [`STRESS_BUNDLES`] leg-heavy stress bundles.
+/// append `STRESS_BUNDLES` leg-heavy stress bundles.
 #[must_use]
 pub fn make_bundles(min_tests: usize) -> Vec<Bundle> {
     let mut bundles: Vec<Bundle> = vec![];
@@ -136,7 +136,7 @@ pub fn make_bundles(min_tests: usize) -> Vec<Bundle> {
 /// under [`WPS_MODEL`] — the same instance-size measure the exact cap
 /// checks.
 #[must_use]
-pub fn open_leg_count(g: &ProgramGraph) -> usize {
+pub(crate) fn open_leg_count(g: &ProgramGraph) -> usize {
     let mut legs: Vec<(usize, usize)> = critical_cycles(g)
         .iter()
         .filter(|c| !check_cycle(g, WPS_MODEL, c).protected)
@@ -151,7 +151,7 @@ pub fn open_leg_count(g: &ProgramGraph) -> usize {
 /// at `off` (bundle parts share no locations, so every cycle — and every
 /// instrument covering one — lives inside a single part).
 #[must_use]
-pub fn slice_placement(p: &Placement, off: usize, nthreads: usize) -> Placement {
+pub(crate) fn slice_placement(p: &Placement, off: usize, nthreads: usize) -> Placement {
     let shift = |thread: usize| thread - off;
     let instruments = p
         .instruments

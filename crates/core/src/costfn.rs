@@ -28,7 +28,7 @@ pub struct CostFunction {
 
 impl CostFunction {
     /// The injectable instruction (modelled natively by the simulator).
-    pub fn instr(&self) -> Instr {
+    pub(crate) fn instr(&self) -> Instr {
         Instr::CostLoop {
             iters: self.iters,
             stack_spill: self.stack_spill,
@@ -103,7 +103,7 @@ impl Calibration {
 
     /// Smallest loop count whose measured time reaches `target_ns`.
     /// This is how a sweep converts its nanosecond axis into loop counts.
-    pub fn iters_for_ns(&self, target_ns: f64) -> u64 {
+    pub(crate) fn iters_for_ns(&self, target_ns: f64) -> u64 {
         let mut lo = 1u64;
         let mut hi = self.points.last().expect("non-empty").0.max(2);
         // Grow the bracket if the target is beyond the calibrated range.

@@ -95,7 +95,7 @@ pub struct Digest {
 
 impl Digest {
     /// The digest of the empty sequence: the identity of [`Digest::then`].
-    pub const EMPTY: Digest = Digest {
+    pub(crate) const EMPTY: Digest = Digest {
         h: [0, 0],
         xp: [1, 1],
     };
@@ -133,7 +133,7 @@ impl Digest {
 
     /// Append one word (below `2^61 − 1`).
     #[inline]
-    pub fn then_word(self, w: u64) -> Digest {
+    pub(crate) fn then_word(self, w: u64) -> Digest {
         debug_assert!(w < P);
         let mut d = self;
         for (l, x) in POW.iter().enumerate() {

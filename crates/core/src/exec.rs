@@ -31,7 +31,7 @@
 //! [`SiteRewriter::link`] would return, so a caching executor keys and
 //! looks it up from digests alone, and a miss is simulated in place: the
 //! simulator's run loop walks each thread's parts — the image's code
-//! slices and the table's site lowerings — through [`ImageCode::parts`],
+//! slices and the table's site lowerings — through `ImageCode::parts`,
 //! with results bit-identical to running the linked program. A sited cell's stall records carry linear
 //! indices into that stream, which [`SiteNames`] maps to site names. No
 //! path through an executor copies an image cell's instructions. An
@@ -75,7 +75,7 @@ pub struct SimJob<'a> {
     pub ctx: WorkloadCtx,
     /// Sample seed.
     pub seed: u64,
-    /// Collect per-site stall attribution (`Machine::run_sited`). Sited
+    /// Collect per-site stall attribution (`Machine::run_sited_with`). Sited
     /// runs produce identical wall times and counters to unsited ones, but
     /// their [`ExecStats`] additionally carries the per-site stall map —
     /// caching executors must treat them as always-miss so the stats are
@@ -84,11 +84,6 @@ pub struct SimJob<'a> {
 }
 
 impl SimJob<'_> {
-    /// Run this job to completion, returning the simulated wall time (ns).
-    pub fn run(&self) -> f64 {
-        self.run_stats().wall_ns
-    }
-
     /// Run this job to completion, returning the full execution statistics
     /// (wall time, per-core cycles, event counters, fence stall cycles).
     pub fn run_stats(&self) -> ExecStats {
@@ -98,7 +93,7 @@ impl SimJob<'_> {
     /// [`SimJob::run_stats`] reusing a [`MachineScratch`] arena across jobs
     /// — the executor hot path. Results are bit-identical to
     /// [`SimJob::run_stats`]; only the per-run allocations disappear.
-    pub fn run_stats_with(&self, scratch: &mut MachineScratch) -> ExecStats {
+    pub(crate) fn run_stats_with(&self, scratch: &mut MachineScratch) -> ExecStats {
         simulate(
             self.machine,
             &self.program,
@@ -224,7 +219,7 @@ impl JobOutcome {
 pub trait Executor: Sync {
     /// Run every cell and return one [`JobOutcome`] per cell **in cell
     /// order**. Wall times must be bit-identical to what direct
-    /// `SimJob::run` calls on the linked cells would produce.
+    /// `SimJob::run_stats` calls on the linked cells would produce.
     fn run_cells(&self, cells: Vec<SimCell<'_>>) -> Vec<JobOutcome>;
 
     /// [`Executor::run_cells`] over already-linked jobs.
@@ -240,7 +235,7 @@ pub trait Executor: Sync {
 }
 
 /// The wall times of a batch's outcomes, in order.
-pub fn wall_times(outcomes: Vec<JobOutcome>) -> Vec<f64> {
+pub(crate) fn wall_times(outcomes: Vec<JobOutcome>) -> Vec<f64> {
     outcomes.into_iter().map(|o| o.wall_ns).collect()
 }
 
@@ -278,7 +273,7 @@ mod tests {
             sited: false,
         };
         let jobs = vec![mk(100, 1), mk(5_000, 2), mk(700, 3)];
-        let direct: Vec<f64> = jobs.iter().map(SimJob::run).collect();
+        let direct: Vec<f64> = jobs.iter().map(|j| j.run_stats().wall_ns).collect();
         let batched = SerialExecutor.run_batch(jobs);
         assert_eq!(batched, direct);
         assert!(batched[1] > batched[0]);

@@ -16,7 +16,7 @@
 //! once, and a [`SiteTable`] holds one rewriter's lowering of every path.
 //! Together they give the linked program's [`Digest`], composed from the
 //! image's code digests and the table's site digests, and its code as
-//! [`Code`] parts ([`ImageParts`]) that the simulator runs in place, with
+//! [`Code`] parts (`ImageParts`) that the simulator runs in place, with
 //! results bit-identical to running the linked program. Many
 //! configurations of one image are then many small tables, not many
 //! linked programs. [`SiteRewriter::link`] still builds the whole program
@@ -130,7 +130,7 @@ pub enum Injection<P> {
 
 impl<P: PartialEq> Injection<P> {
     /// The cost function injected at `path`, if any.
-    pub fn at(&self, path: &P) -> Option<CostFunction> {
+    pub(crate) fn at(&self, path: &P) -> Option<CostFunction> {
         match self {
             Injection::None => None,
             Injection::All(cf) => Some(*cf),
@@ -201,7 +201,7 @@ impl<'a, P: Clone + Eq + Hash> SiteRewriter<'a, P> {
 
     /// Lower every path of `paths` once, with its digest: the table
     /// [`ImageCode::parts`] and [`ImageCode::digest`] index sites into.
-    pub fn site_table(&self, paths: &[P]) -> SiteTable {
+    pub(crate) fn site_table(&self, paths: &[P]) -> SiteTable {
         SiteTable {
             sites: paths
                 .iter()
@@ -216,8 +216,8 @@ impl<'a, P: Clone + Eq + Hash> SiteRewriter<'a, P> {
 }
 
 /// One rewriter's lowering of every path of a path list (as built by
-/// [`ImageCode::new`]): the envelope-padded sequence and its [`Digest`],
-/// per path index. Built by [`SiteRewriter::site_table`].
+/// `ImageCode::new`): the envelope-padded sequence and its [`Digest`],
+/// per path index. Built by `SiteRewriter::site_table`.
 #[derive(Debug, Clone)]
 pub struct SiteTable {
     sites: Vec<(Vec<Instr>, Digest)>,
@@ -237,7 +237,7 @@ enum Piece<'i> {
 /// Sites become indices into a path list shared by every image of a batch,
 /// so one [`SiteTable`] per rewriter serves all of them. The digests of
 /// the literal code are computed once per image, on first use, and shared
-/// by every configuration: a cell's [`ImageCode::digest`] composes them
+/// by every configuration: a cell's `ImageCode::digest` composes them
 /// with the table's site digests and equals
 /// [`program_digest`](crate::digest::program_digest) of the linked program
 /// without linking it.
@@ -252,7 +252,7 @@ impl<'i> ImageCode<'i> {
     /// Index `image`'s sites into `paths`, appending paths not yet listed.
     /// Empty literal code is dropped: it contributes neither instructions
     /// nor digest, and would only cost the run loop a part boundary.
-    pub fn new<P: Clone + PartialEq>(image: &'i Image<P>, paths: &mut Vec<P>) -> Self {
+    pub(crate) fn new<P: Clone + PartialEq>(image: &'i Image<P>, paths: &mut Vec<P>) -> Self {
         let threads = image
             .threads
             .iter()
@@ -286,7 +286,7 @@ impl<'i> ImageCode<'i> {
     /// The image's code under `sites`, as the simulator runs it in place:
     /// each thread's parts are its literal code slices and the table's
     /// site lowerings, in stream order. Nothing is copied.
-    pub fn parts<'a>(&'a self, sites: &'a SiteTable) -> ImageParts<'a> {
+    pub(crate) fn parts<'a>(&'a self, sites: &'a SiteTable) -> ImageParts<'a> {
         ImageParts { code: self, sites }
     }
 
@@ -305,7 +305,7 @@ impl<'i> ImageCode<'i> {
     /// The digest of the program [`SiteRewriter::link`] would return for
     /// this image under `sites`, composed from per-piece digests without
     /// linking.
-    pub fn digest(&self, sites: &SiteTable) -> Digest {
+    pub(crate) fn digest(&self, sites: &SiteTable) -> Digest {
         let codes = self.code_digests.get_or_init(|| {
             let code = self.threads.iter().flatten().filter_map(|p| match p {
                 Piece::Code(is) => Some(instrs_digest(is)),
@@ -337,7 +337,7 @@ impl<'i> ImageCode<'i> {
 /// to run in place (see [`ImageCode::parts`]). Running it is bit-identical
 /// to running the program [`SiteRewriter::link`] returns.
 #[derive(Debug, Clone, Copy)]
-pub struct ImageParts<'a> {
+pub(crate) struct ImageParts<'a> {
     code: &'a ImageCode<'a>,
     sites: &'a SiteTable,
 }

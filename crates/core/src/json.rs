@@ -147,7 +147,7 @@ impl Json {
 
     /// Parse a JSON document. Strict: rejects trailing garbage, trailing
     /// commas, unescaped control characters and nesting deeper than
-    /// [`MAX_DEPTH`]. Linear in the input length.
+    /// `MAX_DEPTH`. Linear in the input length.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
@@ -210,7 +210,7 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
 /// The deepest array/object nesting [`Json::parse`] accepts. The parser
 /// recurses once per level, so an unbounded depth would let a hostile or
 /// corrupt file overflow the stack; manifests nest at most 5 deep.
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);

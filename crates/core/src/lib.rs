@@ -32,6 +32,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod costfn;
 pub mod digest;
@@ -45,15 +46,3 @@ pub mod runner;
 pub mod sensitivity;
 pub mod strategy;
 pub mod turnkey;
-
-pub use costfn::{Calibration, CostFunction};
-pub use exec::{CellProgram, Executor, JobOutcome, SerialExecutor, SimCell, SimJob};
-pub use image::{
-    flatten_streams, Image, ImageCode, ImageParts, Segment, SiteNames, SiteRewriter, SiteTable,
-};
-pub use json::{Json, ToJson};
-pub use model::{estimate_cost, predicted_performance, SensitivityFit};
-pub use runner::{measure_relative_with, measure_with, BenchSpec, Measurement, RunConfig};
-pub use sensitivity::{sweep_with, SweepPoint, SweepResult};
-pub use strategy::FencingStrategy;
-pub use turnkey::{evaluate_with, TurnkeyReport};

@@ -66,12 +66,6 @@ impl<P: Clone> RankingMatrix<P> {
     pub fn data_points(&self) -> usize {
         self.rel_perf.iter().map(Vec::len).sum()
     }
-
-    /// Single cell lookup by path index and benchmark name.
-    pub fn cell(&self, path_idx: usize, bench: &str) -> Option<f64> {
-        let col = self.benchmarks.iter().position(|b| b == bench)?;
-        self.rel_perf.get(path_idx).map(|row| row[col])
-    }
 }
 
 /// Build the ranking matrix: inject a fixed cost function into each code
@@ -228,16 +222,5 @@ mod tests {
         assert_eq!(by_bench[0].0, "skewed");
         // The no-site benchmark shows ~zero sensitivity: sums to ~#paths.
         assert!((by_bench[1].1 - 2.0).abs() < 0.05, "{by_bench:?}");
-    }
-
-    #[test]
-    fn cell_lookup() {
-        let m = RankingMatrix {
-            paths: vec![P::Hot],
-            benchmarks: vec!["a".into(), "b".into()],
-            rel_perf: vec![vec![0.5, 0.9]],
-        };
-        assert_eq!(m.cell(0, "b"), Some(0.9));
-        assert_eq!(m.cell(0, "zz"), None);
     }
 }

@@ -78,7 +78,7 @@ impl Table {
     }
 
     /// Render as CSV.
-    pub fn csv(&self) -> String {
+    pub(crate) fn csv(&self) -> String {
         let mut out = String::new();
         let esc = |s: &str| {
             if s.contains(',') || s.contains('"') {

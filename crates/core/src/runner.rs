@@ -9,7 +9,7 @@
 use std::hash::Hash;
 
 use wmm_sim::Machine;
-use wmm_stats::{Comparison, Summary};
+use wmm_stats::Comparison;
 
 use crate::exec::{wall_times, CellProgram, Executor, SimCell, SimJob};
 use crate::image::{Image, ImageCode, SiteNames, SiteRewriter, SiteTable};
@@ -66,13 +66,6 @@ pub struct Measurement {
     pub times_ns: Vec<f64>,
     /// Work units per run, for throughput conversion.
     pub work_units: f64,
-}
-
-impl Measurement {
-    /// Summary statistics of the times.
-    pub fn summary(&self) -> Summary {
-        Summary::of(&self.times_ns)
-    }
 }
 
 /// Generate the `cfg.warmups + cfg.samples` per-sample images of `bench`,
@@ -171,7 +164,7 @@ impl<'i, P: Clone + Eq + Hash> SampleCode<'i, P> {
 
     /// Work units per run (the last sample's, as [`jobs_from_images`]
     /// reports).
-    pub fn work_units(&self) -> f64 {
+    pub(crate) fn work_units(&self) -> f64 {
         self.samples
             .last()
             .map_or(1.0, |(_, image)| image.work_units)
@@ -279,7 +272,7 @@ mod tests {
         };
         let m = measure_with(&machine, &bench, &rw, RunConfig::quick(), &SerialExecutor);
         assert_eq!(m.times_ns.len(), 3);
-        assert!(m.summary().mean > 0.0);
+        assert!(m.times_ns.iter().all(|&t| t > 0.0));
         assert_eq!(m.work_units, 50.0);
     }
 

@@ -47,14 +47,6 @@ pub struct SweepResult {
 }
 
 impl SweepResult {
-    /// `(a, p)` samples for external re-fitting or plotting.
-    pub fn samples(&self) -> Vec<(f64, f64)> {
-        self.points
-            .iter()
-            .map(|pt| (pt.actual_ns, pt.rel_perf))
-            .collect()
-    }
-
     /// Instability heuristic: the mean relative width of the compounded
     /// error bounds. The paper rejects xalan-on-POWER and netperf-tcp style
     /// benchmarks on exactly this kind of spread.

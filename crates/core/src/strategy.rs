@@ -47,47 +47,6 @@ impl<P, F: Fn(&P) -> Vec<Instr>> FencingStrategy<P> for FnStrategy<P, F> {
     }
 }
 
-/// A strategy that overrides a base strategy at exactly one code path —
-/// the paper's single-barrier modifications ("we modified the generation of
-/// StoreStore from lwsync to sync").
-pub struct OverrideStrategy<'a, P: PartialEq> {
-    name: String,
-    base: &'a dyn FencingStrategy<P>,
-    at: P,
-    replacement: Vec<Instr>,
-}
-
-impl<'a, P: PartialEq> OverrideStrategy<'a, P> {
-    /// Override `base` to emit `replacement` at `at`.
-    pub fn new(
-        name: impl Into<String>,
-        base: &'a dyn FencingStrategy<P>,
-        at: P,
-        replacement: Vec<Instr>,
-    ) -> Self {
-        OverrideStrategy {
-            name: name.into(),
-            base,
-            at,
-            replacement,
-        }
-    }
-}
-
-impl<P: PartialEq> FencingStrategy<P> for OverrideStrategy<'_, P> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn lower(&self, path: &P) -> Vec<Instr> {
-        if *path == self.at {
-            self.replacement.clone()
-        } else {
-            self.base.lower(path)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,18 +67,5 @@ mod tests {
         assert_eq!(s.name(), "test");
         assert_eq!(s.lower(&Path::A), vec![Instr::Fence(FenceKind::DmbIsh)]);
         assert!(s.lower(&Path::B).is_empty());
-    }
-
-    #[test]
-    fn override_replaces_only_target() {
-        let base = FnStrategy::new("base", |_: &Path| vec![Instr::Fence(FenceKind::LwSync)]);
-        let over = OverrideStrategy::new(
-            "StoreStore=sync",
-            &base,
-            Path::A,
-            vec![Instr::Fence(FenceKind::HwSync)],
-        );
-        assert_eq!(over.lower(&Path::A), vec![Instr::Fence(FenceKind::HwSync)]);
-        assert_eq!(over.lower(&Path::B), vec![Instr::Fence(FenceKind::LwSync)]);
     }
 }

@@ -104,11 +104,6 @@ impl TurnkeyReport {
     pub fn hottest_usable(&self) -> Option<&PathReport> {
         self.paths.iter().find(|p| p.usable)
     }
-
-    /// Paths this benchmark cannot evaluate (low k or unstable).
-    pub fn unusable(&self) -> Vec<&PathReport> {
-        self.paths.iter().filter(|p| !p.usable).collect()
-    }
 }
 
 /// Run the complete §3 methodology unattended.

@@ -36,6 +36,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod ops;
 pub mod retire;
@@ -43,14 +44,9 @@ pub mod sites;
 pub mod stitch;
 pub mod workload;
 
-pub use ops::DstructOp;
 pub use retire::{
-    bare_reclaim, ebr_reclaim_idiom, ebr_use_after_retire, hp_reclaim_idiom, hp_use_after_retire,
-    strategy_from_placement, use_after_retire,
+    bare_reclaim, ebr_reclaim_idiom, hp_reclaim_idiom, strategy_from_placement, use_after_retire,
 };
-pub use sites::{
-    ebr_strategy, hp_asym_strategy, hp_dmb_strategy, nr_strategy, scheme_strategies, DSite,
-    DstructStrategy,
-};
-pub use stitch::{stitched_harris_michael, stitched_treiber, HazardWindow, StitchedProgram};
-pub use workload::{dstruct_profile, dstruct_profiles, dstruct_suite, DstructBench};
+pub use sites::{hp_asym_strategy, hp_dmb_strategy, nr_strategy, scheme_strategies, DSite};
+pub use stitch::StitchedProgram;
+pub use workload::dstruct_suite;

@@ -7,7 +7,7 @@
 //! traversals publish a hazard per visited node (so `hp-dmb` pays a
 //! `dmb ish` per pointer chase), every operation crosses one epoch
 //! enter/exit pair, and the retire-scan path runs once per reclamation
-//! batch (every [`SCAN_PERIOD`]-th retirement on average) — which is what
+//! batch (every `SCAN_PERIOD`-th retirement on average) — which is what
 //! lets the asymmetric scheme price its heavy barrier where it rarely
 //! executes. Pointer-chase loads are labeled `chase` so per-site profiles
 //! join structure traffic on stable rows.
@@ -38,20 +38,20 @@ pub enum DstructOp {
 /// batched (real implementations scan after on the order of
 /// 2 × slots × threads retirements), so the reclaimer-side sites execute
 /// this many times more rarely than [`DSite::Retire`].
-pub const SCAN_PERIOD: u64 = 32;
+pub(crate) const SCAN_PERIOD: u64 = 32;
 
 /// Shared data-structure lines.
 mod lines {
     /// Stack top pointer.
-    pub const TOP: u64 = 0x70_0000;
+    pub(crate) const TOP: u64 = 0x70_0000;
     /// List head and node pool.
-    pub const LIST: u64 = 0x11_0000;
+    pub(crate) const LIST: u64 = 0x11_0000;
     /// Per-thread hazard-pointer slots.
-    pub const HAZARD: u64 = 0x4A_0000;
+    pub(crate) const HAZARD: u64 = 0x4A_0000;
     /// Per-thread retire lists.
-    pub const RETIRE: u64 = 0x2E_0000;
+    pub(crate) const RETIRE: u64 = 0x2E_0000;
     /// Global + per-thread epoch words.
-    pub const EPOCH: u64 = 0xE0_0000;
+    pub(crate) const EPOCH: u64 = 0xE0_0000;
 }
 
 impl DstructOp {
@@ -60,7 +60,7 @@ impl DstructOp {
     // One arm per operation; each arm is a reclamation vignette and reads
     // as a unit.
     #[allow(clippy::too_many_lines)]
-    pub fn emit(&self, out: &mut Vec<Segment<DSite>>, rng: &mut SplitMix64) {
+    pub(crate) fn emit(&self, out: &mut Vec<Segment<DSite>>, rng: &mut SplitMix64) {
         let code = |v: Vec<Instr>| Segment::Code(v);
         let site = |s: DSite| Segment::Site(s);
         let chase = |l: u64| {
@@ -207,16 +207,6 @@ impl DstructOp {
                 out.push(code(vec![st(lines::EPOCH + 2)]));
             }
         }
-    }
-
-    /// Count reclamation sites this operation emits per invocation with a
-    /// fixed seed (deterministic).
-    #[must_use]
-    pub fn site_count(&self) -> usize {
-        let mut out = vec![];
-        let mut rng = SplitMix64::new(0);
-        self.emit(&mut out, &mut rng);
-        out.iter().filter(|s| matches!(s, Segment::Site(_))).count()
     }
 }
 

@@ -17,8 +17,7 @@
 //! priced exactly like a hand-written one.
 
 use wmm_analyze::{Instrument, StreamDep};
-use wmm_litmus::ops::{FClass, LOp, LitmusTest};
-use wmm_litmus::rewrite::Reinforce;
+use wmm_litmus::ops::{LOp, LitmusTest};
 use wmm_sim::isa::{AccessOrd, FenceKind, Instr, Loc};
 use wmmbench::strategy::FencingStrategy;
 
@@ -177,44 +176,14 @@ pub fn use_after_retire() -> LitmusTest {
     }
 }
 
-/// [`use_after_retire`] with the classic hazard-pointer placement: a full
-/// fence between hazard publication and validation, and a full fence
-/// between unlink and scan. The weak outcome must be unreachable under
-/// every model.
-#[must_use]
-pub fn hp_use_after_retire() -> LitmusTest {
-    use_after_retire().reinforced(&[
-        Reinforce::Fence {
-            thread: 0,
-            before: 1,
-            class: FClass::Full,
-        },
-        Reinforce::Fence {
-            thread: 1,
-            before: 1,
-            class: FClass::Full,
-        },
-    ])
-}
-
-/// [`use_after_retire`] with the epoch placement: the same two full
-/// fences, read as epoch announcement vs epoch advance. Semantically
-/// identical to [`hp_use_after_retire`] — both schemes close the same
-/// race — but kept separate so each scheme's check names its own sites.
-#[must_use]
-pub fn ebr_use_after_retire() -> LitmusTest {
-    let mut t = hp_use_after_retire();
-    t.name = "use-after-retire+epoch".into();
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sites::{ebr_strategy, hp_asym_strategy, hp_dmb_strategy};
     use wmm_analyze::{analyze, ProgramGraph};
     use wmm_litmus::explore::explore;
-    use wmm_litmus::ops::ModelKind;
+    use wmm_litmus::ops::{FClass, ModelKind};
+    use wmm_litmus::rewrite::Reinforce;
 
     #[test]
     fn bare_reclaim_has_no_fences() {
@@ -259,16 +228,34 @@ mod tests {
         assert!(!analyze(&g, ModelKind::ArmV8).protected());
     }
 
+    /// [`use_after_retire`] with the classic hazard-pointer placement: a
+    /// full fence between hazard publication and validation, and a full
+    /// fence between unlink and scan (read as epoch announcement vs epoch
+    /// advance, the same two fences close the race under EBR). The weak
+    /// outcome must be unreachable under every model.
+    fn hp_use_after_retire() -> LitmusTest {
+        use_after_retire().reinforced(&[
+            Reinforce::Fence {
+                thread: 0,
+                before: 1,
+                class: FClass::Full,
+            },
+            Reinforce::Fence {
+                thread: 1,
+                before: 1,
+                class: FClass::Full,
+            },
+        ])
+    }
+
     #[test]
     fn use_after_retire_differential_two_oracles_agree() {
         // For every model: the explorer reaches the reclaimed-node read
         // exactly when the static check reports an unprotected cycle —
         // the "Herding Cats" two-oracle discipline on the new shape.
-        for (test, expect_weak_somewhere) in [
-            (use_after_retire(), true),
-            (hp_use_after_retire(), false),
-            (ebr_use_after_retire(), false),
-        ] {
+        for (test, expect_weak_somewhere) in
+            [(use_after_retire(), true), (hp_use_after_retire(), false)]
+        {
             let mut weak_anywhere = false;
             for model in [
                 ModelKind::Sc,

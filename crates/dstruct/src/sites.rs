@@ -40,19 +40,6 @@ impl DSite {
         DSite::EpochExit,
         DSite::EpochAdvance,
     ];
-
-    /// Site name as used in documentation and site-name rows.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            DSite::HpProtect => "hp_protect",
-            DSite::Retire => "retire",
-            DSite::HpScan => "hp_scan",
-            DSite::EpochEnter => "epoch_enter",
-            DSite::EpochExit => "epoch_exit",
-            DSite::EpochAdvance => "epoch_advance",
-        }
-    }
 }
 
 /// A reclamation scheme: the free default per-site lowering with an
@@ -81,7 +68,7 @@ impl DstructStrategy {
     /// the no-reclamation baseline — the structure's own publication
     /// barriers live in code segments and are not part of any site.
     #[must_use]
-    pub fn default_lowering(_s: DSite) -> Vec<Instr> {
+    pub(crate) fn default_lowering(_s: DSite) -> Vec<Instr> {
         vec![Instr::Fence(FenceKind::Compiler)]
     }
 }
@@ -116,7 +103,7 @@ pub fn nr_strategy() -> DstructStrategy {
 /// the global advance. Per-protect sites stay free — the scheme's whole
 /// point is amortising ordering over the critical section.
 #[must_use]
-pub fn ebr_strategy() -> DstructStrategy {
+pub(crate) fn ebr_strategy() -> DstructStrategy {
     nr_strategy()
         .with(DSite::EpochEnter, vec![Instr::Fence(FenceKind::DmbIsh)])
         .with(DSite::EpochExit, vec![Instr::Fence(FenceKind::DmbIshSt)])
@@ -175,10 +162,10 @@ mod tests {
     #[test]
     fn six_sites() {
         assert_eq!(DSite::ALL.len(), 6);
-        let mut names: Vec<&str> = DSite::ALL.iter().map(|s| s.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), 6);
+        let mut sites = DSite::ALL.to_vec();
+        sites.sort_unstable();
+        sites.dedup();
+        assert_eq!(sites.len(), 6);
     }
 
     #[test]

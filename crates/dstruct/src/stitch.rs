@@ -94,16 +94,16 @@ fn addr(thread: usize, from: usize, to: usize) -> StreamDep {
 /// [`crate::ops`]'s segment lines).
 mod lines {
     /// Treiber top-of-stack pointer.
-    pub const TOP: u64 = 0x70_0000;
+    pub(crate) const TOP: u64 = 0x70_0000;
     /// Harris-Michael list head.
-    pub const HEAD: u64 = 0x11_0000;
+    pub(crate) const HEAD: u64 = 0x11_0000;
     /// Payload/next word of an established node.
-    pub const NODE_A: u64 = 0x20DE;
+    pub(crate) const NODE_A: u64 = 0x20DE;
     /// Payload/next word of a second (freshly pushed / being reclaimed)
     /// node.
-    pub const NODE_B: u64 = 0x20DF;
+    pub(crate) const NODE_B: u64 = 0x20DF;
     /// Hazard-pointer slot.
-    pub const HAZARD: u64 = 0x4A5A;
+    pub(crate) const HAZARD: u64 = 0x4A5A;
 }
 
 /// Treiber stack, push + pop stitched.
@@ -116,7 +116,7 @@ mod lines {
 /// reclamation race (`HAZARD`/`NODE_B`) are open on every model weaker
 /// than SC.
 #[must_use]
-pub fn stitched_treiber() -> StitchedProgram {
+pub(crate) fn stitched_treiber() -> StitchedProgram {
     use lines::{HAZARD, NODE_A, NODE_B, TOP};
     StitchedProgram {
         name: "treiber-push-pop",
@@ -162,7 +162,7 @@ pub fn stitched_treiber() -> StitchedProgram {
 /// head, dereference A then continue to B — the consumer of both the
 /// insert's publication and the delete's poison).
 #[must_use]
-pub fn stitched_harris_michael() -> StitchedProgram {
+pub(crate) fn stitched_harris_michael() -> StitchedProgram {
     use lines::{HAZARD, HEAD, NODE_A, NODE_B};
     StitchedProgram {
         name: "hm-insert-delete-search",

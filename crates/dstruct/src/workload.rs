@@ -40,7 +40,7 @@ pub struct DstructProfile {
 }
 
 /// The benchmark suite, most protect-dense first.
-pub fn dstruct_profiles() -> Vec<DstructProfile> {
+pub(crate) fn dstruct_profiles() -> Vec<DstructProfile> {
     use DstructOp::*;
     vec![
         DstructProfile {
@@ -89,7 +89,7 @@ pub struct DstructBench {
 
 impl DstructBench {
     /// Construct from a profile.
-    pub fn new(profile: DstructProfile, scale: f64) -> Self {
+    pub(crate) fn new(profile: DstructProfile, scale: f64) -> Self {
         DstructBench { profile, scale }
     }
 
@@ -145,11 +145,6 @@ pub fn dstruct_suite(scale: f64) -> Vec<DstructBench> {
         .collect()
 }
 
-/// Look up one profile by name.
-pub fn dstruct_profile(name: &str) -> Option<DstructProfile> {
-    dstruct_profiles().into_iter().find(|p| p.name == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,7 +197,13 @@ mod tests {
 
     #[test]
     fn images_deterministic_per_seed() {
-        let b = DstructBench::new(dstruct_profile("stack_churn").unwrap(), 0.2);
+        let b = DstructBench::new(
+            dstruct_profiles()
+                .into_iter()
+                .find(|p| p.name == "stack_churn")
+                .unwrap(),
+            0.2,
+        );
         assert_eq!(b.image(9).site_counts(), b.image(9).site_counts());
         assert_ne!(b.image(9).site_counts(), b.image(10).site_counts());
     }

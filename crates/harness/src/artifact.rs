@@ -55,7 +55,7 @@ use wmmbench::model::SensitivityFit;
 /// `telemetry` block is gone. Its counters and simulator totals are
 /// structural `harness.exec.*` and `sim.*` entries, its timings
 /// observational ones, and `sites` moved to the top level.
-pub const SCHEMA_VERSION: u64 = 5;
+pub(crate) const SCHEMA_VERSION: u64 = 5;
 
 /// One scalar measurement cell (e.g. a sweep point's relative performance,
 /// a ranking-matrix entry), identified by a stable label.
@@ -130,7 +130,7 @@ impl SimTotals {
     /// per counter, plus `sim.fence.<kind>.count` and `.stall_cycles` for
     /// every fence kind that ran. Call it on one thread after an in-order
     /// fold, so the gauges only ever hold deterministic values.
-    pub fn publish(&self, registry: &MetricsRegistry) {
+    pub(crate) fn publish(&self, registry: &MetricsRegistry) {
         let set = |name: &str, v: f64| registry.gauge(name, Class::Structural).set(v);
         let c = &self.counters;
         for (name, v) in [
@@ -164,16 +164,6 @@ impl SimTotals {
             set(&format!("sim.fence.{slug}.stall_cycles"), cycles);
         }
     }
-
-    /// Observed mean stall cycles per executed fence of `kind`, if any.
-    pub fn mean_fence_cycles(&self, kind: FenceKind) -> Option<f64> {
-        let n = *self.counters.fence_counts.get(&kind).unwrap_or(&0);
-        if n == 0 {
-            None
-        } else {
-            Some(self.counters.fence_cycles.get(&kind).unwrap_or(&0.0) / n as f64)
-        }
-    }
 }
 
 /// One site's stall profile, aggregated over every sited sample of a
@@ -197,13 +187,6 @@ pub struct SiteRecord {
     /// Total cycles the site advanced its core's clock by, summed over
     /// samples.
     pub total_cycles: f64,
-}
-
-impl SiteRecord {
-    /// Cycles not attributed to fence, store-buffer or memory stalls.
-    pub fn compute_cycles(&self) -> f64 {
-        (self.total_cycles - self.fence_cycles - self.sb_stall_cycles - self.mem_cycles).max(0.0)
-    }
 }
 
 impl ToJson for SiteRecord {
@@ -239,7 +222,7 @@ pub struct Timing {
 impl Timing {
     /// Publish the timings into `registry` as observational
     /// `harness.exec.*` gauges.
-    pub fn publish(&self, registry: &MetricsRegistry) {
+    pub(crate) fn publish(&self, registry: &MetricsRegistry) {
         for (name, v) in [
             ("harness.exec.threads", self.threads as f64),
             ("harness.exec.sim_ms", self.sim_ms),
@@ -274,7 +257,7 @@ pub struct Telemetry {
 
 impl Telemetry {
     /// Fraction of jobs answered from cache.
-    pub fn hit_rate(&self) -> f64 {
+    pub(crate) fn hit_rate(&self) -> f64 {
         if self.jobs == 0 {
             0.0
         } else {
@@ -392,7 +375,7 @@ impl RunManifest {
 
     /// Serialise to the written manifest file's text (canonical content
     /// plus the full metrics snapshot and the per-site records).
-    pub fn to_file_text(&self) -> String {
+    pub(crate) fn to_file_text(&self) -> String {
         let mut text = self.with_counts(self.metrics.as_ref()).to_string_pretty();
         text.push('\n');
         text
@@ -431,7 +414,7 @@ impl RunManifest {
 
     /// Parse a manifest from JSON. Rejects unknown schema versions so the
     /// gate never silently compares incompatible layouts.
-    pub fn from_json(json: &Json) -> Result<Self, String> {
+    pub(crate) fn from_json(json: &Json) -> Result<Self, String> {
         let version = json
             .get("schema_version")
             .and_then(Json::as_f64)
@@ -665,11 +648,9 @@ mod tests {
         assert_eq!(totals.jobs_observed, 1);
         assert_eq!(totals.counters.loads, 120);
         assert_eq!(totals.sb_stalls, 2);
-        assert_eq!(
-            totals.mean_fence_cycles(FenceKind::DmbIsh),
-            Some(21.5 / 2.0)
-        );
-        assert_eq!(totals.mean_fence_cycles(FenceKind::Isb), None);
+        assert_eq!(totals.counters.fence_counts[&FenceKind::DmbIsh], 2);
+        assert_eq!(totals.counters.fence_cycles[&FenceKind::DmbIsh], 21.5);
+        assert!(!totals.counters.fence_counts.contains_key(&FenceKind::Isb));
     }
 
     #[test]
@@ -742,7 +723,6 @@ mod tests {
                 total_cycles: 1024.0,
             },
         ];
-        assert_eq!(sites[0].compute_cycles(), 300.0 - 226.8 - 4.5 - 30.25);
         m.sites = Some(sites);
         let path = m.write(&dir).unwrap();
         let back = RunManifest::load(&path).unwrap();

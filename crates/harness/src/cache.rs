@@ -281,7 +281,7 @@ impl SimCache {
     }
 
     /// Look up a result.
-    pub fn get(&self, key: u128) -> Option<f64> {
+    pub(crate) fn get(&self, key: u128) -> Option<f64> {
         self.store.get(key)
     }
 
@@ -291,7 +291,7 @@ impl SimCache {
     /// call is the first writer of `key`; the disk append then happens
     /// *outside* that lock, on the disk lane's own lock, so file I/O never
     /// blocks concurrent `get`/`put` traffic on other keys.
-    pub fn put(&self, key: u128, value: f64) {
+    pub(crate) fn put(&self, key: u128, value: f64) {
         if self.store.put(key, &value) {
             if let Some(lane) = &self.disk {
                 lane.append(key, value);
@@ -299,33 +299,8 @@ impl SimCache {
         }
     }
 
-    /// Entries currently held.
-    pub fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
-    }
-
-    /// Lookup count that found an entry.
-    pub fn hits(&self) -> u64 {
-        self.store.hits()
-    }
-
-    /// Lookup count that missed.
-    pub fn misses(&self) -> u64 {
-        self.store.misses()
-    }
-
-    /// First-writer insert count.
-    pub fn puts(&self) -> u64 {
-        self.store.puts()
-    }
-
     /// The full counter snapshot, for metrics export.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         let store = self.store.stats();
         match &self.disk {
             None => store,
@@ -339,7 +314,7 @@ impl SimCache {
     }
 
     /// The backing file, if this cache persists to disk.
-    pub fn disk_path(&self) -> Option<&Path> {
+    pub(crate) fn disk_path(&self) -> Option<&Path> {
         self.disk.as_ref().map(|lane| lane.path.as_path())
     }
 }
@@ -469,7 +444,7 @@ mod tests {
         assert_eq!(cache.get(42), None);
         cache.put(42, 1.5);
         assert_eq!(cache.get(42), Some(1.5));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
         // Repeat puts of a key are not first-writer inserts.
         cache.put(42, 1.5);
         let stats = cache.stats();
@@ -517,7 +492,7 @@ mod tests {
             cache.put(u128::MAX, -0.0);
         }
         let cache = SimCache::with_disk(&path).unwrap();
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().entries, 2);
         assert_eq!(cache.get(7).map(f64::to_bits), Some(value.to_bits()));
         assert_eq!(
             cache.get(u128::MAX).map(f64::to_bits),
@@ -547,7 +522,7 @@ mod tests {
         let torn = &full[..40]; // full key, space, truncated value
         std::fs::write(&path, format!("{DISK_HEADER}\n{good}{torn}")).unwrap();
         let cache = SimCache::with_disk(&path).unwrap();
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats().entries, 1);
         assert_eq!(cache.get(7), Some(2.5));
         assert_eq!(cache.get(0xdead_beef), None);
         // The torn tail is cut, so the next append starts a fresh line and
@@ -584,7 +559,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(cache.len(), 256);
+        assert_eq!(cache.stats().entries, 256);
         // Reload from disk: append-only file must hold every key exactly
         // once (first-writer-wins under the map lock) and parse cleanly.
         let text = std::fs::read_to_string(&path).unwrap();
@@ -595,7 +570,7 @@ mod tests {
             "one disk line per unique key"
         );
         let reloaded = SimCache::with_disk(&path).unwrap();
-        assert_eq!(reloaded.len(), 256);
+        assert_eq!(reloaded.stats().entries, 256);
         for i in 0..256u128 {
             assert_eq!(reloaded.get(i), Some(i as f64 * 0.125 + 1.0));
         }
@@ -632,7 +607,7 @@ mod tests {
             .collect();
         assert_eq!(keys.len(), 800);
         assert_eq!(text.lines().count(), 1 + 800, "one line per unique key");
-        assert_eq!(SimCache::with_disk(&path).unwrap().len(), 800);
+        assert_eq!(SimCache::with_disk(&path).unwrap().stats().entries, 800);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -652,13 +627,13 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 1 + 3, "key 7 recorded twice");
         let cache = SimCache::with_disk(&path).unwrap();
-        assert_eq!(cache.len(), 2, "one entry per key");
+        assert_eq!(cache.stats().entries, 2, "one entry per key");
         assert_eq!((cache.get(7), cache.get(8)), (Some(2.5), Some(3.5)));
         cache.put(9, 4.5);
         assert_eq!(cache.stats().disk_appends, 1);
         drop(cache);
         let reloaded = SimCache::with_disk(&path).unwrap();
-        assert_eq!(reloaded.len(), 3);
+        assert_eq!(reloaded.stats().entries, 3);
         assert_eq!(reloaded.get(9), Some(4.5));
         let _ = std::fs::remove_file(&path);
     }
@@ -708,7 +683,7 @@ mod tests {
                 }
                 // A flip can land on another valid hex digit: a different
                 // but well-formed key, which only ever misses.
-                Ok(cache) => assert_eq!(cache.len(), 3),
+                Ok(cache) => assert_eq!(cache.stats().entries, 3),
             }
         }
         // The same corruption in the last record drops just that record.
@@ -717,7 +692,7 @@ mod tests {
         bytes[last] = b'#';
         std::fs::write(&path, &bytes).unwrap();
         let cache = SimCache::with_disk(&path).unwrap();
-        assert_eq!((cache.len(), cache.get(3)), (2, None));
+        assert_eq!((cache.stats().entries, cache.get(3)), (2, None));
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -54,7 +54,7 @@ impl<V: Clone> TaskCache<V> {
     }
 
     /// Look up a result, counting the hit or miss.
-    pub fn get(&self, key: u128) -> Option<V> {
+    pub(crate) fn get(&self, key: u128) -> Option<V> {
         let found = self
             .entries
             .lock()
@@ -71,7 +71,7 @@ impl<V: Clone> TaskCache<V> {
 
     /// Insert a result unless `key` is already present (first writer
     /// wins); returns whether this call inserted it.
-    pub fn put(&self, key: u128, value: &V) -> bool {
+    pub(crate) fn put(&self, key: u128, value: &V) -> bool {
         let fresh = match self.entries.lock().expect("task cache poisoned").entry(key) {
             Entry::Occupied(_) => false,
             Entry::Vacant(slot) => {
@@ -96,20 +96,14 @@ impl<V: Clone> TaskCache<V> {
     }
 
     /// First-writer inserts so far.
-    pub fn puts(&self) -> u64 {
+    pub(crate) fn puts(&self) -> u64 {
         self.puts.load(Ordering::Relaxed)
     }
 
     /// Number of stored results.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.lock().expect("task cache poisoned").len()
-    }
-
-    /// Whether the cache is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// The counter snapshot, for metrics export (the disk fields stay 0).

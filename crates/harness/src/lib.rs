@@ -45,7 +45,7 @@
 //!      histogram and the observational timing gauges (`threads`,
 //!      `sim_ms`, `wall_ms`, `max_batch_ms`, `max_batch_jobs`);
 //!    - per-worker `harness.worker.<i>.jobs` and `.busy_ns` counters;
-//!    - `harness.cache.sim.*` gauges mirroring the cache's [`CacheStats`]:
+//!    - `harness.cache.sim.*` gauges mirroring the cache's [`cache::CacheStats`]:
 //!      `entries`, `puts`, `disk_append_bytes` and `lock_wait_ns`.
 //!
 //!    Structural metrics are byte-identical across worker counts. The
@@ -55,6 +55,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod artifact;
 pub mod cache;
@@ -63,11 +64,9 @@ pub mod jobs;
 pub mod scheduler;
 pub mod trace;
 
-pub use artifact::{
-    CellRecord, FitRecord, RunManifest, SimTotals, SiteRecord, Telemetry, Timing, SCHEMA_VERSION,
-};
-pub use cache::{cell_key, job_key, CacheStats, Fnv128, SimCache, DISK_HEADER};
-pub use gate::{compare, GateConfig, GateReport, Mismatch};
+pub use artifact::{RunManifest, SimTotals, SiteRecord, Telemetry};
+pub use cache::{cell_key, job_key, Fnv128, SimCache, DISK_HEADER};
+pub use gate::{compare, GateConfig};
 pub use jobs::{run_cached_tasks, TaskCache};
 pub use scheduler::{resolve_threads, run_keyed, run_keyed_indexed, ParallelExecutor};
 pub use trace::{

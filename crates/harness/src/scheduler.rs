@@ -258,7 +258,7 @@ impl ParallelExecutor {
         self
     }
 
-    /// Enable Chrome-trace event collection (see [`Self::write_trace`]).
+    /// Enable Chrome-trace event collection (see [`Self::trace_events`]).
     pub fn with_trace(mut self, tracing: bool) -> Self {
         self.tracing = tracing;
         self
@@ -322,11 +322,6 @@ impl ParallelExecutor {
     /// [`Self::with_trace`] enabled collection).
     pub fn trace_events(&self) -> Vec<TraceEvent> {
         self.trace.lock().expect("trace poisoned").clone()
-    }
-
-    /// Write the collected Chrome-trace timeline to `path`.
-    pub fn write_trace(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        crate::trace::write_chrome_trace(path, &self.trace_events())
     }
 
     /// One-line campaign summary (jobs, hit rate, speed-up proxy).

@@ -20,34 +20,10 @@ use wmm_obs::SpanRecord;
 use wmm_sim::stats::SiteStall;
 use wmmbench::json::{Json, ToJson};
 
-/// One complete slice on the trace timeline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// Slice label, e.g. `"batch 3"` or `"job 17"`.
-    pub name: String,
-    /// Event category (`"batch"` or `"job"`), filterable in the viewer.
-    pub cat: &'static str,
-    /// Start, microseconds since the executor epoch.
-    pub ts_us: f64,
-    /// Duration, microseconds.
-    pub dur_us: f64,
-    /// Track: 0 for batch-level slices, `worker + 1` for job slices.
-    pub tid: u64,
-}
-
-impl ToJson for TraceEvent {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name", self.name.to_json()),
-            ("cat", self.cat.to_json()),
-            ("ph", "X".to_json()),
-            ("ts", Json::Num(self.ts_us)),
-            ("dur", Json::Num(self.dur_us)),
-            ("pid", 1u64.to_json()),
-            ("tid", self.tid.to_json()),
-        ])
-    }
-}
+/// One complete slice on the trace timeline: a [`SpanRecord`]. Batch
+/// slices (`cat` `"batch"`) sit on track 0 and job slices (`"job"`) on
+/// track `worker + 1`, timestamped from the executor epoch.
+pub type TraceEvent = SpanRecord;
 
 /// Convert one sited run's per-site stall records into an
 /// instruction-granular timeline: one complete slice per executed
@@ -60,7 +36,7 @@ impl ToJson for TraceEvent {
 /// `label` renders each `(thread, index)` site's name (e.g. through the
 /// run's `SiteNames`); `ns_per_cycle` converts the architecture's clock
 /// to trace time. The records must be sorted by `(thread, index)`, which is how
-/// `Machine::run_sited` returns them.
+/// `Machine::run_sited_with` returns them.
 pub fn instruction_trace_events(
     sites: &[SiteStall],
     ns_per_cycle: f64,
@@ -84,33 +60,11 @@ pub fn instruction_trace_events(
         .collect()
 }
 
-/// Convert completed [`SpanRecord`]s into trace slices, so phase-level
-/// spans (a [`wmm_obs::SpanLog`] sharing the executor's epoch convention)
-/// render on the same timeline as batch and job slices. The span's own
-/// category string is carried through a small static table — the trace
-/// layer keeps `cat` a `&'static str` — with unrecognised categories
-/// rendered as `"span"`.
+/// Completed [`SpanRecord`]s as trace slices, so phase-level spans (a
+/// [`wmm_obs::SpanLog`] sharing the executor's epoch convention) render on
+/// the same timeline as batch and job slices, each under its own category.
 pub fn span_trace_events(spans: &[SpanRecord]) -> Vec<TraceEvent> {
-    fn static_cat(cat: &str) -> &'static str {
-        match cat {
-            "report" => "report",
-            "campaign" => "campaign",
-            "phase" => "phase",
-            "batch" => "batch",
-            "job" => "job",
-            _ => "span",
-        }
-    }
-    spans
-        .iter()
-        .map(|s| TraceEvent {
-            name: s.name.clone(),
-            cat: static_cat(s.cat),
-            ts_us: s.ts_us,
-            dur_us: s.dur_us,
-            tid: s.tid,
-        })
-        .collect()
+    spans.to_vec()
 }
 
 /// Merge several event streams into one chronologically sorted timeline.
@@ -126,7 +80,7 @@ pub fn merge_chronological(streams: &[&[TraceEvent]]) -> Vec<TraceEvent> {
 }
 
 /// Serialise events to a Trace Event Format JSON document.
-pub fn to_chrome_json(events: &[TraceEvent]) -> String {
+pub(crate) fn to_chrome_json(events: &[TraceEvent]) -> String {
     let json = Json::obj(vec![
         (
             "traceEvents",
@@ -278,7 +232,7 @@ mod tests {
             "zero-duration slice kept, not dropped"
         );
         assert_eq!(events[0].cat, "report");
-        assert_eq!(events[1].cat, "span", "unknown categories render as span");
+        assert_eq!(events[1].cat, "test", "categories pass through unchanged");
         let text = to_chrome_json(&events);
         let json = Json::parse(&text).expect("parses");
         let arr = json.get("traceEvents").and_then(Json::as_arr).unwrap();

@@ -124,23 +124,6 @@ impl OutcomeSet {
             .any(|(f, _)| outcome.iter().all(|&(t, r, v)| f[t][r] == v))
     }
 
-    /// Iterate over the final `(registers, memory)` states in unspecified
-    /// order. For deterministic consumption use [`OutcomeSet::sorted`].
-    pub fn iter(&self) -> impl Iterator<Item = &(Vec<Vec<u32>>, Vec<u32>)> {
-        self.finals.iter()
-    }
-
-    /// The final states in a canonical (lexicographic) order — the stable
-    /// view used for manifests, witness extraction and cross-oracle
-    /// comparison, so no caller needs to re-run `explore` just to walk the
-    /// same outcome set deterministically.
-    #[must_use]
-    pub fn sorted(&self) -> Vec<&(Vec<Vec<u32>>, Vec<u32>)> {
-        let mut v: Vec<_> = self.finals.iter().collect();
-        v.sort();
-        v
-    }
-
     /// The final states as an owned ordered set, for set-algebra against
     /// another oracle (equality, inclusion).
     #[must_use]
@@ -159,18 +142,6 @@ impl OutcomeSet {
                     .iter()
                     .all(|&(var, v)| mem.get(var).copied().unwrap_or(0) == v)
         })
-    }
-
-    /// Number of distinct final states.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.finals.len()
-    }
-
-    /// True if no execution completed (cannot happen for well-formed tests).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.finals.is_empty()
     }
 }
 
@@ -229,30 +200,6 @@ impl ExploreCache {
         let out = std::sync::Arc::new(explore(test, model));
         self.map.insert(key, std::sync::Arc::clone(&out));
         out
-    }
-
-    /// Cache hits served so far.
-    #[must_use]
-    pub fn hits(&self) -> usize {
-        self.hits
-    }
-
-    /// Explorations actually run (cache misses).
-    #[must_use]
-    pub fn misses(&self) -> usize {
-        self.misses
-    }
-
-    /// Number of cached outcome sets.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing has been cached yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -617,7 +564,7 @@ mod tests {
             ModelKind::Power,
         ] {
             let out = explore(&t, model);
-            assert_eq!(out.len(), 1, "{model:?}");
+            assert_eq!(out.finals.len(), 1, "{model:?}");
             assert!(out.allows(&t.interesting), "{model:?}");
         }
     }
@@ -834,7 +781,7 @@ mod tests {
         let a = cache.outcomes(&lb_dep("LB-a", DepKind::Data), ModelKind::Power);
         let b = cache.outcomes(&lb_dep("LB-b", DepKind::Data), ModelKind::Power);
         assert!(std::sync::Arc::ptr_eq(&a, &b));
-        assert_eq!((cache.len(), cache.hits(), cache.misses()), (1, 1, 1));
+        assert_eq!((cache.map.len(), cache.hits, cache.misses), (1, 1, 1));
     }
 
     #[test]
@@ -842,6 +789,6 @@ mod tests {
         let mut cache = ExploreCache::new();
         cache.outcomes(&lb_dep("LB", DepKind::Data), ModelKind::Power);
         cache.outcomes(&lb_dep("LB", DepKind::Ctrl), ModelKind::Power);
-        assert_eq!((cache.len(), cache.hits(), cache.misses()), (2, 0, 2));
+        assert_eq!((cache.map.len(), cache.hits, cache.misses), (2, 0, 2));
     }
 }

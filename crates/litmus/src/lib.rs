@@ -42,6 +42,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod explore;
 #[warn(clippy::pedantic)]
@@ -52,6 +53,4 @@ pub mod rewrite;
 pub mod suite;
 
 pub use explore::{explore, ExploreCache, OutcomeSet};
-pub use lint::{lint_corpus, lint_test, LintIssue};
-pub use ops::{DepKind, FClass, LOp, LitmusTest, ModelKind, Outcome};
-pub use rewrite::Reinforce;
+pub use ops::{DepKind, FClass, LOp, LitmusTest, ModelKind};

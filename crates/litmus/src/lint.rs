@@ -194,7 +194,7 @@ fn possible_reg_values(test: &LitmusTest) -> HashMap<(usize, usize), HashSet<u32
 /// Lint a single test. Returns every issue found (empty = well-formed).
 #[must_use]
 #[allow(clippy::too_many_lines)] // one arm per check; splitting hides the checklist
-pub fn lint_test(test: &LitmusTest) -> Vec<LintIssue> {
+pub(crate) fn lint_test(test: &LitmusTest) -> Vec<LintIssue> {
     let mut issues = vec![];
     let nthreads = test.threads.len();
 

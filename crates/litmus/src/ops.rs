@@ -146,7 +146,7 @@ impl LOp {
 
     /// Is this a weak fence marker (any fence class but `Full`)?
     #[must_use]
-    pub fn is_weak_marker(&self) -> bool {
+    pub(crate) fn is_weak_marker(&self) -> bool {
         matches!(self, LOp::Fence(class) if *class != FClass::Full)
     }
 
@@ -158,7 +158,7 @@ impl LOp {
 
     /// Variable accessed, if any.
     #[must_use]
-    pub fn var(&self) -> Option<usize> {
+    pub(crate) fn var(&self) -> Option<usize> {
         match self {
             LOp::Store { var, .. } | LOp::Load { var, .. } => Some(*var),
             LOp::Fence(_) => None,
@@ -168,7 +168,7 @@ impl LOp {
     /// Dependency annotation, if this is a dependent op. Stores may carry a
     /// dependency too (data/ctrl); encode those in [`LitmusTest::store_deps`].
     #[must_use]
-    pub fn dep(&self) -> Option<(usize, DepKind)> {
+    pub(crate) fn dep(&self) -> Option<(usize, DepKind)> {
         match self {
             LOp::Load { dep, .. } => *dep,
             _ => None,

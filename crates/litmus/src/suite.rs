@@ -24,31 +24,6 @@ pub struct SuiteEntry {
     pub expect: Vec<(ModelKind, bool)>,
 }
 
-impl SuiteEntry {
-    /// Run the test under `model` and return `(expected, observed)` if the
-    /// suite records an expectation for that model.
-    #[must_use]
-    pub fn check(&self, model: ModelKind) -> Option<(bool, bool)> {
-        let mut cache = ExploreCache::new();
-        self.check_cached(model, &mut cache)
-    }
-
-    /// Like [`SuiteEntry::check`], but sourcing outcome sets from `cache`
-    /// so repeated queries of the same test/model pair explore only once.
-    #[must_use]
-    pub fn check_cached(&self, model: ModelKind, cache: &mut ExploreCache) -> Option<(bool, bool)> {
-        let expected = self
-            .expect
-            .iter()
-            .find(|(m, _)| *m == model)
-            .map(|&(_, e)| e)?;
-        let observed = cache
-            .outcomes(&self.test, model)
-            .allows_with_memory(&self.test.interesting, &self.test.memory);
-        Some((expected, observed))
-    }
-}
-
 // --- construction helpers -------------------------------------------------
 
 fn st(var: usize, val: u32) -> LOp {
@@ -290,7 +265,7 @@ pub fn mp_dmbst_ctrlisb() -> SuiteEntry {
 /// on `ARMv8` — `dmb ishld` is a sound `read_barrier_depends`, the paper's
 /// "particularly positive result" (§4.3.1).
 #[must_use]
-pub fn mp_dmbst_dmbld() -> SuiteEntry {
+pub(crate) fn mp_dmbst_dmbld() -> SuiteEntry {
     SuiteEntry {
         test: test(
             "MP+dmb.st+dmb.ld",
@@ -307,7 +282,7 @@ pub fn mp_dmbst_dmbld() -> SuiteEntry {
 
 /// LB: load buffering. Observable on relaxed models, forbidden on TSO.
 #[must_use]
-pub fn load_buffering() -> SuiteEntry {
+pub(crate) fn load_buffering() -> SuiteEntry {
     SuiteEntry {
         test: test(
             "LB",
@@ -336,7 +311,7 @@ pub fn lb_deps() -> SuiteEntry {
 /// WRC with dependencies: forbidden on multi-copy-atomic `ARMv8`, observable
 /// on POWER — the cleanest register-observable MCA/non-MCA split.
 #[must_use]
-pub fn wrc_deps() -> SuiteEntry {
+pub(crate) fn wrc_deps() -> SuiteEntry {
     SuiteEntry {
         test: test(
             "WRC+data+addr",
@@ -355,7 +330,7 @@ pub fn wrc_deps() -> SuiteEntry {
 /// WRC with a `sync` in the middle thread: cumulativity restores order on
 /// POWER.
 #[must_use]
-pub fn wrc_sync_addr() -> SuiteEntry {
+pub(crate) fn wrc_sync_addr() -> SuiteEntry {
     SuiteEntry {
         test: test(
             "WRC+sync+addr",
@@ -441,7 +416,7 @@ pub fn corr() -> SuiteEntry {
 /// first thread's, against both program orders. With a full fence on the
 /// writer and a data dependency on the reader it is forbidden everywhere.
 #[must_use]
-pub fn s_shape() -> SuiteEntry {
+pub(crate) fn s_shape() -> SuiteEntry {
     SuiteEntry {
         test: LitmusTest {
             name: "S".into(),
@@ -456,7 +431,7 @@ pub fn s_shape() -> SuiteEntry {
 
 /// S with a full fence and a data dependency: forbidden everywhere.
 #[must_use]
-pub fn s_fenced() -> SuiteEntry {
+pub(crate) fn s_fenced() -> SuiteEntry {
     SuiteEntry {
         test: LitmusTest {
             name: "S+dmb+data".into(),
@@ -492,7 +467,7 @@ pub fn two_plus_two_w() -> SuiteEntry {
 /// 2+2W with `dmb ishst` on both threads: forbidden on `ARMv8` — the cheapest
 /// fence suffices for pure write-write shapes.
 #[must_use]
-pub fn two_plus_two_w_ishst() -> SuiteEntry {
+pub(crate) fn two_plus_two_w_ishst() -> SuiteEntry {
     SuiteEntry {
         test: LitmusTest {
             name: "2+2W+dmb.sts".into(),
@@ -513,7 +488,7 @@ pub fn two_plus_two_w_ishst() -> SuiteEntry {
 /// only under SC: even TSO lets the second thread's load overtake its
 /// store.
 #[must_use]
-pub fn r_shape() -> SuiteEntry {
+pub(crate) fn r_shape() -> SuiteEntry {
     SuiteEntry {
         test: LitmusTest {
             name: "R".into(),
@@ -529,7 +504,7 @@ pub fn r_shape() -> SuiteEntry {
 /// R with full fences on both threads: forbidden everywhere — like SB,
 /// the store→load leg needs full-fence strength.
 #[must_use]
-pub fn r_fences() -> SuiteEntry {
+pub(crate) fn r_fences() -> SuiteEntry {
     SuiteEntry {
         test: LitmusTest {
             name: "R+dmbs".into(),
@@ -548,7 +523,7 @@ pub fn r_fences() -> SuiteEntry {
 /// ISA2: a three-thread MP chain — writer, forwarder, reader. Bare, the
 /// weak outcome shows on both relaxed models.
 #[must_use]
-pub fn isa2() -> SuiteEntry {
+pub(crate) fn isa2() -> SuiteEntry {
     SuiteEntry {
         test: test(
             "ISA2",
@@ -566,7 +541,7 @@ pub fn isa2() -> SuiteEntry {
 
 /// ISA2 with full fences in all three threads: forbidden everywhere.
 #[must_use]
-pub fn isa2_fences() -> SuiteEntry {
+pub(crate) fn isa2_fences() -> SuiteEntry {
     SuiteEntry {
         test: test(
             "ISA2+dmbs",
@@ -586,7 +561,7 @@ pub fn isa2_fences() -> SuiteEntry {
 /// `sync`'s A-cumulativity carries the first store through the chain, so
 /// the outcome is forbidden even on POWER.
 #[must_use]
-pub fn isa2_sync_deps() -> SuiteEntry {
+pub(crate) fn isa2_sync_deps() -> SuiteEntry {
     SuiteEntry {
         test: test(
             "ISA2+sync+data+addr",
@@ -687,7 +662,9 @@ pub fn run_full_suite() -> Vec<(String, ModelKind, bool, bool)> {
 /// that also needs the raw outcome sets (e.g. for witness comparison) does
 /// not pay for a second exploration of each test.
 #[must_use]
-pub fn run_full_suite_cached(cache: &mut ExploreCache) -> Vec<(String, ModelKind, bool, bool)> {
+pub(crate) fn run_full_suite_cached(
+    cache: &mut ExploreCache,
+) -> Vec<(String, ModelKind, bool, bool)> {
     let mut rows = vec![];
     for entry in full_suite() {
         for &(model, expected) in &entry.expect {

@@ -7,7 +7,7 @@
 //! stream index)`. This crate is everything built *on top of* those
 //! records, plus the harness-wide metrics layer:
 //!
-//! * [`SiteProfile`] / [`Profile`]: per-site cycles split by cause —
+//! * [`profile::SiteProfile`] / [`Profile`]: per-site cycles split by cause —
 //!   fence-kind stall, store-buffer stall, exposed memory time, residual
 //!   compute — folded across the samples of a campaign and keyed by the
 //!   stable site *names* [`SiteNames`](wmmbench::image::SiteNames) reads
@@ -33,6 +33,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod flame;
 pub mod metrics;
@@ -41,7 +42,7 @@ pub mod span;
 
 pub use flame::collapsed_stacks;
 pub use metrics::{
-    Class, Counter, Gauge, Histogram, MetricEntry, MetricValue, MetricsRegistry, MetricsSnapshot,
+    Class, Counter, Gauge, Histogram, MetricValue, MetricsRegistry, MetricsSnapshot,
 };
-pub use profile::{Profile, ProfileDiff, SiteDelta, SiteProfile};
-pub use span::{SpanGuard, SpanLog, SpanRecord};
+pub use profile::{Profile, ProfileDiff};
+pub use span::{SpanLog, SpanRecord};

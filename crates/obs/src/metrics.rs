@@ -41,7 +41,7 @@ pub enum Class {
 impl Class {
     /// Stable label for snapshots (`"structural"` / `"observational"`).
     #[must_use]
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Class::Structural => "structural",
             Class::Observational => "observational",
@@ -101,24 +101,8 @@ impl Gauge {
         self.bits.store(v.to_bits(), Ordering::Relaxed);
     }
 
-    /// Add `v` to the gauge (compare-and-swap loop; bit-exact only when
-    /// updates never race, which structural call sites guarantee).
-    pub fn add(&self, v: f64) {
-        let mut cur = self.bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self
-                .bits
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
     /// Current value.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
@@ -176,12 +160,12 @@ impl Histogram {
 
     /// The configured (ascending) bucket upper bounds.
     #[must_use]
-    pub fn bounds(&self) -> &[f64] {
+    pub(crate) fn bounds(&self) -> &[f64] {
         &self.bounds
     }
 
     /// Per-bucket counts (`bounds.len() + 1` entries; last is overflow).
-    pub fn bucket_counts(&self) -> Vec<u64> {
+    pub(crate) fn bucket_counts(&self) -> Vec<u64> {
         self.buckets
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
@@ -189,12 +173,12 @@ impl Histogram {
     }
 
     /// Total observations.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
     /// Sum of observations.
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         f64::from_bits(self.sum_bits.load(Ordering::Relaxed))
     }
 }
@@ -300,18 +284,6 @@ impl MetricsRegistry {
             Metric::Histogram(h) => h,
             _ => unreachable!("register checked the kind"),
         }
-    }
-
-    /// Number of registered metrics.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("metrics registry poisoned").len()
-    }
-
-    /// Whether no metric is registered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// A point-in-time snapshot, entries in name order.
@@ -617,8 +589,7 @@ mod tests {
 
         let g = reg.gauge("a.depth", Class::Structural);
         g.set(2.5);
-        g.add(-0.5);
-        assert_eq!(g.get(), 2.0);
+        assert_eq!(g.get(), 2.5);
 
         let h = reg.histogram("a.lat", Class::Observational, &[1.0, 10.0]);
         for v in [0.5, 5.0, 50.0, 10.0] {
@@ -627,7 +598,7 @@ mod tests {
         assert_eq!(h.bucket_counts(), vec![1, 2, 1]);
         assert_eq!(h.count(), 4);
         assert_eq!(h.sum(), 65.5);
-        assert_eq!(reg.len(), 3);
+        assert_eq!(reg.snapshot().entries.len(), 3);
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub struct SiteProfile {
 
 impl SiteProfile {
     /// Fold one run's stall record into the profile.
-    pub fn add(&mut self, s: &SiteStall) {
+    pub(crate) fn add(&mut self, s: &SiteStall) {
         if s.fence.is_some() {
             self.fence = s.fence;
         }
@@ -39,19 +39,6 @@ impl SiteProfile {
         self.sb_stall_cycles += s.sb_stall_cycles;
         self.mem_cycles += s.mem_cycles;
         self.total_cycles += s.total_cycles;
-    }
-
-    /// Merge another profile of the same site.
-    pub fn merge(&mut self, other: &SiteProfile) {
-        if other.fence.is_some() {
-            self.fence = other.fence;
-        }
-        self.fences += other.fences;
-        self.executions += other.executions;
-        self.fence_cycles += other.fence_cycles;
-        self.sb_stall_cycles += other.sb_stall_cycles;
-        self.mem_cycles += other.mem_cycles;
-        self.total_cycles += other.total_cycles;
     }
 
     /// Cycles not attributed to fences, store-buffer stalls or memory —
@@ -102,13 +89,6 @@ impl Profile {
                 Some(sp) => sp.add(s),
                 None => self.sites.entry(name.to_string()).or_default().add(s),
             }
-        }
-    }
-
-    /// Merge another profile (e.g. another benchmark's fold) site-wise.
-    pub fn merge(&mut self, other: &Profile) {
-        for (name, sp) in &other.sites {
-            self.sites.entry(name.clone()).or_default().merge(sp);
         }
     }
 

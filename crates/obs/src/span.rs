@@ -24,10 +24,13 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// One completed span.
+use wmmbench::json::{Json, ToJson};
+
+/// One completed span: a complete slice on a Chrome-trace timeline. The
+/// harness's batch, job and instruction slices are the same type.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
-    /// Span label, e.g. `"campaign fig5-arm"`.
+    /// Span label, e.g. `"campaign fig5-arm"` or `"job 17"`.
     pub name: String,
     /// Category, filterable in the trace viewer (e.g. `"report"`).
     pub cat: &'static str,
@@ -37,6 +40,21 @@ pub struct SpanRecord {
     pub dur_us: f64,
     /// Track id the span renders on (0 = the caller's main track).
     pub tid: u64,
+}
+
+/// One Trace Event Format complete (`"ph": "X"`) event.
+impl ToJson for SpanRecord {
+    fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("name", self.name.to_json()),
+            ("cat", self.cat.to_json()),
+            ("ph", "X".to_json()),
+            ("ts", Json::Num(self.ts_us)),
+            ("dur", Json::Num(self.dur_us)),
+            ("pid", 1u64.to_json()),
+            ("tid", self.tid.to_json()),
+        ])
+    }
 }
 
 /// A shared log of completed spans with one common epoch.
@@ -64,7 +82,7 @@ impl SpanLog {
 
     /// Microseconds since the log epoch.
     #[must_use]
-    pub fn now_us(&self) -> f64 {
+    pub(crate) fn now_us(&self) -> f64 {
         self.epoch.elapsed().as_secs_f64() * 1e6
     }
 
@@ -89,25 +107,13 @@ impl SpanLog {
 
     /// Append an already-built record (for spans reconstructed from other
     /// sources rather than timed live).
-    pub fn record(&self, record: SpanRecord) {
+    pub(crate) fn record(&self, record: SpanRecord) {
         self.spans.lock().expect("span log poisoned").push(record);
     }
 
     /// Snapshot of the completed spans, in completion order.
     pub fn records(&self) -> Vec<SpanRecord> {
         self.spans.lock().expect("span log poisoned").clone()
-    }
-
-    /// Completed span count.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.spans.lock().expect("span log poisoned").len()
-    }
-
-    /// Whether no span has completed yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -161,7 +167,7 @@ mod tests {
     #[test]
     fn explicit_records_append_verbatim() {
         let log = SpanLog::new();
-        assert!(log.is_empty());
+        assert!(log.records().is_empty());
         log.record(SpanRecord {
             name: "synthetic".into(),
             cat: "test",
@@ -169,7 +175,7 @@ mod tests {
             dur_us: 0.0,
             tid: 7,
         });
-        assert_eq!(log.len(), 1);
+        assert_eq!(log.records().len(), 1);
         assert_eq!(log.records()[0].dur_us, 0.0, "zero-duration spans kept");
     }
 
@@ -184,6 +190,6 @@ mod tests {
                 });
             }
         });
-        assert_eq!(log.len(), 4);
+        assert_eq!(log.records().len(), 4);
     }
 }

@@ -56,17 +56,17 @@ pub struct Combined(u8);
 
 impl Combined {
     /// The empty combination (no ordering; lowers to nothing).
-    pub const EMPTY: Combined = Combined(0);
+    pub(crate) const EMPTY: Combined = Combined(0);
 
     /// A single-elemental combination.
     #[must_use]
-    pub fn only(e: Elemental) -> Self {
+    pub(crate) fn only(e: Elemental) -> Self {
         Combined(e.bit())
     }
 
     /// Build from a slice of elementals.
     #[must_use]
-    pub fn of(es: &[Elemental]) -> Self {
+    pub(crate) fn of(es: &[Elemental]) -> Self {
         Combined(es.iter().fold(0, |m, e| m | e.bit()))
     }
 
@@ -76,15 +76,9 @@ impl Combined {
         self.0 & e.bit() != 0
     }
 
-    /// Union of two combinations.
-    #[must_use]
-    pub fn union(self, other: Combined) -> Combined {
-        Combined(self.0 | other.0)
-    }
-
     /// Elementals present.
     #[must_use]
-    pub fn elements(self) -> Vec<Elemental> {
+    pub(crate) fn elements(self) -> Vec<Elemental> {
         Elemental::ALL
             .iter()
             .copied()
@@ -94,19 +88,19 @@ impl Combined {
 
     /// Whether any load-side ordering (LoadLoad/LoadStore) is requested.
     #[must_use]
-    pub fn needs_load_ordering(self) -> bool {
+    pub(crate) fn needs_load_ordering(self) -> bool {
         self.contains(Elemental::LoadLoad) || self.contains(Elemental::LoadStore)
     }
 
     /// Whether any store-side ordering (`StoreStore`) is requested.
     #[must_use]
-    pub fn needs_store_ordering(self) -> bool {
+    pub(crate) fn needs_store_ordering(self) -> bool {
         self.contains(Elemental::StoreStore)
     }
 
     /// Whether the expensive store→load ordering is requested.
     #[must_use]
-    pub fn needs_store_load(self) -> bool {
+    pub(crate) fn needs_store_load(self) -> bool {
         self.contains(Elemental::StoreLoad)
     }
 }
@@ -197,7 +191,7 @@ mod tests {
 
     #[test]
     fn union_and_elements() {
-        let c = Combined::only(LoadLoad).union(Combined::only(StoreStore));
+        let c = Combined::of(&[StoreStore, LoadLoad]);
         assert_eq!(c.elements(), vec![LoadLoad, StoreStore]);
         assert_eq!(c.to_string(), "LoadLoad+StoreStore");
         assert_eq!(Combined::EMPTY.to_string(), "none");

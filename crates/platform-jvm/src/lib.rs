@@ -27,19 +27,17 @@
 //!   `StoreStore` → `sync`);
 //! * [`jit`] — a JIT-like lowering from Java-level operations (volatile
 //!   accesses, monitors, CAS, allocation with card marks) to an
-//!   instruction-level [`wmmbench::Image`] with labelled barrier sites,
+//!   instruction-level [`wmmbench::image::Image`] with labelled barrier sites,
 //!   including the `UseBarriersForVolatile` flag and the pending
 //!   DMB-elimination locking patch the paper tests (§4.2.1).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod barrier;
 pub mod jit;
 pub mod optsites;
 pub mod strategy;
 
-pub use barrier::{Combined, Composite, Elemental};
-pub use jit::{JavaOp, JitConfig, VolatileMode};
-pub use optsites::{JvmPath, OptPass};
-pub use strategy::{arm_jdk8_barriers, null_barriers, power_jdk9, with_placement, JvmStrategy};
+pub use barrier::Composite;

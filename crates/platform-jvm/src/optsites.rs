@@ -52,7 +52,7 @@ impl OptPass {
 
     /// Does this pass annotate the given Java operation?
     #[must_use]
-    pub fn fires_at(self, op: &JavaOp) -> bool {
+    pub(crate) fn fires_at(self, op: &JavaOp) -> bool {
         match self {
             OptPass::EscapeAnalysis => matches!(op, JavaOp::Alloc(_)),
             OptPass::LockElision => {

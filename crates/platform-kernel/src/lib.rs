@@ -30,13 +30,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod macros;
 pub mod publish;
 pub mod rbd;
 pub mod services;
-
-pub use macros::{default_arm_strategy, KMacro, KernelStrategy};
-pub use publish::{bare_publish, publish_idiom, rbd_publish, strategy_from_placement};
-pub use rbd::{rbd_strategy, RbdStrategy};
-pub use services::Service;

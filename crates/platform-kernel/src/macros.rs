@@ -105,7 +105,7 @@ impl KernelStrategy {
     /// variants; acquire/release map to their nearest `dmb` flavour; the
     /// `_ONCE` macros and `read_barrier_depends` are compiler-only.
     #[must_use]
-    pub fn default_lowering(m: KMacro) -> Vec<Instr> {
+    pub(crate) fn default_lowering(m: KMacro) -> Vec<Instr> {
         match m {
             KMacro::SmpMb
             | KMacro::SmpMbBeforeAtomic

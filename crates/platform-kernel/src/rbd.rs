@@ -69,7 +69,7 @@ impl RbdStrategy {
     /// base-case variants carry none — their ordering, if any, comes from
     /// the emitted fence instruction itself.
     #[must_use]
-    pub fn dep_kind(self) -> Option<DepKind> {
+    pub(crate) fn dep_kind(self) -> Option<DepKind> {
         match self {
             RbdStrategy::Ctrl => Some(DepKind::Ctrl),
             RbdStrategy::CtrlIsb => Some(DepKind::CtrlIsb),
@@ -80,7 +80,7 @@ impl RbdStrategy {
     /// The instruction sequence this strategy uses for
     /// `read_barrier_depends` itself.
     #[must_use]
-    pub fn rbd_sequence(self) -> Vec<Instr> {
+    pub(crate) fn rbd_sequence(self) -> Vec<Instr> {
         match self {
             RbdStrategy::BaseCase => vec![Instr::Fence(FenceKind::Compiler)],
             // cmp x_last, #42; b.ne +4; <impotent nop>
@@ -120,18 +120,6 @@ pub fn rbd_strategy(which: RbdStrategy) -> KernelStrategy {
             .with(KMacro::WriteOnce, vec![Instr::Fence(FenceKind::DmbIshSt)]);
     }
     s
-}
-
-/// The largest footprint any strategy needs at a macro site, in words —
-/// used for the shared envelope so all six test kernels have identical
-/// code-section sizes.
-#[must_use]
-pub fn max_site_words() -> u64 {
-    RbdStrategy::ALL
-        .iter()
-        .map(|s| wmm_sim::isa::seq_size(&s.rbd_sequence()))
-        .max()
-        .unwrap_or(1)
 }
 
 #[cfg(test)]
@@ -191,11 +179,5 @@ mod tests {
             d.lower(&KMacro::ReadOnce),
             vec![Instr::Fence(FenceKind::Compiler)]
         );
-    }
-
-    #[test]
-    fn envelope_covers_all_variants() {
-        // ctrl/ctrl+isb are the longest at 3 words.
-        assert_eq!(max_site_words(), 3);
     }
 }

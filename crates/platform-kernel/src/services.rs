@@ -38,13 +38,13 @@ pub enum Service {
 
 /// Shared kernel data-structure lines.
 mod lines {
-    pub const FDTABLE: u64 = 0xFD00;
-    pub const ROUTE: u64 = 0x2070;
-    pub const RING: u64 = 0x21A6;
-    pub const SOCK: u64 = 0x50CC;
-    pub const ZONE: u64 = 0x20AE;
-    pub const RUNQ: u64 = 0x2109;
-    pub const PAGECACHE: u64 = 0x9A6E;
+    pub(crate) const FDTABLE: u64 = 0xFD00;
+    pub(crate) const ROUTE: u64 = 0x2070;
+    pub(crate) const RING: u64 = 0x21A6;
+    pub(crate) const SOCK: u64 = 0x50CC;
+    pub(crate) const ZONE: u64 = 0x20AE;
+    pub(crate) const RUNQ: u64 = 0x2109;
+    pub(crate) const PAGECACHE: u64 = 0x9A6E;
 }
 
 impl Service {
@@ -168,15 +168,6 @@ impl Service {
             }
         }
     }
-
-    /// Count macro sites this service emits per invocation (deterministic).
-    #[must_use]
-    pub fn site_count(&self) -> usize {
-        let mut out = vec![];
-        let mut rng = SplitMix64::new(0);
-        self.emit(&mut out, &mut rng);
-        out.iter().filter(|s| matches!(s, Segment::Site(_))).count()
-    }
 }
 
 #[cfg(test)]
@@ -207,8 +198,8 @@ mod tests {
     fn net_paths_are_macro_dense() {
         // The network stack must be the most macro-dense service pair —
         // netperf tops the sensitivity rankings (Figs. 8, 9).
-        let tx = Service::NetTx.site_count();
-        let rx = Service::NetRx.site_count();
+        let tx = sites_of(Service::NetTx).len();
+        let rx = sites_of(Service::NetRx).len();
         assert!(tx + rx >= 9, "tx={tx} rx={rx}");
         assert!(
             sites_of(Service::NetRx)

@@ -139,17 +139,12 @@ impl ArchSpec {
         cycles / self.freq_ghz
     }
 
-    /// Convert nanoseconds to cycles on this machine.
-    pub fn cycles(&self, ns: f64) -> f64 {
-        ns * self.freq_ghz
-    }
-
     /// Closed-form cycle cost of a cost-function loop of `iters` iterations
     /// (the native timing of [`crate::isa::Instr::CostLoop`]).
     ///
     /// Matches Fig. 4: flat/sub-linear while the out-of-order engine can
     /// overlap the short loop with surrounding code, then linear in N.
-    pub fn costfn_cycles(&self, iters: u64, stack_spill: bool) -> f64 {
+    pub(crate) fn costfn_cycles(&self, iters: u64, stack_spill: bool) -> f64 {
         let n = iters as f64;
         let overlapped = n.min(self.costfn_overlap_iters);
         let exposed = (n - self.costfn_overlap_iters).max(0.0);
@@ -270,7 +265,6 @@ mod tests {
     fn unit_conversion_roundtrip() {
         let a = armv8_xgene1();
         let ns = a.ns(24.0);
-        assert!((a.cycles(ns) - 24.0).abs() < 1e-12);
         assert!((ns - 10.0).abs() < 1e-9, "24 cycles @2.4GHz = 10 ns");
     }
 

@@ -23,14 +23,14 @@ use crate::arch::ArchSpec;
 use crate::isa::{AccessOrd, FenceKind, Instr, Loc, Mispredict};
 use crate::machine::WorkloadCtx;
 use crate::mem::{line_key, AccessOutcome, MemSys};
-use crate::probe::{NullProbe, Probe};
+use crate::probe::Probe;
 use crate::rng::SplitMix64;
 use crate::sbuf::StoreBuffer;
 use crate::stats::Counters;
 
 /// Mutable state of one simulated core.
 #[derive(Debug)]
-pub struct CoreState {
+pub(crate) struct CoreState {
     /// Core index within the machine.
     pub id: usize,
     /// Local clock, cycles.
@@ -61,7 +61,7 @@ pub struct CoreState {
 
 impl CoreState {
     /// A fresh core.
-    pub fn new(id: usize, spec: &ArchSpec) -> Self {
+    pub(crate) fn new(id: usize, spec: &ArchSpec) -> Self {
         CoreState {
             id,
             clock: 0.0,
@@ -79,7 +79,7 @@ impl CoreState {
     /// Reset to exactly the state [`CoreState::new`] produces, reusing the
     /// store-buffer allocation. The spec is re-applied in full, so a scratch
     /// core can move between machines (e.g. ARM and POWER jobs in one batch).
-    pub fn reset(&mut self, id: usize, spec: &ArchSpec) {
+    pub(crate) fn reset(&mut self, id: usize, spec: &ArchSpec) {
         self.id = id;
         self.clock = 0.0;
         self.sbuf.reset(spec.sb_capacity);
@@ -115,20 +115,8 @@ impl CoreState {
         cost - hidden
     }
 
-    /// Execute one instruction; advances `self.clock` and updates counters.
-    pub fn step(
-        &mut self,
-        instr: &Instr,
-        spec: &ArchSpec,
-        ctx: &WorkloadCtx,
-        mem: &mut MemSys,
-        rng: &mut SplitMix64,
-        counters: &mut Counters,
-    ) {
-        self.step_probed(instr, spec, ctx, mem, rng, counters, &mut NullProbe);
-    }
-
-    /// [`CoreState::step`] with an observation [`Probe`]. The probe only
+    /// Execute one instruction, reporting to an observation [`Probe`];
+    /// advances `self.clock` and updates counters. The probe only
     /// receives values the timing model already computed — no arithmetic is
     /// added or reordered — so the resulting state and counters are
     /// bit-identical to an unprobed step.
@@ -138,7 +126,7 @@ impl CoreState {
     /// dispatch per instruction. `?Sized` keeps `&mut dyn Probe` callers
     /// working unchanged.
     #[allow(clippy::too_many_arguments)]
-    pub fn step_probed<P: Probe + ?Sized>(
+    pub(crate) fn step_probed<P: Probe + ?Sized>(
         &mut self,
         instr: &Instr,
         spec: &ArchSpec,
@@ -361,6 +349,7 @@ impl CoreState {
 mod tests {
     use super::*;
     use crate::arch::{armv8_xgene1, power7};
+    use crate::probe::NullProbe;
 
     fn harness() -> (ArchSpec, WorkloadCtx, MemSys, SplitMix64, Counters) {
         (
@@ -382,7 +371,7 @@ mod tests {
         c: &mut Counters,
     ) -> f64 {
         let before = core.clock;
-        core.step(&i, spec, ctx, mem, rng, c);
+        core.step_probed(&i, spec, ctx, mem, rng, c, &mut NullProbe);
         core.clock - before
     }
 
@@ -416,7 +405,15 @@ mod tests {
             let mut core = CoreState::new(0, &spec);
             let n = 1000;
             for _ in 0..n {
-                core.step(&Instr::Fence(kind), &spec, &ctx, &mut mem, &mut rng, &mut c);
+                core.step_probed(
+                    &Instr::Fence(kind),
+                    &spec,
+                    &ctx,
+                    &mut mem,
+                    &mut rng,
+                    &mut c,
+                    &mut NullProbe,
+                );
             }
             per_kind.push(core.clock / n as f64);
         }
@@ -435,7 +432,7 @@ mod tests {
         let mut core = CoreState::new(0, &spec);
         // Fill the buffer with remote stores (expensive drains).
         for i in 0..8 {
-            core.step(
+            core.step_probed(
                 &Instr::Store {
                     loc: Loc::SharedRw(100 + i),
                     ord: AccessOrd::Plain,
@@ -445,6 +442,7 @@ mod tests {
                 &mut mem,
                 &mut rng,
                 &mut c,
+                &mut NullProbe,
             );
         }
         let t_busy = run_one(
@@ -471,7 +469,7 @@ mod tests {
             let mut c = Counters::default();
             let mut core = CoreState::new(0, &spec);
             for i in 0..8 {
-                core.step(
+                core.step_probed(
                     &Instr::Store {
                         loc: Loc::SharedRw(200 + i),
                         ord: AccessOrd::Plain,
@@ -481,10 +479,19 @@ mod tests {
                     &mut mem,
                     &mut rng,
                     &mut c,
+                    &mut NullProbe,
                 );
             }
             let before = core.clock;
-            core.step(&Instr::Fence(kind), &spec, &ctx, &mut mem, &mut rng, &mut c);
+            core.step_probed(
+                &Instr::Fence(kind),
+                &spec,
+                &ctx,
+                &mut mem,
+                &mut rng,
+                &mut c,
+                &mut NullProbe,
+            );
             core.clock - before
         };
         let full = cost(FenceKind::DmbIsh);
@@ -505,7 +512,7 @@ mod tests {
             let mut c = Counters::default();
             let mut core = CoreState::new(0, &spec);
             for i in 0..6 {
-                core.step(
+                core.step_probed(
                     &Instr::Store {
                         loc: Loc::SharedRw(300 + i),
                         ord: AccessOrd::Plain,
@@ -515,10 +522,19 @@ mod tests {
                     &mut mem,
                     &mut rng,
                     &mut c,
+                    &mut NullProbe,
                 );
             }
             let before = core.clock;
-            core.step(&Instr::Fence(kind), &spec, &ctx, &mut mem, &mut rng, &mut c);
+            core.step_probed(
+                &Instr::Fence(kind),
+                &spec,
+                &ctx,
+                &mut mem,
+                &mut rng,
+                &mut c,
+                &mut NullProbe,
+            );
             core.clock - before
         };
         assert!(cost(FenceKind::LwSync) < cost(FenceKind::HwSync));
@@ -544,7 +560,7 @@ mod tests {
         // Busy machine.
         let mut core2 = CoreState::new(0, &spec);
         for i in 0..8 {
-            core2.step(
+            core2.step_probed(
                 &Instr::Store {
                     loc: Loc::SharedRw(400 + i),
                     ord: AccessOrd::Plain,
@@ -554,6 +570,7 @@ mod tests {
                 &mut mem,
                 &mut rng,
                 &mut c,
+                &mut NullProbe,
             );
         }
         let busy = run_one(
@@ -599,13 +616,14 @@ mod tests {
             // Space out from any previous fence.
             core.clock = 1000.0;
             let before = core.clock;
-            core.step(
+            core.step_probed(
                 &Instr::Fence(FenceKind::DmbIshLd),
                 &spec,
                 &ctx,
                 &mut mem,
                 &mut rng,
                 &mut c,
+                &mut NullProbe,
             );
             core.clock - before
         };
@@ -643,7 +661,7 @@ mod tests {
         let (spec, ctx, mut mem, mut rng, mut c) = harness();
         let mut core = CoreState::new(0, &spec);
         for i in 0..8 {
-            core.step(
+            core.step_probed(
                 &Instr::Store {
                     loc: Loc::SharedRw(500 + i),
                     ord: AccessOrd::Plain,
@@ -653,6 +671,7 @@ mod tests {
                 &mut mem,
                 &mut rng,
                 &mut c,
+                &mut NullProbe,
             );
         }
         let rel = run_one(

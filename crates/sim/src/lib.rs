@@ -25,7 +25,7 @@
 //!   pipelining ([`isa::Instr::CostLoop`]).
 //!
 //! Everything is seeded and reproducible: the same ([`Program`],
-//! [`WorkloadCtx`], seed) triple always yields the same [`ExecStats`].
+//! [`WorkloadCtx`], seed) triple always yields the same [`stats::ExecStats`].
 //!
 //! ## Quick example
 //!
@@ -46,6 +46,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod arch;
 pub mod exec;
@@ -58,9 +59,7 @@ pub mod sbuf;
 pub mod sched;
 pub mod stats;
 
-pub use arch::{Arch, ArchSpec};
-pub use isa::{AccessOrd, FenceKind, Instr, Loc};
+pub use isa::FenceKind;
 pub use machine::{Code, Machine, MachineScratch, Program, WorkloadCtx};
-pub use probe::{NullProbe, Probe, SiteStallProbe};
+pub use probe::Probe;
 pub use rng::SplitMix64;
-pub use stats::{ExecStats, SiteStall};

@@ -13,34 +13,17 @@ use crate::stats::{Counters, ExecStats};
 /// A multithreaded program: one instruction stream per simulated thread.
 /// Threads beyond the machine's core count are rejected — the platforms and
 /// workload generators handle scheduling decisions above this layer.
-///
-/// Instruction streams are fixed at construction ([`Program::new`] is the
-/// only way to build one), which is what lets the total length be cached
-/// instead of recomputed by hot-loop callers.
 #[derive(Debug, Clone)]
 pub struct Program {
     /// One instruction stream per thread.
     pub threads: Vec<Vec<Instr>>,
-    /// Cached total instruction count (the streams are immutable).
-    len: usize,
 }
 
 impl Program {
     /// Build a program from per-thread instruction streams.
     pub fn new(threads: Vec<Vec<Instr>>) -> Self {
         assert!(!threads.is_empty(), "program needs at least one thread");
-        let len = threads.iter().map(Vec::len).sum();
-        Program { threads, len }
-    }
-
-    /// Total instruction count across threads (cached at construction).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the program has no instructions.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+        Program { threads }
     }
 }
 
@@ -144,7 +127,7 @@ impl WorkloadCtx {
     /// A NaN or negative pressure/rate would poison core clocks mid-run and
     /// detonate deep inside a batch; [`Machine::run_probed_with`] rejects
     /// such contexts up front with the offending field named instead.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         let fields = [
             ("bp_pressure", self.bp_pressure),
             ("load_pressure", self.load_pressure),
@@ -232,20 +215,11 @@ impl Machine {
     }
 
     /// [`Machine::run`] with per-site stall attribution: the run is driven
-    /// through a [`SiteStallProbe`] and the returned statistics carry
+    /// through a `SiteStallProbe` and the returned statistics carry
     /// `per_site: Some(..)`. Every other field — wall time, core cycles,
     /// counters, store-buffer stalls — is bit-identical to [`Machine::run`]
-    /// on the same inputs: the probe observes, it never perturbs.
-    pub fn run_sited<C: Code + ?Sized>(
-        &self,
-        program: &C,
-        ctx: &WorkloadCtx,
-        seed: u64,
-    ) -> ExecStats {
-        self.run_sited_with(program, ctx, seed, &mut MachineScratch::new())
-    }
-
-    /// [`Machine::run_sited`] reusing a [`MachineScratch`] arena.
+    /// on the same inputs: the probe observes, it never perturbs. Like
+    /// [`Machine::run_with`], it reuses a [`MachineScratch`] arena.
     pub fn run_sited_with<C: Code + ?Sized>(
         &self,
         program: &C,
@@ -274,7 +248,7 @@ impl Machine {
 
     /// The run loop: [`Machine::run_probed`] with every per-run allocation
     /// drawn from (and returned to) `scratch`.
-    pub fn run_probed_with<C: Code + ?Sized>(
+    pub(crate) fn run_probed_with<C: Code + ?Sized>(
         &self,
         program: &C,
         ctx: &WorkloadCtx,
@@ -571,13 +545,6 @@ mod tests {
     }
 
     #[test]
-    fn program_len_counts_all_threads() {
-        let p = Program::new(vec![vec![Instr::Nop; 3], vec![Instr::Nop; 2]]);
-        assert_eq!(p.len(), 5);
-        assert!(!p.is_empty());
-    }
-
-    #[test]
     fn workload_ctx_validation_names_the_offending_field() {
         let mut ctx = WorkloadCtx::default();
         assert!(ctx.validate().is_ok());
@@ -671,7 +638,7 @@ mod tests {
             1,
             &mut scratch,
         );
-        let fresh = m.run_sited(&prog, &ctx, 42);
+        let fresh = m.run_sited_with(&prog, &ctx, 42, &mut MachineScratch::new());
         let reused = m.run_sited_with(&prog, &ctx, 42, &mut scratch);
         assert_eq!(fresh.wall_ns, reused.wall_ns);
         assert_eq!(fresh.per_site, reused.per_site);

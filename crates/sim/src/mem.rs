@@ -99,13 +99,13 @@ pub enum AccessOutcome {
 /// directory" is exactly "never touched" and the first access to a line is
 /// the one that comes from DRAM.
 #[derive(Debug)]
-pub struct MemSys {
+pub(crate) struct MemSys {
     directory: LineMap<LineState>,
 }
 
 /// Key used to disambiguate the address spaces of the three [`Loc`] classes
 /// (and, for private lines, of each core).
-pub fn line_key(core: usize, loc: Loc) -> u64 {
+pub(crate) fn line_key(core: usize, loc: Loc) -> u64 {
     match loc {
         // Private lines are per-core: fold the core id into the key.
         Loc::Private(l) => 0x1000_0000_0000_0000 | ((core as u64) << 48) | l,
@@ -116,7 +116,7 @@ pub fn line_key(core: usize, loc: Loc) -> u64 {
 
 impl MemSys {
     /// A cold memory system.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MemSys {
             directory: LineMap::default(),
         }
@@ -124,7 +124,7 @@ impl MemSys {
 
     /// Forget all line state, keeping the map allocations: equivalent to a
     /// cold [`MemSys::new`] for the next run.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.directory.clear();
     }
 
@@ -132,7 +132,7 @@ impl MemSys {
     ///
     /// `miss_rate`/`dram_frac` describe the workload's locality for
     /// non-coherent data; `rng` supplies the seeded randomness.
-    pub fn load(
+    pub(crate) fn load(
         &mut self,
         core: usize,
         loc: Loc,
@@ -189,7 +189,7 @@ impl MemSys {
     /// Cycle cost of **draining a store** by `core` to `loc` out of the store
     /// buffer (the store itself retires into the buffer for free; this is
     /// the background cost the buffer model charges).
-    pub fn store_drain(&mut self, core: usize, loc: Loc, spec: &ArchSpec) -> f64 {
+    pub(crate) fn store_drain(&mut self, core: usize, loc: Loc, spec: &ArchSpec) -> f64 {
         match loc {
             Loc::Private(_) => spec.sb_drain_local,
             // Writing read-only-classified data is allowed but behaves like
@@ -211,7 +211,7 @@ impl MemSys {
 
     /// Cycle cost for `core` to gain exclusive ownership for an atomic
     /// read-modify-write.
-    pub fn rmw(&mut self, core: usize, loc: Loc, spec: &ArchSpec) -> (f64, AccessOutcome) {
+    pub(crate) fn rmw(&mut self, core: usize, loc: Loc, spec: &ArchSpec) -> (f64, AccessOutcome) {
         let key = line_key(core, loc);
         match self.directory.insert(key, LineState::Modified(core)) {
             Some(LineState::Modified(owner)) if owner == core => {

@@ -6,9 +6,9 @@
 //! instruction that caused them. Every event reports values the simulator
 //! has already computed; a probe can only observe, never perturb, so a run
 //! driven through any probe produces bit-identical [`ExecStats`] to a run
-//! without one ([`NullProbe`], the default, discards everything).
+//! without one (`NullProbe`, the default, discards everything).
 //!
-//! [`SiteStallProbe`] is the in-crate collector that folds the event stream
+//! `SiteStallProbe` is the in-crate collector that folds the event stream
 //! into the optional per-site stall map of [`ExecStats`]
 //! ([`crate::stats::SiteStall`]) — the ground truth the `wmm-obs` crate
 //! builds profiles, flamegraphs and campaign diffs on.
@@ -59,30 +59,30 @@ pub trait Probe {
 /// executor through this, so the disabled-observability path is the same
 /// code path as the enabled one — there is nothing to keep in sync.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NullProbe;
+pub(crate) struct NullProbe;
 
 impl Probe for NullProbe {}
 
 /// Folds the event stream into one [`SiteStall`] record per executed
-/// `(thread, index)` site — the collector behind `Machine::run_sited`.
+/// `(thread, index)` site — the collector behind `Machine::run_sited_with`.
 ///
 /// Each site executes exactly once per run (per-thread program counters
 /// only advance), so the fold is a plain append; [`SiteStallProbe::finish`]
 /// sorts by `(thread, index)` for a canonical order.
 #[derive(Debug, Default)]
-pub struct SiteStallProbe {
+pub(crate) struct SiteStallProbe {
     current: Option<SiteStall>,
     sites: Vec<SiteStall>,
 }
 
 impl SiteStallProbe {
     /// A fresh collector.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SiteStallProbe::default()
     }
 
     /// The collected per-site records, sorted by `(thread, index)`.
-    pub fn finish(mut self) -> Vec<SiteStall> {
+    pub(crate) fn finish(mut self) -> Vec<SiteStall> {
         self.sites.sort_by_key(|s| (s.thread, s.index));
         self.sites
     }

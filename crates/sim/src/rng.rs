@@ -22,7 +22,7 @@ impl SplitMix64 {
     }
 
     /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -31,7 +31,7 @@ impl SplitMix64 {
     }
 
     /// Uniform `f64` in `[0, 1)` using the top 53 bits.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -54,7 +54,7 @@ impl SplitMix64 {
     }
 
     /// Derive an independent child generator (splitting).
-    pub fn split(&mut self) -> SplitMix64 {
+    pub(crate) fn split(&mut self) -> SplitMix64 {
         SplitMix64::new(self.next_u64())
     }
 }

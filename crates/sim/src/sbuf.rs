@@ -21,7 +21,7 @@ struct Entry {
 
 /// A bounded FIFO store buffer with background drain.
 #[derive(Debug, Clone)]
-pub struct StoreBuffer {
+pub(crate) struct StoreBuffer {
     entries: VecDeque<Entry>,
     capacity: usize,
     /// Completion time of the most recently enqueued entry (the drain point
@@ -35,7 +35,7 @@ pub struct StoreBuffer {
 
 impl StoreBuffer {
     /// An empty buffer with the given capacity.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "store buffer needs at least one entry");
         StoreBuffer {
             entries: VecDeque::with_capacity(capacity),
@@ -48,7 +48,7 @@ impl StoreBuffer {
 
     /// Empty the buffer and zero its statistics, keeping the backing
     /// allocation: equivalent to `StoreBuffer::new(capacity)`.
-    pub fn reset(&mut self, capacity: usize) {
+    pub(crate) fn reset(&mut self, capacity: usize) {
         assert!(capacity > 0, "store buffer needs at least one entry");
         self.entries.clear();
         self.capacity = capacity;
@@ -58,7 +58,7 @@ impl StoreBuffer {
     }
 
     /// Drop entries whose drain completed at or before `now`.
-    pub fn expire(&mut self, now: f64) {
+    pub(crate) fn expire(&mut self, now: f64) {
         while let Some(front) = self.entries.front() {
             if front.completes <= now {
                 self.entries.pop_front();
@@ -68,12 +68,6 @@ impl StoreBuffer {
         }
     }
 
-    /// Number of entries still draining at `now`.
-    pub fn occupancy(&mut self, now: f64) -> usize {
-        self.expire(now);
-        self.entries.len()
-    }
-
     /// Enqueue a store at time `now` whose drain takes `drain_cycles` once it
     /// reaches the head of coherence order. Returns the new current time: if
     /// the buffer was full, the core stalls until the oldest entry drains.
@@ -81,7 +75,7 @@ impl StoreBuffer {
     /// FIFO order is preserved: a store's completion time is never earlier
     /// than its predecessor's (total store order per core — this is also what
     /// makes `dmb ishst` nearly free when the buffer is draining anyway).
-    pub fn push(&mut self, now: f64, line_key: u64, drain_cycles: f64) -> f64 {
+    pub(crate) fn push(&mut self, now: f64, line_key: u64, drain_cycles: f64) -> f64 {
         self.expire(now);
         let mut now = now;
         if self.entries.len() >= self.capacity {
@@ -105,7 +99,7 @@ impl StoreBuffer {
 
     /// Residual cycles until the buffer is fully drained, as seen at `now`.
     /// Zero when empty — the microbenchmark case.
-    pub fn pending_wait(&mut self, now: f64) -> f64 {
+    pub(crate) fn pending_wait(&mut self, now: f64) -> f64 {
         self.expire(now);
         if self.entries.is_empty() {
             0.0
@@ -116,17 +110,9 @@ impl StoreBuffer {
 
     /// Whether a load from `line_key` can be satisfied by forwarding from the
     /// buffer (a younger store to the same line is still buffered).
-    pub fn forwards(&mut self, now: f64, line_key: u64) -> bool {
+    pub(crate) fn forwards(&mut self, now: f64, line_key: u64) -> bool {
         self.expire(now);
         self.entries.iter().any(|e| e.line_key == line_key)
-    }
-
-    /// Drain everything by `now` (used at simulated context switches).
-    pub fn flush(&mut self, now: f64) -> f64 {
-        let wait = self.pending_wait(now);
-        self.entries.clear();
-        self.back_completes = self.back_completes.max(now + wait);
-        now + wait
     }
 }
 
@@ -138,7 +124,7 @@ mod tests {
     fn empty_buffer_has_no_wait() {
         let mut sb = StoreBuffer::new(4);
         assert_eq!(sb.pending_wait(0.0), 0.0);
-        assert_eq!(sb.occupancy(0.0), 0);
+        assert!(sb.entries.is_empty());
     }
 
     #[test]
@@ -148,8 +134,10 @@ mod tests {
         sb.push(0.0, 2, 5.0);
         // Second store completes after the first despite a shorter drain.
         assert_eq!(sb.pending_wait(0.0), 15.0);
-        assert_eq!(sb.occupancy(12.0), 1);
-        assert_eq!(sb.occupancy(15.0), 0);
+        sb.expire(12.0);
+        assert_eq!(sb.entries.len(), 1);
+        sb.expire(15.0);
+        assert!(sb.entries.is_empty());
     }
 
     #[test]
@@ -180,14 +168,5 @@ mod tests {
         assert_eq!(sb.pending_wait(0.0), 30.0);
         assert_eq!(sb.pending_wait(10.0), 20.0);
         assert_eq!(sb.pending_wait(40.0), 0.0);
-    }
-
-    #[test]
-    fn flush_empties_buffer() {
-        let mut sb = StoreBuffer::new(4);
-        sb.push(0.0, 1, 25.0);
-        let t = sb.flush(0.0);
-        assert_eq!(t, 25.0);
-        assert_eq!(sb.occupancy(t), 0);
     }
 }

@@ -21,7 +21,7 @@
 /// (clock advanced) or [`CoreHeap::pop_root`] (thread finished) before the
 /// next scheduling decision.
 #[derive(Debug, Default)]
-pub struct CoreHeap {
+pub(crate) struct CoreHeap {
     /// `(clock, core index)` entries in binary-heap order.
     heap: Vec<(f64, u32)>,
 }
@@ -38,51 +38,33 @@ fn before(a: (f64, u32), b: (f64, u32)) -> bool {
 }
 
 impl CoreHeap {
-    /// An empty heap.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Remove every entry, keeping the allocation.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.heap.clear();
     }
 
-    /// Number of live cores in the heap.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no cores remain.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Insert a core with its current clock.
-    pub fn push(&mut self, clock: f64, idx: usize) {
+    pub(crate) fn push(&mut self, clock: f64, idx: usize) {
         self.heap.push((clock, idx as u32));
         self.sift_up(self.heap.len() - 1);
     }
 
     /// The core with the smallest `(clock, index)` key, if any.
     #[must_use]
-    pub fn peek(&self) -> Option<usize> {
+    pub(crate) fn peek(&self) -> Option<usize> {
         self.heap.first().map(|&(_, idx)| idx as usize)
     }
 
     /// Re-key the root with its core's advanced clock and restore the heap
     /// property (a single sift-down: clocks only increase).
-    pub fn update_root(&mut self, clock: f64) {
+    pub(crate) fn update_root(&mut self, clock: f64) {
         debug_assert!(!self.heap.is_empty(), "update_root on empty heap");
         self.heap[0].0 = clock;
         self.sift_down(0);
     }
 
     /// Remove the root (its thread retired its last instruction).
-    pub fn pop_root(&mut self) {
+    pub(crate) fn pop_root(&mut self) {
         debug_assert!(!self.heap.is_empty(), "pop_root on empty heap");
         let last = self.heap.len() - 1;
         self.heap.swap(0, last);
@@ -143,7 +125,7 @@ mod tests {
 
     #[test]
     fn drains_in_clock_order() {
-        let mut h = CoreHeap::new();
+        let mut h = CoreHeap::default();
         for (i, c) in [37.5, 2.0, 19.0, 0.5, 44.0, 3.25].iter().enumerate() {
             h.push(*c, i);
         }
@@ -152,7 +134,7 @@ mod tests {
 
     #[test]
     fn equal_clocks_break_ties_by_lowest_index() {
-        let mut h = CoreHeap::new();
+        let mut h = CoreHeap::default();
         for i in [4, 2, 0, 3, 1] {
             h.push(10.0, i);
         }
@@ -161,7 +143,7 @@ mod tests {
 
     #[test]
     fn update_root_reschedules_the_stepped_core() {
-        let mut h = CoreHeap::new();
+        let mut h = CoreHeap::default();
         h.push(1.0, 0);
         h.push(5.0, 1);
         h.push(9.0, 2);
@@ -176,7 +158,7 @@ mod tests {
     fn non_finite_clocks_do_not_panic() {
         // total_cmp sorts NaN after +inf; a poisoned clock starves its core
         // instead of aborting the campaign.
-        let mut h = CoreHeap::new();
+        let mut h = CoreHeap::default();
         h.push(f64::NAN, 0);
         h.push(1.0, 1);
         h.push(f64::INFINITY, 2);
@@ -189,7 +171,7 @@ mod tests {
         for round in 0..50 {
             let n = 1 + (rng.next_u64() % 48) as usize;
             let clocks: Vec<f64> = (0..n).map(|_| rng.next_f64() * 1e4).collect();
-            let mut h = CoreHeap::new();
+            let mut h = CoreHeap::default();
             for (i, &c) in clocks.iter().enumerate() {
                 h.push(c, i);
             }
@@ -201,14 +183,14 @@ mod tests {
 
     #[test]
     fn clear_keeps_reusing_the_allocation() {
-        let mut h = CoreHeap::new();
+        let mut h = CoreHeap::default();
         for i in 0..16 {
             h.push(i as f64, i);
         }
         h.clear();
-        assert!(h.is_empty());
+        assert_eq!(h.peek(), None);
         h.push(3.0, 7);
         assert_eq!(h.peek(), Some(7));
-        assert_eq!(h.len(), 1);
+        assert_eq!(h.heap.len(), 1);
     }
 }

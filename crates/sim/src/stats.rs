@@ -10,7 +10,7 @@ use crate::mem::{AccessOutcome, LineKeyHasher};
 /// uses the simulator's fast deterministic hasher instead of SipHash; all
 /// reads are point lookups (aggregation iterates [`FenceKind::ALL`], never
 /// the map), so the hash function cannot influence results.
-pub type FenceMap<V> = HashMap<FenceKind, V, BuildHasherDefault<LineKeyHasher>>;
+pub(crate) type FenceMap<V> = HashMap<FenceKind, V, BuildHasherDefault<LineKeyHasher>>;
 
 /// Raw event counters, shared by all cores of a run.
 #[derive(Debug, Default, Clone, PartialEq)]
@@ -49,7 +49,7 @@ pub struct Counters {
 
 impl Counters {
     /// Record a memory-access outcome.
-    pub fn record_access(&mut self, outcome: AccessOutcome) {
+    pub(crate) fn record_access(&mut self, outcome: AccessOutcome) {
         match outcome {
             AccessOutcome::L1Hit => self.l1_hits += 1,
             AccessOutcome::LlcHit => self.llc_hits += 1,
@@ -103,7 +103,7 @@ impl Counters {
 
 /// Stall attribution of one executed instruction site, identified by its
 /// stable site id `(thread, stream index)`. Produced by
-/// `Machine::run_sited` through the [`crate::probe`] seam; `None` causes are
+/// `Machine::run_sited_with` through the [`crate::probe`] seam; `None` causes are
 /// compute time (`total_cycles` minus the attributed stalls).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SiteStall {
@@ -139,7 +139,7 @@ pub struct ExecStats {
     /// Number of store-buffer capacity stalls.
     pub sb_stalls: u64,
     /// Per-site stall attribution, sorted by `(thread, index)`. `None`
-    /// unless the run was driven through `Machine::run_sited` — the
+    /// unless the run was driven through `Machine::run_sited_with` — the
     /// default path carries no observability cost.
     pub per_site: Option<Vec<SiteStall>>,
 }
@@ -157,30 +157,6 @@ impl ExecStats {
             .get(&kind)
             .copied()
             .unwrap_or(0.0)
-    }
-
-    /// Mean cycles per fence of `kind`, if any executed.
-    pub fn mean_fence_cycles(&self, kind: FenceKind) -> Option<f64> {
-        let n = self.fences(kind);
-        if n == 0 {
-            None
-        } else {
-            Some(self.fence_stall_cycles(kind) / n as f64)
-        }
-    }
-
-    /// Total fence executions across all kinds.
-    pub fn total_fences(&self) -> u64 {
-        FenceKind::ALL.iter().map(|&k| self.fences(k)).sum()
-    }
-
-    /// Total cycles stalled in fences across all kinds, summed in the
-    /// stable [`FenceKind::ALL`] order.
-    pub fn total_fence_stall_cycles(&self) -> f64 {
-        FenceKind::ALL
-            .iter()
-            .map(|&k| self.fence_stall_cycles(k))
-            .sum()
     }
 }
 
@@ -204,11 +180,9 @@ mod tests {
             per_site: None,
         };
         assert_eq!(stats.fences(FenceKind::DmbIsh), 2);
-        assert_eq!(stats.mean_fence_cycles(FenceKind::DmbIsh), Some(12.0));
+        assert_eq!(stats.fence_stall_cycles(FenceKind::DmbIsh), 24.0);
         assert_eq!(stats.fences(FenceKind::Isb), 0);
-        assert_eq!(stats.mean_fence_cycles(FenceKind::Isb), None);
-        assert_eq!(stats.total_fences(), 2);
-        assert_eq!(stats.total_fence_stall_cycles(), 24.0);
+        assert_eq!(stats.fence_stall_cycles(FenceKind::Isb), 0.0);
     }
 
     #[test]

@@ -90,7 +90,8 @@ fn probed_trace<C: Code + ?Sized>(machine: &Machine, code: &C, seed: u64) -> Vec
 /// The program's trace, checked to be the same for 32 random splits.
 fn trace_of(machine: &Machine, program: &Program, seed: u64) -> Vec<(usize, usize)> {
     let events = probed_trace(machine, program, seed);
-    assert_eq!(events.len(), program.len(), "every instruction begins");
+    let instrs: usize = program.threads.iter().map(Vec::len).sum();
+    assert_eq!(events.len(), instrs, "every instruction begins");
     for split in 0..32 {
         let parts = Split::new(program, split);
         assert_eq!(

@@ -24,20 +24,6 @@ pub struct Comparison {
 }
 
 impl Comparison {
-    /// Build a comparison from two sample sets, where each sample is a
-    /// *performance* figure (higher = better, e.g. throughput or `1/time`).
-    pub fn of(test: &[f64], base: &[f64]) -> Self {
-        let t = Summary::of(test);
-        let b = Summary::of(base);
-        Comparison {
-            ratio: t.gmean / b.gmean,
-            min: t.min / b.max,
-            max: t.max / b.min,
-            n_test: t.n,
-            n_base: b.n,
-        }
-    }
-
     /// Build a comparison from execution **times** (lower = better) by
     /// converting to relative performance `base_time / test_time`.
     pub fn of_times(test_times: &[f64], base_times: &[f64]) -> Self {
@@ -67,17 +53,6 @@ impl Comparison {
     }
 }
 
-/// Confidence-interval style bounds on a ratio of two means, compounding the
-/// per-side 95% intervals conservatively (lo/hi of the quotient of intervals).
-pub fn ratio_ci(test: &[f64], base: &[f64], confidence: f64) -> (f64, f64, f64) {
-    let t = crate::tdist::confidence_interval(test, confidence);
-    let b = crate::tdist::confidence_interval(base, confidence);
-    let centre = t.mean / b.mean;
-    let lo = t.lo() / b.hi();
-    let hi = t.hi() / b.lo().max(1e-300);
-    (centre, lo, hi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,7 +60,7 @@ mod tests {
     #[test]
     fn identical_distributions_ratio_one() {
         let s = [1.0, 1.1, 0.9];
-        let c = Comparison::of(&s, &s);
+        let c = Comparison::of_times(&s, &s);
         assert!((c.ratio - 1.0).abs() < 1e-12);
         assert!(c.min < 1.0 && c.max > 1.0);
         assert!(!c.significant());
@@ -94,8 +69,8 @@ mod tests {
     #[test]
     fn clear_slowdown_is_significant() {
         let base = [1.00, 1.01, 0.99];
-        let test = [0.80, 0.81, 0.79];
-        let c = Comparison::of(&test, &base);
+        let test = [1.25, 1.26, 1.24];
+        let c = Comparison::of_times(&test, &base);
         assert!(c.ratio < 0.85);
         assert!(c.significant());
         assert!(c.percent_change() < -15.0);
@@ -112,19 +87,12 @@ mod tests {
 
     #[test]
     fn compounding_rule_matches_paper() {
-        let base = [1.0, 2.0]; // max 2.0, min 1.0
-        let test = [3.0, 4.0]; // min 3.0, max 4.0
-        let c = Comparison::of(&test, &base);
-        assert_eq!(c.min, 3.0 / 2.0);
+        // Relative performance is base time / test time: the slowest test
+        // run against the fastest base run bounds it from below.
+        let base = [2.0, 4.0]; // min 2.0, max 4.0
+        let test = [1.0, 2.0]; // min 1.0, max 2.0
+        let c = Comparison::of_times(&test, &base);
+        assert_eq!(c.min, 2.0 / 2.0);
         assert_eq!(c.max, 4.0 / 1.0);
-    }
-
-    #[test]
-    fn ratio_ci_contains_true_ratio() {
-        let base = [1.0, 1.05, 0.95, 1.02, 0.98];
-        let test = [1.2, 1.25, 1.15, 1.22, 1.18];
-        let (centre, lo, hi) = ratio_ci(&test, &base, 0.95);
-        assert!(lo < centre && centre < hi);
-        assert!(lo > 1.0, "clearly faster: whole interval above 1");
     }
 }

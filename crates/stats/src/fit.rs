@@ -48,19 +48,6 @@ pub struct FitResult {
     pub r_squared: f64,
 }
 
-impl FitResult {
-    /// Relative standard error of parameter `i` (`std_error / |estimate|`),
-    /// the paper's "± x %" form for `k`.
-    pub fn relative_error(&self, i: usize) -> f64 {
-        let p = self.params[i];
-        if p == 0.0 {
-            f64::INFINITY
-        } else {
-            self.std_errors[i] / p.abs()
-        }
-    }
-}
-
 /// Errors from `curve_fit`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FitError {
@@ -329,6 +316,6 @@ mod tests {
             .collect();
         let fit = curve_fit(sensitivity, &xs, &ys, &[1e-3], FitOptions::default()).unwrap();
         assert!(fit.std_errors[0] > 0.0);
-        assert!(fit.relative_error(0) < 0.5);
+        assert!(fit.std_errors[0] / fit.params[0].abs() < 0.5);
     }
 }

@@ -25,6 +25,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod compare;
 pub mod fit;
@@ -33,7 +34,7 @@ pub mod special;
 pub mod summary;
 pub mod tdist;
 
-pub use compare::{ratio_ci, Comparison};
-pub use fit::{curve_fit, FitError, FitOptions, FitResult};
+pub use compare::Comparison;
+pub use fit::{curve_fit, FitOptions};
 pub use summary::Summary;
-pub use tdist::{confidence_interval, t_quantile, ConfidenceInterval};
+pub use tdist::{confidence_interval, t_quantile};

@@ -6,7 +6,7 @@
 
 /// A small, dense, row-major matrix.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Matrix {
+pub(crate) struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
@@ -14,7 +14,7 @@ pub struct Matrix {
 
 impl Matrix {
     /// All-zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         Matrix {
             rows,
             cols,
@@ -22,27 +22,18 @@ impl Matrix {
         }
     }
 
-    /// Identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// `AᵀA` for this matrix (used to form the normal equations).
-    pub fn gram(&self) -> Matrix {
+    pub(crate) fn gram(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.cols);
         for i in 0..self.cols {
             for j in 0..self.cols {
@@ -57,7 +48,7 @@ impl Matrix {
     }
 
     /// `Aᵀv` for a column vector `v` of length `rows`.
-    pub fn tr_mul_vec(&self, v: &[f64]) -> Vec<f64> {
+    pub(crate) fn tr_mul_vec(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(v.len(), self.rows);
         let mut out = vec![0.0; self.cols];
         for (i, o) in out.iter_mut().enumerate() {
@@ -88,7 +79,7 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
 
 /// Solve `A x = b` for square `A` by Gaussian elimination with partial
 /// pivoting. Returns `None` if `A` is (numerically) singular.
-pub fn solve(a: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
+pub(crate) fn solve(a: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
     let n = a.rows();
     assert_eq!(a.cols(), n, "solve requires a square matrix");
     assert_eq!(b.len(), n);
@@ -143,7 +134,7 @@ pub fn solve(a: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
 
 /// Invert a square matrix by solving against the identity columns.
 /// Returns `None` for singular matrices.
-pub fn invert(a: &Matrix) -> Option<Matrix> {
+pub(crate) fn invert(a: &Matrix) -> Option<Matrix> {
     let n = a.rows();
     let mut out = Matrix::zeros(n, n);
     for j in 0..n {
@@ -163,7 +154,10 @@ mod tests {
 
     #[test]
     fn solve_identity() {
-        let a = Matrix::identity(3);
+        let mut a = Matrix::zeros(3, 3);
+        for i in 0..3 {
+            a[(i, i)] = 1.0;
+        }
         let x = solve(&a, &[1.0, 2.0, 3.0]).unwrap();
         assert_eq!(x, vec![1.0, 2.0, 3.0]);
     }

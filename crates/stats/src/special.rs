@@ -10,7 +10,7 @@
 ///
 /// Uses the Lanczos approximation (g = 7, n = 9 coefficients), accurate to
 /// around 1e-13 over the domain used here (half-integer degrees of freedom).
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma requires x > 0, got {x}");
     // Lanczos coefficients for g = 7.
     const COEF: [f64; 9] = [
@@ -43,7 +43,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 ///
 /// Evaluated with the Lentz modified continued fraction; uses the symmetry
 /// `I_x(a,b) = 1 - I_{1-x}(b,a)` to stay in the rapidly-converging region.
-pub fn beta_inc(a: f64, b: f64, x: f64) -> f64 {
+pub(crate) fn beta_inc(a: f64, b: f64, x: f64) -> f64 {
     assert!(a > 0.0 && b > 0.0, "beta_inc requires a,b > 0");
     assert!((0.0..=1.0).contains(&x), "beta_inc requires x in [0,1]");
     if x == 0.0 {

@@ -64,36 +64,14 @@ impl Summary {
     }
 
     /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
+    pub(crate) fn std_dev(&self) -> f64 {
         self.variance.sqrt()
     }
 
     /// Standard error of the mean, `s / sqrt(n)`.
-    pub fn std_err(&self) -> f64 {
+    pub(crate) fn std_err(&self) -> f64 {
         self.std_dev() / (self.n as f64).sqrt()
     }
-
-    /// Coefficient of variation (`std_dev / mean`), the paper's informal
-    /// "stability" measure: unstable benchmarks have high relative spread.
-    pub fn cv(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.std_dev() / self.mean
-        }
-    }
-}
-
-/// Geometric mean of a slice of strictly positive values.
-pub fn gmean(values: &[f64]) -> f64 {
-    Summary::of(values).gmean
-}
-
-/// Arithmetic mean of a slice. Used where the paper explicitly chooses the
-/// arithmetic mean (aggregating lmbench sub-results, Figs. 7–8 sums).
-pub fn amean(values: &[f64]) -> f64 {
-    assert!(!values.is_empty(), "amean of empty slice");
-    values.iter().sum::<f64>() / values.len() as f64
 }
 
 #[cfg(test)]
@@ -108,7 +86,7 @@ mod tests {
         assert_eq!(s.variance, 0.0);
         assert_eq!(s.min, 2.0);
         assert_eq!(s.max, 2.0);
-        assert_eq!(s.cv(), 0.0);
+        assert_eq!(s.std_dev(), 0.0);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::special::beta_inc;
 use crate::summary::Summary;
 
 /// CDF of the Student-t distribution with `df` degrees of freedom.
-pub fn t_cdf(t: f64, df: f64) -> f64 {
+pub(crate) fn t_cdf(t: f64, df: f64) -> f64 {
     assert!(df > 0.0, "degrees of freedom must be positive");
     if t == 0.0 {
         return 0.5;
@@ -69,27 +69,18 @@ pub struct ConfidenceInterval {
 
 impl ConfidenceInterval {
     /// Lower bound.
-    pub fn lo(&self) -> f64 {
+    pub(crate) fn lo(&self) -> f64 {
         self.mean - self.half_width
     }
 
     /// Upper bound.
-    pub fn hi(&self) -> f64 {
+    pub(crate) fn hi(&self) -> f64 {
         self.mean + self.half_width
     }
 
     /// Whether `value` lies inside the interval.
     pub fn contains(&self, value: f64) -> bool {
         value >= self.lo() && value <= self.hi()
-    }
-
-    /// Relative half-width (`half_width / mean`), the paper's "± x %" form.
-    pub fn relative(&self) -> f64 {
-        if self.mean == 0.0 {
-            f64::INFINITY
-        } else {
-            (self.half_width / self.mean).abs()
-        }
     }
 }
 
@@ -167,7 +158,7 @@ mod tests {
         let ci = confidence_interval(&[10.0, 10.1, 9.9, 10.05, 9.95, 10.0], 0.95);
         assert!(ci.contains(10.0));
         assert!(ci.half_width < 0.2);
-        assert!(ci.relative() < 0.02);
+        assert!(ci.half_width / ci.mean < 0.02);
     }
 
     #[test]

@@ -89,7 +89,7 @@ fn stable(noise: f64) -> ArchCtx {
 /// The eight Fig. 5 profiles. Operation mixes are calibrated so the fitted
 /// all-barrier sensitivities land near the paper's values; see EXPERIMENTS.md
 /// for measured-vs-paper numbers.
-pub fn profiles() -> Vec<JvmProfile> {
+pub(crate) fn profiles() -> Vec<JvmProfile> {
     vec![
         // h2: in-memory database — lock-heavy transactions, moderate writes.
         JvmProfile {
@@ -363,7 +363,7 @@ impl DacapoBench {
     /// The raw per-thread Java operation streams for one sample — exposed
     /// so alternative lowerings (e.g. the optimisation-site-annotated IR of
     /// `wmm_jvm::optsites`) can consume the same workload.
-    pub fn java_ops(&self, seed: u64) -> Vec<Vec<JavaOp>> {
+    pub(crate) fn java_ops(&self, seed: u64) -> Vec<Vec<JavaOp>> {
         (0..self.profile.threads)
             .map(|t| self.gen_thread(t, seed))
             .collect()

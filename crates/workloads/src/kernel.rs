@@ -1,6 +1,6 @@
 //! The §4.3 Linux-kernel benchmark suite.
 //!
-//! Each benchmark composes [`wmm_kernel::Service`] hot paths with user-space
+//! Each benchmark composes [`wmm_kernel::services::Service`] hot paths with user-space
 //! work at rates chosen to reproduce the paper's rankings and sensitivities:
 //! the netperf pair and lmbench are the most macro-sensitive (Fig. 8),
 //! `netperf_udp` has the highest `read_barrier_depends` sensitivity and
@@ -44,7 +44,7 @@ pub struct KernelProfile {
 }
 
 /// The full suite of §4.3, in Fig. 8's sensitivity order.
-pub fn kernel_profiles() -> Vec<KernelProfile> {
+pub(crate) fn kernel_profiles() -> Vec<KernelProfile> {
     use Service::*;
     vec![
         KernelProfile {

@@ -23,9 +23,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod dacapo;
 pub mod kernel;
-
-pub use dacapo::{dacapo_suite, DacapoBench, JvmProfile};
-pub use kernel::{kernel_suite, lmbench_subs, KernelBench, KernelProfile};

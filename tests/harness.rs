@@ -13,7 +13,7 @@ use wmm::wmm_harness::{
 use wmm::wmm_obs::MetricsRegistry;
 use wmm::wmm_sim::arch::{armv8_xgene1, Arch};
 use wmm::wmm_sim::isa::{AccessOrd, FenceKind, Instr, Loc};
-use wmm::wmm_sim::machine::{Program, WorkloadCtx};
+use wmm::wmm_sim::machine::{MachineScratch, Program, WorkloadCtx};
 use wmm::wmm_sim::Machine;
 use wmm::wmmbench::costfn::Calibration;
 use wmm::wmmbench::exec::{CellProgram, Executor, JobOutcome, SerialExecutor, SimCell, SimJob};
@@ -574,7 +574,7 @@ proptest! {
     }
 
     /// Sited execution is observation, not perturbation: for any program,
-    /// `run_sited` returns byte-identical statistics to `run` (the default
+    /// `run_sited_with` returns byte-identical statistics to `run` (the default
     /// path carries no observability cost), and its per-site fence stalls
     /// partition the per-kind totals — same execution counts exactly, same
     /// cycles within float reassociation.
@@ -598,7 +598,7 @@ proptest! {
         let ctx = WorkloadCtx::default();
 
         let plain = machine.run(&prog, &ctx, seed);
-        let sited = machine.run_sited(&prog, &ctx, seed);
+        let sited = machine.run_sited_with(&prog, &ctx, seed, &mut MachineScratch::new());
         prop_assert!(plain.per_site.is_none(), "default path must not observe");
         let mut scrubbed = sited.clone();
         let sites = scrubbed.per_site.take().expect("sited run must observe");
