@@ -33,6 +33,17 @@
 //! them against the explorer over every generated program), but only the
 //! join is precise — they are reported as named diagnostics when they are
 //! the earliest axiom to fail.
+//!
+//! Most of each relation does not depend on the witness: the propagation
+//! nodes, `ppo`, `po-loc`, the commit-before-propagate skeleton and which
+//! earlier events feed each cumulative store and each `sync`. A
+//! `Checker` builds them once per test and model as adjacency bit rows.
+//! Per candidate it copies them into reused rows, adds the witness's `rf`,
+//! `fr` and `co` edges and the cumulativity edges that depend on what its
+//! loads read, and runs Kahn's algorithm on reused buffers: checking a
+//! candidate allocates nothing. The observation graph is the propagation
+//! graph plus `ppo` and the communication edges, so it extends the rows
+//! the propagation check left.
 
 use wmm_litmus::ops::{FClass, LOp, ModelKind};
 
@@ -74,336 +85,398 @@ pub(crate) struct Verdict {
     pub violated: Option<Axiom>,
 }
 
-/// Kahn's algorithm: does the directed graph contain a cycle?
-fn has_cycle(n: usize, edges: &[(usize, usize)]) -> bool {
-    let mut adj = vec![vec![]; n];
-    let mut indeg = vec![0usize; n];
-    for &(u, v) in edges {
-        adj[u].push(v);
-        indeg[v] += 1;
-    }
-    let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut removed = 0;
-    while let Some(u) = queue.pop() {
-        removed += 1;
-        for &v in &adj[u] {
-            indeg[v] -= 1;
-            if indeg[v] == 0 {
-                queue.push(v);
-            }
-        }
-    }
-    removed < n
-}
-
-/// All relation edges of one candidate, split by axiom membership.
-struct Relations {
-    /// Total node count (exec events + prop nodes).
-    nodes: usize,
-    /// `ppo` over exec nodes.
-    ppo: Vec<(usize, usize)>,
-    /// rf as direct exec→exec edges (for no-thin-air).
-    rf_direct: Vec<(usize, usize)>,
-    /// rf/fr through prop nodes (for observation).
-    comm: Vec<(usize, usize)>,
-    /// co over exec nodes.
-    co: Vec<(usize, usize)>,
-    /// Commit-before-propagate skeleton + cumulative + global edges.
-    prop: Vec<(usize, usize)>,
-}
-
-/// Map `(store event, observing thread)` to its graph node.
-struct PropMap {
-    mca: bool,
-    /// `(store, thread, node)` rows, non-MCA only.
-    rows: Vec<(usize, usize, usize)>,
-}
-
-impl PropMap {
-    fn node(&self, g: &EventGraph, store: usize, u: usize) -> usize {
-        if self.mca || g.events[store].thread == u {
-            store
-        } else {
-            self.rows
-                .iter()
-                .find(|&&(s, t, _)| s == store && t == u)
-                .map(|&(_, _, n)| n)
-                .expect("prop node")
-        }
-    }
-}
-
-/// The witness-level "touched store" of an access op: the store it wrote,
-/// or the store it read (`None` when it read the initial state).
-fn touched(g: &EventGraph, w: &Witness, ev: usize) -> Option<usize> {
-    if g.events[ev].is_store {
-        Some(ev)
-    } else {
-        let slot = g.loads.iter().position(|&l| l == ev).expect("load slot");
-        w.rf[slot]
-    }
-}
-
-#[allow(clippy::too_many_lines)] // one block per relation; the split IS the structure
-fn build_relations(g: &EventGraph, model: ModelKind, w: &Witness) -> Relations {
-    let mca = model.multi_copy_atomic();
-    let nthreads = g.test.threads.len();
-    let nev = g.events.len();
-
-    // Event id per (thread, op) for barrier scans.
-    let mut ev_at: Vec<Vec<Option<usize>>> = g
-        .test
-        .threads
-        .iter()
-        .map(|ops| vec![None; ops.len()])
-        .collect();
-    for (id, e) in g.events.iter().enumerate() {
-        ev_at[e.thread][e.op] = Some(id);
-    }
-
-    // prop nodes.
-    let mut nodes = nev;
-    let mut rows = vec![];
-    if !mca {
-        for (id, e) in g.events.iter().enumerate() {
-            if e.is_store {
-                for u in 0..nthreads {
-                    if u != e.thread {
-                        rows.push((id, u, nodes));
-                        nodes += 1;
-                    }
-                }
-            }
-        }
-    }
-    let pm = PropMap { mca, rows };
-
-    // ppo: the explorer's own per-thread ordering relation.
-    let mut ppo = vec![];
-    for a in 0..nev {
-        for b in 0..nev {
-            let (ea, eb) = (&g.events[a], &g.events[b]);
-            if ea.thread == eb.thread
-                && ea.op < eb.op
-                && g.test.ordered(model, ea.thread, ea.op, eb.op)
-            {
-                ppo.push((a, b));
-            }
-        }
-    }
-
-    // rf and fr. Given co, "reads the coherence-latest visible store"
-    // decomposes exactly: the read store reached the reader first, every
-    // co-later same-loc store only after the read.
-    let mut rf_direct = vec![];
-    let mut comm = vec![];
-    for (slot, &r) in g.loads.iter().enumerate() {
-        let reader = g.events[r].thread;
-        let co_order = &w.co[g.events[r].loc];
-        match w.rf[slot] {
-            Some(src) => {
-                rf_direct.push((src, r));
-                comm.push((pm.node(g, src, reader), r));
-                let pos = co_order
-                    .iter()
-                    .position(|&s| s == src)
-                    .expect("rf source in co");
-                for &later in &co_order[pos + 1..] {
-                    comm.push((r, pm.node(g, later, reader)));
-                }
-            }
-            None => {
-                // Initial-state read: no same-loc store had reached the
-                // reader yet.
-                for &s in co_order {
-                    comm.push((r, pm.node(g, s, reader)));
-                }
-            }
-        }
-    }
-
-    // co: commit order restricted per location.
-    let mut co = vec![];
-    for order in &w.co {
-        for pair in order.windows(2) {
-            co.push((pair[0], pair[1]));
-        }
-    }
-
-    // Propagation edges (POWER only).
-    let mut prop = vec![];
-    if !mca {
-        // A store is visible to a remote thread only after it commits.
-        for &(store, u, node) in &pm.rows {
-            let _ = u;
-            prop.push((store, node));
-        }
-        for (id, e) in g.events.iter().enumerate() {
-            if !e.is_store {
-                continue;
-            }
-            // Cumulativity: everything the storing thread had seen before
-            // its latest lwsync/sync (or, for a release store, before the
-            // store itself) must reach a thread before the store does.
-            // The barrier orders all those accesses before the store, so
-            // the group is static — exactly the explorer's prereq set.
-            let release = matches!(
-                g.test.threads[e.thread][e.op],
-                LOp::Store { release: true, .. }
-            );
-            let boundary = if release {
-                Some(e.op)
-            } else {
-                (0..e.op).rev().find(|&i| {
-                    matches!(
-                        g.test.threads[e.thread][i],
-                        LOp::Fence(FClass::Full | FClass::LwSync)
-                    )
-                })
-            };
-            if let Some(b) = boundary {
-                for i in 0..b {
-                    let Some(prev) = ev_at[e.thread].get(i).copied().flatten() else {
-                        continue;
-                    };
-                    if let Some(s) = touched(g, w, prev) {
-                        for u in 0..nthreads {
-                            prop.push((pm.node(g, s, u), pm.node(g, id, u)));
-                        }
-                    }
-                }
-            }
-        }
-        // sync's global strength: the fence blocks until its group-A
-        // stores have propagated everywhere, and everything po-after the
-        // fence executes after it.
-        for (t, ops) in g.test.threads.iter().enumerate() {
-            for (k, op) in ops.iter().enumerate() {
-                if !matches!(op, LOp::Fence(FClass::Full)) {
-                    continue;
-                }
-                let group_a: Vec<usize> = (0..k)
-                    .filter_map(|i| ev_at[t][i])
-                    .filter_map(|prev| touched(g, w, prev))
-                    .collect();
-                for c in ops.iter().enumerate().skip(k + 1).filter_map(|(m, o)| {
-                    if o.is_access() {
-                        ev_at[t][m]
-                    } else {
-                        None
-                    }
-                }) {
-                    for &s in &group_a {
-                        for u in 0..nthreads {
-                            prop.push((pm.node(g, s, u), c));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    Relations {
-        nodes,
-        ppo,
-        rf_direct,
-        comm,
-        co,
-        prop,
-    }
-}
-
-/// Per-location coherence: `acyclic(po-loc ∪ rf ∪ fr ∪ co)` over the
-/// events of each variable, with rf/fr as direct event edges — the purely
-/// relational uniproc check, independent of propagation timing.
-fn sc_per_location(g: &EventGraph, w: &Witness) -> bool {
-    let nev = g.events.len();
-    let mut edges = vec![];
-    // po-loc.
-    for a in 0..nev {
-        for b in 0..nev {
-            let (ea, eb) = (&g.events[a], &g.events[b]);
-            if ea.thread == eb.thread && ea.op < eb.op && ea.loc == eb.loc {
-                edges.push((a, b));
-            }
-        }
-    }
-    for (slot, &r) in g.loads.iter().enumerate() {
-        let co_order = &w.co[g.events[r].loc];
-        match w.rf[slot] {
-            Some(src) => {
-                edges.push((src, r));
-                let pos = co_order
-                    .iter()
-                    .position(|&s| s == src)
-                    .expect("rf source in co");
-                for &later in &co_order[pos + 1..] {
-                    edges.push((r, later));
-                }
-            }
-            None => {
-                for &s in co_order {
-                    edges.push((r, s));
-                }
-            }
-        }
-    }
-    for order in &w.co {
-        for pair in order.windows(2) {
-            edges.push((pair[0], pair[1]));
-        }
-    }
-    !has_cycle(nev, &edges)
-}
-
-/// Decide one candidate execution under `model`.
-#[must_use]
-pub(crate) fn check_witness(g: &EventGraph, model: ModelKind, w: &Witness) -> Verdict {
-    let rel = build_relations(g, model, w);
-    let nev = g.events.len();
-
-    // Diagnostic axioms first, decisive join last.
-    if !sc_per_location(g, w) {
-        return Verdict {
-            allowed: false,
-            violated: Some(Axiom::ScPerLocation),
-        };
-    }
-    let thin: Vec<(usize, usize)> = rel
-        .ppo
-        .iter()
-        .chain(rel.rf_direct.iter())
-        .copied()
-        .collect();
-    if has_cycle(nev, &thin) {
-        return Verdict {
-            allowed: false,
-            violated: Some(Axiom::NoThinAir),
-        };
-    }
-    let prop_join: Vec<(usize, usize)> = rel.co.iter().chain(rel.prop.iter()).copied().collect();
-    if has_cycle(rel.nodes, &prop_join) {
-        return Verdict {
-            allowed: false,
-            violated: Some(Axiom::Propagation),
-        };
-    }
-    let full: Vec<(usize, usize)> = rel
-        .ppo
-        .iter()
-        .chain(rel.comm.iter())
-        .chain(rel.co.iter())
-        .chain(rel.prop.iter())
-        .copied()
-        .collect();
-    if has_cycle(rel.nodes, &full) {
-        return Verdict {
-            allowed: false,
-            violated: Some(Axiom::Observation),
-        };
-    }
-    Verdict {
+impl Verdict {
+    const ALLOWED: Verdict = Verdict {
         allowed: true,
         violated: None,
+    };
+
+    fn forbidden(axiom: Axiom) -> Verdict {
+        Verdict {
+            allowed: false,
+            violated: Some(axiom),
+        }
+    }
+}
+
+/// A directed graph on dense node ids as adjacency bit rows (a repeated
+/// edge is one edge).
+struct BitGraph {
+    /// Words per row.
+    words: usize,
+    /// Row `u` holds the successors of `u`.
+    rows: Vec<u64>,
+}
+
+impl BitGraph {
+    /// `n` nodes, no edges.
+    fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
+        BitGraph {
+            words,
+            rows: vec![0; n * words],
+        }
+    }
+
+    fn add(&mut self, u: usize, v: usize) {
+        self.rows[u * self.words + v / 64] |= 1 << (v % 64);
+    }
+
+    /// Add every edge of `other`, a graph on as many nodes.
+    fn union(&mut self, other: &BitGraph) {
+        for (row, extra) in self.rows.iter_mut().zip(&other.rows) {
+            *row |= extra;
+        }
+    }
+
+    /// The successors of `u`, lowest first.
+    fn successors(&self, u: usize) -> impl Iterator<Item = usize> + '_ {
+        let row = &self.rows[u * self.words..(u + 1) * self.words];
+        row.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let v = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    v
+                })
+            })
+        })
+    }
+}
+
+/// Kahn's algorithm over reused buffers.
+#[derive(Default)]
+struct Kahn {
+    indeg: Vec<u32>,
+    queue: Vec<usize>,
+}
+
+impl Kahn {
+    /// Does `g` restricted to its first `n` nodes contain a directed cycle?
+    /// No edge of `g` may leave those nodes.
+    fn has_cycle(&mut self, g: &BitGraph, n: usize) -> bool {
+        self.indeg.clear();
+        self.indeg.resize(n, 0);
+        for u in 0..n {
+            for v in g.successors(u) {
+                self.indeg[v] += 1;
+            }
+        }
+        self.queue.clear();
+        self.queue.extend((0..n).filter(|&v| self.indeg[v] == 0));
+        let mut removed = 0;
+        while let Some(u) = self.queue.pop() {
+            removed += 1;
+            for v in g.successors(u) {
+                self.indeg[v] -= 1;
+                if self.indeg[v] == 0 {
+                    self.queue.push(v);
+                }
+            }
+        }
+        removed < n
+    }
+}
+
+/// The witness-independent relations of one test under one model.
+struct Relations<'g, 't> {
+    g: &'g EventGraph<'t>,
+    mca: bool,
+    nthreads: usize,
+    /// Event nodes, then one propagation node per (store, remote thread)
+    /// on non-multi-copy-atomic models.
+    nodes: usize,
+    /// Node of `(store event e, thread u)` at `e * nthreads + u`: the store
+    /// reaching `u`. It is the store's own event on its own thread and on
+    /// multi-copy-atomic models.
+    prop_node: Vec<usize>,
+    /// Load slot of each load event.
+    slot: Vec<usize>,
+    /// Same-thread, same-location program order over events.
+    po_loc: BitGraph,
+    /// Preserved program order over events
+    /// ([`LitmusTest::ordered`](wmm_litmus::LitmusTest::ordered)).
+    ppo: BitGraph,
+    /// Each store's commit before its propagation to each remote thread
+    /// (empty on multi-copy-atomic models).
+    skeleton: BitGraph,
+    /// `(store, earlier event)`: on non-multi-copy-atomic models the store
+    /// event that the earlier one read or wrote reaches every thread
+    /// before the store does (cumulativity of `lwsync`, `sync` and
+    /// release).
+    cumulative: Vec<(usize, usize)>,
+    /// Per `sync` on non-multi-copy-atomic models: the events before it
+    /// and the events after it. Every store an earlier event read or wrote
+    /// reaches every thread before any later event executes.
+    syncs: Vec<(Vec<usize>, Vec<usize>)>,
+}
+
+impl<'g, 't> Relations<'g, 't> {
+    fn new(g: &'g EventGraph<'t>, model: ModelKind) -> Self {
+        let mca = model.multi_copy_atomic();
+        let nthreads = g.test.threads.len();
+        let nev = g.events.len();
+
+        // Event id per (thread, op) for barrier scans.
+        let mut ev_at: Vec<Vec<Option<usize>>> = g
+            .test
+            .threads
+            .iter()
+            .map(|ops| vec![None; ops.len()])
+            .collect();
+        for (id, e) in g.events.iter().enumerate() {
+            ev_at[e.thread][e.op] = Some(id);
+        }
+
+        let mut nodes = nev;
+        let mut prop_node = vec![0; nev * nthreads];
+        for (id, e) in g.events.iter().enumerate() {
+            for u in 0..nthreads {
+                prop_node[id * nthreads + u] = if mca || u == e.thread || !e.is_store {
+                    id
+                } else {
+                    nodes += 1;
+                    nodes - 1
+                };
+            }
+        }
+        let mut slot = vec![usize::MAX; nev];
+        for (s, &l) in g.loads.iter().enumerate() {
+            slot[l] = s;
+        }
+
+        let (mut po_loc, mut ppo, mut skeleton) = (
+            BitGraph::new(nodes),
+            BitGraph::new(nodes),
+            BitGraph::new(nodes),
+        );
+        for (a, ea) in g.events.iter().enumerate() {
+            for (b, eb) in g.events.iter().enumerate() {
+                if ea.thread != eb.thread || ea.op >= eb.op {
+                    continue;
+                }
+                if ea.loc == eb.loc {
+                    po_loc.add(a, b);
+                }
+                if g.test.ordered(model, ea.thread, ea.op, eb.op) {
+                    ppo.add(a, b);
+                }
+            }
+        }
+
+        let (mut cumulative, mut syncs) = (vec![], vec![]);
+        if !mca {
+            for (id, e) in g.events.iter().enumerate() {
+                if !e.is_store {
+                    continue;
+                }
+                // A store is visible to a remote thread only after it
+                // commits.
+                for u in (0..nthreads).filter(|&u| u != e.thread) {
+                    skeleton.add(id, prop_node[id * nthreads + u]);
+                }
+                // Cumulativity: everything the storing thread had seen
+                // before its latest lwsync/sync (or, for a release store,
+                // before the store itself) must reach a thread before the
+                // store does. The barrier orders all those accesses before
+                // the store, so the group is static — exactly the
+                // explorer's prereq set.
+                let ops = &g.test.threads[e.thread];
+                let boundary = if matches!(ops[e.op], LOp::Store { release: true, .. }) {
+                    Some(e.op)
+                } else {
+                    (0..e.op)
+                        .rev()
+                        .find(|&i| matches!(ops[i], LOp::Fence(FClass::Full | FClass::LwSync)))
+                };
+                if let Some(b) = boundary {
+                    cumulative.extend(
+                        ev_at[e.thread][..b]
+                            .iter()
+                            .flatten()
+                            .map(|&prev| (id, prev)),
+                    );
+                }
+            }
+            // sync's global strength: the fence blocks until its group-A
+            // stores have propagated everywhere, and everything po-after
+            // the fence executes after it.
+            for (t, ops) in g.test.threads.iter().enumerate() {
+                for (k, op) in ops.iter().enumerate() {
+                    if matches!(op, LOp::Fence(FClass::Full)) {
+                        let before = ev_at[t][..k].iter().flatten().copied().collect();
+                        let after = ev_at[t][k + 1..].iter().flatten().copied().collect();
+                        syncs.push((before, after));
+                    }
+                }
+            }
+        }
+
+        Relations {
+            g,
+            mca,
+            nthreads,
+            nodes,
+            prop_node,
+            slot,
+            po_loc,
+            ppo,
+            skeleton,
+            cumulative,
+            syncs,
+        }
+    }
+
+    /// The node of store `s` reaching thread `u`.
+    fn node(&self, s: usize, u: usize) -> usize {
+        self.prop_node[s * self.nthreads + u]
+    }
+
+    /// The store event `ev` wrote, or the one it read under `w` (`None`
+    /// when it read the initial state).
+    fn touched(&self, w: &Witness, ev: usize) -> Option<usize> {
+        if self.g.events[ev].is_store {
+            Some(ev)
+        } else {
+            w.rf[self.slot[ev]]
+        }
+    }
+
+    /// Add the cumulativity and `sync` edges of `w` to `graph`: they run
+    /// from whichever stores the earlier events wrote or read.
+    fn add_prop(&self, w: &Witness, graph: &mut BitGraph) {
+        for &(store, prev) in &self.cumulative {
+            if let Some(s) = self.touched(w, prev) {
+                for u in 0..self.nthreads {
+                    graph.add(self.node(s, u), self.node(store, u));
+                }
+            }
+        }
+        for (before, after) in &self.syncs {
+            for s in before.iter().filter_map(|&prev| self.touched(w, prev)) {
+                for u in 0..self.nthreads {
+                    for &c in after {
+                        graph.add(self.node(s, u), c);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The four axioms for one test under one model.
+///
+/// Everything that does not depend on the witness is built once
+/// ([`Relations`]). [`check`](Self::check) then adds one candidate's `rf`,
+/// `fr` and `co` edges, and the cumulativity edges that depend on what its
+/// loads read, to copies of those relations in reused buffers.
+pub(crate) struct Checker<'g, 't> {
+    rel: Relations<'g, 't>,
+    /// Each store's position in its location's coherence order.
+    co_pos: Vec<usize>,
+    /// The graph under check.
+    graph: BitGraph,
+    kahn: Kahn,
+}
+
+impl<'g, 't> Checker<'g, 't> {
+    /// Build the witness-independent relations of `g` under `model`.
+    pub(crate) fn new(g: &'g EventGraph<'t>, model: ModelKind) -> Self {
+        let rel = Relations::new(g, model);
+        Checker {
+            co_pos: vec![0; g.events.len()],
+            graph: BitGraph::new(rel.nodes),
+            kahn: Kahn::default(),
+            rel,
+        }
+    }
+
+    /// Decide one candidate execution. The axioms are checked in
+    /// diagnostic order, so the first violated one is reported.
+    pub(crate) fn check(&mut self, w: &Witness) -> Verdict {
+        let (rel, graph, kahn) = (&self.rel, &mut self.graph, &mut self.kahn);
+        let (g, nev) = (rel.g, rel.g.events.len());
+        for order in &w.co {
+            for (p, &s) in order.iter().enumerate() {
+                self.co_pos[s] = p;
+            }
+        }
+        let co_pos = &self.co_pos;
+        // The stores coherence-after what load slot `l` read: every
+        // same-location store after its rf source, or all of them when it
+        // read the initial state.
+        let fr = |l: usize| {
+            let order = &w.co[g.events[g.loads[l]].loc];
+            match w.rf[l] {
+                Some(src) => &order[co_pos[src] + 1..],
+                None => &order[..],
+            }
+        };
+        let add_co = |graph: &mut BitGraph| {
+            for order in &w.co {
+                for pair in order.windows(2) {
+                    graph.add(pair[0], pair[1]);
+                }
+            }
+        };
+
+        // Per-location coherence: po-loc ∪ rf ∪ fr ∪ co over events, with
+        // rf and fr as direct event edges — the purely relational uniproc
+        // check, independent of propagation timing.
+        graph.rows.copy_from_slice(&rel.po_loc.rows);
+        for (l, &r) in g.loads.iter().enumerate() {
+            if let Some(src) = w.rf[l] {
+                graph.add(src, r);
+            }
+            for &later in fr(l) {
+                graph.add(r, later);
+            }
+        }
+        add_co(graph);
+        if kahn.has_cycle(graph, nev) {
+            return Verdict::forbidden(Axiom::ScPerLocation);
+        }
+
+        // No thin air: ppo ∪ rf over events.
+        graph.rows.copy_from_slice(&rel.ppo.rows);
+        for (l, &r) in g.loads.iter().enumerate() {
+            if let Some(src) = w.rf[l] {
+                graph.add(src, r);
+            }
+        }
+        if kahn.has_cycle(graph, nev) {
+            return Verdict::forbidden(Axiom::NoThinAir);
+        }
+
+        // Propagation: co ∪ prop over every node.
+        graph.rows.copy_from_slice(&rel.skeleton.rows);
+        add_co(graph);
+        if !rel.mca {
+            rel.add_prop(w, graph);
+        }
+        if kahn.has_cycle(graph, rel.nodes) {
+            return Verdict::forbidden(Axiom::Propagation);
+        }
+
+        // Observation: the join — ppo, rf and fr through the reader's
+        // propagation nodes, co and prop. Given co, "reads the
+        // coherence-latest visible store" decomposes exactly: the read
+        // store reached the reader first, every co-later same-location
+        // store only after the read.
+        graph.union(&rel.ppo);
+        for (l, &r) in g.loads.iter().enumerate() {
+            let reader = g.events[r].thread;
+            if let Some(src) = w.rf[l] {
+                graph.add(rel.node(src, reader), r);
+            }
+            for &later in fr(l) {
+                graph.add(r, rel.node(later, reader));
+            }
+        }
+        if kahn.has_cycle(graph, rel.nodes) {
+            return Verdict::forbidden(Axiom::Observation);
+        }
+        Verdict::ALLOWED
     }
 }

@@ -7,9 +7,9 @@ use std::collections::BTreeSet;
 
 use wmm_litmus::ops::{LitmusTest, ModelKind, Outcome};
 
-use crate::axioms::{check_witness, Axiom};
+use crate::axioms::{Axiom, Checker};
 use crate::events::EventGraph;
-use crate::witness::witnesses;
+use crate::witness::{Witness, Witnesses};
 
 /// The axiomatically-allowed final states of a test under one model.
 #[derive(Debug, Clone)]
@@ -51,16 +51,22 @@ impl AxOutcomeSet {
 #[must_use]
 pub fn axiomatic_outcomes(test: &LitmusTest, model: ModelKind) -> AxOutcomeSet {
     let g = EventGraph::new(test);
+    let mut checker = Checker::new(&g, model);
+    let mut witnesses = Witnesses::new(&g);
+    let mut fin = Witness::blank_final(&g);
     let mut finals = BTreeSet::new();
     let mut candidates = 0;
     let mut consistent = 0;
     let mut rejected_by = [0usize; 4];
-    for w in witnesses(&g) {
+    while let Some(w) = witnesses.next() {
         candidates += 1;
-        let verdict = check_witness(&g, model, &w);
+        let verdict = checker.check(w);
         if verdict.allowed {
             consistent += 1;
-            finals.insert((w.final_registers(&g), w.final_memory(&g)));
+            w.write_final(&g, &mut fin);
+            if !finals.contains(&fin) {
+                finals.insert(fin.clone());
+            }
         } else {
             let idx = match verdict.violated.expect("forbidden names an axiom") {
                 Axiom::ScPerLocation => 0,

@@ -46,6 +46,8 @@ pub mod events;
 pub mod witness;
 
 mod enumerate;
+#[cfg(test)]
+mod reference;
 
 pub use axioms::Axiom;
 pub use enumerate::axiomatic_outcomes;

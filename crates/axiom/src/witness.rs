@@ -13,7 +13,9 @@
 //! `(thread, op)` order; coherence orders iterate permutations in
 //! lexicographic index order. Candidate counts are the product of
 //! `(1 + same-loc stores)` over loads times `k!` per location with `k`
-//! stores — litmus-sized tests stay well under a few thousand.
+//! stores — litmus-sized tests stay well under a few thousand. Candidates
+//! are streamed (`Witnesses`): one witness is edited in place from each
+//! candidate to the next, so enumeration allocates nothing per candidate.
 
 use crate::events::EventGraph;
 
@@ -27,37 +29,38 @@ pub(crate) struct Witness {
     pub co: Vec<Vec<usize>>,
 }
 
+/// A final state: register files (one vec per thread, indexed by
+/// register) and memory (indexed by variable).
+pub(crate) type Final = (Vec<Vec<u32>>, Vec<u32>);
+
 impl Witness {
-    /// The final value of each variable: the co-last store's value, 0 for
-    /// never-written variables.
-    #[must_use]
-    pub(crate) fn final_memory(&self, g: &EventGraph) -> Vec<u32> {
-        let mut mem = vec![0u32; g.num_vars];
-        for (loc, order) in self.co.iter().enumerate() {
-            if let Some(&last) = order.last() {
-                mem[loc] = g.events[last].val;
-            }
-        }
-        mem
+    /// A final state shaped for `g`, every value 0: register files sized
+    /// like the explorer's (largest load register + 1 per thread), one word
+    /// per variable.
+    pub(crate) fn blank_final(g: &EventGraph) -> Final {
+        let regs = g.reg_widths.iter().map(|&w| vec![0u32; w]).collect();
+        (regs, vec![0u32; g.num_vars])
     }
 
-    /// The final register files, mirroring the explorer's layout: one vec
-    /// per thread sized to the largest load register, loads from the
-    /// initial state read 0.
-    #[must_use]
-    pub(crate) fn final_registers(&self, g: &EventGraph) -> Vec<Vec<u32>> {
-        let mut regs: Vec<Vec<u32>> = g.reg_widths.iter().map(|&w| vec![0u32; w]).collect();
+    /// Overwrite `out` (shaped by [`blank_final`](Self::blank_final)) with
+    /// this witness's final state: each load's register holds the value it
+    /// read (0 from the initial state), each variable its co-last store's
+    /// value (0 if never written).
+    pub(crate) fn write_final(&self, g: &EventGraph, out: &mut Final) {
+        let (regs, mem) = out;
         for (slot, &load) in g.loads.iter().enumerate() {
             let e = &g.events[load];
-            let val = self.rf[slot].map_or(0, |w| g.events[w].val);
-            regs[e.thread][e.reg.expect("load has a register")] = val;
+            regs[e.thread][e.reg.expect("load has a register")] =
+                self.rf[slot].map_or(0, |w| g.events[w].val);
         }
-        regs
+        for (value, order) in mem.iter_mut().zip(&self.co) {
+            *value = order.last().map_or(0, |&last| g.events[last].val);
+        }
     }
 }
 
 /// Lexicographic permutation enumeration over `items` (by index order).
-fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
+pub(crate) fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
     if items.is_empty() {
         return vec![vec![]];
     }
@@ -78,69 +81,82 @@ fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
     out
 }
 
-/// Enumerate every candidate execution of `g`, deterministically.
-#[must_use]
-pub(crate) fn witnesses(g: &EventGraph) -> Vec<Witness> {
-    // rf choices per load slot: init first, then same-loc stores in event
-    // order.
-    let rf_choices: Vec<Vec<Option<usize>>> = g
-        .loads
-        .iter()
-        .map(|&l| {
-            let mut c: Vec<Option<usize>> = vec![None];
-            c.extend(g.co_group(l).iter().map(|&w| Some(w)));
-            c
-        })
-        .collect();
-    // co orders per location.
-    let co_choices: Vec<Vec<Vec<usize>>> = g
-        .stores_by_loc
-        .iter()
-        .map(|stores| permutations(stores))
-        .collect();
-
-    let mut out = vec![];
-    let mut rf = vec![None; g.loads.len()];
-    let mut co: Vec<Vec<usize>> = vec![vec![]; g.num_vars];
-    enumerate_rf(&rf_choices, 0, &mut rf, &co_choices, &mut co, &mut out);
-    out
+/// Every candidate execution of a graph, one at a time, deterministically:
+/// rf choices vary slowest, per load slot in `(thread, op)` order, each
+/// initial-state first then stores in event order; coherence orders vary
+/// fastest, per location, permutations in lexicographic index order.
+///
+/// One [`Witness`] is edited in place from candidate to candidate, like an
+/// odometer whose digits are the load slots then the locations.
+pub(crate) struct Witnesses {
+    /// rf choices per load slot.
+    rf_choices: Vec<Vec<Option<usize>>>,
+    /// Coherence orders per location.
+    co_choices: Vec<Vec<Vec<usize>>>,
+    /// The current choice per digit: load slots, then locations.
+    digits: Vec<usize>,
+    current: Witness,
+    /// Has [`next`](Self::next) handed out the first candidate?
+    started: bool,
 }
 
-fn enumerate_rf(
-    rf_choices: &[Vec<Option<usize>>],
-    slot: usize,
-    rf: &mut Vec<Option<usize>>,
-    co_choices: &[Vec<Vec<usize>>],
-    co: &mut Vec<Vec<usize>>,
-    out: &mut Vec<Witness>,
-) {
-    if slot == rf_choices.len() {
-        enumerate_co(co_choices, 0, rf, co, out);
-        return;
+impl Witnesses {
+    /// The candidates of `g`, before the first.
+    pub(crate) fn new(g: &EventGraph) -> Self {
+        let rf_choices: Vec<Vec<Option<usize>>> = g
+            .loads
+            .iter()
+            .map(|&l| {
+                std::iter::once(None)
+                    .chain(g.co_group(l).iter().map(|&w| Some(w)))
+                    .collect()
+            })
+            .collect();
+        let co_choices: Vec<Vec<Vec<usize>>> = g
+            .stores_by_loc
+            .iter()
+            .map(|stores| permutations(stores))
+            .collect();
+        let current = Witness {
+            rf: rf_choices.iter().map(|c| c[0]).collect(),
+            co: co_choices.iter().map(|c| c[0].clone()).collect(),
+        };
+        Witnesses {
+            digits: vec![0; rf_choices.len() + co_choices.len()],
+            rf_choices,
+            co_choices,
+            current,
+            started: false,
+        }
     }
-    for &choice in &rf_choices[slot] {
-        rf[slot] = choice;
-        enumerate_rf(rf_choices, slot + 1, rf, co_choices, co, out);
-    }
-}
 
-fn enumerate_co(
-    co_choices: &[Vec<Vec<usize>>],
-    loc: usize,
-    rf: &[Option<usize>],
-    co: &mut Vec<Vec<usize>>,
-    out: &mut Vec<Witness>,
-) {
-    if loc == co_choices.len() {
-        out.push(Witness {
-            rf: rf.to_vec(),
-            co: co.clone(),
-        });
-        return;
-    }
-    for order in &co_choices[loc] {
-        co[loc].clone_from(order);
-        enumerate_co(co_choices, loc + 1, rf, co, out);
+    /// The next candidate, or `None` after the last.
+    pub(crate) fn next(&mut self) -> Option<&Witness> {
+        if !self.started {
+            self.started = true;
+            return Some(&self.current);
+        }
+        let loads = self.rf_choices.len();
+        for d in (0..self.digits.len()).rev() {
+            let choices = if d < loads {
+                self.rf_choices[d].len()
+            } else {
+                self.co_choices[d - loads].len()
+            };
+            let digit = (self.digits[d] + 1) % choices;
+            self.digits[d] = digit;
+            if d < loads {
+                self.current.rf[d] = self.rf_choices[d][digit];
+            } else {
+                self.current.co[d - loads].clone_from(&self.co_choices[d - loads][digit]);
+            }
+            if digit != 0 {
+                return Some(&self.current);
+            }
+        }
+        // Every digit wrapped: the enumeration is over.
+        self.digits.clear();
+        None
     }
 }
 
@@ -149,24 +165,34 @@ mod tests {
     use super::*;
     use wmm_litmus::suite;
 
+    /// Every candidate of `g`, in enumeration order.
+    pub(crate) fn all(g: &EventGraph) -> Vec<Witness> {
+        let mut witnesses = Witnesses::new(g);
+        let mut out = vec![];
+        while let Some(w) = witnesses.next() {
+            out.push(w.clone());
+        }
+        out
+    }
+
     #[test]
     fn witness_count_is_the_product_of_choices() {
         // SB: 2 loads × (1 init + 1 store each) = 4 rf choices; one store
         // per location so co is trivial.
         let sb = suite::store_buffering().test;
         let g = EventGraph::new(&sb);
-        assert_eq!(witnesses(&g).len(), 4);
+        assert_eq!(all(&g).len(), 4);
 
         // 2+2W: no loads, two stores on each of two locations = 2! × 2!.
         let w22 = suite::two_plus_two_w().test;
         let g = EventGraph::new(&w22);
-        assert_eq!(witnesses(&g).len(), 4);
+        assert_eq!(all(&g).len(), 4);
     }
 
     #[test]
     fn enumeration_is_deterministic() {
         let t = suite::message_passing().test;
         let g = EventGraph::new(&t);
-        assert_eq!(witnesses(&g), witnesses(&g));
+        assert_eq!(all(&g), all(&g));
     }
 }

@@ -24,6 +24,13 @@
 //!    across `--threads` values because results are re-keyed into
 //!    submission order and every cell is an exact count.
 //!
+//! The manifest's counts block also carries the oracles' work per model as
+//! structural gauges: `litmus.states.<model>` (explorer states visited),
+//! `axiom.candidates.<model>` and `axiom.consistent.<model>` (candidate
+//! executions enumerated and found consistent), summed over the tests in
+//! submission order. The gate compares them exactly, so a change to either
+//! oracle that alters its work shows as drift.
+//!
 //! Disagreement policy: any finals-set mismatch, any lint finding, or a
 //! differential corpus below 1,000 tests (full mode) fails the campaign.
 //! A mismatch's error names the first final state only the axiomatic side
@@ -40,6 +47,7 @@ use wmm_litmus::explore::explore;
 use wmm_litmus::lint::lint_corpus;
 use wmm_litmus::ops::LitmusTest;
 use wmm_litmus::suite::full_suite;
+use wmm_obs::Class;
 
 use super::{check, Ctx};
 use crate::streams::MODELS;
@@ -54,6 +62,9 @@ struct DiffRow {
     agree: bool,
     /// First-rejecting-axiom tallies summed over the four models.
     rejected_by: [usize; 4],
+    /// Per model: explorer states visited, axiomatic candidates
+    /// enumerated, and candidates consistent.
+    work: [[usize; 3]; 4],
     /// Human-readable mismatch reports (empty when `agree`).
     mismatches: Vec<String>,
 }
@@ -110,10 +121,12 @@ fn disagreement(context: &str, ax: &Finals, op: &Finals) -> Option<String> {
 fn diff_one(test: &LitmusTest) -> DiffRow {
     let mut ax_mask = 0u32;
     let mut rejected_by = [0usize; 4];
+    let mut work = [[0usize; 3]; 4];
     let mut mismatches = vec![];
     for (i, model) in MODELS.into_iter().enumerate() {
         let ax = axiomatic_outcomes(test, model);
         let op = explore(test, model);
+        work[i] = [op.states_visited, ax.candidates, ax.consistent];
         if ax.allows_with_memory(&test.interesting, &test.memory) {
             ax_mask |= 1 << i;
         }
@@ -128,6 +141,7 @@ fn diff_one(test: &LitmusTest) -> DiffRow {
         ax_mask,
         agree: mismatches.is_empty(),
         rejected_by,
+        work,
         mismatches,
     }
 }
@@ -198,6 +212,7 @@ pub(crate) fn axiom_diff(ctx: &Ctx) -> Result<RunManifest, String> {
     let mut agree = 0usize;
     let mut allowed = [0usize; 4];
     let mut rejected_by = [0usize; 4];
+    let mut work = [[0usize; 3]; 4];
     for row in &rows {
         manifest.push_cell(format!("diff/{}/ax_mask", row.name), f64::from(row.ax_mask));
         manifest.push_cell(format!("diff/{}/agree", row.name), f64::from(row.agree));
@@ -208,7 +223,24 @@ pub(crate) fn axiom_diff(ctx: &Ctx) -> Result<RunManifest, String> {
         for (slot, n) in rejected_by.iter_mut().zip(row.rejected_by) {
             *slot += n;
         }
+        for (total, counts) in work.iter_mut().zip(&row.work) {
+            for (slot, n) in total.iter_mut().zip(counts) {
+                *slot += n;
+            }
+        }
         errors.extend(row.mismatches.iter().cloned());
+    }
+    // The oracles' work as exact counts, folded in submission order.
+    for (model, counts) in MODELS.into_iter().zip(work) {
+        let model = model.label().to_lowercase();
+        for (layer, n) in ["litmus.states", "axiom.candidates", "axiom.consistent"]
+            .into_iter()
+            .zip(counts)
+        {
+            ctx.registry
+                .gauge(&format!("{layer}.{model}"), Class::Structural)
+                .set(n as f64);
+        }
     }
     println!(
         "  {agree}/{} tests: finals-set equality under all models",

@@ -643,7 +643,7 @@ mod tests {
     }
 
     #[test]
-    fn sim_totals_aggregate_and_expose_means() {
+    fn sim_totals_aggregate_counts_and_fence_cycles() {
         let totals = sample_totals();
         assert_eq!(totals.jobs_observed, 1);
         assert_eq!(totals.counters.loads, 120);
@@ -699,7 +699,7 @@ mod tests {
     }
 
     #[test]
-    fn site_records_roundtrip_and_expose_compute_cycles() {
+    fn site_records_roundtrip_and_stay_deterministic() {
         let dir = std::env::temp_dir().join("wmm-harness-artifact-sites-test");
         let mut m = sample();
         m.campaign = "sited_test".to_string();

@@ -28,31 +28,19 @@
 //! final-state equality against it, and pin both explorers' state counts.
 //! The reduction is largest where POWER's per-thread propagation multiplies
 //! states: IRIW+lwsyncs visits 1,641 POWER states instead of 12,484, and
-//! the generated differential corpus 6.5×10^6 instead of 4.5×10^7. Each
-//! state is one flat word slice, hashed with a cheap word hasher, and the
-//! per-op ordering rules are resolved to bitmasks before the search starts.
+//! the generated differential corpus 6.5×10^6 instead of 4.5×10^7.
+//!
+//! Every state of a test has the same width, so the seen set is a
+//! `StateStore`: states sit back to back in chunks whose state counts are
+//! powers of two, behind an open-addressing table of `(index, fingerprint)`
+//! slots. A successor is written straight into the store's free slot,
+//! hashed once, and kept only if it is new; the search allocates nothing
+//! per state. The per-op ordering rules are resolved to bitmasks before the
+//! search starts.
 
 use std::collections::HashSet;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::ops::{DepKind, FClass, LOp, LitmusTest, ModelKind, Outcome};
-
-/// Search state, packed into one flat slice of words:
-///
-/// | words | content |
-/// |---|---|
-/// | one per thread | bitmask of executed ops (weak fence markers set from the start) |
-/// | one per register | register files, thread after thread |
-/// | one per op | static id of the store the op read or wrote (its group-A contribution), or [`NONE`] |
-/// | three per store op, in static-id order | propagation mask (bit per thread), prerequisites (bit per static id), coherence position within its variable or [`NONE`] while uncommitted |
-///
-/// A store's variable and value come from its op. Its prerequisites are
-/// the stores that must be visible to a thread before it may propagate
-/// there (`lwsync`/`sync` cumulativity on POWER). A store is committed
-/// exactly when its propagation mask is non-empty: committing makes it
-/// visible to its own thread, or to every thread on multi-copy-atomic
-/// models.
-type State = Box<[u32]>;
 
 /// Sentinel: an op's touched word when it has not executed, is a fence or
 /// read the initial value; a store's position while it is uncommitted.
@@ -63,44 +51,175 @@ const REC: usize = 3;
 const MASK: usize = 0;
 const PREREQS: usize = 1;
 const POS: usize = 2;
-/// Seen-set hasher for packed states: an `FxHash`-style rotate-xor-multiply
-/// over 8-byte words. States are short runs of small integers, where
-/// `SipHash`'s `DoS` resistance buys nothing and costs most of a lookup.
-#[derive(Default)]
-struct WordHasher(u64);
-
-impl WordHasher {
-    fn mix(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            self.mix(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
-        }
-        let rest = words.remainder();
-        if !rest.is_empty() {
-            let mut w = [0u8; 8];
-            w[..rest.len()].copy_from_slice(rest);
-            self.mix(u64::from_le_bytes(w));
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        // The multiply leaves the high bits best mixed; the table indexes
-        // by the low ones.
-        self.0.rotate_left(26)
-    }
-}
-
-type Words = BuildHasherDefault<WordHasher>;
 
 /// The low `n` bits set (`n ≤ 32`).
 fn low_bits(n: usize) -> u32 {
     u32::MAX.checked_shr(32 - n as u32).unwrap_or(0)
+}
+
+/// An `FxHash`-style rotate-xor-multiply over the words of a state, two
+/// at a time. States are short runs of small integers, where `SipHash`'s
+/// `DoS` resistance buys nothing and costs most of a lookup. The multiply
+/// leaves the high bits best mixed, so the store reads those.
+fn hash_words(words: &[u32]) -> u64 {
+    let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    let mut pairs = words.chunks_exact(2);
+    let h = (&mut pairs).fold(0, |h, p| mix(h, u64::from(p[0]) | u64::from(p[1]) << 32));
+    pairs
+        .remainder()
+        .iter()
+        .fold(h, |h, &w| mix(h, u64::from(w)))
+}
+
+/// A set of fixed-width word states, each stored once and numbered in
+/// insertion order.
+///
+/// States sit back to back in chunks of `2^shift` states each, about
+/// [`CHUNK_WORDS`](Self::CHUNK_WORDS) words, so the store grows by adding a
+/// chunk: it never moves a state, and never holds more than one chunk it
+/// has not filled. The table is open-addressed with linear probing. A
+/// slot holds a state's index plus one (0 marks an empty slot) in its low
+/// 32 bits and the state's fingerprint, the high 32 bits of its hash, in
+/// its high 32 bits. A state's home slot is its fingerprint's top bits, so
+/// the table grows without rehashing a state, and a probe compares a
+/// state's words only on a fingerprint match.
+///
+/// To add a state, write it into [`free`](Self::free) (or let
+/// [`successor`](Self::successor) copy one there) and [`commit`](Self::commit)
+/// it: the free slot becomes the next state only if no equal state is
+/// stored.
+struct StateStore {
+    width: usize,
+    /// log2 of the state count of a chunk.
+    shift: u32,
+    chunks: Vec<Vec<u32>>,
+    len: usize,
+    table: Vec<u64>,
+    /// log2 of the table's slot count.
+    bits: u32,
+}
+
+impl StateStore {
+    /// Words a chunk holds at most. Kept to a page: a freed chunk is heap
+    /// that later allocations spread into, and 16 KiB chunks raised the
+    /// `oracle_diff` benchmark's peak RSS by about 4% where 4 KiB ones
+    /// left it level with a set of boxed states.
+    const CHUNK_WORDS: usize = 1024;
+
+    /// An empty store of `width`-word states.
+    fn new(width: usize) -> Self {
+        let bits = 6;
+        StateStore {
+            width,
+            shift: (Self::CHUNK_WORDS / width.max(1)).max(1).ilog2(),
+            chunks: vec![],
+            len: 0,
+            table: vec![0; 1 << bits],
+            bits,
+        }
+    }
+
+    /// Number of distinct states stored.
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The chunk of state `i`, and the word offset of `i` in it.
+    fn locate(&self, i: usize) -> (usize, usize) {
+        (i >> self.shift, (i & ((1 << self.shift) - 1)) * self.width)
+    }
+
+    /// The words of state `i` (`i` may be the free slot once written).
+    fn get(&self, i: usize) -> &[u32] {
+        let (c, o) = self.locate(i);
+        &self.chunks[c][o..o + self.width]
+    }
+
+    /// Where the free slot lies, adding its chunk and words if needed.
+    fn free_slot(&mut self) -> (usize, usize) {
+        let (c, o) = self.locate(self.len);
+        if c == self.chunks.len() {
+            self.chunks
+                .push(Vec::with_capacity(self.width << self.shift));
+        }
+        let chunk = &mut self.chunks[c];
+        if chunk.len() == o {
+            chunk.resize(o + self.width, 0);
+        }
+        (c, o)
+    }
+
+    /// The free slot, holding whatever was last written there.
+    fn free(&mut self) -> &mut [u32] {
+        let (c, o) = self.free_slot();
+        &mut self.chunks[c][o..o + self.width]
+    }
+
+    /// The free slot, holding a copy of stored state `cur`: a successor to
+    /// edit before [`commit`](Self::commit).
+    fn successor(&mut self, cur: usize) -> &mut [u32] {
+        let w = self.width;
+        let (c, o) = self.locate(cur);
+        let (fc, fo) = self.free_slot();
+        // `cur` is stored, so it lies before the free slot.
+        let (src, next) = if c == fc {
+            let (lo, hi) = self.chunks[fc].split_at_mut(fo);
+            (&lo[o..o + w], &mut hi[..w])
+        } else {
+            let (lo, hi) = self.chunks.split_at_mut(fc);
+            (&lo[c][o..o + w], &mut hi[0][fo..fo + w])
+        };
+        next.copy_from_slice(src);
+        next
+    }
+
+    /// Keep the free slot's state if it is new: its index, or `None` when
+    /// an equal state is already stored.
+    fn commit(&mut self) -> Option<usize> {
+        let fresh = self.len;
+        let state = self.get(fresh);
+        let fp = (hash_words(state) >> 32) as u32;
+        let mask = self.table.len() - 1;
+        let mut i = (fp >> (32 - self.bits)) as usize;
+        loop {
+            let slot = self.table[i];
+            if slot == 0 {
+                break;
+            }
+            if (slot >> 32) as u32 == fp && self.get((slot as u32 - 1) as usize) == state {
+                return None;
+            }
+            i = (i + 1) & mask;
+        }
+        assert!(fresh < u32::MAX as usize, "state index limited to 32 bits");
+        self.table[i] = u64::from(fp) << 32 | (fresh as u64 + 1);
+        self.len += 1;
+        if self.len * 4 > self.table.len() * 3 {
+            self.grow();
+        }
+        Some(fresh)
+    }
+
+    /// `state` copied into the free slot and committed.
+    #[cfg(test)]
+    fn insert(&mut self, state: &[u32]) -> Option<usize> {
+        self.free().copy_from_slice(state);
+        self.commit()
+    }
+
+    /// Double the table, placing every slot by its fingerprint.
+    fn grow(&mut self) {
+        self.bits += 1;
+        let old = std::mem::replace(&mut self.table, vec![0; 1 << self.bits]);
+        let mask = self.table.len() - 1;
+        for slot in old.into_iter().filter(|&s| s != 0) {
+            let mut i = ((slot >> 32) as u32 >> (32 - self.bits)) as usize;
+            while self.table[i] != 0 {
+                i = (i + 1) & mask;
+            }
+            self.table[i] = slot;
+        }
+    }
 }
 
 /// The set of reachable final states of a litmus test: register files plus
@@ -203,6 +322,23 @@ impl ExploreCache {
     }
 }
 
+/// A test's transition rules under one model, resolved before the search.
+///
+/// Search state, packed into one flat run of words:
+///
+/// | words | content |
+/// |---|---|
+/// | one per thread | bitmask of executed ops (weak fence markers set from the start) |
+/// | one per register | register files, thread after thread |
+/// | one per op | static id of the store the op read or wrote (its group-A contribution), or [`NONE`] |
+/// | three per store op, in static-id order | propagation mask (bit per thread), prerequisites (bit per static id), coherence position within its variable or [`NONE`] while uncommitted |
+///
+/// A store's variable and value come from its op. Its prerequisites are
+/// the stores that must be visible to a thread before it may propagate
+/// there (`lwsync`/`sync` cumulativity on POWER). A store is committed
+/// exactly when its propagation mask is non-empty: committing makes it
+/// visible to its own thread, or to every thread on multi-copy-atomic
+/// models.
 struct Explorer<'t> {
     test: &'t LitmusTest,
     mca: bool,
@@ -236,11 +372,13 @@ struct Explorer<'t> {
     store_op: Vec<(usize, u32)>,
     /// Per variable: the static ids of its stores.
     var_stores: Vec<u32>,
-    seen: HashSet<State, Words>,
-    /// Final register files followed by final memory.
-    finals: HashSet<Box<[u32]>, Words>,
-    /// Spare successor buffers, so a revisited state allocates nothing.
-    spare: Vec<Vec<u32>>,
+}
+
+/// What a search accumulates: every state visited, and every final state
+/// (register files followed by memory).
+struct Search {
+    seen: StateStore,
+    finals: StateStore,
 }
 
 /// The set bits of `mask`, lowest first.
@@ -329,9 +467,6 @@ impl<'t> Explorer<'t> {
             store_id,
             store_op,
             var_stores,
-            seen: HashSet::default(),
-            finals: HashSet::default(),
-            spare: vec![],
         }
     }
 
@@ -340,16 +475,26 @@ impl<'t> Explorer<'t> {
         self.stores + REC * sid
     }
 
-    /// The initial state: nothing run but the weak markers, every register
-    /// 0, every store uncommitted.
-    fn initial(&self) -> Vec<u32> {
-        let mut init = self.start.clone();
-        init.resize(self.touched, 0);
-        init.resize(self.stores, NONE);
-        for _ in &self.store_op {
-            init.extend_from_slice(&[0, 0, NONE]);
+    /// Words per state.
+    fn width(&self) -> usize {
+        self.rec(self.store_op.len())
+    }
+
+    /// Words per final state: registers, then memory.
+    fn final_width(&self) -> usize {
+        self.touched - self.done.len() + self.num_vars
+    }
+
+    /// Write the initial state into `init`: nothing run but the weak
+    /// markers, every register 0, every store uncommitted.
+    fn initial(&self, init: &mut [u32]) {
+        let nthreads = self.done.len();
+        init[..nthreads].copy_from_slice(&self.start);
+        init[nthreads..self.touched].fill(0);
+        init[self.touched..self.stores].fill(NONE);
+        for rec in init[self.stores..].chunks_exact_mut(REC) {
+            rec.copy_from_slice(&[0, 0, NONE]);
         }
-        init
     }
 
     /// The coherence-latest store of `var` visible to `thread`, if any.
@@ -374,49 +519,41 @@ impl<'t> Explorer<'t> {
         bits(ids).all(|sid| st[self.rec(sid) + MASK] & threads == threads)
     }
 
-    /// A copy of `st` to mutate into a successor.
-    fn successor(&mut self, st: &[u32]) -> Vec<u32> {
-        let mut next = self.spare.pop().unwrap_or_default();
-        next.clear();
-        next.extend_from_slice(st);
-        next
-    }
-
-    /// Explore `next` unless it was seen before.
-    fn visit(&mut self, next: Vec<u32>) {
-        if !self.seen.contains(next.as_slice()) {
-            self.seen.insert(next.as_slice().into());
-            self.step(&next);
-        }
-        self.spare.push(next);
-    }
-
-    fn step(&mut self, st: &[u32]) {
+    /// Record the final state of finished state `cur`: its registers, then
+    /// each variable's store with the highest coherence position (all
+    /// stores have committed).
+    fn record_final(&self, s: &mut Search, cur: usize) {
         let nthreads = self.done.len();
-        if st[..nthreads] == self.done[..] {
-            // Final registers, then memory: each variable's store with the
-            // highest coherence position (all stores have committed).
-            let mut fin = st[nthreads..self.touched].to_vec();
-            let mem = fin.len();
-            fin.resize(mem + self.num_vars, 0);
-            for (sid, &(var, val)) in self.store_op.iter().enumerate() {
-                if st[self.rec(sid) + POS] + 1 == self.var_stores[var].count_ones() {
-                    fin[mem + var] = val;
-                }
+        let st = s.seen.get(cur);
+        let fin = s.finals.free();
+        let mem = self.touched - nthreads;
+        fin[..mem].copy_from_slice(&st[nthreads..self.touched]);
+        fin[mem..].fill(0);
+        for (sid, &(var, val)) in self.store_op.iter().enumerate() {
+            if st[self.rec(sid) + POS] + 1 == self.var_stores[var].count_ones() {
+                fin[mem + var] = val;
             }
-            self.finals.insert(fin.into());
+        }
+        s.finals.commit();
+    }
+
+    /// Explore every successor of stored state `cur` not seen before.
+    fn step(&self, s: &mut Search, cur: usize) {
+        let nthreads = self.done.len();
+        if s.seen.get(cur)[..nthreads] == self.done[..] {
+            self.record_final(s, cur);
             return;
         }
 
         // 1. Execute any eligible op of any thread.
-        let test = self.test;
-        for (t, ops) in test.threads.iter().enumerate() {
+        for (t, ops) in self.test.threads.iter().enumerate() {
             for (j, &op) in ops.iter().enumerate() {
                 let k = self.op_base[t] + j;
+                let st = s.seen.get(cur);
                 if st[t] & (1 << j) != 0 || self.must_precede[k] & !st[t] != 0 {
                     continue;
                 }
-                let mut next = match op {
+                match op {
                     LOp::Fence(FClass::Full) => {
                         // On POWER a sync waits until its group-A stores have
                         // propagated everywhere (cumulativity). Elsewhere the
@@ -425,15 +562,15 @@ impl<'t> Explorer<'t> {
                         if !self.visible(st, ids, self.all_mask) {
                             continue;
                         }
-                        self.successor(st)
+                        s.seen.successor(cur)[t] |= 1 << j;
                     }
                     LOp::Fence(_) => unreachable!("weak markers start executed"),
                     LOp::Load { var, reg, .. } => {
                         let sid = self.latest_visible(st, t, var);
-                        let mut next = self.successor(st);
+                        let next = s.seen.successor(cur);
                         next[self.reg_base[t] + reg] = sid.map_or(0, |s| self.store_op[s].1);
                         next[self.touched + k] = sid.map_or(NONE, |s| s as u32);
-                        next
+                        next[t] |= 1 << j;
                     }
                     LOp::Store { var, .. } => {
                         let sid = self.store_id[k];
@@ -441,16 +578,18 @@ impl<'t> Explorer<'t> {
                         let pos = bits(self.var_stores[var])
                             .filter(|&s| st[self.rec(s) + MASK] != 0)
                             .count();
-                        let mut next = self.successor(st);
+                        let prereqs = self.group_a(st, t, self.group[k]);
+                        let next = s.seen.successor(cur);
                         next[r + MASK] = if self.mca { self.all_mask } else { 1 << t };
-                        next[r + PREREQS] = self.group_a(st, t, self.group[k]);
+                        next[r + PREREQS] = prereqs;
                         next[r + POS] = pos as u32;
                         next[self.touched + k] = sid;
-                        next
+                        next[t] |= 1 << j;
                     }
-                };
-                next[t] |= 1 << j;
-                self.visit(next);
+                }
+                if let Some(next) = s.seen.commit() {
+                    self.step(s, next);
+                }
             }
         }
 
@@ -459,17 +598,19 @@ impl<'t> Explorer<'t> {
         if !self.mca {
             for sid in 0..self.store_op.len() {
                 let r = self.rec(sid);
+                let st = s.seen.get(cur);
                 let (mask, prereqs) = (st[r + MASK], st[r + PREREQS]);
                 if mask == 0 {
                     continue;
                 }
                 for u in 0..nthreads {
-                    if mask & (1 << u) != 0 || !self.visible(st, prereqs, 1 << u) {
+                    if mask & (1 << u) != 0 || !self.visible(s.seen.get(cur), prereqs, 1 << u) {
                         continue;
                     }
-                    let mut next = self.successor(st);
-                    next[r + MASK] |= 1 << u;
-                    self.visit(next);
+                    s.seen.successor(cur)[r + MASK] |= 1 << u;
+                    if let Some(next) = s.seen.commit() {
+                        self.step(s, next);
+                    }
                 }
             }
         }
@@ -505,23 +646,27 @@ pub fn explore(test: &LitmusTest, model: ModelKind) -> OutcomeSet {
         "store count limited by bitmask width: {stores} stores in `{}`, at most 32",
         test.name
     );
-    let mut ex = Explorer::new(test, model);
-    let init = ex.initial();
-    ex.seen.insert(init.as_slice().into());
-    ex.step(&init);
-    let finals = ex
-        .finals
-        .iter()
-        .map(|fin| {
+    let ex = Explorer::new(test, model);
+    let mut s = Search {
+        seen: StateStore::new(ex.width()),
+        finals: StateStore::new(ex.final_width()),
+    };
+    ex.initial(s.seen.free());
+    let init = s.seen.commit().expect("the first state is new");
+    ex.step(&mut s, init);
+    let mem = ex.touched - nthreads;
+    let finals = (0..s.finals.len())
+        .map(|i| {
+            let fin = s.finals.get(i);
             let regs = ex
                 .reg_base
                 .windows(2)
                 .map(|w| fin[w[0] - nthreads..w[1] - nthreads].to_vec());
-            (regs.collect(), fin[ex.touched - nthreads..].to_vec())
+            (regs.collect(), fin[mem..].to_vec())
         })
         .collect();
     OutcomeSet {
-        states_visited: ex.seen.len(),
+        states_visited: s.seen.len(),
         finals,
     }
 }
@@ -790,5 +935,83 @@ mod tests {
         cache.outcomes(&lb_dep("LB", DepKind::Data), ModelKind::Power);
         cache.outcomes(&lb_dep("LB", DepKind::Ctrl), ModelKind::Power);
         assert_eq!((cache.map.len(), cache.hits, cache.misses), (2, 0, 2));
+    }
+
+    /// A distinct `width`-word state per `i`, varying in every word.
+    fn state(i: u32, width: usize) -> Vec<u32> {
+        (0..width as u32)
+            .map(|w| i.wrapping_mul(w + 1) ^ w)
+            .collect()
+    }
+
+    #[test]
+    fn store_rejects_duplicates_across_chunks_and_table_growth() {
+        // 3,000 five-word states fill 24 chunks of 128 states and grow
+        // the table from 64 to 4,096 slots.
+        let width = 5;
+        let mut store = StateStore::new(width);
+        for i in 0..3_000 {
+            assert_eq!(
+                store.insert(&state(i, width)),
+                Some(i as usize),
+                "state {i}"
+            );
+            // Every earlier state, including those of earlier chunks and
+            // those placed before the last growth, is still found.
+            if i % 97 == 0 {
+                for j in (0..=i).step_by(13) {
+                    assert_eq!(store.insert(&state(j, width)), None, "state {j} at {i}");
+                }
+            }
+        }
+        assert_eq!((store.chunks.len(), store.bits), (24, 12));
+        for i in 0..3_000 {
+            assert_eq!(store.insert(&state(i, width)), None, "state {i}");
+            assert_eq!(store.get(i as usize), state(i, width));
+        }
+        assert_eq!(store.len(), 3_000);
+    }
+
+    #[test]
+    fn store_len_counts_distinct_inserts() {
+        let mut store = StateStore::new(3);
+        let mut distinct = std::collections::HashSet::new();
+        for i in 0..1_000u32 {
+            let s = [i % 7, i % 11, i % 5];
+            assert_eq!(store.insert(&s).is_some(), distinct.insert(s), "{s:?}");
+        }
+        assert_eq!(store.len(), distinct.len());
+    }
+
+    #[test]
+    fn store_holds_one_word_states() {
+        let mut store = StateStore::new(1);
+        for round in 0..2 {
+            for w in 0..200u32 {
+                let new = store.insert(&[w * 3]);
+                assert_eq!(new.is_some(), round == 0, "word {w}, round {round}");
+            }
+        }
+        assert_eq!(store.len(), 200);
+        assert_eq!(store.get(199), [597]);
+    }
+
+    #[test]
+    fn successor_copies_its_source_within_and_across_chunks() {
+        let mut store = StateStore::new(2);
+        store.insert(&[1, 2]);
+        // The free slot is in the same chunk as state 0.
+        store.successor(0)[1] = 9;
+        assert_eq!(store.commit(), Some(1));
+        for i in 2..512 {
+            store.insert(&[i, i]);
+        }
+        // The free slot (state 512) is in chunk 1, state 1 in chunk 0.
+        assert_eq!(store.successor(1), [1, 9]);
+        assert_eq!(store.commit(), None);
+        store.successor(1)[0] = 5;
+        assert_eq!(store.commit(), Some(512));
+        assert_eq!(store.get(512), [5, 9]);
+        assert_eq!(store.chunks.len(), 2);
     }
 }
