@@ -7,7 +7,7 @@
 
 use wmm_axiom::axiomatic_outcomes;
 use wmm_litmus::suite::full_suite;
-use wmm_litmus::{ExploreCache, ModelKind};
+use wmm_litmus::{explore, ModelKind};
 
 const MODELS: [ModelKind; 4] = [
     ModelKind::Sc,
@@ -18,10 +18,9 @@ const MODELS: [ModelKind; 4] = [
 
 #[test]
 fn finals_sets_identical_on_the_hand_suite() {
-    let mut cache = ExploreCache::new();
     for entry in full_suite() {
         for model in MODELS {
-            let op = cache.outcomes(&entry.test, model);
+            let op = explore(&entry.test, model);
             let ax = axiomatic_outcomes(&entry.test, model);
             assert_eq!(
                 ax.finals,
@@ -36,11 +35,9 @@ fn finals_sets_identical_on_the_hand_suite() {
 
 #[test]
 fn interesting_outcome_verdicts_agree_on_the_hand_suite() {
-    let mut cache = ExploreCache::new();
     for entry in full_suite() {
         for model in MODELS {
-            let op = cache
-                .outcomes(&entry.test, model)
+            let op = explore(&entry.test, model)
                 .allows_with_memory(&entry.test.interesting, &entry.test.memory);
             let ax = axiomatic_outcomes(&entry.test, model)
                 .allows_with_memory(&entry.test.interesting, &entry.test.memory);

@@ -18,8 +18,8 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use wmm_axiom::axiomatic_outcomes;
+use wmm_litmus::explore;
 use wmm_litmus::ops::{LOp, LitmusTest, ModelKind};
-use wmm_litmus::ExploreCache;
 
 /// Plain + fence + dependency fragment: no acquire loads, no release
 /// stores. Generated once — proptest re-enters per case.
@@ -81,8 +81,7 @@ fn operational_finals_nest_by_model_strength() {
         .iter()
         .filter(|t| t.threads.len() <= 3)
         .collect();
-    let mut cache = ExploreCache::new();
     for test in corpus.iter().step_by(corpus.len().div_ceil(48)) {
-        check_nesting(test, |m| cache.outcomes(test, m).canonical());
+        check_nesting(test, |m| explore(test, m).canonical());
     }
 }

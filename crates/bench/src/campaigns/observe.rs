@@ -224,7 +224,7 @@ pub(crate) fn wmm_profile(ctx: &Ctx) -> Result<RunManifest, String> {
         ));
     }
 
-    Ok(cp.manifest(ctx.name, &checks))
+    Ok(cp.manifest(ctx.name))
 }
 
 /// Print the top rows of a diff, values scaled by `scale` into `unit`.

@@ -26,7 +26,7 @@ use wmmbench::image::{compute_envelope, Injection, SiteRewriter};
 use wmmbench::model::{estimate_cost, SensitivityFit};
 use wmmbench::ranking::{ranking_matrix_with, RankingMatrix};
 use wmmbench::runner::{
-    measure_relative_with, measure_with, sample_images, BenchSpec, RunConfig, SampleCode,
+    measure_relative_with, measure_with, sample_images, Batch, BenchSpec, RunConfig, SampleCode,
 };
 use wmmbench::sensitivity::{pow2_targets, sweep_with, SweepResult, SweepTarget};
 use wmmbench::strategy::{FencingStrategy, FnStrategy};
@@ -46,11 +46,7 @@ impl ExpConfig {
     pub fn full() -> Self {
         ExpConfig {
             scale: 1.0,
-            run: RunConfig {
-                samples: 6,
-                warmups: 2,
-                base_seed: 0x1CEB00DA,
-            },
+            run: RunConfig::default(),
         }
     }
 
@@ -840,17 +836,12 @@ fn batch_with_stats<P: Clone + Eq + Hash>(
 ) -> (Vec<f64>, SimTotals) {
     let images = sample_images(bench, cfg);
     let code = SampleCode::new(&images);
-    let sites = code.site_table(rw);
-    let outcomes = exec.run_cells(code.cells(m, &sites));
-    let samples = &outcomes[cfg.warmups..];
-    let times: Vec<f64> = samples.iter().map(|o| o.wall_ns).collect();
+    let kept = Batch::new(m, cfg, [(&code, rw)]).run(exec);
     let mut totals = SimTotals::default();
-    for o in samples {
-        if let Some(s) = &o.stats {
-            totals.merge_stats(s);
-        }
+    for s in kept.iter().flatten().filter_map(|o| o.stats.as_ref()) {
+        totals.merge_stats(s);
     }
-    (times, totals)
+    (kept.iter().flatten().map(|o| o.wall_ns).collect(), totals)
 }
 
 /// Fig. 5 ARM campaign attribution: for each DaCapo benchmark, measure a

@@ -31,19 +31,17 @@ use wmm_sim::stats::SiteStall;
 use wmm_sim::Machine;
 use wmm_workloads::dacapo::dacapo_suite;
 use wmm_workloads::kernel::{kernel_profile, KernelBench};
-use wmmbench::exec::{Executor, SimCell};
+use wmmbench::exec::Executor;
 use wmmbench::image::{Injection, SiteNames, SiteRewriter};
-use wmmbench::runner::{sample_images, BenchSpec, RunConfig, SampleCode};
+use wmmbench::runner::{sample_images, Batch, BenchSpec, RunConfig, SampleCode};
 use wmmbench::strategy::{FencingStrategy, FnStrategy};
 
 use crate::experiments::{
     dstruct_envelope, jvm_base_strategy, jvm_envelope, kernel_envelope, machine, ExpConfig,
 };
 
-/// One sited measurement batch: sample wall times, the aggregated per-kind
-/// simulator statistics, and the per-site profile folded over the same
-/// samples (warm-ups dropped from all three, mirroring
-/// `batch_with_stats`).
+/// One sited measurement batch folded over its kept samples: wall times,
+/// the aggregated per-kind simulator statistics, and the per-site profile.
 #[derive(Debug, Clone)]
 pub struct ProfiledBatch {
     /// Sample wall times, ns (warm-ups dropped).
@@ -82,17 +80,14 @@ pub fn batch_with_profile<P: Clone + Eq + Hash + std::fmt::Debug>(
 ) -> ProfiledBatch {
     let images = sample_images(bench, cfg);
     let code = SampleCode::new(&images);
-    let sites = code.site_table(rw);
-    let cells = code.cells(m, &sites).into_iter();
-    let outcomes = exec.run_cells(cells.map(|c| SimCell { sited: true, ..c }).collect());
-    let sample_names = code.site_names(&sites);
+    let kept = Batch::new(m, cfg, [(&code, rw)]).run_sited(exec);
     let mut batch = ProfiledBatch {
         times: Vec::with_capacity(cfg.samples),
         totals: SimTotals::default(),
         profile: Profile::new(),
         exemplar: None,
     };
-    for (o, names) in outcomes.iter().zip(sample_names).skip(cfg.warmups) {
+    for (o, names) in kept.into_iter().flatten() {
         batch.times.push(o.wall_ns);
         if let Some(s) = &o.stats {
             batch.totals.merge_stats(s);
@@ -153,24 +148,14 @@ impl CampaignProfile {
         self.benches.iter().map(|b| b.batch.mean_wall_ns()).sum()
     }
 
-    /// The `wmm_profile-*` manifest `name`: per-benchmark wall time and
-    /// site count, both accounts of every cross-check cell in ns, and the
-    /// merged profile as `sites` (deterministic name order, straight from
-    /// the `BTreeMap`).
-    pub(crate) fn manifest(&self, name: &str, checks: &[KindCheck]) -> RunManifest {
+    /// The `wmm_profile-*` manifest `name`: per-benchmark wall time, and
+    /// the merged profile as `sites` (deterministic name order, straight
+    /// from the `BTreeMap`). Site counts and per-kind fence sums are not
+    /// restated as cells: the gate compares every site record exactly.
+    pub(crate) fn manifest(&self, name: &str) -> RunManifest {
         let mut manifest = RunManifest::new(name, self.arch);
         for b in &self.benches {
             manifest.push_cell(format!("{}/wall_ns", b.bench), b.batch.mean_wall_ns());
-            manifest.push_cell(
-                format!("{}/sites", b.bench),
-                b.batch.profile.sites.len() as f64,
-            );
-        }
-        let ns = |cycles: f64| cycles * self.ns_per_cycle;
-        for c in checks {
-            let stem = format!("{}/{}", c.bench, c.kind.mnemonic());
-            manifest.push_cell(format!("{stem}/site_fence_ns"), ns(c.site_cycles));
-            manifest.push_cell(format!("{stem}/kind_fence_ns"), ns(c.kind_cycles));
         }
         manifest.sites = Some(site_records(&self.merged()));
         manifest

@@ -220,7 +220,7 @@ mod tests {
     fn manifest_deterministic_projection_is_identical_across_worker_counts() {
         let manifest = |threads: usize| {
             let (cp, _exec, registry) = quick_profile(threads);
-            let mut m = cp.manifest("wmm_profile-fig5-arm", &kind_checks(&cp));
+            let mut m = cp.manifest("wmm_profile-fig5-arm");
             m.metrics = Some(registry.snapshot());
             m
         };

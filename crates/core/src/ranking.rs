@@ -16,7 +16,7 @@ use wmm_stats::Comparison;
 use crate::costfn::CostFunction;
 use crate::exec::{wall_times, Executor};
 use crate::image::{Injection, SiteRewriter};
-use crate::runner::{measurement_from_times, sample_images, BenchSpec, RunConfig, SampleCode};
+use crate::runner::{sample_images, Batch, BenchSpec, RunConfig, SampleCode};
 use crate::strategy::FencingStrategy;
 
 /// The full measurement matrix of a ranking experiment.
@@ -85,49 +85,32 @@ pub fn ranking_matrix_with<P: Clone + Eq + Hash>(
     cfg: RunConfig,
     exec: &dyn Executor,
 ) -> RankingMatrix<P> {
-    let runs = cfg.warmups + cfg.samples;
     // Base case per benchmark (nop-padded), then every (path, bench) cell.
     // Each benchmark's images are generated and indexed once for all its
     // rewriters.
     let images: Vec<_> = benches.iter().map(|b| sample_images(*b, cfg)).collect();
     let code: Vec<_> = images.iter().map(|i| SampleCode::new(i)).collect();
-    let mut rewriters = vec![SiteRewriter::new(
-        strategy,
-        Injection::None,
-        envelope.clone(),
-    )];
-    rewriters.extend(
-        paths
-            .iter()
-            .map(|p| SiteRewriter::new(strategy, Injection::At(p.clone(), cost), envelope.clone())),
-    );
-    let tables: Vec<Vec<_>> = rewriters
+    let injections = paths.iter().map(|p| Injection::At(p.clone(), cost));
+    let rewriters: Vec<_> = std::iter::once(Injection::None)
+        .chain(injections)
+        .map(|injection| SiteRewriter::new(strategy, injection, envelope.clone()))
+        .collect();
+    let configs = rewriters
         .iter()
-        .map(|rw| code.iter().map(|c| c.site_table(rw)).collect())
+        .flat_map(|rw| code.iter().map(move |c| (c, rw)));
+    let times: Vec<_> = Batch::new(machine, cfg, configs)
+        .run(exec)
+        .into_iter()
+        .map(wall_times)
         .collect();
-    let mut cells = Vec::with_capacity(runs * benches.len() * (paths.len() + 1));
-    for row in &tables {
-        for (c, sites) in code.iter().zip(row) {
-            cells.extend(c.cells(machine, sites));
-        }
-    }
-
-    let times = wall_times(exec.run_cells(cells));
-    let slice = |idx: usize| &times[runs * idx..runs * (idx + 1)];
-    let bases: Vec<_> = (0..benches.len())
-        .map(|i| measurement_from_times(slice(i), 1.0, cfg))
+    let n = benches.len();
+    let rel_perf = (1..=paths.len())
+        .map(|row| {
+            (0..n)
+                .map(|b| Comparison::of_times(&times[row * n + b], &times[b]).ratio)
+                .collect()
+        })
         .collect();
-
-    let mut rel_perf = Vec::with_capacity(paths.len());
-    for (pi, _) in paths.iter().enumerate() {
-        let mut row = Vec::with_capacity(benches.len());
-        for (bi, base) in bases.iter().enumerate() {
-            let cell = benches.len() * (pi + 1) + bi;
-            let test = measurement_from_times(slice(cell), 1.0, cfg);
-            row.push(Comparison::of_times(&test.times_ns, &base.times_ns).ratio);
-        }
-        rel_perf.push(row);
-    }
     RankingMatrix {
         paths: paths.to_vec(),
         benchmarks: benches.iter().map(|b| b.name().to_string()).collect(),

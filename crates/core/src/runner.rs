@@ -5,13 +5,16 @@
 //! (reduce impact of outliers) from six or more samples measured after one
 //! or more warm-up runs of a given benchmark. All error bars represent a 95%
 //! confidence interval computed using the Student's t-distribution."
+//!
+//! Every measurement batch of image cells is a [`Batch`], and `Batch::kept`
+//! is the one place that drops its warm-ups: callers fold kept samples only.
 
 use std::hash::Hash;
 
 use wmm_sim::Machine;
 use wmm_stats::Comparison;
 
-use crate::exec::{wall_times, CellProgram, Executor, SimCell, SimJob};
+use crate::exec::{wall_times, CellProgram, Executor, JobOutcome, SimCell, SimJob};
 use crate::image::{Image, ImageCode, SiteNames, SiteRewriter, SiteTable};
 
 /// A benchmark: a black box producing a program image per sample seed.
@@ -134,48 +137,92 @@ impl<'i, P: Clone + Eq + Hash> SampleCode<'i, P> {
     }
 
     /// One image cell per sample under `sites`, in sample order.
-    pub fn cells<'a>(&'a self, machine: &'a Machine, sites: &'a SiteTable) -> Vec<SimCell<'a>> {
+    pub fn cells<'a>(
+        &'a self,
+        machine: &'a Machine,
+        sites: &'a SiteTable,
+    ) -> impl Iterator<Item = SimCell<'a>> {
         self.samples
             .iter()
             .zip(&self.code)
-            .map(|((seed, image), code)| SimCell {
+            .map(move |((seed, image), code)| SimCell {
                 machine,
                 program: CellProgram::Image(code, sites),
                 ctx: image.ctx.clone(),
                 seed: *seed,
                 sited: false,
             })
-            .collect()
-    }
-
-    /// Per-sample [`SiteNames`] under `sites`, in sample order: what a
-    /// sited run of each of [`SampleCode::cells`] folds its stall records
-    /// by. Images can vary with the sample seed, so profiles join records
-    /// by site *name*, not raw index.
-    pub fn site_names(&self, sites: &SiteTable) -> Vec<SiteNames>
-    where
-        P: std::fmt::Debug,
-    {
-        self.samples
-            .iter()
-            .map(|(_, image)| SiteNames::new(image, &self.paths, sites))
-            .collect()
-    }
-
-    /// Work units per run (the last sample's, as [`jobs_from_images`]
-    /// reports).
-    pub(crate) fn work_units(&self) -> f64 {
-        self.samples
-            .last()
-            .map_or(1.0, |(_, image)| image.work_units)
     }
 }
 
-/// Assemble a [`Measurement`] from batch results (drops warm-ups).
+/// Assemble a [`Measurement`] from one configuration's wall times (drops warm-ups).
 pub fn measurement_from_times(times: &[f64], work_units: f64, cfg: RunConfig) -> Measurement {
     Measurement {
         times_ns: times[cfg.warmups..].to_vec(),
         work_units,
+    }
+}
+
+/// One measurement batch: any number of configurations, each one
+/// benchmark's samples under one rewriter, run as a single batch of cells
+/// in configuration order, sample after sample in seed order. Each
+/// configuration gets back its kept samples: `Batch::kept` is the one
+/// place a batch drops warm-ups.
+pub struct Batch<'a, P> {
+    machine: &'a Machine,
+    warmups: usize,
+    configs: Vec<(&'a SampleCode<'a, P>, SiteTable)>,
+}
+
+impl<'a, P: Clone + Eq + Hash> Batch<'a, P> {
+    /// A batch of `configs` on `machine`, each pairing samples from
+    /// [`sample_images`] under `cfg` with a rewriter.
+    pub fn new(
+        machine: &'a Machine,
+        cfg: RunConfig,
+        configs: impl IntoIterator<Item = (&'a SampleCode<'a, P>, &'a SiteRewriter<'a, P>)>,
+    ) -> Self {
+        let configs = configs.into_iter().map(|(c, rw)| (c, c.site_table(rw)));
+        Batch {
+            machine,
+            warmups: cfg.warmups,
+            configs: configs.collect(),
+        }
+    }
+
+    /// Run the batch through `exec`: each configuration's kept outcomes.
+    pub fn run(self, exec: &dyn Executor) -> Vec<Vec<JobOutcome>> {
+        self.kept(exec.run_cells(self.cells(false)))
+    }
+
+    /// [`Batch::run`] with every cell sited, each kept outcome paired with
+    /// its sample's [`SiteNames`] (images vary with the seed, so stall
+    /// records are joined by site name).
+    pub fn run_sited(self, exec: &dyn Executor) -> Vec<Vec<(JobOutcome, SiteNames)>>
+    where
+        P: std::fmt::Debug,
+    {
+        let outcomes = exec.run_cells(self.cells(true));
+        let names = self.configs.iter().flat_map(|(code, sites)| {
+            let name = |(_, image): &(u64, Image<P>)| SiteNames::new(image, &code.paths, sites);
+            code.samples.iter().map(name)
+        });
+        self.kept(outcomes.into_iter().zip(names))
+    }
+
+    fn cells(&self, sited: bool) -> Vec<SimCell<'_>> {
+        let (machine, configs) = (self.machine, self.configs.iter());
+        let cells = configs.flat_map(|(code, sites)| code.cells(machine, sites));
+        cells.map(|c| SimCell { sited, ..c }).collect()
+    }
+
+    /// Split `runs`, one per cell in submission order, into each
+    /// configuration's samples after its warm-ups.
+    fn kept<T>(&self, runs: impl IntoIterator<Item = T>) -> Vec<Vec<T>> {
+        let mut runs = runs.into_iter();
+        let mut keep = |n| runs.by_ref().take(n).skip(self.warmups).collect();
+        let sizes = self.configs.iter().map(|(code, _)| code.samples.len());
+        sizes.map(&mut keep).collect()
     }
 }
 
@@ -190,9 +237,12 @@ pub fn measure_with<P: Clone + Eq + Hash>(
 ) -> Measurement {
     let images = sample_images(bench, cfg);
     let code = SampleCode::new(&images);
-    let sites = code.site_table(rewriter);
-    let times = wall_times(exec.run_cells(code.cells(machine, &sites)));
-    measurement_from_times(&times, code.work_units(), cfg)
+    let kept = Batch::new(machine, cfg, [(&code, rewriter)]).run(exec);
+    Measurement {
+        times_ns: kept.into_iter().flat_map(wall_times).collect(),
+        // The last sample's, as `jobs_from_images` reports.
+        work_units: images.last().map_or(1.0, |(_, image)| image.work_units),
+    }
 }
 
 /// Measure a test configuration against a base configuration and return the
@@ -210,14 +260,9 @@ pub fn measure_relative_with<P: Clone + Eq + Hash>(
 ) -> Comparison {
     let images = sample_images(bench, cfg);
     let code = SampleCode::new(&images);
-    let (base_sites, test_sites) = (code.site_table(base), code.site_table(test));
-    let mut cells = code.cells(machine, &base_sites);
-    let split = cells.len();
-    cells.extend(code.cells(machine, &test_sites));
-    let times = wall_times(exec.run_cells(cells));
-    let b = measurement_from_times(&times[..split], code.work_units(), cfg);
-    let t = measurement_from_times(&times[split..], code.work_units(), cfg);
-    Comparison::of_times(&t.times_ns, &b.times_ns)
+    let batch = Batch::new(machine, cfg, [(&code, base), (&code, test)]);
+    let times: Vec<_> = batch.run(exec).into_iter().map(wall_times).collect();
+    Comparison::of_times(&times[1], &times[0])
 }
 
 #[cfg(test)]
@@ -258,6 +303,135 @@ mod tests {
                 work_units: self.sites as f64,
             }
         }
+    }
+
+    /// A benchmark whose site count follows the seed, so every sample
+    /// has its own [`SiteNames`].
+    struct Seeded;
+
+    impl BenchSpec<OnlyPath> for Seeded {
+        fn name(&self) -> &str {
+            "seeded"
+        }
+
+        fn image(&self, seed: u64) -> Image<OnlyPath> {
+            Toy {
+                sites: 1 + (seed % 4) as usize,
+                compute: 10,
+            }
+            .image(seed)
+        }
+    }
+
+    /// Records the `(seed, digest, sited)` of every cell of every batch it
+    /// is given, and answers a batch's cell `i` with wall time `i`.
+    #[derive(Default)]
+    struct Recorder {
+        batches: std::sync::Mutex<Vec<Vec<(u64, crate::digest::Digest, bool)>>>,
+    }
+
+    impl Executor for Recorder {
+        fn run_cells(&self, cells: Vec<SimCell<'_>>) -> Vec<JobOutcome> {
+            let record = cells.iter().map(|c| (c.seed, c.digest(), c.sited));
+            self.batches.lock().unwrap().push(record.collect());
+            (0..cells.len())
+                .map(|i| JobOutcome::cached(i as f64))
+                .collect()
+        }
+    }
+
+    /// Two rewriters whose site tables differ: plain and cost-injected.
+    fn plain_and_injected(
+        strategy: &dyn crate::strategy::FencingStrategy<OnlyPath>,
+    ) -> [SiteRewriter<'_, OnlyPath>; 2] {
+        let cf = CostFunction {
+            iters: 4,
+            stack_spill: false,
+        };
+        let env = compute_envelope(&[OnlyPath], &[strategy], cf.size());
+        [
+            SiteRewriter::new(strategy, Injection::None, env.clone()),
+            SiteRewriter::new(strategy, Injection::All(cf), env),
+        ]
+    }
+
+    const LAYOUT: RunConfig = RunConfig {
+        samples: 3,
+        warmups: 2,
+        base_seed: 11,
+    };
+
+    #[test]
+    fn batch_submits_once_and_keeps_each_configurations_samples() {
+        let machine = Machine::new(armv8_xgene1());
+        let strategy = FnStrategy::new("dmb", |_: &OnlyPath| vec![Instr::Fence(FenceKind::DmbIsh)]);
+        let rws = plain_and_injected(&strategy);
+        let toy = Toy {
+            sites: 5,
+            compute: 20,
+        };
+        let (a, b) = (sample_images(&Seeded, LAYOUT), sample_images(&toy, LAYOUT));
+        let (a, b) = (SampleCode::new(&a), SampleCode::new(&b));
+        // Two benchmarks under two rewriters, rewriter-major as a ranking
+        // matrix submits them.
+        let configs = [(&a, &rws[0]), (&b, &rws[0]), (&a, &rws[1]), (&b, &rws[1])];
+        let exec = Recorder::default();
+        let kept = Batch::new(&machine, LAYOUT, configs).run(&exec);
+
+        let mut expected = vec![];
+        for (code, rw) in configs {
+            let sites = code.site_table(rw);
+            let cells = code.cells(&machine, &sites);
+            expected.extend(cells.map(|c| (c.seed, c.digest(), false)));
+        }
+        assert_eq!(
+            *exec.batches.lock().unwrap(),
+            [expected],
+            "one batch, in order"
+        );
+
+        let (w, s) = (LAYOUT.warmups, LAYOUT.samples);
+        assert_eq!(kept.len(), configs.len());
+        for (c, outcomes) in kept.iter().enumerate() {
+            let positions: Vec<f64> = outcomes.iter().map(|o| o.wall_ns).collect();
+            let want: Vec<f64> = (c * (w + s) + w..c * (w + s) + w + s)
+                .map(|i| i as f64)
+                .collect();
+            assert_eq!(positions, want, "configuration {c}");
+        }
+    }
+
+    #[test]
+    fn sited_batch_pairs_each_kept_outcome_with_its_samples_names() {
+        let machine = Machine::new(armv8_xgene1());
+        let strategy = FnStrategy::new("dmb", |_: &OnlyPath| vec![Instr::Fence(FenceKind::DmbIsh)]);
+        let rws = plain_and_injected(&strategy);
+        let images = sample_images(&Seeded, LAYOUT);
+        let code = SampleCode::new(&images);
+        let exec = Recorder::default();
+        let kept =
+            Batch::new(&machine, LAYOUT, [(&code, &rws[0]), (&code, &rws[1])]).run_sited(&exec);
+
+        let batches = exec.batches.lock().unwrap();
+        assert_eq!(batches.len(), 1);
+        assert!(batches[0].iter().all(|&(_, _, sited)| sited));
+        let (w, s) = (LAYOUT.warmups, LAYOUT.samples);
+        assert_eq!(kept.len(), 2);
+        for (c, (samples, rw)) in kept.iter().zip(&rws).enumerate() {
+            let sites = code.site_table(rw);
+            let names: Vec<_> = images
+                .iter()
+                .map(|(_, image)| SiteNames::new(image, &code.paths, &sites))
+                .collect();
+            assert_eq!(samples.len(), s);
+            for (j, (outcome, sample_names)) in samples.iter().enumerate() {
+                assert_eq!(outcome.wall_ns, (c * (w + s) + w + j) as f64);
+                assert_eq!(*sample_names, names[w + j], "configuration {c}, sample {j}");
+            }
+        }
+        // The seeds give neighbouring samples different names, so a
+        // misaligned pairing shows.
+        assert!(kept[0].windows(2).all(|p| p[0].1 != p[1].1));
     }
 
     #[test]

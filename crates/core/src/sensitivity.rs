@@ -11,7 +11,7 @@ use crate::costfn::Calibration;
 use crate::exec::{wall_times, Executor};
 use crate::image::{Injection, SiteRewriter};
 use crate::model::{fit_sensitivity, SensitivityFit};
-use crate::runner::{measurement_from_times, sample_images, BenchSpec, RunConfig, SampleCode};
+use crate::runner::{sample_images, Batch, BenchSpec, RunConfig, SampleCode};
 use crate::strategy::FencingStrategy;
 
 /// One point of a sweep.
@@ -101,39 +101,28 @@ pub fn sweep_with<P: Clone + Eq + Hash>(
     cfg: RunConfig,
     exec: &dyn Executor,
 ) -> SweepResult {
-    let runs = cfg.warmups + cfg.samples;
     let images = sample_images(bench, cfg);
     let code = SampleCode::new(&images);
 
-    let mut injections = vec![Injection::None];
+    let rewriter = |injection| SiteRewriter::new(strategy, injection, envelope.clone());
+    let mut rewriters = vec![rewriter(Injection::None)];
     let mut cfs = Vec::with_capacity(targets_ns.len());
     for &t_ns in targets_ns {
         let (cf, actual_ns) = calibration.for_target_ns(t_ns);
-        injections.push(match &target {
+        rewriters.push(rewriter(match &target {
             SweepTarget::AllSites => Injection::All(cf),
             SweepTarget::Path(p) => Injection::At(p.clone(), cf),
             SweepTarget::Paths(ps) => Injection::Set(ps.clone(), cf),
-        });
+        }));
         cfs.push((t_ns, cf, actual_ns));
     }
-    let tables: Vec<_> = injections
-        .into_iter()
-        .map(|injection| code.site_table(&SiteRewriter::new(strategy, injection, envelope.clone())))
-        .collect();
-    let cells = tables
-        .iter()
-        .flat_map(|sites| code.cells(machine, sites))
-        .collect();
-
-    let base_wu = code.work_units();
-    let times = wall_times(exec.run_cells(cells));
-    let base = measurement_from_times(&times[..runs], base_wu, cfg);
+    let batch = Batch::new(machine, cfg, rewriters.iter().map(|rw| (&code, rw)));
+    let times: Vec<_> = batch.run(exec).into_iter().map(wall_times).collect();
+    let (base, tests) = times.split_first().expect("the base configuration");
 
     let mut points = Vec::with_capacity(targets_ns.len());
-    for (i, (t_ns, cf, actual_ns)) in cfs.into_iter().enumerate() {
-        let slice = &times[runs * (i + 1)..runs * (i + 2)];
-        let test = measurement_from_times(slice, base_wu, cfg);
-        let cmp = Comparison::of_times(&test.times_ns, &base.times_ns);
+    for ((t_ns, cf, actual_ns), test) in cfs.into_iter().zip(tests) {
+        let cmp = Comparison::of_times(test, base);
         points.push(SweepPoint {
             target_ns: t_ns,
             actual_ns,

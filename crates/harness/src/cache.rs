@@ -357,16 +357,17 @@ fn load_records(path: &Path, text: &str) -> std::io::Result<(HashMap<u128, f64>,
 /// of key and 16 of value, so anything narrower is a torn line from a
 /// killed run — it must be rejected, not parsed: a truncated value like
 /// `3ff` is still valid hex and would otherwise load as a silently wrong
-/// result under a valid key prefix.
+/// result under a valid key prefix. `from_str_radix` also takes a leading
+/// `+`, which the writer never emits, and the value must be a wall time:
+/// finite and not negative.
 fn parse_line(line: &str) -> Option<(u128, f64)> {
     let (key, val) = line.split_once(' ')?;
-    if key.len() != 32 || val.len() != 16 {
+    if key.len() != 32 || val.len() != 16 || key.starts_with('+') || val.starts_with('+') {
         return None;
     }
-    Some((
-        u128::from_str_radix(key, 16).ok()?,
-        f64::from_bits(u64::from_str_radix(val, 16).ok()?),
-    ))
+    let key = u128::from_str_radix(key, 16).ok()?;
+    let value = f64::from_bits(u64::from_str_radix(val, 16).ok()?);
+    (value.is_finite() && value >= 0.0).then_some((key, value))
 }
 
 #[cfg(test)]
@@ -660,6 +661,44 @@ mod tests {
                 text,
                 "left untouched"
             );
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn signed_or_non_time_records_are_malformed() {
+        let record = |key: &str, val: &str| format!("{key} {val}");
+        let key = format!("{:032x}", 0x1f_u128);
+        let val = format!("{:016x}", 2.5f64.to_bits());
+        assert_eq!(parse_line(&record(&key, &val)), Some((0x1f, 2.5)));
+        // `from_str_radix` reads `+` followed by 31 hex digits as a
+        // 31-digit key: another key's record.
+        assert_eq!(parse_line(&record(&format!("+{}", &key[1..]), &val)), None);
+        assert_eq!(parse_line(&record(&key, &format!("+{}", &val[1..]))), None);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let val = format!("{:016x}", bad.to_bits());
+            assert_eq!(parse_line(&record(&key, &val)), None, "{bad}");
+        }
+        assert_eq!(
+            parse_line(&record(&key, &format!("{:016x}", 0.0f64.to_bits()))),
+            Some((0x1f, 0.0))
+        );
+
+        // In a file: such a record in the middle is refused, a last one dropped.
+        let dir = std::env::temp_dir().join("wmm-harness-cache-signed-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("signed.cache");
+        let good = |k: u128| format!("{k:032x} {val}\n");
+        let signed = format!("+{} {val}\n", &format!("{:032x}", 3_u128)[1..]);
+        let nan = format!("{:032x} {:016x}\n", 3_u128, f64::NAN.to_bits());
+        for bad in [&signed, &nan] {
+            std::fs::write(&path, format!("{DISK_HEADER}\n{}{bad}{}", good(1), good(2))).unwrap();
+            let err = SimCache::with_disk(&path).err().expect("refused");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("line 3"), "{err}");
+            std::fs::write(&path, format!("{DISK_HEADER}\n{}{}{bad}", good(1), good(2))).unwrap();
+            let cache = SimCache::with_disk(&path).unwrap();
+            assert_eq!((cache.stats().entries, cache.get(3)), (2, None));
         }
         let _ = std::fs::remove_file(&path);
     }

@@ -40,7 +40,7 @@
 
 use std::collections::HashSet;
 
-use crate::ops::{DepKind, FClass, LOp, LitmusTest, ModelKind, Outcome};
+use crate::ops::{FClass, LOp, LitmusTest, ModelKind, Outcome};
 
 /// Sentinel: an op's touched word when it has not executed, is a fence or
 /// read the initial value; a store's position while it is uncommitted.
@@ -261,64 +261,6 @@ impl OutcomeSet {
                     .iter()
                     .all(|&(var, v)| mem.get(var).copied().unwrap_or(0) == v)
         })
-    }
-}
-
-/// [`ExploreCache`] key: a test's threads, store dependencies and memory
-/// conjuncts, and the model.
-type CacheKey = (
-    Vec<Vec<LOp>>,
-    Vec<(usize, usize, usize, DepKind)>,
-    Vec<(usize, u32)>,
-    ModelKind,
-);
-
-/// Memoising front-end for [`explore`]: callers that query the same test
-/// under the same model repeatedly (suite sweeps, differential audits, the
-/// `allows`-per-question pattern in `crates/bench`) share one exploration
-/// instead of re-running the state-space search per query.
-///
-/// Keys are *structural* — two tests with identical threads, dependencies
-/// and memory conjuncts share an entry even if their names differ — and
-/// results are handed out as [`std::sync::Arc`] clones, so a cached outcome
-/// set can be kept across further cache use or shipped to another thread.
-#[derive(Default)]
-pub struct ExploreCache {
-    map: std::collections::HashMap<CacheKey, std::sync::Arc<OutcomeSet>>,
-    hits: usize,
-    misses: usize,
-}
-
-impl ExploreCache {
-    /// An empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Structural identity of a test: everything that determines the
-    /// outcome set (name excluded on purpose).
-    fn key(test: &LitmusTest, model: ModelKind) -> CacheKey {
-        (
-            test.threads.clone(),
-            test.store_deps.clone(),
-            test.memory.clone(),
-            model,
-        )
-    }
-
-    /// The outcome set of `test` under `model`, exploring at most once per
-    /// structural key.
-    pub fn outcomes(&mut self, test: &LitmusTest, model: ModelKind) -> std::sync::Arc<OutcomeSet> {
-        let key = Self::key(test, model);
-        if let Some(hit) = self.map.get(&key) {
-            self.hits += 1;
-            return std::sync::Arc::clone(hit);
-        }
-        self.misses += 1;
-        let out = std::sync::Arc::new(explore(test, model));
-        self.map.insert(key, std::sync::Arc::clone(&out));
-        out
     }
 }
 
@@ -907,34 +849,6 @@ mod tests {
             memory: vec![],
         };
         let _ = explore(&t, ModelKind::Sc);
-    }
-
-    /// LB with one store-side dependency on thread 0.
-    fn lb_dep(name: &str, dep: DepKind) -> LitmusTest {
-        LitmusTest {
-            name: name.into(),
-            threads: vec![vec![ld(0, 0), st(1, 1)], vec![ld(1, 0), st(0, 1)]],
-            interesting: vec![(0, 0, 1), (1, 0, 1)],
-            store_deps: vec![(0, 1, 0, dep)],
-            memory: vec![],
-        }
-    }
-
-    #[test]
-    fn cache_shares_tests_differing_only_in_name() {
-        let mut cache = ExploreCache::new();
-        let a = cache.outcomes(&lb_dep("LB-a", DepKind::Data), ModelKind::Power);
-        let b = cache.outcomes(&lb_dep("LB-b", DepKind::Data), ModelKind::Power);
-        assert!(std::sync::Arc::ptr_eq(&a, &b));
-        assert_eq!((cache.map.len(), cache.hits, cache.misses), (1, 1, 1));
-    }
-
-    #[test]
-    fn cache_separates_tests_differing_in_one_dependency() {
-        let mut cache = ExploreCache::new();
-        cache.outcomes(&lb_dep("LB", DepKind::Data), ModelKind::Power);
-        cache.outcomes(&lb_dep("LB", DepKind::Ctrl), ModelKind::Power);
-        assert_eq!((cache.map.len(), cache.hits, cache.misses), (2, 0, 2));
     }
 
     /// A distinct `width`-word state per `i`, varying in every word.

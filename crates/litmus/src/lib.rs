@@ -52,5 +52,5 @@ pub mod ops;
 pub mod rewrite;
 pub mod suite;
 
-pub use explore::{explore, ExploreCache, OutcomeSet};
+pub use explore::{explore, OutcomeSet};
 pub use ops::{DepKind, FClass, LOp, LitmusTest, ModelKind};

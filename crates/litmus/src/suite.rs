@@ -12,7 +12,7 @@
 //! *correct*, and the paper's question — is it *faster*? — becomes the
 //! interesting one.
 
-use crate::explore::ExploreCache;
+use crate::explore::explore;
 use crate::ops::{DepKind, FClass, LOp, LitmusTest, ModelKind, Outcome};
 
 /// A suite entry: a test plus its expected verdict per model.
@@ -655,21 +655,10 @@ pub fn full_suite() -> Vec<SuiteEntry> {
 /// `(test name, model, expected, observed)` rows.
 #[must_use]
 pub fn run_full_suite() -> Vec<(String, ModelKind, bool, bool)> {
-    run_full_suite_cached(&mut ExploreCache::new())
-}
-
-/// [`run_full_suite`] with a caller-provided [`ExploreCache`], so a binary
-/// that also needs the raw outcome sets (e.g. for witness comparison) does
-/// not pay for a second exploration of each test.
-#[must_use]
-pub(crate) fn run_full_suite_cached(
-    cache: &mut ExploreCache,
-) -> Vec<(String, ModelKind, bool, bool)> {
     let mut rows = vec![];
     for entry in full_suite() {
         for &(model, expected) in &entry.expect {
-            let observed = cache
-                .outcomes(&entry.test, model)
+            let observed = explore(&entry.test, model)
                 .allows_with_memory(&entry.test.interesting, &entry.test.memory);
             rows.push((entry.test.name.clone(), model, expected, observed));
         }

@@ -84,7 +84,7 @@ fn assert_cells_match_jobs<P: Clone + Eq + Hash>(
     for rw in rewriters {
         let sites = code.site_table(rw);
         let (mut jobs, _) = jobs_from_images(machine, images, rw);
-        for (mut cell, job) in code.cells(machine, &sites).into_iter().zip(&mut jobs) {
+        for (mut cell, job) in code.cells(machine, &sites).zip(&mut jobs) {
             assert_eq!(cell_key(&cell), job_key(job), "seed {}", job.seed);
             assert_runs_match(&mut cell, job, &mut scratch);
             checked += 1;
@@ -274,7 +274,7 @@ fn cell_key_of(machine: &Machine, image: &Image<Path>, rw: &SiteRewriter<'_, Pat
     let samples = [(11, image.clone())];
     let code = SampleCode::new(&samples);
     let sites = code.site_table(rw);
-    let key = cell_key(&code.cells(machine, &sites)[0]);
+    let key = cell_key(&code.cells(machine, &sites).next().unwrap());
     key
 }
 
@@ -291,7 +291,10 @@ fn zero_thread_image_cell_is_refused_like_program_new() {
     let samples = [(11, build_image(vec![]))];
     let code = SampleCode::new(&samples);
     let sites = code.site_table(&rw);
-    code.cells(&machine, &sites)[0].run_stats_with(&mut MachineScratch::new());
+    code.cells(&machine, &sites)
+        .next()
+        .unwrap()
+        .run_stats_with(&mut MachineScratch::new());
 }
 
 proptest! {
@@ -324,7 +327,7 @@ proptest! {
         let code = SampleCode::new(&samples);
         let sites = code.site_table(&rw);
         let (mut jobs, _) = jobs_from_images(&machine, &samples, &rw);
-        let mut cell = code.cells(&machine, &sites).remove(0);
+        let mut cell = code.cells(&machine, &sites).next().unwrap();
         assert_runs_match(&mut cell, &mut jobs[0], &mut MachineScratch::new());
     }
 
