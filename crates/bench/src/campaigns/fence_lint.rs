@@ -28,7 +28,7 @@
 //! path (pricing, printing, manifest rows, verdict checks) is shared with
 //! `fence_synth` via [`crate::streams`].
 
-use wmm_analyze::{check_cycle, critical_cycles, Analysis, ProgramGraph};
+use wmm_analyze::{check_cycle, critical_cycles, ProgramGraph};
 use wmm_dstruct::{ebr_reclaim_idiom, hp_reclaim_idiom, scheme_strategies};
 use wmm_harness::RunManifest;
 use wmm_jvm::barrier::Composite;
@@ -84,32 +84,6 @@ fn litmus_section(manifest: &mut RunManifest, errors: &mut Vec<String>) {
 
 // --- section 2: JVM volatile idioms ---------------------------------------
 
-#[allow(clippy::too_many_arguments)]
-fn jvm_analysis(
-    manifest: &mut RunManifest,
-    errors: &mut Vec<String>,
-    label: &str,
-    idiom: &[Vec<JavaOp>],
-    cfg: &JitConfig,
-    strategy: &JvmStrategy,
-    model: ModelKind,
-    arch: Arch,
-    expect_protected: bool,
-) -> Analysis {
-    let streams = flatten_streams(&lower(idiom, cfg), strategy);
-    let mach = machine(arch);
-    audit_streams(
-        manifest,
-        errors,
-        label,
-        &streams,
-        &[],
-        model,
-        &mach,
-        expect_protected,
-    )
-}
-
 fn jvm_section(manifest: &mut RunManifest, errors: &mut Vec<String>) {
     println!("== JVM volatile idioms ==");
     let tables: [(&str, JitConfig, JvmStrategy, ModelKind, Arch); 3] = [
@@ -141,17 +115,25 @@ fn jvm_section(manifest: &mut RunManifest, errors: &mut Vec<String>) {
     ];
 
     for (table, cfg, strategy, model, arch) in &tables {
+        let mach = machine(*arch);
         for (idiom_name, idiom) in &idioms {
             let label = format!("jvm/{table}/{idiom_name}");
+            let streams = flatten_streams(&lower(idiom, cfg), strategy);
             // Shipped tables must protect both idioms.
-            let a = jvm_analysis(
-                manifest, errors, &label, idiom, cfg, strategy, *model, *arch, true,
-            );
-            // The defensive JDK8 writer brackets the MP publish store with
-            // full dmbs where a store-store barrier suffices: the downgrade
-            // lint must spot it.
-            if *table == "jdk8-arm"
-                && *idiom_name == "volatile-MP"
+            let a = audit_streams(manifest, errors, &label, &streams, &[], *model, &mach, true);
+            if *table != "jdk8-arm" {
+                continue;
+            }
+            // The defensive JDK8 ARM lowering double-fences adjacent
+            // volatiles: the redundancy lint must fire on SB. Its writer
+            // brackets the MP publish store with full dmbs where a
+            // store-store barrier suffices: the downgrade lint must spot it.
+            if *idiom_name == "volatile-SB" && a.redundant.is_empty() {
+                errors.push(
+                    "expected redundant-fence lints on the defensive JDK8 ARM lowering".into(),
+                );
+            }
+            if *idiom_name == "volatile-MP"
                 && !a.downgrade.iter().any(|d| d.to_mnemonic == "DmbIshSt")
             {
                 errors.push(
@@ -159,23 +141,6 @@ fn jvm_section(manifest: &mut RunManifest, errors: &mut Vec<String>) {
                 );
             }
         }
-    }
-
-    // The defensive JDK8 ARM lowering double-fences adjacent volatiles:
-    // the lint must fire (this is the redundancy demonstration).
-    let a = jvm_analysis(
-        manifest,
-        errors,
-        "jvm/jdk8-arm/volatile-SB/defensive",
-        &volatile_sb_idiom(),
-        &JitConfig::jdk8(Arch::ArmV8),
-        &arm_jdk8_barriers(),
-        ModelKind::ArmV8,
-        Arch::ArmV8,
-        true,
-    );
-    if a.redundant.is_empty() {
-        errors.push("expected redundant-fence lints on the defensive JDK8 ARM lowering".into());
     }
 
     // Seeded known-buggy table: Volatile weakened to dmb ishst. The
@@ -186,15 +151,18 @@ fn jvm_section(manifest: &mut RunManifest, errors: &mut Vec<String>) {
             vec![Instr::Fence(FenceKind::DmbIshSt)],
         )
         .named("jdk8-arm+volatile=dmb.ishst (seeded bug)");
-    let a = jvm_analysis(
+    let streams = flatten_streams(
+        &lower(&volatile_sb_idiom(), &JitConfig::jdk8(Arch::ArmV8)),
+        &buggy,
+    );
+    let a = audit_streams(
         manifest,
         errors,
         "jvm/seeded-bug/volatile-SB",
-        &volatile_sb_idiom(),
-        &JitConfig::jdk8(Arch::ArmV8),
-        &buggy,
+        &streams,
+        &[],
         ModelKind::ArmV8,
-        Arch::ArmV8,
+        &machine(Arch::ArmV8),
         false,
     );
     println!(

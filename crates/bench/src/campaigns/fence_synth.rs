@@ -38,33 +38,30 @@
 //! content is bit-identical across runs and `--threads` worker counts;
 //! `--quick` changes nothing. The campaign fails on any failed validator,
 //! synthesis error, or hand strategy beating synthesis; the gate then
-//! guards the manifest. The stream-ingestion skeleton (synthesize →
-//! dual-validate → hand race) is [`crate::streams::synth_stream_case`],
-//! shared with `fence_lint`.
+//! guards the manifest. Every placement of the first four sections goes
+//! through one validator, `streams::synth_validated` (synthesize →
+//! re-check the instrumented graph → explorer → record); the platform
+//! sections reach it through `streams::synth_stream_case`, which adds the
+//! re-lowering check and the hand race.
 
-use wmm_analyze::{
-    analyze, apply_to_graph, graph_cost, synthesize, CostModel, ProgramGraph, SynthConfig,
-};
+use wmm_analyze::{CostModel, Instrument, ProgramGraph, SynthConfig};
 use wmm_dstruct::{
     bare_reclaim, ebr_reclaim_idiom, hp_reclaim_idiom, nr_strategy, scheme_strategies,
     strategy_from_placement as dstruct_from_placement, DSite,
 };
 use wmm_harness::{ParallelExecutor, RunManifest};
-use wmm_jvm::jit::{lower, JavaOp, JitConfig};
+use wmm_jvm::jit::{lower, JitConfig};
 use wmm_jvm::strategy::{arm_jdk8_barriers, null_barriers, power_jdk9, with_placement};
 use wmm_kernel::publish::{bare_publish, publish_idiom, rbd_publish, strategy_from_placement};
 use wmm_kernel::rbd::RbdStrategy;
 use wmm_litmus::ops::ModelKind;
 use wmm_litmus::suite::{self, full_suite};
-use wmm_litmus::LitmusTest;
 use wmm_sim::arch::Arch;
 use wmmbench::image::flatten_streams;
 use wmmbench::strategy::FencingStrategy;
 
 use super::{check, Ctx};
-use crate::streams::{
-    explorer_rejects_weak, synth_stream_case, StreamCase, COST_EPS, MODELS, NOMINAL_K,
-};
+use crate::streams::{synth_stream_case, synth_validated, StreamCase, MODELS, NOMINAL_K};
 use crate::{seam_fence_costs, volatile_mp_idiom, volatile_sb_idiom};
 
 // --- section 1: litmus suite ----------------------------------------------
@@ -79,30 +76,22 @@ fn litmus_section(manifest: &mut RunManifest, errors: &mut Vec<String>, costs: &
         let g = ProgramGraph::from_litmus(&entry.test);
         for model in MODELS {
             let label = format!("synth/litmus/{}/{}", entry.test.name, model.label());
-            match synthesize(&g, SynthConfig::for_model(model), costs) {
-                Ok(p) => {
-                    let static_ok = analyze(&apply_to_graph(&g, &p.instruments), model).protected();
-                    let dynamic_ok = explorer_rejects_weak(&entry.test, &p, model);
-                    manifest.push_cell(format!("{label}/cost_ns"), p.cost_ns);
-                    manifest.push_cell(format!("{label}/instruments"), p.instruments.len() as f64);
-                    manifest
-                        .push_cell(format!("{label}/valid"), f64::from(static_ok && dynamic_ok));
-                    rows += 1;
-                    placed += usize::from(!p.instruments.is_empty());
-                    if !static_ok {
-                        errors.push(format!("{label}: unprotected cycles after synthesis"));
-                    }
-                    if !dynamic_ok {
-                        errors.push(format!(
-                            "{label}: explorer reaches the weak outcome despite [{}]",
-                            p.describe()
-                        ));
-                    }
-                }
-                Err(e) => {
-                    manifest.push_cell(format!("{label}/valid"), 0.0);
-                    errors.push(format!("{label}: synthesis failed: {e}"));
-                }
+            let cfg = SynthConfig::for_model(model);
+            // A litmus program has no platform sites: the instrumented
+            // graph is the program.
+            let no_sites = |_: &[Instrument]| Ok(());
+            if let Some(p) = synth_validated(
+                manifest,
+                errors,
+                &label,
+                &g,
+                cfg,
+                &entry.test,
+                no_sites,
+                costs,
+            ) {
+                rows += 1;
+                placed += usize::from(!p.instruments.is_empty());
             }
         }
     }
@@ -200,145 +189,67 @@ fn dstruct_section(manifest: &mut RunManifest, errors: &mut Vec<String>, costs: 
 
 // --- section 4: JVM volatile idioms ----------------------------------------
 
-struct JvmCase {
-    name: &'static str,
-    idiom: Vec<Vec<JavaOp>>,
-    /// The litmus shape matching the idiom's bare access skeleton, for
-    /// dynamic validation.
-    litmus: LitmusTest,
-    model: ModelKind,
-    /// Barriers-mode config whose null-strategy flattening is the bare
-    /// program.
-    bare_cfg: JitConfig,
-    /// Hand lowerings to compare against: `(tag, streams)`.
-    hands: Vec<(&'static str, Vec<Vec<wmm_sim::isa::Instr>>)>,
-}
-
-fn jvm_cases() -> Vec<JvmCase> {
-    let mut cases = vec![];
-    for (idiom_name, idiom) in [
-        ("volatile-SB", volatile_sb_idiom()),
-        ("volatile-MP", volatile_mp_idiom()),
-    ] {
-        let litmus = if idiom_name == "volatile-SB" {
-            suite::store_buffering().test
-        } else {
-            suite::message_passing().test
-        };
-        cases.push(JvmCase {
-            name: if idiom_name == "volatile-SB" {
-                "arm/volatile-SB"
-            } else {
-                "arm/volatile-MP"
-            },
-            idiom: idiom.clone(),
-            litmus: litmus.clone(),
-            model: ModelKind::ArmV8,
-            bare_cfg: JitConfig::jdk8(Arch::ArmV8),
-            hands: vec![
-                (
-                    "jdk8",
-                    flatten_streams(
-                        &lower(&idiom, &JitConfig::jdk8(Arch::ArmV8)),
-                        &arm_jdk8_barriers(),
-                    ),
-                ),
-                (
-                    "jdk9",
-                    flatten_streams(
-                        &lower(&idiom, &JitConfig::jdk9(Arch::ArmV8)),
-                        &arm_jdk8_barriers(),
-                    ),
-                ),
-            ],
-        });
-        cases.push(JvmCase {
-            name: if idiom_name == "volatile-SB" {
-                "power/volatile-SB"
-            } else {
-                "power/volatile-MP"
-            },
-            idiom: idiom.clone(),
-            litmus,
-            model: ModelKind::Power,
-            bare_cfg: JitConfig::jdk8(Arch::Power7),
-            hands: vec![(
-                "jdk9",
-                flatten_streams(
-                    &lower(&idiom, &JitConfig::jdk9(Arch::Power7)),
-                    &power_jdk9(),
-                ),
-            )],
-        });
-    }
-    cases
-}
-
 fn jvm_section(manifest: &mut RunManifest, errors: &mut Vec<String>, costs: &CostModel) {
     println!("== JVM volatile lowerings ==");
-    for case in jvm_cases() {
-        // The JVM platform re-lowers through JIT op streams rather than
-        // raw instruction streams, so it keeps its own re-lowering step
-        // and borrows only the shared validators and pricing.
-        let label = format!("synth/jvm/{}", case.name);
-        let bare = flatten_streams(&lower(&case.idiom, &case.bare_cfg), &null_barriers());
-        let g = ProgramGraph::from_streams(format!("jvm/{}/bare", case.name), &bare, &[]);
-        let p = match synthesize(&g, SynthConfig::for_model(case.model), costs) {
-            Ok(p) => p,
-            Err(e) => {
-                errors.push(format!("{label}: synthesis failed: {e}"));
-                continue;
-            }
-        };
-        println!("  {}: {} ({:.1} ns)", case.name, p.describe(), p.cost_ns);
-        manifest.push_cell(format!("{label}/cost_ns"), p.cost_ns);
-        manifest.push_cell(format!("{label}/instruments"), p.instruments.len() as f64);
-
-        // Static validation through the platform hook: re-impose the
-        // placement on the bare lowering and re-analyze.
-        let (streams, sdeps) = with_placement(&case.idiom, &case.bare_cfg, &p.instruments);
-        let g2 = ProgramGraph::from_streams(format!("jvm/{}/synth", case.name), &streams, &sdeps);
-        let static_ok = analyze(&g2, case.model).protected();
-        let dynamic_ok = explorer_rejects_weak(&case.litmus, &p, case.model);
-        manifest.push_cell(format!("{label}/valid"), f64::from(static_ok && dynamic_ok));
-        if !static_ok {
-            errors.push(format!("{label}: unprotected after re-imposing placement"));
-        }
-        if !dynamic_ok {
-            errors.push(format!("{label}: explorer reaches the weak outcome"));
-        }
-
-        // Hand comparison: JDK lowerings of the same idiom.
-        let mut best_hand = f64::INFINITY;
-        for (tag, hand_streams) in &case.hands {
-            let gh =
-                ProgramGraph::from_streams(format!("jvm/{}/{tag}", case.name), hand_streams, &[]);
-            let protected = analyze(&gh, case.model).protected();
-            let cost = graph_cost(&gh, case.model, costs);
-            println!(
-                "  hand {}/{tag}: {cost:.1} ns, {}",
-                case.name,
-                if protected {
-                    "protected"
-                } else {
-                    "UNPROTECTED"
-                }
-            );
-            manifest.push_cell(format!("{label}/hand/{tag}/cost_ns"), cost);
-            manifest.push_cell(
-                format!("{label}/hand/{tag}/protected"),
-                f64::from(protected),
-            );
-            if protected {
-                best_hand = best_hand.min(cost);
-            }
-        }
-        manifest.push_cell(format!("{label}/best_hand_cost_ns"), best_hand);
-        if p.cost_ns > best_hand + COST_EPS {
-            errors.push(format!(
-                "{label}: synthesized cost {:.3} ns exceeds best hand lowering {best_hand:.3} ns",
-                p.cost_ns
-            ));
+    for (idiom_name, idiom, litmus) in [
+        (
+            "volatile-SB",
+            volatile_sb_idiom(),
+            suite::store_buffering().test,
+        ),
+        (
+            "volatile-MP",
+            volatile_mp_idiom(),
+            suite::message_passing().test,
+        ),
+    ] {
+        // ARM races the JDK8 barrier and JDK9 `ldar`/`stlr` lowerings,
+        // POWER the JDK9 one. The bare program is the JDK8 lowering with
+        // null barriers, and placements re-lower onto it.
+        for (arch_tag, arch, model, hands) in [
+            (
+                "arm",
+                Arch::ArmV8,
+                ModelKind::ArmV8,
+                vec![
+                    ("jdk8", JitConfig::jdk8(Arch::ArmV8), arm_jdk8_barriers()),
+                    ("jdk9", JitConfig::jdk9(Arch::ArmV8), arm_jdk8_barriers()),
+                ],
+            ),
+            (
+                "power",
+                Arch::Power7,
+                ModelKind::Power,
+                vec![("jdk9", JitConfig::jdk9(Arch::Power7), power_jdk9())],
+            ),
+        ] {
+            let name = format!("{arch_tag}/{idiom_name}");
+            let bare_cfg = JitConfig::jdk8(arch);
+            let case = StreamCase {
+                label: format!("synth/jvm/{name}"),
+                graph: format!("jvm/{name}"),
+                model,
+                bare: (
+                    flatten_streams(&lower(&idiom, &bare_cfg), &null_barriers()),
+                    vec![],
+                ),
+                fences_only: false,
+                litmus: litmus.clone(),
+                relower: Box::new(|ins| Some(with_placement(&idiom, &bare_cfg, ins))),
+                hands: hands
+                    .into_iter()
+                    .map(|(tag, jit, strategy)| {
+                        let streams = flatten_streams(&lower(&idiom, &jit), &strategy);
+                        (
+                            tag.to_string(),
+                            format!("jvm/{name}/{tag}"),
+                            streams,
+                            vec![],
+                        )
+                    })
+                    .collect(),
+            };
+            synth_stream_case(&case, manifest, errors, costs);
         }
     }
 }

@@ -35,8 +35,8 @@
 //! changes nothing — the run is static.
 
 use wmm_analyze::{
-    analyze, apply_to_graph, synthesize_wps, CostModel, CycleCache, Placement, SynthConfig,
-    WpsConfig, WpsReport, WpsTier,
+    analyze, apply_to_graph, synthesize_wps, CostModel, CycleCache, Placement, ProgramGraph,
+    SynthConfig, WpsConfig, WpsReport, WpsTier,
 };
 use wmm_axiom::axiomatic_outcomes;
 use wmm_dstruct::{use_after_retire, StitchedProgram};
@@ -94,6 +94,34 @@ struct AnalysisPass {
     bundles: Vec<(Bundle, WpsReport, Option<WpsReport>)>,
 }
 
+/// Synthesize one instance whole-program, re-check its placement on the
+/// instrumented graph, and record the report's cells under `label`.
+/// Returns the report, or `None` when synthesis failed.
+fn solve(
+    pass: &mut AnalysisPass,
+    label: &str,
+    g: &ProgramGraph,
+    cfg: SynthConfig,
+    wps: &WpsConfig,
+    cache: &CycleCache,
+    costs: &CostModel,
+) -> Option<WpsReport> {
+    let r = match synthesize_wps(g, cfg, costs, wps, Some(cache)) {
+        Ok(r) => r,
+        Err(e) => {
+            pass.errors.push(format!("{label}: synthesis failed: {e}"));
+            return None;
+        }
+    };
+    let static_ok = analyze(&apply_to_graph(g, &r.placement.instruments), MODEL).protected();
+    push_report_cells(&mut pass.manifest, label, &r, static_ok);
+    if !static_ok {
+        pass.errors
+            .push(format!("{label}: unprotected cycles after synthesis"));
+    }
+    Some(r)
+}
+
 /// Run the full static pipeline at one worker count: stitched programs,
 /// then bundles, sharing one skeleton cache. Emits only deterministic
 /// cells so two passes at different worker counts must agree byte-for-byte.
@@ -103,121 +131,70 @@ fn analysis_pass(name: &str, threads: usize, costs: &CostModel) -> AnalysisPass 
         ..WpsConfig::default()
     };
     let cache = CycleCache::in_memory();
-    let mut manifest = RunManifest::new(name, "static");
-    let mut errors: Vec<String> = vec![];
-    let mut stitched = vec![];
-    let mut bundles = vec![];
+    let mut pass = AnalysisPass {
+        manifest: RunManifest::new(name, "static"),
+        errors: vec![],
+        stitched: vec![],
+        bundles: vec![],
+    };
 
     for prog in StitchedProgram::all() {
         let label = format!("wps/dstruct/{}", prog.name);
-        let g = prog.graph();
         // Reclamation sites are pure instruction sequences (kernel-macro
         // style), so the stitched tier synthesizes fences only.
-        match synthesize_wps(
-            &g,
-            SynthConfig::fences_only(MODEL),
-            costs,
-            &wps,
-            Some(&cache),
-        ) {
-            Ok(r) => {
-                let static_ok =
-                    analyze(&apply_to_graph(&g, &r.placement.instruments), MODEL).protected();
-                push_report_cells(&mut manifest, &label, &r, static_ok);
-                if !static_ok {
-                    errors.push(format!("{label}: unprotected cycles after synthesis"));
-                }
-                stitched.push((prog, r));
-            }
-            Err(e) => errors.push(format!("{label}: synthesis failed: {e}")),
+        let cfg = SynthConfig::fences_only(MODEL);
+        if let Some(r) = solve(&mut pass, &label, &prog.graph(), cfg, &wps, &cache, costs) {
+            pass.stitched.push((prog, r));
         }
     }
 
     for bundle in make_bundles(MIN_BUNDLED_TESTS) {
         let label = format!("wps/gen/{}", bundle.label);
-        match synthesize_wps(
-            &bundle.graph,
-            SynthConfig::for_model(MODEL),
-            costs,
-            &wps,
-            Some(&cache),
-        ) {
-            Ok(r) => {
-                let static_ok = analyze(
-                    &apply_to_graph(&bundle.graph, &r.placement.instruments),
-                    MODEL,
-                )
-                .protected();
-                push_report_cells(&mut manifest, &label, &r, static_ok);
-                manifest.push_cell(format!("{label}/tests"), bundle.parts.len() as f64);
-                if !static_ok {
-                    errors.push(format!("{label}: unprotected cycles after synthesis"));
-                }
-                // Stress bundles also ship the greedy tier's own
-                // placement: a zero leg cap skips the oracle, so the
-                // reorder-bounded tier is what gets validated.
-                let forced = if bundle.stress {
-                    let fwps = WpsConfig {
-                        exact_leg_cap: 0,
-                        ..wps
-                    };
-                    match synthesize_wps(
-                        &bundle.graph,
-                        SynthConfig::for_model(MODEL),
-                        costs,
-                        &fwps,
-                        Some(&cache),
-                    ) {
-                        Ok(fr) => {
-                            let flabel = format!("{label}/approx_tier");
-                            let fstatic = analyze(
-                                &apply_to_graph(&bundle.graph, &fr.placement.instruments),
-                                MODEL,
-                            )
-                            .protected();
-                            push_report_cells(&mut manifest, &flabel, &fr, fstatic);
-                            if fr.tier != WpsTier::Approx {
-                                errors.push(format!(
-                                    "{flabel}: forced greedy solve reported the {} tier",
-                                    fr.tier.label()
-                                ));
-                            }
-                            if !fstatic {
-                                errors.push(format!("{flabel}: unprotected cycles"));
-                            }
-                            Some(fr)
-                        }
-                        Err(e) => {
-                            errors.push(format!("{label}: forced greedy solve failed: {e}"));
-                            None
-                        }
-                    }
-                } else {
-                    None
-                };
-                bundles.push((bundle, r, forced));
+        let cfg = SynthConfig::for_model(MODEL);
+        let Some(r) = solve(&mut pass, &label, &bundle.graph, cfg, &wps, &cache, costs) else {
+            continue;
+        };
+        pass.manifest
+            .push_cell(format!("{label}/tests"), bundle.parts.len() as f64);
+        // Stress bundles also ship the greedy tier's own placement: a
+        // zero leg cap skips the oracle, so the reorder-bounded tier is
+        // what gets validated.
+        let forced = if bundle.stress {
+            let flabel = format!("{label}/approx_tier");
+            let fwps = WpsConfig {
+                exact_leg_cap: 0,
+                ..wps
+            };
+            let fr = solve(&mut pass, &flabel, &bundle.graph, cfg, &fwps, &cache, costs);
+            if let Some(fr) = fr.as_ref().filter(|fr| fr.tier != WpsTier::Approx) {
+                pass.errors.push(format!(
+                    "{flabel}: forced greedy solve reported the {} tier",
+                    fr.tier.label()
+                ));
             }
-            Err(e) => errors.push(format!("{label}: synthesis failed: {e}")),
-        }
+            fr
+        } else {
+            None
+        };
+        pass.bundles.push((bundle, r, forced));
     }
 
-    let packed: usize = bundles.iter().map(|(b, _, _)| b.parts.len()).sum();
-    manifest.push_cell("wps/gen/tests_total", packed as f64);
-    manifest.push_cell("wps/gen/bundles", bundles.len() as f64);
+    let packed: usize = pass.bundles.iter().map(|(b, _, _)| b.parts.len()).sum();
+    pass.manifest
+        .push_cell("wps/gen/tests_total", packed as f64);
+    pass.manifest
+        .push_cell("wps/gen/bundles", pass.bundles.len() as f64);
     let cache_stats = cache.stats();
-    manifest.push_cell("wps/cache/entries", cache_stats.entries as f64);
-    manifest.push_cell("wps/cache/hits", cache_stats.hits as f64);
+    pass.manifest
+        .push_cell("wps/cache/entries", cache_stats.entries as f64);
+    pass.manifest
+        .push_cell("wps/cache/hits", cache_stats.hits as f64);
     if packed < MIN_BUNDLED_TESTS {
-        errors.push(format!(
+        pass.errors.push(format!(
             "only {packed} generated tests bundled (need >= {MIN_BUNDLED_TESTS})"
         ));
     }
-    AnalysisPass {
-        manifest,
-        errors,
-        stitched,
-        bundles,
-    }
+    pass
 }
 
 /// Dynamic validation of the stitched placements: replay each placement's

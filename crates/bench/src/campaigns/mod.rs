@@ -14,8 +14,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use wmm_harness::{
-    compare, merge_chronological, write_chrome_trace, GateConfig, ParallelExecutor, RunManifest,
-    SimCache, TraceEvent,
+    compare, merge_chronological, write_chrome_trace, ParallelExecutor, RunManifest, SimCache,
+    TraceEvent,
 };
 use wmm_obs::MetricsRegistry;
 use wmmbench::report::Table;
@@ -313,7 +313,7 @@ pub(crate) fn gate(campaign: &Campaign) -> Result<String, String> {
     let file = format!("{}.json", campaign.name);
     let baseline = RunManifest::load(baselines_dir().join(&file))?;
     let current = RunManifest::load(runs_dir().join(&file))?;
-    let report = compare(&baseline, &current, GateConfig::default());
+    let report = compare(&baseline, &current);
     if report.pass() {
         return Ok(report.summary());
     }

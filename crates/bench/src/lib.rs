@@ -36,10 +36,11 @@
 //! | reclamation site diff | [`profiling`] + `wmm_obs::Profile::diff` | `wmm_tracediff-dstruct` |
 //!
 //! The [`streams`] module is the shared stream-ingestion path for the
-//! static checkers: platform instruction streams go through one
-//! `streams::audit_streams` / `streams::synth_stream_case` funnel, so
-//! `fence_lint` and `fence_synth` need no per-platform glue beyond the
-//! idiom builders themselves.
+//! static checkers. Every `fence_lint` platform row goes through
+//! `streams::audit_streams`, and every `fence_synth` placement through
+//! `streams::synth_validated` (platform rows via
+//! `streams::synth_stream_case`). A platform contributes only its idiom
+//! builders, a re-lowering hook and its hand strategies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -308,23 +308,27 @@ pub(crate) fn profile_campaign(
     }
 }
 
-fn jvm_campaign(
+/// Profile `benches` on the ARMv8 machine under `strategy`, one sited
+/// batch per benchmark.
+fn arm_campaign<P: Clone + Eq + Hash + std::fmt::Debug, B: BenchSpec<P>>(
     campaign: &'static str,
-    jit: JitConfig,
-    strategy: &dyn FencingStrategy<Combined>,
+    benches: impl IntoIterator<Item = B>,
+    strategy: &dyn FencingStrategy<P>,
+    env: &HashMap<P, u64>,
     cfg: ExpConfig,
     exec: &dyn Executor,
 ) -> CampaignProfile {
     let m = machine(Arch::ArmV8);
-    let env: HashMap<Combined, u64> = jvm_envelope(Arch::ArmV8);
-    let mut benches = vec![];
-    for bench in dacapo_suite(jit, cfg.scale) {
-        let rw = SiteRewriter::new(strategy, Injection::None, env.clone());
-        benches.push(BenchProfile {
-            bench: bench.name().to_string(),
-            batch: batch_with_profile(&m, &bench, &rw, cfg.run, exec),
-        });
-    }
+    let benches = benches
+        .into_iter()
+        .map(|bench| {
+            let rw = SiteRewriter::new(strategy, Injection::None, env.clone());
+            BenchProfile {
+                bench: bench.name().to_string(),
+                batch: batch_with_profile(&m, &bench, &rw, cfg.run, exec),
+            }
+        })
+        .collect();
     CampaignProfile {
         campaign,
         arch: "arm",
@@ -338,54 +342,32 @@ pub(crate) fn profile_fig5_arm(cfg: ExpConfig, exec: &dyn Executor) -> CampaignP
     let dmb = FnStrategy::new("dmb-per-site", |_: &Combined| {
         vec![Instr::Fence(FenceKind::DmbIsh)]
     });
-    jvm_campaign("fig5-arm", JitConfig::jdk8(Arch::ArmV8), &dmb, cfg, exec)
+    let benches = dacapo_suite(JitConfig::jdk8(Arch::ArmV8), cfg.scale);
+    let env = jvm_envelope(Arch::ArmV8);
+    arm_campaign("fig5-arm", benches, &dmb, &env, cfg, exec)
 }
 
 /// §4.2.1 base side: JDK8 barrier images under the stock ARM strategy.
 pub(crate) fn profile_jdk8_arm(cfg: ExpConfig, exec: &dyn Executor) -> CampaignProfile {
-    let strategy = jvm_base_strategy(Arch::ArmV8);
-    jvm_campaign(
-        "jdk8-arm",
-        JitConfig::jdk8(Arch::ArmV8),
-        &strategy,
-        cfg,
-        exec,
-    )
+    let benches = dacapo_suite(JitConfig::jdk8(Arch::ArmV8), cfg.scale);
+    let (strategy, env) = (jvm_base_strategy(Arch::ArmV8), jvm_envelope(Arch::ArmV8));
+    arm_campaign("jdk8-arm", benches, &strategy, &env, cfg, exec)
 }
 
 /// §4.2.1 test side: JDK9 `ldar`/`stlr` images under the same strategy.
 pub(crate) fn profile_jdk9_arm(cfg: ExpConfig, exec: &dyn Executor) -> CampaignProfile {
-    let strategy = jvm_base_strategy(Arch::ArmV8);
-    jvm_campaign(
-        "jdk9-arm",
-        JitConfig::jdk9(Arch::ArmV8),
-        &strategy,
-        cfg,
-        exec,
-    )
+    let benches = dacapo_suite(JitConfig::jdk9(Arch::ArmV8), cfg.scale);
+    let (strategy, env) = (jvm_base_strategy(Arch::ArmV8), jvm_envelope(Arch::ArmV8));
+    arm_campaign("jdk9-arm", benches, &strategy, &env, cfg, exec)
 }
 
 /// The Fig. 9 kernels with `read_barrier_depends = dmb ish`, profiled per
 /// site.
 pub(crate) fn profile_fig9_kernel(cfg: ExpConfig, exec: &dyn Executor) -> CampaignProfile {
-    let m = machine(Arch::ArmV8);
-    let env = kernel_envelope();
-    let strat = rbd_strategy(RbdStrategy::DmbIsh);
-    let mut benches = vec![];
-    for name in ["ebizzy", "netperf_udp", "lmbench", "netperf_tcp"] {
-        let bench = KernelBench::new(kernel_profile(name).expect("profile exists"), cfg.scale);
-        let rw = SiteRewriter::new(&strat, Injection::None, env.clone());
-        benches.push(BenchProfile {
-            bench: bench.name().to_string(),
-            batch: batch_with_profile(&m, &bench, &rw, cfg.run, exec),
-        });
-    }
-    CampaignProfile {
-        campaign: "fig9-kernel",
-        arch: "arm",
-        ns_per_cycle: m.spec().ns(1.0),
-        benches,
-    }
+    let benches = ["ebizzy", "netperf_udp", "lmbench", "netperf_tcp"]
+        .map(|name| KernelBench::new(kernel_profile(name).expect("profile exists"), cfg.scale));
+    let (strat, env) = (rbd_strategy(RbdStrategy::DmbIsh), kernel_envelope());
+    arm_campaign("fig9-kernel", benches, &strat, &env, cfg, exec)
 }
 
 /// The data-structure workloads under one hazard-pointer scheme, profiled
@@ -397,27 +379,13 @@ pub(crate) fn profile_dstruct(
     exec: &dyn Executor,
     campaign: &'static str,
 ) -> CampaignProfile {
-    let m = machine(Arch::ArmV8);
-    let env = dstruct_envelope();
     let strat = if campaign == "dstruct-hp-asym" {
         wmm_dstruct::hp_asym_strategy()
     } else {
         wmm_dstruct::hp_dmb_strategy()
     };
-    let mut benches = vec![];
-    for bench in wmm_dstruct::dstruct_suite(cfg.scale) {
-        let rw = SiteRewriter::new(&strat, Injection::None, env.clone());
-        benches.push(BenchProfile {
-            bench: bench.name().to_string(),
-            batch: batch_with_profile(&m, &bench, &rw, cfg.run, exec),
-        });
-    }
-    CampaignProfile {
-        campaign,
-        arch: "arm",
-        ns_per_cycle: m.spec().ns(1.0),
-        benches,
-    }
+    let benches = wmm_dstruct::dstruct_suite(cfg.scale);
+    arm_campaign(campaign, benches, &strat, &dstruct_envelope(), cfg, exec)
 }
 
 #[cfg(test)]

@@ -4,14 +4,17 @@
 //! instruction streams plus inter-thread dependencies, run them through the
 //! analyzer (priced with the paper's Eq. 1/Eq. 2 model), and — for
 //! synthesis — validate each derived placement twice and race it against
-//! the platform's hand strategies. That flow used to be copy-pasted per
-//! platform; this module factors it so a new strategy-site platform (the
-//! JVM volatiles, the kernel macros, the dstruct reclamation schemes, the
-//! next one) plugs in with a `StreamCase` and an expectation, not glue.
+//! the platform's hand strategies. `audit_streams` is the one audit
+//! step, `synth_validated` the one synthesize → re-check → record step
+//! (every `fence_synth` placement, litmus rows included, goes through it),
+//! and `synth_stream_case` adds the platform re-lowering and the hand
+//! race. A strategy-site platform (the JVM volatiles, the kernel macros,
+//! the dstruct reclamation schemes, the next one) plugs in with a
+//! `StreamCase` and an expectation, not glue.
 
 use wmm_analyze::{
-    analyze, synthesize, Analysis, CostModel, Instrument, Placement, ProgramGraph, StreamDep,
-    SynthConfig,
+    analyze, apply_to_graph, graph_cost, synthesize, Analysis, CostModel, Instrument, Placement,
+    ProgramGraph, StreamDep, SynthConfig,
 };
 use wmm_harness::RunManifest;
 use wmm_litmus::explore::explore;
@@ -26,7 +29,7 @@ pub const NOMINAL_K: f64 = 0.0087;
 
 /// Cost slack for "synthesis ≤ best hand strategy": ties are allowed,
 /// float noise is not a failure.
-pub(crate) const COST_EPS: f64 = 1e-9;
+const COST_EPS: f64 = 1e-9;
 
 /// The four memory models every audit runs under.
 pub const MODELS: [ModelKind; 4] = [
@@ -139,17 +142,6 @@ pub(crate) fn audit_streams(
     a
 }
 
-/// Dynamic validation: after reinforcing `test` with the placement, the
-/// explorer must no longer reach the weak outcome under `model`.
-pub(crate) fn explorer_rejects_weak(
-    test: &LitmusTest,
-    placement: &Placement,
-    model: ModelKind,
-) -> bool {
-    let reinforced = test.reinforced(&placement.to_reinforce());
-    !explore(&reinforced, model).allows_with_memory(&reinforced.interesting, &reinforced.memory)
-}
-
 /// A platform idiom lowered to instruction streams plus inter-thread
 /// dependencies — the analyzer's stream-ingestion input shape.
 pub(crate) type LoweredStreams = (Vec<Vec<Instr>>, Vec<StreamDep>);
@@ -161,6 +153,60 @@ pub(crate) type HandLowering = (String, String, Vec<Vec<Instr>>, Vec<StreamDep>)
 /// Re-lowering hook: map synthesized instruments back onto the platform's
 /// strategy sites, or `None` if a placement has no site to live at.
 pub(crate) type RelowerFn<'a> = Box<dyn Fn(&[Instrument]) -> Option<LoweredStreams> + 'a>;
+
+/// Synthesize a minimal-cost placement on `g` and validate it. Records
+/// `{label}/cost_ns` and `{label}/instruments`, then checks the placement
+/// statically (re-analysis of the instrumented graph must report no
+/// unprotected cycle, and `platform` — the placement's round trip onto
+/// real strategy sites — must return `Ok`) and dynamically (the explorer
+/// must no longer reach `litmus`'s weak outcome), and records both
+/// verdicts as `{label}/valid`. Every failure is pushed to `errors` under
+/// `label`. Returns the placement, or `None` when synthesis failed.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn synth_validated(
+    manifest: &mut RunManifest,
+    errors: &mut Vec<String>,
+    label: &str,
+    g: &ProgramGraph,
+    cfg: SynthConfig,
+    litmus: &LitmusTest,
+    platform: impl FnOnce(&[Instrument]) -> Result<(), String>,
+    costs: &CostModel,
+) -> Option<Placement> {
+    let p = match synthesize(g, cfg, costs) {
+        Ok(p) => p,
+        Err(e) => {
+            manifest.push_cell(format!("{label}/valid"), 0.0);
+            errors.push(format!("{label}: synthesis failed: {e}"));
+            return None;
+        }
+    };
+    manifest.push_cell(format!("{label}/cost_ns"), p.cost_ns);
+    manifest.push_cell(format!("{label}/instruments"), p.instruments.len() as f64);
+
+    let mut valid = true;
+    let mut fail = |why: String| {
+        valid = false;
+        errors.push(format!("{label}: {why}"));
+    };
+    if !analyze(&apply_to_graph(g, &p.instruments), cfg.model).protected() {
+        fail("unprotected cycles after synthesis".into());
+    }
+    if let Err(why) = platform(&p.instruments) {
+        fail(why);
+    }
+    let reinforced = litmus.reinforced(&p.to_reinforce());
+    if explore(&reinforced, cfg.model)
+        .allows_with_memory(&reinforced.interesting, &reinforced.memory)
+    {
+        fail(format!(
+            "explorer reaches the weak outcome despite [{}]",
+            p.describe()
+        ));
+    }
+    manifest.push_cell(format!("{label}/valid"), f64::from(valid));
+    Some(p)
+}
 
 /// One synthesis case over a platform idiom expressed as bare streams.
 pub(crate) struct StreamCase<'a> {
@@ -185,18 +231,16 @@ pub(crate) struct StreamCase<'a> {
     pub hands: Vec<HandLowering>,
 }
 
-/// Run one [`StreamCase`]: synthesize a minimal-cost placement on the bare
-/// idiom, validate it statically (through the platform re-lowering) and
-/// dynamically (through the explorer), then race it against every hand
-/// strategy — synthesis must cost no more than the best protected hand.
+/// Run one [`StreamCase`]: synthesize and validate a placement on the bare
+/// idiom through [`synth_validated`], with the platform re-lowering as the
+/// extra static check, then race it against every hand strategy —
+/// synthesis must cost no more than the best protected hand.
 pub(crate) fn synth_stream_case(
     case: &StreamCase,
     manifest: &mut RunManifest,
     errors: &mut Vec<String>,
     costs: &CostModel,
 ) {
-    use wmm_analyze::{apply_to_graph, graph_cost};
-
     let (bare, deps) = &case.bare;
     let g = ProgramGraph::from_streams(format!("{}/bare", case.graph), bare, deps);
     let cfg = if case.fences_only {
@@ -204,52 +248,29 @@ pub(crate) fn synth_stream_case(
     } else {
         SynthConfig::for_model(case.model)
     };
-    let p = match synthesize(&g, cfg, costs) {
-        Ok(p) => p,
-        Err(e) => {
-            errors.push(format!("{}: synthesis failed: {e}", case.label));
-            return;
+    let relowered = |ins: &[Instrument]| {
+        let (streams, sdeps) =
+            (case.relower)(ins).ok_or("placement does not map onto platform sites")?;
+        let g2 = ProgramGraph::from_streams(format!("{}/synth", case.graph), &streams, &sdeps);
+        if analyze(&g2, case.model).protected() {
+            Ok(())
+        } else {
+            Err("re-lowered strategy leaves the idiom unprotected".to_string())
         }
+    };
+    let Some(p) = synth_validated(
+        manifest,
+        errors,
+        &case.label,
+        &g,
+        cfg,
+        &case.litmus,
+        relowered,
+        costs,
+    ) else {
+        return;
     };
     println!("  synthesized: {} ({:.1} ns)", p.describe(), p.cost_ns);
-    manifest.push_cell(format!("{}/cost_ns", case.label), p.cost_ns);
-    manifest.push_cell(
-        format!("{}/instruments", case.label),
-        p.instruments.len() as f64,
-    );
-
-    // Static validation twice over: once on the instrumented graph itself,
-    // once through the platform re-lowering (the placement must survive the
-    // round trip onto real strategy sites).
-    let instrumented_ok = analyze(&apply_to_graph(&g, &p.instruments), case.model).protected();
-    let relowered_ok = match (case.relower)(&p.instruments) {
-        Some((streams, sdeps)) => {
-            let g2 = ProgramGraph::from_streams(format!("{}/synth", case.graph), &streams, &sdeps);
-            analyze(&g2, case.model).protected()
-        }
-        None => {
-            errors.push(format!(
-                "{}: placement does not map onto platform sites",
-                case.label
-            ));
-            false
-        }
-    };
-    let static_ok = instrumented_ok && relowered_ok;
-    let dynamic_ok = explorer_rejects_weak(&case.litmus, &p, case.model);
-    manifest.push_cell(
-        format!("{}/valid", case.label),
-        f64::from(static_ok && dynamic_ok),
-    );
-    if !static_ok {
-        errors.push(format!(
-            "{}: re-lowered strategy leaves the idiom unprotected",
-            case.label
-        ));
-    }
-    if !dynamic_ok {
-        errors.push(format!("{}: explorer reaches the weak outcome", case.label));
-    }
 
     // Hand comparison: the synthesized placement must not lose to any
     // protected hand strategy on the same idiom.
@@ -285,5 +306,61 @@ pub(crate) fn synth_stream_case(
             "{}: synthesized cost {:.3} ns exceeds best hand strategy {best_hand:.3} ns",
             case.label, p.cost_ns
         ));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wmm_kernel::publish::{bare_publish, publish_idiom, strategy_from_placement};
+    use wmm_litmus::suite;
+
+    /// `fence_synth`'s rbd publication case with `relower` swapped in and
+    /// no hands to race: the recorded `valid` cell and the errors.
+    fn run(relower: RelowerFn<'_>) -> (f64, Vec<String>) {
+        let case = StreamCase {
+            label: "synth/rbd".into(),
+            graph: "kernel/rbd-publish".into(),
+            model: ModelKind::ArmV8,
+            bare: bare_publish(),
+            fences_only: true,
+            litmus: suite::message_passing().test,
+            relower,
+            hands: vec![],
+        };
+        let mut manifest = RunManifest::new("streams_test", "static");
+        let mut errors = vec![];
+        let costs = CostModel::priced(NOMINAL_K);
+        synth_stream_case(&case, &mut manifest, &mut errors, &costs);
+        let valid = manifest
+            .cells
+            .iter()
+            .find(|c| c.label == "synth/rbd/valid")
+            .expect("valid cell")
+            .value;
+        (valid, errors)
+    }
+
+    #[test]
+    fn validator_rejects_placements_lost_on_the_platform() {
+        let (valid, errors) = run(Box::new(|ins| {
+            strategy_from_placement(ins).map(|s| publish_idiom(&s, None))
+        }));
+        assert_eq!((valid, errors), (1.0, vec![]), "the real re-lowering holds");
+
+        // A re-lowering that drops the placement leaves the idiom bare.
+        let (valid, errors) = run(Box::new(|_| Some(bare_publish())));
+        assert_eq!(valid, 0.0);
+        assert_eq!(
+            errors,
+            ["synth/rbd: re-lowered strategy leaves the idiom unprotected"]
+        );
+
+        let (valid, errors) = run(Box::new(|_| None));
+        assert_eq!(valid, 0.0);
+        assert_eq!(
+            errors,
+            ["synth/rbd: placement does not map onto platform sites"]
+        );
     }
 }

@@ -794,7 +794,7 @@ mod tests {
             let probe = |bytes: &[u8]| {
                 if let Ok(json) = Json::parse(&String::from_utf8_lossy(bytes)) {
                     if let Ok(current) = RunManifest::from_json(&json) {
-                        crate::compare(&baseline, &current, crate::GateConfig::default());
+                        crate::compare(&baseline, &current);
                     }
                 }
             };

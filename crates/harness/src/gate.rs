@@ -4,7 +4,7 @@
 //! determinism contract (see [`crate::artifact`]):
 //!
 //! * fitted sensitivities and per-cell measurements, within a relative
-//!   tolerance ([`GateConfig`]);
+//!   tolerance (`K_REL_TOL` for fits, `CELL_REL_TOL` for cells);
 //! * every structural entry of the `metrics` counts block, exactly and in
 //!   both directions — the simulator is deterministic, so a count that
 //!   moves at all is a change. A run that read the disk cache
@@ -34,25 +34,13 @@ use wmm_sim::isa::FenceKind;
 
 use crate::artifact::{RunManifest, SiteRecord};
 
-/// Gate tolerances. Relative drift is `|new - old| / max(|old|, eps)`.
-#[derive(Debug, Clone, Copy)]
-pub struct GateConfig {
-    /// Maximum relative drift of a fitted `k`.
-    pub k_rel_tol: f64,
-    /// Maximum relative drift of a measurement cell.
-    pub cell_rel_tol: f64,
-}
-
-impl Default for GateConfig {
-    fn default() -> Self {
-        // Fitted ks move more than individual cells under legitimate noise
-        // (the fit amplifies tail points), so they get the wider band.
-        GateConfig {
-            k_rel_tol: 0.10,
-            cell_rel_tol: 0.05,
-        }
-    }
-}
+/// Maximum relative drift of a fitted `k`, where relative drift is
+/// `|new - old| / max(|old|, eps)`. Fitted ks move more than individual
+/// cells under legitimate noise (the fit amplifies tail points), so they
+/// get the wider band.
+pub(crate) const K_REL_TOL: f64 = 0.10;
+/// Maximum relative drift of a measurement cell.
+pub(crate) const CELL_REL_TOL: f64 = 0.05;
 
 /// One out-of-tolerance value comparison, structured so callers can print
 /// a full per-cell diff table instead of only the first offending entry.
@@ -276,8 +264,9 @@ fn site_moves(b: &SiteRecord, c: &SiteRecord) -> Vec<String> {
     moved
 }
 
-/// Compare `current` against `baseline` under `cfg`.
-pub fn compare(baseline: &RunManifest, current: &RunManifest, cfg: GateConfig) -> GateReport {
+/// Compare `current` against `baseline`: fits within `K_REL_TOL`, cells
+/// within `CELL_REL_TOL`, counts and sites exactly.
+pub fn compare(baseline: &RunManifest, current: &RunManifest) -> GateReport {
     let mut r = GateReport::default();
     let campaign = baseline.campaign.as_str();
     if baseline.campaign != current.campaign {
@@ -322,17 +311,10 @@ pub fn compare(baseline: &RunManifest, current: &RunManifest, cfg: GateConfig) -
     );
     r.checked = fits.len() + cells.len();
     for (b, c) in fits {
-        r.check(campaign, "fit k", &b.label, b.k, c.k, cfg.k_rel_tol);
+        r.check(campaign, "fit k", &b.label, b.k, c.k, K_REL_TOL);
     }
     for (b, c) in cells {
-        r.check(
-            campaign,
-            "cell",
-            &b.label,
-            b.value,
-            c.value,
-            cfg.cell_rel_tol,
-        );
+        r.check(campaign, "cell", &b.label, b.value, c.value, CELL_REL_TOL);
     }
 
     // Counts: every structural entry, exactly. Counters and gauges compare
@@ -392,7 +374,7 @@ mod tests {
     use wmmbench::model::SensitivityFit;
 
     fn gate(baseline: &RunManifest, current: &RunManifest) -> GateReport {
-        compare(baseline, current, GateConfig::default())
+        compare(baseline, current)
     }
 
     fn any(r: &GateReport, needle: &str) -> bool {

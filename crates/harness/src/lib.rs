@@ -66,7 +66,7 @@ pub mod trace;
 
 pub use artifact::{RunManifest, SimTotals, SiteRecord, Telemetry};
 pub use cache::{cell_key, job_key, Fnv128, SimCache, DISK_HEADER};
-pub use gate::{compare, GateConfig};
+pub use gate::compare;
 pub use jobs::{run_cached_tasks, TaskCache};
 pub use scheduler::{resolve_threads, run_keyed, run_keyed_indexed, ParallelExecutor};
 pub use trace::{

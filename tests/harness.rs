@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use wmm::wmm_bench::profiling::{batch_with_profile, site_records};
 use wmm::wmm_bench::{fig5_openjdk_sweeps_with, ExpConfig};
 use wmm::wmm_harness::{
-    compare, job_key, GateConfig, ParallelExecutor, RunManifest, SimCache, Telemetry, DISK_HEADER,
+    compare, job_key, ParallelExecutor, RunManifest, SimCache, Telemetry, DISK_HEADER,
 };
 use wmm::wmm_obs::MetricsRegistry;
 use wmm::wmm_sim::arch::{armv8_xgene1, Arch};
@@ -205,7 +205,7 @@ fn nan_fit_fails_the_gate() {
     let baseline = campaign_manifest(&campaign_sweep(&exec));
     let mut poisoned = baseline.clone();
     poisoned.fits[0].k = f64::NAN;
-    let report = compare(&baseline, &poisoned, GateConfig::default());
+    let report = compare(&baseline, &poisoned);
     assert!(!report.pass(), "NaN fit must fail the gate");
     assert!(
         report.failures.iter().any(|f| f.contains("non-finite")),
@@ -332,7 +332,7 @@ fn gate_passes_unmodified_rerun_and_fails_drift() {
     let exec = ParallelExecutor::new(Some(2));
     let baseline = campaign_manifest(&campaign_sweep(&exec));
     let rerun = campaign_manifest(&campaign_sweep(&exec));
-    let report = compare(&baseline, &rerun, GateConfig::default());
+    let report = compare(&baseline, &rerun);
     assert!(
         report.pass(),
         "identical rerun must pass: {:?}",
@@ -342,7 +342,7 @@ fn gate_passes_unmodified_rerun_and_fails_drift() {
 
     let mut drifted = rerun.clone();
     drifted.fits[0].k *= 1.5;
-    let report = compare(&baseline, &drifted, GateConfig::default());
+    let report = compare(&baseline, &drifted);
     assert!(!report.pass(), "50% k drift must fail the gate");
 }
 
