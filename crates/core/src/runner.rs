@@ -202,12 +202,15 @@ impl<'a, P: Clone + Eq + Hash> Batch<'a, P> {
     where
         P: std::fmt::Debug,
     {
-        let outcomes = exec.run_cells(self.cells(true));
-        let names = self.configs.iter().flat_map(|(code, sites)| {
+        let kept = self.kept(exec.run_cells(self.cells(true)));
+        // Name only the kept samples: warm-ups are dropped unnamed.
+        let configs = kept.into_iter().zip(&self.configs);
+        let named = configs.map(|(outcomes, (code, sites))| {
+            let images = code.samples.iter().skip(self.warmups);
             let name = |(_, image): &(u64, Image<P>)| SiteNames::new(image, &code.paths, sites);
-            code.samples.iter().map(name)
+            outcomes.into_iter().zip(images.map(name)).collect()
         });
-        self.kept(outcomes.into_iter().zip(names))
+        named.collect()
     }
 
     fn cells(&self, sited: bool) -> Vec<SimCell<'_>> {

@@ -1,10 +1,11 @@
-//! The multicore machine: interleaves per-core execution in global time
-//! order through the shared memory system.
+//! The multicore machine: interleaves per-core execution through the
+//! shared memory system, ordering in global time every instruction another
+//! core can observe.
 
 use crate::arch::ArchSpec;
 use crate::exec::CoreState;
 use crate::isa::Instr;
-use crate::mem::MemSys;
+use crate::mem::{is_shared, MemSys};
 use crate::probe::{NullProbe, Probe, SiteStallProbe};
 use crate::rng::SplitMix64;
 use crate::sched::CoreHeap;
@@ -125,7 +126,7 @@ impl WorkloadCtx {
     /// Check that every numeric field is finite and non-negative.
     ///
     /// A NaN or negative pressure/rate would poison core clocks mid-run and
-    /// detonate deep inside a batch; [`Machine::run_probed_with`] rejects
+    /// detonate deep inside a batch; [`Machine::run_probed`] rejects
     /// such contexts up front with the offending field named instead.
     pub(crate) fn validate(&self) -> Result<(), String> {
         let fields = [
@@ -243,31 +244,25 @@ impl Machine {
         seed: u64,
         probe: &mut dyn Probe,
     ) -> ExecStats {
-        self.run_probed_with(program, ctx, seed, probe, &mut MachineScratch::new())
+        self.run_loop(program, ctx, seed, probe, &mut MachineScratch::new())
     }
 
-    /// The run loop: [`Machine::run_probed`] with every per-run allocation
-    /// drawn from (and returned to) `scratch`.
-    pub(crate) fn run_probed_with<C: Code + ?Sized>(
-        &self,
-        program: &C,
-        ctx: &WorkloadCtx,
-        seed: u64,
-        probe: &mut dyn Probe,
-        scratch: &mut MachineScratch,
-    ) -> ExecStats {
-        self.run_loop(program, ctx, seed, probe, scratch)
-    }
-
-    /// The run loop proper, generic over the probe so statically-known
-    /// probes monomorphize (a [`NullProbe`] run carries zero observation
-    /// overhead — no virtual dispatch per instruction).
+    /// The run loop, generic over the probe so statically-known probes
+    /// monomorphize (a [`NullProbe`] run carries zero observation overhead
+    /// — no virtual dispatch per instruction), with every per-run
+    /// allocation drawn from (and returned to) `scratch`.
     ///
-    /// Scheduling is discrete-event: a [`CoreHeap`] keyed on `(clock, core)`
-    /// always surfaces the core with the smallest local clock, so cross-core
-    /// coherence interactions happen in global time order, and a stepped
-    /// core whose clock is still minimal keeps running without touching the
-    /// other cores at all.
+    /// Scheduling is discrete-event, but only over *shared* instructions
+    /// ([`is_shared`]: directory accesses and fences). Each core runs ahead
+    /// through its local instructions until it reaches its next shared one,
+    /// then parks in a [`CoreHeap`] under the key `(clock, core)`. The loop
+    /// executes the parked instruction of the least key, runs that core
+    /// ahead again and re-keys it. A step-by-step loop that always steps
+    /// the core with the least `(clock, core)` executes instructions in
+    /// non-decreasing key order, since clocks never fall; so its shared
+    /// instructions run in exactly the order this loop runs them, and
+    /// local instructions cannot see the order. Results are bit-identical
+    /// to that loop's; probes see local instructions earlier.
     fn run_loop<C: Code + ?Sized, P: Probe + ?Sized>(
         &self,
         program: &C,
@@ -276,6 +271,70 @@ impl Machine {
         probe: &mut P,
         scratch: &mut MachineScratch,
     ) -> ExecStats {
+        let noise = self.start_run(program, ctx, seed, scratch);
+        let MachineScratch {
+            cores,
+            rngs,
+            mem,
+            heap,
+        } = scratch;
+        let mut counters = Counters::default();
+
+        // Every core with code enters the heap at its start clock, so its
+        // first instruction runs in key order whether or not it is shared.
+        // A thread with no instructions never enters the heap.
+        let mut cursors: Vec<Option<Cursor<'_>>> = (0..program.threads())
+            .map(|t| Cursor::seek(program, t, 0, 0))
+            .collect();
+        heap.clear();
+        for (i, core) in cores.iter().enumerate() {
+            if cursors[i].is_some() {
+                heap.push(core.clock, i);
+            }
+        }
+        while let Some(idx) = heap.peek() {
+            let core = &mut cores[idx];
+            let cursor = cursors[idx].as_mut().expect("a queued core has code left");
+            let rng = &mut rngs[idx];
+            // Execute the parked instruction, then run ahead to the next
+            // shared one. Within a part the walk is a flat slice walk; only
+            // a part boundary moves the cursor.
+            loop {
+                let instr = &cursor.instrs[core.pc - cursor.base];
+                probe.begin(idx, core.pc, instr);
+                let before = core.clock;
+                core.step_probed(instr, &self.spec, ctx, mem, rng, &mut counters, probe);
+                probe.retire(idx, core.pc, core.clock - before, core.clock);
+                core.pc += 1;
+                if core.pc - cursor.base == cursor.instrs.len() {
+                    match Cursor::seek(program, idx, cursor.part + 1, core.pc) {
+                        Some(next) => *cursor = next,
+                        None => {
+                            heap.pop_root();
+                            break;
+                        }
+                    }
+                }
+                if is_shared(&cursor.instrs[core.pc - cursor.base]) {
+                    heap.update_root(core.clock);
+                    break;
+                }
+            }
+        }
+        self.finish_run(cores, counters, noise)
+    }
+
+    /// Check a run of `program` under `ctx` and reset `scratch` for it:
+    /// one core, store buffer and RNG stream per thread, a cold memory
+    /// system, and core clocks at their staggered start times. Returns the
+    /// run-level and SMT noise factors of the wall time.
+    fn start_run<C: Code + ?Sized>(
+        &self,
+        program: &C,
+        ctx: &WorkloadCtx,
+        seed: u64,
+        scratch: &mut MachineScratch,
+    ) -> (f64, f64) {
         let n = program.threads();
         // The same refusal `Program::new` makes, for code of any shape.
         assert!(n > 0, "program needs at least one thread");
@@ -304,13 +363,9 @@ impl Machine {
         };
 
         let MachineScratch {
-            cores,
-            rngs,
-            mem,
-            heap,
+            cores, rngs, mem, ..
         } = scratch;
         mem.clear();
-        let mut counters = Counters::default();
         cores.truncate(n);
         for (id, core) in cores.iter_mut().enumerate() {
             core.reset(id, &self.spec);
@@ -326,53 +381,15 @@ impl Machine {
         for (i, core) in cores.iter_mut().enumerate() {
             core.clock = (i as f64) * 20.0 + rngs[i].next_f64() * 10.0;
         }
+        (run_noise, smt_noise)
+    }
 
-        // Interleave: always step the core with the smallest local clock so
-        // cross-core coherence interactions happen in global time order.
-        // A thread with no instructions never enters the heap.
-        let mut cursors: Vec<Option<Cursor<'_>>> =
-            (0..n).map(|t| Cursor::seek(program, t, 0, 0)).collect();
-        heap.clear();
-        for (i, core) in cores.iter().enumerate() {
-            if cursors[i].is_some() {
-                heap.push(core.clock, i);
-            }
-        }
-        while let Some(idx) = heap.peek() {
-            let core = &mut cores[idx];
-            let cursor = cursors[idx].as_mut().expect("a queued core has code left");
-            let rng = &mut rngs[idx];
-            // Step this core while it remains the globally-minimal one; the
-            // common case (one straggler core, or a core far behind the
-            // pack) never re-consults the other cores. Within a part the
-            // walk is a flat slice walk; only a part boundary moves the
-            // cursor.
-            loop {
-                let instr = &cursor.instrs[core.pc - cursor.base];
-                probe.begin(idx, core.pc, instr);
-                let before = core.clock;
-                core.step_probed(instr, &self.spec, ctx, mem, rng, &mut counters, probe);
-                probe.retire(idx, core.pc, core.clock - before, core.clock);
-                core.pc += 1;
-                if core.pc - cursor.base == cursor.instrs.len() {
-                    match Cursor::seek(program, idx, cursor.part + 1, core.pc) {
-                        Some(next) => *cursor = next,
-                        None => {
-                            heap.pop_root();
-                            break;
-                        }
-                    }
-                }
-                heap.update_root(core.clock);
-                if heap.peek() != Some(idx) {
-                    break;
-                }
-            }
-        }
-
+    /// The statistics of a finished run on `cores`.
+    fn finish_run(&self, cores: &[CoreState], counters: Counters, noise: (f64, f64)) -> ExecStats {
+        let (run_noise, smt_noise) = noise;
         let mut sb_stall_cycles = 0.0;
         let mut sb_stalls = 0;
-        for core in cores.iter() {
+        for core in cores {
             sb_stall_cycles += core.sbuf.stall_cycles;
             sb_stalls += core.sbuf.stalls;
         }
@@ -395,10 +412,6 @@ impl Machine {
     /// limits the paper highlights: run it on `dmb ish` vs `dmb ishst` and
     /// you will see no difference, because the machine is otherwise idle.
     pub fn time_sequence_ns(&self, body: &[Instr], n: usize, seed: u64) -> f64 {
-        let mut stream = Vec::with_capacity(body.len() * n);
-        for _ in 0..n {
-            stream.extend_from_slice(body);
-        }
         let ctx = WorkloadCtx {
             name: "micro".to_string(),
             bp_pressure: 0.0,
@@ -407,8 +420,25 @@ impl Machine {
             dram_frac: 0.0,
             noise_amp: 0.0,
         };
-        let stats = self.run(&Program::new(vec![stream]), &ctx, seed);
+        let stats = self.run(&Repeat { body, n }, &ctx, seed);
         stats.wall_ns / n as f64
+    }
+}
+
+/// One thread whose code is `body` repeated `n` times, as `n` parts, so a
+/// long loop is timed without copying `body` into one stream.
+struct Repeat<'b> {
+    body: &'b [Instr],
+    n: usize,
+}
+
+impl Code for Repeat<'_> {
+    fn threads(&self) -> usize {
+        1
+    }
+
+    fn part(&self, _thread: usize, part: usize) -> Option<&[Instr]> {
+        (part < self.n).then_some(self.body)
     }
 }
 
@@ -416,7 +446,8 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::arch::{armv8_xgene1, power7};
-    use crate::isa::{AccessOrd, FenceKind, Loc};
+    use crate::isa::{AccessOrd, FenceKind, Loc, Mispredict};
+    use proptest::prelude::*;
 
     fn store(line: u64) -> Instr {
         Instr::Store {
@@ -642,5 +673,235 @@ mod tests {
         let reused = m.run_sited_with(&prog, &ctx, 42, &mut scratch);
         assert_eq!(fresh.wall_ns, reused.wall_ns);
         assert_eq!(fresh.per_site, reused.per_site);
+    }
+
+    /// The step-by-step run loop that run-ahead scheduling replaced, as the
+    /// reference: after every instruction it re-keys the stepped core and
+    /// steps whichever core now has the least `(clock, core)`.
+    fn run_stepwise<C: Code + ?Sized, P: Probe>(
+        machine: &Machine,
+        program: &C,
+        ctx: &WorkloadCtx,
+        seed: u64,
+        probe: &mut P,
+    ) -> ExecStats {
+        let mut scratch = MachineScratch::new();
+        let noise = machine.start_run(program, ctx, seed, &mut scratch);
+        let MachineScratch {
+            cores,
+            rngs,
+            mem,
+            heap,
+        } = &mut scratch;
+        let mut counters = Counters::default();
+        let mut cursors: Vec<Option<Cursor<'_>>> = (0..program.threads())
+            .map(|t| Cursor::seek(program, t, 0, 0))
+            .collect();
+        for (i, core) in cores.iter().enumerate() {
+            if cursors[i].is_some() {
+                heap.push(core.clock, i);
+            }
+        }
+        while let Some(idx) = heap.peek() {
+            let core = &mut cores[idx];
+            let cursor = cursors[idx].as_mut().expect("a queued core has code left");
+            let rng = &mut rngs[idx];
+            loop {
+                let instr = &cursor.instrs[core.pc - cursor.base];
+                probe.begin(idx, core.pc, instr);
+                let before = core.clock;
+                core.step_probed(instr, &machine.spec, ctx, mem, rng, &mut counters, probe);
+                probe.retire(idx, core.pc, core.clock - before, core.clock);
+                core.pc += 1;
+                if core.pc - cursor.base == cursor.instrs.len() {
+                    match Cursor::seek(program, idx, cursor.part + 1, core.pc) {
+                        Some(next) => *cursor = next,
+                        None => {
+                            heap.pop_root();
+                            break;
+                        }
+                    }
+                }
+                heap.update_root(core.clock);
+                if heap.peek() != Some(idx) {
+                    break;
+                }
+            }
+        }
+        machine.finish_run(cores, counters, noise)
+    }
+
+    /// A program cut into parts: per thread, the parts' slices in order.
+    struct Split<'p> {
+        threads: Vec<Vec<&'p [Instr]>>,
+    }
+
+    impl<'p> Split<'p> {
+        /// Cut every thread of `program` at random boundaries drawn from
+        /// `seed`; repeated and end-point cuts give empty parts.
+        fn new(program: &'p Program, seed: u64) -> Self {
+            let mut rng = SplitMix64::new(seed);
+            let threads = program
+                .threads
+                .iter()
+                .map(|stream| {
+                    let len = stream.len() as u64;
+                    let mut cuts: Vec<usize> = (0..rng.next_below(len + 3))
+                        .map(|_| rng.next_below(len + 1) as usize)
+                        .collect();
+                    cuts.sort_unstable();
+                    let mut from = 0;
+                    let mut parts: Vec<&[Instr]> = cuts
+                        .into_iter()
+                        .map(|cut| {
+                            let part = &stream[from..cut];
+                            from = cut;
+                            part
+                        })
+                        .collect();
+                    parts.push(&stream[from..]);
+                    parts
+                })
+                .collect();
+            Split { threads }
+        }
+    }
+
+    impl Code for Split<'_> {
+        fn threads(&self) -> usize {
+            self.threads.len()
+        }
+
+        fn part(&self, thread: usize, part: usize) -> Option<&[Instr]> {
+            self.threads[thread].get(part).copied()
+        }
+    }
+
+    fn any_loc() -> impl Strategy<Value = Loc> {
+        // Few lines, so threads contend on them.
+        prop_oneof![
+            (0u64..3).prop_map(Loc::Private),
+            (0u64..3).prop_map(Loc::SharedRo),
+            (0u64..3).prop_map(Loc::SharedRw),
+        ]
+    }
+
+    fn any_ord() -> impl Strategy<Value = AccessOrd> {
+        prop_oneof![
+            Just(AccessOrd::Plain),
+            Just(AccessOrd::Acquire),
+            Just(AccessOrd::Release),
+        ]
+    }
+
+    fn any_fence() -> impl Strategy<Value = Instr> {
+        (0usize..FenceKind::ALL.len()).prop_map(|i| Instr::Fence(FenceKind::ALL[i]))
+    }
+
+    fn any_instr() -> impl Strategy<Value = Instr> {
+        prop_oneof![
+            Just(Instr::Nop),
+            Just(Instr::MovImm),
+            Just(Instr::Alu),
+            Just(Instr::CmpImm),
+            Just(Instr::StackPush),
+            Just(Instr::StackPop),
+            prop_oneof![
+                Just(Mispredict::Never),
+                Just(Mispredict::Workload),
+                (0.0f64..0.5).prop_map(Mispredict::Rate),
+            ]
+            .prop_map(Instr::CondBranch),
+            (any_loc(), any_ord()).prop_map(|(loc, ord)| Instr::Load { loc, ord }),
+            (any_loc(), any_ord()).prop_map(|(loc, ord)| Instr::Store { loc, ord }),
+            (any_loc(), 0.3f64..1.0)
+                .prop_map(|(loc, success_prob)| Instr::Cas { loc, success_prob }),
+            any_fence(),
+            (1u64..64, 0u32..2).prop_map(|(iters, spill)| Instr::CostLoop {
+                iters,
+                stack_spill: spill == 1
+            }),
+            // Zero-cycle blocks tie a core's clock with its next instruction's.
+            (0u32..3).prop_map(|cycles| Instr::Compute { cycles }),
+            (0u32..120).prop_map(|cycles| Instr::Compute { cycles }),
+        ]
+    }
+
+    /// Half the instructions are fences, so cores' fences of one kind
+    /// interleave and their float cycle sums see the retirement order.
+    fn any_program() -> impl Strategy<Value = Program> {
+        let instr = prop_oneof![any_instr(), any_fence()];
+        prop::collection::vec(prop::collection::vec(instr, 0..24), 1..9).prop_map(Program::new)
+    }
+
+    fn any_ctx() -> impl Strategy<Value = WorkloadCtx> {
+        (
+            (0.0f64..0.3, 0.0f64..1.0),
+            (0.0f64..0.3, 0.0f64..1.0),
+            0.0f64..0.05,
+        )
+            .prop_map(
+                |((bp_pressure, load_pressure), (l1_miss_rate, dram_frac), noise_amp)| {
+                    WorkloadCtx {
+                        name: "prop".to_string(),
+                        bp_pressure,
+                        load_pressure,
+                        l1_miss_rate,
+                        dram_frac,
+                        noise_amp,
+                    }
+                },
+            )
+    }
+
+    /// Every float of `stats` as bits, so `-0.0` and `0.0` differ too.
+    fn float_bits(stats: &ExecStats) -> Vec<u64> {
+        let fences = FenceKind::ALL
+            .iter()
+            .filter_map(|kind| stats.counters.fence_cycles.get(kind).copied());
+        let sites = stats.per_site.iter().flatten().flat_map(|site| {
+            [
+                site.fence_cycles,
+                site.sb_stall_cycles,
+                site.mem_cycles,
+                site.total_cycles,
+            ]
+        });
+        [stats.wall_ns, stats.sb_stall_cycles]
+            .into_iter()
+            .chain(stats.core_cycles.iter().copied())
+            .chain(fences)
+            .chain(sites)
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn run_ahead_matches_the_stepwise_loop(
+            program in any_program(),
+            ctx in any_ctx(),
+            seed in 0u64..u64::MAX,
+            cuts in 0u64..u64::MAX,
+        ) {
+            let split = Split::new(&program, cuts);
+            let mut scratch = MachineScratch::new();
+            for machine in [Machine::new(armv8_xgene1()), Machine::new(power7())] {
+                let unsited = run_stepwise(&machine, &program, &ctx, seed, &mut NullProbe);
+                let mut probe = SiteStallProbe::new();
+                let mut sited = run_stepwise(&machine, &program, &ctx, seed, &mut probe);
+                sited.per_site = Some(probe.finish());
+                for code in [&program as &dyn Code, &split] {
+                    let got = machine.run_with(code, &ctx, seed, &mut scratch);
+                    prop_assert_eq!(float_bits(&got), float_bits(&unsited));
+                    prop_assert_eq!(got, unsited);
+                    let got = machine.run_sited_with(code, &ctx, seed, &mut scratch);
+                    prop_assert_eq!(float_bits(&got), float_bits(&sited));
+                    prop_assert_eq!(got, sited);
+                }
+            }
+        }
     }
 }

@@ -11,13 +11,47 @@
 //! rates are a property of the *workload* (its working-set size and access
 //! pattern), so they are sampled from the workload context's miss rates with
 //! the run's seeded RNG.
+//!
+//! `is_shared` names the instructions whose effect another core can
+//! observe; the run loop orders only those in global time and lets each
+//! core run ahead through the rest.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::arch::ArchSpec;
-use crate::isa::Loc;
+use crate::isa::{Instr, Loc};
 use crate::rng::SplitMix64;
+
+/// Whether executing `instr` touches state shared across cores, so that
+/// the run loop must execute it in `(clock, core)` order:
+///
+/// * a `Load` of a `SharedRw` line, a `Store` to a `SharedRo` or `SharedRw`
+///   line and every `Cas` read or write the coherence directory;
+/// * every `Fence` adds its cycles into the run-wide
+///   `Counters::fence_cycles` float sums, whose bits depend on the order
+///   the cores' fences retire in.
+///
+/// Every other instruction reads and writes only its own core's clock,
+/// credit, store buffer and RNG stream (a `Private` or `SharedRo` load
+/// draws its hit or miss from that stream alone), the workload context and
+/// order-free integer counters, so it may run ahead of other cores.
+pub(crate) fn is_shared(instr: &Instr) -> bool {
+    match *instr {
+        Instr::Load { loc, .. } => matches!(loc, Loc::SharedRw(_)),
+        Instr::Store { loc, .. } => !matches!(loc, Loc::Private(_)),
+        Instr::Cas { .. } | Instr::Fence(_) => true,
+        Instr::Nop
+        | Instr::MovImm
+        | Instr::Alu
+        | Instr::CmpImm
+        | Instr::CondBranch(_)
+        | Instr::StackPush
+        | Instr::StackPop
+        | Instr::CostLoop { .. }
+        | Instr::Compute { .. } => false,
+    }
+}
 
 /// A fast, deterministic hasher for 64-bit line keys: the SplitMix64
 /// finalizer. Line-map lookups happen on nearly every memory instruction,
@@ -310,6 +344,97 @@ mod tests {
         let (d, od) = m.rmw(0, Loc::SharedRw(7), &spec);
         assert_eq!(od, AccessOutcome::L1Hit);
         assert!(d < c);
+    }
+
+    /// Every variant of `Instr` over every `Loc` class, ordering,
+    /// `Mispredict` and `FenceKind`.
+    fn every_instr() -> Vec<Instr> {
+        use crate::isa::{AccessOrd, FenceKind, Mispredict};
+        let mut all = vec![
+            Instr::Nop,
+            Instr::MovImm,
+            Instr::Alu,
+            Instr::CmpImm,
+            Instr::CondBranch(Mispredict::Never),
+            Instr::CondBranch(Mispredict::Rate(0.5)),
+            Instr::CondBranch(Mispredict::Workload),
+            Instr::StackPush,
+            Instr::StackPop,
+            Instr::Compute { cycles: 0 },
+            Instr::Compute { cycles: 40 },
+        ];
+        for stack_spill in [false, true] {
+            all.push(Instr::CostLoop {
+                iters: 64,
+                stack_spill,
+            });
+        }
+        all.extend(FenceKind::ALL.map(Instr::Fence));
+        for line in [1, 9] {
+            for loc in [Loc::Private(line), Loc::SharedRo(line), Loc::SharedRw(line)] {
+                for ord in [AccessOrd::Plain, AccessOrd::Acquire, AccessOrd::Release] {
+                    all.push(Instr::Load { loc, ord });
+                    all.push(Instr::Store { loc, ord });
+                }
+                all.push(Instr::Cas {
+                    loc,
+                    success_prob: 0.5,
+                });
+            }
+        }
+        all
+    }
+
+    #[test]
+    fn local_instructions_leave_the_directory_unchanged() {
+        use crate::exec::CoreState;
+        use crate::machine::WorkloadCtx;
+        use crate::probe::NullProbe;
+        use crate::stats::Counters;
+
+        let spec = armv8_xgene1();
+        // Misses on private and read-only data, so every sampled path runs.
+        let ctx = WorkloadCtx {
+            l1_miss_rate: 0.5,
+            dram_frac: 0.5,
+            bp_pressure: 0.5,
+            ..WorkloadCtx::default()
+        };
+        // Line 1 of every class (core 0's private key included) is shared
+        // by cores 1 and 2, so any directory write by core 0 changes it;
+        // line 9 is absent, so any insert adds it.
+        let mut warm = MemSys::new();
+        for loc in [Loc::Private(1), Loc::SharedRo(1), Loc::SharedRw(1)] {
+            warm.directory
+                .insert(line_key(0, loc), LineState::Shared(0b110));
+        }
+        let mut local = 0;
+        for instr in every_instr() {
+            let mut mem = MemSys {
+                directory: warm.directory.clone(),
+            };
+            let mut core = CoreState::new(0, &spec);
+            let mut counters = Counters::default();
+            let mut rng = rng();
+            for _ in 0..8 {
+                core.step_probed(
+                    &instr,
+                    &spec,
+                    &ctx,
+                    &mut mem,
+                    &mut rng,
+                    &mut counters,
+                    &mut NullProbe,
+                );
+            }
+            if !is_shared(&instr) {
+                local += 1;
+                assert_eq!(mem.directory, warm.directory, "{instr:?} is local");
+            }
+        }
+        // 13 register, stack and compute forms, 12 loads of private and
+        // read-only lines, 6 stores to private lines.
+        assert_eq!(local, 31);
     }
 
     #[test]

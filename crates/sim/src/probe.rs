@@ -24,7 +24,9 @@ use crate::stats::SiteStall;
 /// All methods default to no-ops so probes implement only what they need.
 /// Events between a [`Probe::begin`] and the matching [`Probe::retire`]
 /// belong to that instruction's site; `begin`/`retire` always come in
-/// non-nested pairs, in the machine's deterministic interleave order.
+/// non-nested pairs, in the machine's deterministic interleave order:
+/// each thread's instructions in program order, shared instructions in
+/// global `(clock, core)` order, and local ones as their core runs ahead.
 pub trait Probe {
     /// An instruction at `(thread, index)` is about to execute.
     fn begin(&mut self, thread: usize, index: usize, instr: &Instr) {

@@ -1,11 +1,14 @@
 //! The run-loop scheduler: an index min-heap over core clocks.
 //!
-//! `Machine::run_probed` must always step the core with the smallest local
-//! clock so cross-core coherence interactions happen in global time order.
-//! The original implementation re-scanned every live core per retired
-//! instruction (O(live) `min_by`); this heap makes each scheduling decision
-//! O(log live), and — because a stepped core's clock only ever increases —
-//! each decision is a single sift-down of the root rather than a rebuild.
+//! The run loop must execute every *shared* instruction (a coherence
+//! directory access or a fence, `mem::is_shared`) on the core with the
+//! least `(clock, core)` key, so cross-core interactions happen in global
+//! time order; each core runs ahead through its local instructions and
+//! parks here at its next shared one. The original implementation
+//! re-scanned every live core per retired instruction (O(live) `min_by`);
+//! this heap makes each scheduling decision O(log live), and — because a
+//! core's clock only ever increases — each decision is a single sift-down
+//! of the root rather than a rebuild.
 //!
 //! Ordering is by `(clock, core index)` under [`f64::total_cmp`]: a total
 //! order with no panicking `partial_cmp` path, and a deterministic

@@ -1,9 +1,16 @@
-//! Golden-trace pins for the scheduler: the heap-ordered run loop must
-//! replay the exact instruction interleaving the original `min_by` scan
-//! produced. The expected `(thread, index)` sequences below were captured
-//! from the pre-heap scheduler on pinned litmus shapes; any tie-break or
-//! ordering drift in the scheduler rewrite shows up as a trace mismatch
-//! long before it would surface as a baseline diff.
+//! Golden-trace pins for the scheduler: the run loop must replay the
+//! instruction interleaving the original `min_by` scan produced. The
+//! expected `(thread, index)` sequences below were captured from that
+//! step-by-step scheduler on pinned litmus shapes; any tie-break or
+//! ordering drift shows up as a trace mismatch long before it would
+//! surface as a baseline diff.
+//!
+//! The run loop orders only shared instructions (directory accesses and
+//! fences) in global time; each core runs ahead through the rest. So a
+//! trace must equal its pin on the shared instructions, while local ones
+//! may begin earlier, in their thread's program order. On the four litmus
+//! shapes every instruction but one trailing `Compute` is shared, and the
+//! whole trace still equals the pin.
 //!
 //! Every pin is also replayed with each program split into multi-part
 //! [`Code`] at arbitrary boundaries, empty parts included: the run loop's
@@ -205,13 +212,35 @@ fn sb_power_trace_matches_pre_heap_scheduler() {
     assert_eq!(trace_of(&pow, &sb_program(FenceKind::HwSync), 7), SB_POWER);
 }
 
+/// The events of `trace` whose instruction in `program` is shared: every
+/// one but the `Compute` blocks in the programs above.
+fn shared_events(program: &Program, trace: &[(usize, usize)]) -> Vec<(usize, usize)> {
+    let shared =
+        |&&(t, i): &&(usize, usize)| !matches!(program.threads[t][i], Instr::Compute { .. });
+    trace.iter().filter(shared).copied().collect()
+}
+
 #[test]
 fn contended_trace_matches_pre_heap_scheduler() {
-    // 64 events across 4 concurrently-live cores: the scheduler's pick
-    // order is consulted at nearly every step, so any heap/tie-break drift
-    // breaks this long before it would shift an aggregate baseline.
+    // 64 events across 4 concurrently-live cores, 32 of them accesses to
+    // line 7: the scheduler's pick order is consulted at every access, so
+    // any heap/tie-break drift breaks this long before it would shift an
+    // aggregate baseline. The `Compute` blocks between the accesses run
+    // ahead, so only the accesses keep the pinned global order.
     let arm = Machine::new(armv8_xgene1());
-    assert_eq!(trace_of(&arm, &contended_program(), 7), CONTENDED_ARM);
+    let program = contended_program();
+    let trace = trace_of(&arm, &program, 7);
+    let accesses = shared_events(&program, &trace);
+    assert_eq!(accesses.len(), 32);
+    assert_eq!(accesses, shared_events(&program, CONTENDED_ARM));
+    for thread in 0..program.threads.len() {
+        let indices: Vec<usize> = trace
+            .iter()
+            .filter(|&&(t, _)| t == thread)
+            .map(|&(_, i)| i)
+            .collect();
+        assert_eq!(indices, (0..16).collect::<Vec<_>>(), "thread {thread}");
+    }
 }
 
 #[test]
